@@ -364,6 +364,9 @@ class Supervisor:
         self.outstanding: Dict[object, int] = {}
         self.submitted_at: Dict[int, float] = {}
         self.kill_pending: Set[int] = set()
+        # Cells in flight during a spontaneous pool death: each runs
+        # alone from then on, so a later death names exactly one cell.
+        self.suspects: Set[int] = set()
         self.death_rebuilds = 0
         self.workers = 1
         self.pool: Optional[ProcessPoolExecutor] = None
@@ -477,6 +480,11 @@ class Supervisor:
 
     def _top_up(self) -> None:
         while self.queue and len(self.outstanding) < self.workers:
+            if self.outstanding and (
+                self.queue[0] in self.suspects
+                or not self.suspects.isdisjoint(self.outstanding.values())
+            ):
+                return  # a suspect runs alone
             index = self.queue.popleft()
             try:
                 future = self.pool.submit(
@@ -579,6 +587,12 @@ class Supervisor:
         live — the cells actually running — and bounded by the policy's
         pool-rebuild budget rather than the cells' retry budgets,
         because any one of several in-flight cells may be the poison.
+
+        Every worker dies with the pool, so a death with several cells
+        in flight cannot say which one killed it.  Those cells become
+        suspects and run alone afterwards; an over-budget death
+        quarantines its cell only when that cell was alone in flight,
+        so a bystander is never blamed for the poison's death.
         """
         deliberate = bool(self.kill_pending)
         in_flight: List[int] = []
@@ -604,8 +618,12 @@ class Supervisor:
             "worker pool died (BrokenProcessPoolError) while these cells "
             f"were in flight: {labels or '(none had started)'}"
         )
-        over_budget = (not deliberate) and (
-            self.death_rebuilds >= self.policy.max_pool_rebuilds
+        if not deliberate:
+            self.suspects.update(in_flight)
+        over_budget = (
+            not deliberate
+            and len(in_flight) == 1
+            and self.death_rebuilds >= self.policy.max_pool_rebuilds
         )
         for index in sorted(in_flight):
             record = self.records[index]

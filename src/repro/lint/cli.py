@@ -54,12 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "dependents via the flow graph); analysis stays whole-program",
     )
     parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="dump the whole-program flow graph (imports, call edges, stats) "
-        "as JSON and exit",
-    )
-    parser.add_argument(
         "--prune-baseline",
         action="store_true",
         help="rewrite the baseline file without stale (paid-off) entries and exit",
@@ -173,12 +167,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     sources = [SourceFile.parse(path, root) for path in files]
     project = Project(root=root, files=sources)
     project.index()
-
-    if args.graph:
-        flow = project.flow(options)
-        payload = dict(flow.graph.graph_dump(), index_cache=flow.cache_stats.to_dict())
-        print(json.dumps(payload, indent=2))
-        return 0
 
     only: Optional[set] = None
     if args.changed:

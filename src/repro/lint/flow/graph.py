@@ -512,20 +512,6 @@ class FlowGraph:
         out.update(rel for rel in rels if rel in self.modules)
         return out
 
-    def graph_dump(self) -> Dict:
-        """The ``--graph`` debug payload."""
-        edges = {
-            caller: sorted(callees) for caller, callees in sorted(self.edges.items())
-        }
-        return {
-            "stats": dict(self.stats),
-            "modules": sorted(self.by_name),
-            "module_imports": {
-                name: sorted(deps) for name, deps in sorted(self.module_imports.items())
-            },
-            "edges": edges,
-        }
-
 
 def build_graph(summaries: Dict[str, ModuleSummary]) -> FlowGraph:
     return FlowGraph(summaries)

@@ -11,44 +11,49 @@ boundaries and allocates request/outcome objects.  This module keeps the
    without touching the machine's timing state.  Workloads that reach
    beyond the traceable API (functional byte access, crash lifecycle,
    multi-process) are detected and fall back to direct execution.
-2. **Compile** — :func:`compile_trace` expands the trace into flat
-   micro-op arrays (numpy when available: op kind ``uint8``, line
-   vaddr ``int64``, compute ``float64``), split into chunks at the rare
-   structural ops (create/open/mmap/mark).
-3. **Execute** — :func:`execute_compiled` sweeps the arrays with the
-   whole model inlined into one interpreter loop: TLB/cache/metadata
-   lookups are direct ``OrderedDict`` probes, stats are accumulated in
-   flat pend arrays and flushed per chunk, and every cold or rare path
-   (TLB miss, page fault, counter overflow, OTT refill, page-cache
-   fault) delegates to the *real* component method so behaviour — and
-   therefore every golden digest — is bit-identical to per-access
-   dispatch.  Machines the interpreter does not model (functional mode,
-   histograms, multi-process, crash domains, Anubis) replay the trace
-   through :func:`~repro.sim.trace.replay` instead.
+2. **Compile** — :func:`compile_trace` expands the trace into three
+   parallel lists (op kind, line vaddr, compute ns), split into chunks
+   at the rare structural ops (create/open/mmap/mark).
+3. **Execute** — :func:`execute_compiled` sweeps the lists in one
+   interpreter loop.  Only the measured-hot hit probes are inlined as
+   direct ``OrderedDict`` probes: TLB hit, L1/L2/L3 hits,
+   MECB/FECB/Merkle-first-node hits, OTT hit, and the NVM row buffer.
+   Stats are accumulated in flat pend arrays and flushed per chunk.
+   Every miss and rare path calls the *real* component method: TLB
+   miss and page fault, L1/L2 dirty victims
+   (``CacheHierarchy._push_down``), MECB/FECB misses with their Merkle
+   verification (``_fetch_metadata_line``), Merkle first-node misses
+   (``_update_merkle_path``), counter overflow, OTT refill, and
+   page-cache faults.  Each miss rule therefore exists once, and every
+   golden digest is bit-identical to per-access dispatch.  The NVM row
+   buffer stays inline on a row miss too: about 30% of NVM accesses
+   miss the row, and calling ``NVMDevice`` for them measured slower in
+   every run (docs/BATCH.md).  Machines the
+   interpreter does not model (functional mode, histograms,
+   multi-process, crash domains, Anubis) replay the trace through
+   :func:`~repro.sim.trace.replay` instead.
 
-Bit-identity is the hard pin: the interpreter replicates the reference
+Bit-identity is the hard pin: the inline probes replicate the reference
 path's exact float-addition order (latencies accumulate into the clock
 in the same association), its exact LRU mutations (``move_to_end`` /
 ``popitem`` sequences), and its exact stat increments on every
-*registered* bundle.  The only tolerated divergence is the counters of
-unregistered structural bundles (the metadata cache's internal tag
-store), which are invisible to results and digests.
+*registered* bundle.  Delegated methods add straight to those bundles
+while the pend arrays flush into them later; every counter is a sum, so
+the interleaving does not change a result.  The only tolerated
+divergence is the counters of unregistered structural bundles (the
+metadata cache's internal tag store), which are invisible to results
+and digests.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-try:  # numpy is the intended array backend but must stay optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from ..core.fsencr import FsEncrController
-from ..mem.cache import Eviction
 from ..mem.controller import MemoryRequest, PlainMemoryController
 from ..mem.dfbit import DF_MASK
 from ..secmem.counters import MINOR_BITS
+from ..secmem.metadata_cache import MetadataKind
 from ..secmem.secure_controller import BaselineSecureController
 from .machine import Machine
 from .trace import (
@@ -75,7 +80,7 @@ __all__ = [
     "run_workload_batch",
 ]
 
-# Micro-op kinds (the uint8 column of the compiled arrays).
+# Micro-op kinds (the ``kinds`` column of the compiled trace).
 _ACC_READ = 0
 _ACC_WRITE = 1
 _FLUSH = 2
@@ -105,38 +110,33 @@ _NVM_KEYS = (
 _CTRL_KEYS = (
     "read_requests",
     "write_requests",
-    "merkle_fetches",
     "osiris_counter_persists",
     "osiris_fecb_persists",
     "dax_requests",
-    "mecb_fetches",
-    "fecb_fetches",
 )
-(_C_READ_REQ, _C_WRITE_REQ, _C_MERKLE_F, _C_OSIRIS_CP,
- _C_OSIRIS_FP, _C_DAX, _C_MECB_F, _C_FECB_F) = range(8)
+_C_READ_REQ, _C_WRITE_REQ, _C_OSIRIS_CP, _C_OSIRIS_FP, _C_DAX = range(5)
 
+# Only the hit-path counters: misses are counted by the reference methods.
 _META_KEYS = (
-    "mecb_hits", "mecb_misses", "mecb_writes",
-    "fecb_hits", "fecb_misses", "fecb_writes",
-    "merkle_hits", "merkle_misses", "merkle_writes",
-    "dirty_evictions",
+    "mecb_hits", "mecb_writes",
+    "fecb_hits", "fecb_writes",
+    "merkle_hits", "merkle_writes",
 )
-(_M_MECB_H, _M_MECB_M, _M_MECB_W,
- _M_FECB_H, _M_FECB_M, _M_FECB_W,
- _M_MERKLE_H, _M_MERKLE_M, _M_MERKLE_W,
- _M_DIRTY_EV) = range(10)
+(_M_MECB_H, _M_MECB_W,
+ _M_FECB_H, _M_FECB_W,
+ _M_MERKLE_H, _M_MERKLE_W) = range(6)
 
 _OSIRIS_KEYS = ("updates", "forced_persists")
 _NOT_MAPPED = object()  # overlay region-memo sentinel
 
 
 class CompiledTrace:
-    """A trace lowered to flat micro-op arrays plus its rare-op schedule.
+    """A trace lowered to flat micro-op lists plus its rare-op schedule.
 
-    ``kinds``/``addrs``/``ns`` are parallel arrays (numpy when
-    available), one row per micro-op: cache-line accesses, line flushes,
-    fences, and compute delays.  ``chunks`` lists ``(lo, hi)`` windows
-    between structural ops; ``rares[i]`` executes after ``chunks[i]``.
+    ``kinds``/``addrs``/``ns`` are parallel lists, one row per
+    micro-op: cache-line accesses, line flushes, fences, and compute
+    delays.  ``chunks`` lists ``(lo, hi)`` windows between structural
+    ops; ``rares[i]`` executes after ``chunks[i]``.
     """
 
     __slots__ = ("_trace", "_name", "_raw", "kinds", "addrs", "ns",
@@ -220,14 +220,6 @@ def _lower(records):
         else:
             raise ValueError(f"unknown trace op {mnemonic!r}")
     chunks.append((lo, len(kinds)))
-    if _np is not None:
-        return (
-            _np.asarray(kinds, dtype=_np.uint8),
-            _np.asarray(addrs, dtype=_np.int64),
-            _np.asarray(ns, dtype=_np.float64),
-            chunks,
-            rares,
-        )
     return kinds, addrs, ns, chunks, rares
 
 
@@ -477,11 +469,12 @@ class BatchRunner:
 
 def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
     """The inline interpreter.  One big function on purpose: every
-    component's hot path is flattened into locals and closures so a
-    line access costs dict probes, not call stacks.  Each inline block
-    mirrors a specific reference method (named in the comments); any
-    behavioural change there must be mirrored here — the golden-digest
-    and batch-equivalence suites enforce the pairing.
+    measured-hot hit path is flattened into locals and closures so a
+    line access costs dict probes, not call stacks.  Each inline probe
+    mirrors a specific reference method (named in the comments); every
+    miss, dirty victim and overflow calls that method instead of a
+    copy.  A behavioural change to a mirrored hit path must be mirrored
+    here — the golden-digest and batch-equivalence suites enforce it.
     """
     config = machine.config
     controller = machine.controller
@@ -540,6 +533,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                     pend[index] = 0
 
     # -- NVMDevice.read/write/_access, inlined -------------------------
+    # Row misses stay here rather than delegating: they are not cold.
     timing = device.timing
     ROW_HIT = timing.row_hit_ns
     ROW_MISS = timing.row_miss_read_ns
@@ -636,191 +630,70 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
             pend_nvm[_N_PERSIST] += 1
         return latency
 
-    # -- CacheHierarchy fill/_push_down over line numbers ---------------
-    levels = (
-        (l1._sets, l1._num_sets, l1._ways, pend_l1),
-        (l2._sets, l2._num_sets, l2._ways, pend_l2),
-        (l3._sets, l3._num_sets, l3._ways, pend_l3),
-    )
+    # -- CacheHierarchy hit probes over line numbers ------------------
     s1, n1, w1 = l1._sets, l1._num_sets, l1._ways
     s2, n2, w2 = l2._sets, l2._num_sets, l2._ways
     s3, n3, w3 = l3._sets, l3._num_sets, l3._ways
+    flush_levels = ((s1, n1, pend_l1), (s2, n2, pend_l2), (s3, n3, pend_l3))
     LAT1 = l1.config.hit_latency
     LAT12 = LAT1 + l2.config.hit_latency
     LAT123 = LAT12 + l3.config.hit_latency
-
-    def fill_level(level: int, line: int, dirty: bool) -> int:
-        """SetAssociativeCache.fill; returns a dirty victim's line or -1."""
-        sets, nsets, ways, pend = levels[level]
-        entries = sets[line % nsets]
-        if line in entries:
-            entries.move_to_end(line)
-            if dirty:
-                entries[line] = True
-            return -1
-        victim = -1
-        if len(entries) >= ways:
-            victim_line, victim_dirty = entries.popitem(last=False)
-            pend[_EVICTIONS] += 1
-            if victim_dirty:
-                pend[_DIRTY_EVICTIONS] += 1
-                victim = victim_line
-        entries[line] = dirty
-        return victim
-
-    def push_down(level: int, line: int) -> None:
-        """CacheHierarchy._push_down: chase dirty victims downward."""
-        while True:
-            level += 1
-            if level > 2:
-                return
-            line = fill_level(level, line, True)
-            if line < 0:
-                return
+    push_down = hierarchy._push_down  # dirty L1/L2 victims
 
     # -- controller closures -------------------------------------------
     if is_plain:
         def ctrl_read(addr: int) -> float:
+            """PlainMemoryController.access, read."""
             pend_ctrl[_C_READ_REQ] += 1
-            pend_nvm[_N_READS] += 1
-            entry = bank_memo.get(addr)
-            if entry is None:
-                entry = dev_bank(addr)
-            bank, row = entry
-            if bank.open_row == row:
-                bank.consecutive_misses = 0
-                pend_nvm[_N_ROW_HITS] += 1
-                return ROW_HIT
-            return dev_read_miss(bank, row)
+            return dev_read(addr)
 
         def ctrl_write(addr: int, persist: bool) -> float:
+            """PlainMemoryController.access, write."""
             pend_ctrl[_C_WRITE_REQ] += 1
-            pend_nvm[_N_WRITES] += 1
-            if track_wear:
-                wline = addr & ~63
-                wear[wline] = wear.get(wline, 0) + 1
-            entry = bank_memo.get(addr)
-            if entry is None:
-                entry = dev_bank(addr)
-            bank, row = entry
-            if bank.open_row == row:
-                bank.consecutive_misses = 0
-                pend_nvm[_N_ROW_HITS] += 1
-                latency = ROW_HIT
-                bank.dirty = True
-            else:
-                latency = dev_write_miss(bank, row)
-            if persist:
-                latency += DIRTY_EVICT
-                bank.dirty = False
-                pend_nvm[_N_PERSIST] += 1
-            return latency
+            return dev_write(addr, persist)
     else:
-        meta = controller.metadata_cache
-        META_HIT = meta.hit_latency
-        handle_evictions = controller._handle_metadata_evictions
+        META_HIT = controller.metadata_cache.hit_latency
+        # Misses (with their Merkle verification) and first-node misses
+        # run the reference methods; only the hit probes are inline.
+        fetch_line = controller._fetch_metadata_line
+        update_merkle = controller._update_merkle_path
+        MECB = MetadataKind.MECB
+        FECB = MetadataKind.FECB
         layout = controller.layout
         num_pages = layout.num_pages
         mecb_base = layout.mecb_base
         fecb_base = layout.fecb_base
-        mecb_inner = meta._caches["mecb"]
-        fecb_inner = meta._caches["fecb"]
-        merkle_inner = meta._caches["merkle"]
-        mecb_sets, mecb_nsets, mecb_ways = (
-            mecb_inner._sets, mecb_inner._num_sets, mecb_inner._ways)
-        fecb_sets, fecb_nsets, fecb_ways = (
-            fecb_inner._sets, fecb_inner._num_sets, fecb_inner._ways)
-        mk_sets, mk_nsets, mk_ways = (
-            merkle_inner._sets, merkle_inner._num_sets, merkle_inner._ways)
+        meta_caches = controller.metadata_cache._caches
+        mecb_sets = meta_caches[MECB]._sets
+        mecb_nsets = meta_caches[MECB]._num_sets
+        fecb_sets = meta_caches[FECB]._sets
+        fecb_nsets = meta_caches[FECB]._num_sets
+        mk_sets = meta_caches[MetadataKind.MERKLE]._sets
+        mk_nsets = meta_caches[MetadataKind.MERKLE]._num_sets
         AES = controller.config.aes_latency_ns
         XOR = controller.config.xor_latency_ns
         AES_XOR = AES + XOR
         path_to_root = controller.merkle.path_to_root
-        merkle_path_memo: Dict[int, tuple] = {}
+        first_node_memo: Dict[int, int] = {}
         osiris_distance = controller.osiris._distance
         stop_loss = controller.osiris.stop_loss
         mecb_block = controller.mecb.block
         real_bump = controller._bump_counter
         persisted_mecb = controller._persisted_mecb
 
-        def merkle_path(addr: int) -> tuple:
-            path = merkle_path_memo.get(addr)
-            if path is None:
-                path = tuple((node, node >> 6) for node in path_to_root(addr))
-                merkle_path_memo[addr] = path
-            return path
-
-        def verify_merkle(addr: int) -> float:
-            """_verify_merkle_path: walk up, stop at the first cached node."""
-            latency = 0.0
-            for node_addr, line in merkle_path(addr):
-                entries = mk_sets[line % mk_nsets]
-                if line in entries:
-                    entries.move_to_end(line)
-                    pend_meta[_M_MERKLE_H] += 1
-                    latency += META_HIT
-                    break
-                pend_meta[_M_MERKLE_M] += 1
-                if len(entries) >= mk_ways:
-                    victim_line, victim_dirty = entries.popitem(last=False)
-                    entries[line] = False
-                    if victim_dirty:
-                        pend_meta[_M_DIRTY_EV] += 1
-                        handle_evictions((Eviction(victim_line * 64, True),))
-                else:
-                    entries[line] = False
-                latency += dev_read(node_addr)
-                pend_ctrl[_C_MERKLE_F] += 1
-            return latency
-
-        def update_merkle(addr: int) -> None:
-            """_update_merkle_path: dirty the path, write-back, no latency."""
-            for node_addr, line in merkle_path(addr):
-                entries = mk_sets[line % mk_nsets]
-                if line in entries:
-                    entries.move_to_end(line)
-                    entries[line] = True
-                    pend_meta[_M_MERKLE_H] += 1
-                    pend_meta[_M_MERKLE_W] += 1
-                    break
-                pend_meta[_M_MERKLE_M] += 1
+        def merkle_touch(addr: int) -> None:
+            """_update_merkle_path: first-node hit inline, miss delegates."""
+            line = first_node_memo.get(addr)
+            if line is None:
+                line = first_node_memo[addr] = path_to_root(addr)[0] >> 6
+            entries = mk_sets[line % mk_nsets]
+            if line in entries:
+                entries.move_to_end(line)
+                entries[line] = True
+                pend_meta[_M_MERKLE_H] += 1
                 pend_meta[_M_MERKLE_W] += 1
-                if len(entries) >= mk_ways:
-                    victim_line, victim_dirty = entries.popitem(last=False)
-                    entries[line] = True
-                    if victim_dirty:
-                        pend_meta[_M_DIRTY_EV] += 1
-                        handle_evictions((Eviction(victim_line * 64, True),))
-                else:
-                    entries[line] = True
-                dev_read(node_addr)  # posted refetch: latency not charged
-                pend_ctrl[_C_MERKLE_F] += 1
-
-        def _make_fetch_miss(ways, miss_i, write_i, fetch_i):
-            """_fetch_metadata_line, miss path (hits are inlined at the
-            call sites); ``line``/``entries`` come pre-resolved."""
-            def fetch_miss(addr: int, line: int, entries, is_write: bool) -> float:
-                pend_meta[miss_i] += 1
-                if is_write:
-                    pend_meta[write_i] += 1
-                if len(entries) >= ways:
-                    victim_line, victim_dirty = entries.popitem(last=False)
-                    entries[line] = is_write
-                    if victim_dirty:
-                        pend_meta[_M_DIRTY_EV] += 1
-                        handle_evictions((Eviction(victim_line * 64, True),))
-                else:
-                    entries[line] = is_write
-                latency = dev_read(addr)
-                pend_ctrl[fetch_i] += 1
-                latency += verify_merkle(addr)
-                return latency
-            return fetch_miss
-
-        fetch_mecb_miss = _make_fetch_miss(mecb_ways, _M_MECB_M, _M_MECB_W,
-                                           _C_MECB_F)
-        fetch_fecb_miss = _make_fetch_miss(fecb_ways, _M_FECB_M, _M_FECB_W,
-                                           _C_FECB_F)
+            else:
+                update_merkle(addr)
 
         mecb_blocks = controller.mecb.blocks
         has_dax = is_fsencr
@@ -865,7 +738,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                 pend_meta[_M_MECB_H] += 1
                 pad = META_HIT
             else:
-                pad = fetch_mecb_miss(counter_addr, mline, mentries, False)
+                pad = fetch_line(counter_addr, MECB, False)
             if has_dax and addr & DF_MASK:
                 # FsEncr._pad_fetch_latency DAX arm: FECB + OTT
                 pend_ctrl[_C_DAX] += 1
@@ -880,7 +753,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                     was_cached = True
                 else:
                     was_cached = False
-                    fpad = fetch_fecb_miss(fecb_addr, fline, fentries, False)
+                    fpad = fetch_line(fecb_addr, FECB, False)
                 fblock = fecb_blocks.get(page)
                 if fblock is None:
                     fblock = fecb_block(page)
@@ -902,8 +775,8 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
 
         def ctrl_write(addr: int, persist: bool) -> float:
             """BaselineSecureController._write / FsEncr write, with every
-            common-case probe (metadata hit, counter bump, merkle root
-            hit, row hit) inlined; overflow/miss arms delegate."""
+            common-case probe (metadata hit, counter bump, merkle first
+            node hit, row hit) inlined; overflow/miss arms delegate."""
             pend_ctrl[_C_WRITE_REQ] += 1
             raw = addr & ~DF_MASK
             page = raw >> 12
@@ -921,7 +794,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                 pend_meta[_M_MECB_H] += 1
                 latency = META_HIT
             else:
-                latency = fetch_mecb_miss(counter_addr, mline, mentries, True)
+                latency = fetch_line(counter_addr, MECB, True)
             is_df = has_dax and addr & DF_MASK
             if is_df:
                 # FsEncr._pad_fetch_latency DAX arm
@@ -939,7 +812,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                     was_cached = True
                 else:
                     was_cached = False
-                    fpad = fetch_fecb_miss(fecb_addr, fline, fentries, True)
+                    fpad = fetch_line(fecb_addr, FECB, True)
                 fblock = fecb_blocks.get(page)
                 if fblock is None:
                     fblock = fecb_block(page)
@@ -1008,32 +881,8 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                         )
                     else:
                         osiris_distance[fecb_addr] = fdist
-                    # merkle update over the FECB line, root-ward hit inline
-                    path = merkle_path_memo.get(fecb_addr)
-                    if path is None:
-                        path = merkle_path(fecb_addr)
-                    node_addr, nline = path[0]
-                    nentries = mk_sets[nline % mk_nsets]
-                    if nline in nentries:
-                        nentries.move_to_end(nline)
-                        nentries[nline] = True
-                        pend_meta[_M_MERKLE_H] += 1
-                        pend_meta[_M_MERKLE_W] += 1
-                    else:
-                        update_merkle(fecb_addr)
-            # merkle update over the counter line, first-node hit inline
-            path = merkle_path_memo.get(counter_addr)
-            if path is None:
-                path = merkle_path(counter_addr)
-            node_addr, nline = path[0]
-            nentries = mk_sets[nline % mk_nsets]
-            if nline in nentries:
-                nentries.move_to_end(nline)
-                nentries[nline] = True
-                pend_meta[_M_MERKLE_H] += 1
-                pend_meta[_M_MERKLE_W] += 1
-            else:
-                update_merkle(counter_addr)
+                    merkle_touch(fecb_addr)  # merkle update over the FECB line
+            merkle_touch(counter_addr)  # merkle update over the counter line
             latency += AES_XOR
             # NVMDevice.write, row-hit inline
             pend_nvm[_N_WRITES] += 1
@@ -1070,9 +919,9 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
         region_for = machine._region_for
         region_memo: Dict[int, object] = {}
 
-    kinds = compiled.kinds if _np is None else compiled.kinds.tolist()
-    addrs = compiled.addrs if _np is None else compiled.addrs.tolist()
-    ns_col = compiled.ns if _np is None else compiled.ns.tolist()
+    kinds = compiled.kinds
+    addrs = compiled.addrs
+    ns_col = compiled.ns
     chunks = compiled.chunks
     rares = compiled.rares
 
@@ -1164,7 +1013,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                                 pend_l1[_EVICTIONS] += 1
                                 if victim_dirty:
                                     pend_l1[_DIRTY_EVICTIONS] += 1
-                                    push_down(0, victim_line)
+                                    push_down(l1, victim_line << 6)
                             entries[line] = False
                         else:
                             pend_l2[_MISSES] += 1
@@ -1185,7 +1034,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                                 pend_l1[_EVICTIONS] += 1
                                 if victim_dirty:
                                     pend_l1[_DIRTY_EVICTIONS] += 1
-                                    push_down(0, victim_line)
+                                    push_down(l1, victim_line << 6)
                             entries[line] = is_write if miss else False
                             if len(entries2) >= w2:  # fill L2
                                 victim_line, victim_dirty = entries2.popitem(
@@ -1193,7 +1042,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                                 pend_l2[_EVICTIONS] += 1
                                 if victim_dirty:
                                     pend_l2[_DIRTY_EVICTIONS] += 1
-                                    push_down(1, victim_line)
+                                    push_down(l2, victim_line << 6)
                             entries2[line] = False
                             if miss:  # fill L3; dirty victim is written back
                                 if len(entries3) >= w3:
@@ -1228,7 +1077,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                         paddr = translation.paddr
                     line = paddr >> 6
                     dirty = False
-                    for sets, nsets, _ways, pend in levels:
+                    for sets, nsets, pend in flush_levels:
                         entries = sets[line % nsets]
                         if entries.get(line):  # writeback_line
                             entries[line] = False

@@ -1,6 +1,6 @@
 """Whole-program flow analysis: the four cross-module rules, the
 incremental index cache, and the CLI satellites built on top
-(``--format sarif``, ``--changed``, ``--prune-baseline``, ``--graph``).
+(``--format sarif``, ``--changed``, ``--prune-baseline``).
 
 Each flow rule gets the same treatment: a positive fixture where the
 offending flow crosses a module boundary, a suppressed variant (the
@@ -684,16 +684,6 @@ def test_cli_changed_lints_changed_files_and_dependents(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert {f["path"] for f in payload["findings"]} == {"src/repro/sim/lone.py"}
-
-
-def test_cli_graph_dump(tmp_path, capsys):
-    root = _violation_root(tmp_path)
-    code = lint_main(["--root", str(root), "--graph"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["stats"]["modules"] >= 1
-    assert "repro.sim.bad" in payload["modules"]
-    assert "index_cache" in payload
 
 
 def test_cli_json_summary_carries_flow_stats(tmp_path, capsys):

@@ -11,6 +11,9 @@ from dataclasses import replace
 import pytest
 
 from repro.exec.spec import CellSpec, canonical_json, execute_cell
+from repro.mem.cache import CacheConfig
+from repro.mem.hierarchy import HierarchyConfig
+from repro.secmem.metadata_cache import MetadataCacheConfig
 from repro.sim import (
     BatchRunner,
     Machine,
@@ -23,7 +26,7 @@ from repro.sim import (
     scheme_names,
 )
 from repro.sim.batch import _supports_fast_path
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, Scheme
 from repro.sim.trace import TraceOp
 from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
 from repro.workloads.base import run_workload
@@ -33,25 +36,73 @@ _FACTORIES = {
     "DAX-1": lambda: make_dax_micro("DAX-1", iterations=120, seed=7),
     "Fillseq-S": lambda: make_pmemkv_workload("Fillseq-S", ops=24, seed=1234),
     "Hashmap": lambda: make_whisper_workload("Hashmap", ops=40, seed=99),
+    # Word stores that sit in L1 until their persist: the one workload
+    # here whose lines leave L1 dirty under a tiny hierarchy.
+    "DAX-4": lambda: make_dax_micro("DAX-4", iterations=120, seed=7),
+}
+
+# Direct-mapped two-line L1 and L2: an L2 fill can then evict a line an
+# earlier L1 victim left dirty there.
+_TINY_HIERARCHY = HierarchyConfig(
+    l1=CacheConfig(name="l1", size_bytes=128, ways=1, hit_latency=2.0),
+    l2=CacheConfig(name="l2", size_bytes=128, ways=1, hit_latency=20.0),
+    l3=CacheConfig(name="l3", size_bytes=512, ways=2, hit_latency=32.0),
+)
+
+#: Caches a few lines deep, so a short run crosses every arm the batch
+#: interpreter hands to a reference method: dirty L1/L2 victims, MECB
+#: and FECB misses with their Merkle walks, Merkle first-node misses,
+#: and dirty metadata evictions — for the shared and partitioned
+#: metadata cache alike.
+_GEOMETRIES = {
+    "default": MachineConfig(),
+    "tiny": MachineConfig(
+        hierarchy=_TINY_HIERARCHY,
+        metadata_cache=MetadataCacheConfig(size_bytes=2048, ways=2),
+    ),
+    "tiny-partitioned": MachineConfig(
+        hierarchy=_TINY_HIERARCHY,
+        metadata_cache=MetadataCacheConfig(size_bytes=2048, ways=2, partitioned=True),
+    ),
 }
 
 
-@pytest.mark.parametrize("workload_name", sorted(_FACTORIES))
-@pytest.mark.parametrize("scheme_name", scheme_names())
-def test_batched_equals_per_access(workload_name, scheme_name):
+def _equivalence_cases():
+    for scheme_name in scheme_names():
+        for workload_name in ("DAX-1", "Fillseq-S", "Hashmap"):
+            yield pytest.param(
+                scheme_name, workload_name, "default",
+                id=f"{scheme_name}-{workload_name}",
+            )
+        for geometry in ("tiny", "tiny-partitioned"):
+            yield pytest.param(
+                scheme_name, "DAX-4", geometry,
+                id=f"{scheme_name}-DAX-4-{geometry}",
+            )
+
+
+@pytest.mark.parametrize("scheme_name,workload_name,geometry", _equivalence_cases())
+def test_batched_equals_per_access(scheme_name, workload_name, geometry):
     """Every (workload, scheme) cell: batch == per-access, to the bit.
 
     This spans the whole execution envelope — DAX schemes run the
     inline interpreter, overlay schemes (conventional, software
-    encryption) take the replay fallback, and anubis-wired variants are
-    gated out to replay as well; all must agree with direct runs.
+    encryption) run it with the page-cache overlay, and anubis-wired
+    variants are gated out to replay; all must agree with direct runs.
+    The tiny geometries must provably reach the delegated miss arms.
     """
     factory = _FACTORIES[workload_name]
-    direct = run_workload(get_scheme(scheme_name).configure(MachineConfig()), factory())
-    batched = run_workload_batch(
-        get_scheme(scheme_name).configure(MachineConfig()), factory()
-    )
+    config = get_scheme(scheme_name).configure(_GEOMETRIES[geometry])
+    direct = run_workload(config, factory())
+    batched = run_workload_batch(config, factory())
     assert batched.to_dict() == direct.to_dict()
+    if geometry != "default":
+        stats = direct.stats
+        assert stats.get("l1.dirty_evictions", 0) > 0
+        assert stats.get("l2.dirty_evictions", 0) > 0
+        if config.scheme in (Scheme.BASELINE_SECURE, Scheme.FSENCR):
+            assert stats.get("metadata_cache.dirty_evictions", 0) > 0
+            assert stats.get("metadata_cache.merkle_misses", 0) > 0
 
 
 def test_run_workload_batch_kwarg_routes():
