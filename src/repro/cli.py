@@ -1,45 +1,52 @@
 """Command-line front end: regenerate any paper artefact from a shell.
 
-    python -m repro fig3            # software-encryption motivation
-    python -m repro fig8            # PMEMKV slowdown/writes/reads
-    python -m repro fig11           # Whisper slowdown/writes/reads
-    python -m repro fig12           # synthetic micro-benchmarks
-    python -m repro fig15           # metadata-cache sensitivity sweep
-    python -m repro table1          # executable vulnerability matrix
-    python -m repro bench           # every figure grid on one runner
-    python -m repro all             # everything, in paper order
-    python -m repro quick           # one fast end-to-end sanity pass
-    python -m repro crashsweep      # systematic crash/recovery audit
-    python -m repro batchcheck      # batch-vs-per-access fidelity + speed gate
-    python -m repro loadcurve       # concurrent-traffic throughput vs p99
-    python -m repro cache stats     # entry counts / bytes / age
-    python -m repro cache verify    # checksum audit (exit = corrupt count)
-    python -m repro cache gc        # sweep temp files + stale entries
+Every command is its own subparser and accepts exactly the flags its
+handler reads; any other flag is an argparse error (exit status 2).
 
-``--ops`` / ``--iters`` scale the workloads; ``--json PATH`` saves the
-table data for downstream plotting.  Every grid command takes ``--jobs
-N`` to fan its cells over worker processes (default: serial) and serves
-unchanged cells from ``.repro-cache/`` — ``--no-cache`` always
-simulates, ``--clear-cache`` empties the cache first, ``--cache-dir``
-relocates it (docs/RUNNER.md).  Supervision flags shape how hard the
-runner fights for each cell: ``--timeout SECONDS`` kills hung workers,
-``--retries N`` re-runs failed cells (with ``--backoff SECONDS``
-deterministic seeded exponential delay), and ``--failure-policy
-continue`` quarantines failed cells into the run's grid report instead
-of aborting the whole grid.  ``crashsweep`` runs the full (scheme x
-fault-profile) matrix by default — narrow it with ``--scheme`` /
-``--profile``, or shape a one-off plan with ``--profile custom`` plus
-``--drain-fraction/--torn-prob/--torn-burst/--bit-flips/
---counter-flips`` — and exits non-zero iff any cell's crash point
-produced silent corruption.
+    command                  flags (beyond -h)
+    fig3  fig11              RUNNER --ops --batch --json
+    fig8 (= fig9, fig10)     RUNNER --ops --batch --json
+    fig12 (= fig13, fig14)   RUNNER --iters --batch --json
+    fig15                    RUNNER --ops --iters --batch --scheme --json
+    bench                    RUNNER --ops --iters --batch
+    all                      RUNNER --ops --iters --batch
+    quick                    RUNNER --batch
+    table1                   (none)
+    report                   [RESULTS_DIR]  (default: benchmarks/results)
+    crashsweep               RUNNER --ops --iters --json --workload --points
+                             --seed --scheme --profile --drain-fraction
+                             --torn-prob --torn-burst --bit-flips
+                             --counter-flips
+    batchcheck               --reps --json
+    loadcurve                RUNNER --ops --json --streams --schemes
+                             --loads --window
+    cache {stats,verify,gc}  --cache-dir
+
+    RUNNER = --jobs --no-cache --clear-cache --cache-dir --timeout
+             --retries --backoff --failure-policy
+
+``bench`` runs the fig3/8/11/12/15 grids on one shared runner; ``all``
+runs the same grids and then prints Table I.  ``quick`` is one fast
+end-to-end sanity pass.  ``--jobs N`` fans a grid's cells over N worker
+processes (default 1, serial; 0 = one per CPU), and unchanged cells are
+served from ``.repro-cache/`` (docs/RUNNER.md).  ``--timeout`` needs a
+resolved job count of at least 2, since only a worker process can be
+killed.  ``crashsweep`` runs the full (scheme x fault-profile) matrix by
+default and exits with its silent-corruption count; ``batchcheck`` exits
+with the number of divergent cells, ``loadcurve`` with the number of
+schemes whose p99 is not monotone in load, and ``cache verify`` with the
+corrupt-entry count.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .analysis import (
     figure3_software_encryption,
@@ -51,24 +58,32 @@ from .analysis import (
     render_table1,
 )
 from .exec import ExperimentRunner, ResultCache, SupervisionPolicy, source_fingerprint
-from .sim.results import run_provenance
+from .faults.plan import FAULT_PROFILES, FaultPlan
+from .sim.results import ResultTable, run_provenance
+from .sim.schemes import crash_matrix_names, get_scheme, scheme_names
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
+
+
+class UsageError(Exception):
+    """A flag combination argparse cannot see is wrong; ``main`` turns it
+    into ``parser.error`` (exit status 2)."""
 
 
 def _make_runner(args) -> ExperimentRunner:
     """Build the runner the command's grids execute on.
 
-    ``--jobs`` unset means serial (the library default); ``--jobs 0``
-    means "one worker per CPU".  ``--clear-cache`` empties the cache
-    before the run rather than instead of it, so ``--clear-cache`` plus
-    a figure command is the natural "rebuild from scratch" spelling.
+    ``--jobs 0`` means one worker per CPU.  ``--clear-cache`` empties
+    the cache before the run rather than instead of it, so
+    ``--clear-cache`` plus a figure command is the natural "rebuild from
+    scratch" spelling.
     """
-    jobs = args.jobs
-    if jobs == 0:
-        jobs = None  # ExperimentRunner(None) -> os.cpu_count()
-    # SupervisionPolicy's defaults are the historical semantics (no
-    # timeout, single attempt, fail_fast), so it is built unconditionally.
+    jobs = args.jobs or os.cpu_count() or 1
+    if args.timeout is not None and jobs < 2:
+        raise UsageError(
+            f"--timeout needs --jobs >= 2 (resolved job count: {jobs}); the "
+            "serial path has no worker process to kill"
+        )
     policy = SupervisionPolicy(
         timeout_seconds=args.timeout,
         max_attempts=max(0, args.retries) + 1,
@@ -76,7 +91,7 @@ def _make_runner(args) -> ExperimentRunner:
         failure_policy=args.failure_policy,
     )
     runner = ExperimentRunner(
-        jobs if jobs is not None else 1,
+        jobs,
         use_cache=not args.no_cache,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         policy=policy,
@@ -87,73 +102,68 @@ def _make_runner(args) -> ExperimentRunner:
     return runner
 
 
-def _report_failures(runner: ExperimentRunner) -> None:
-    """Under ``--failure-policy continue`` a grid can finish with
-    quarantined cells; name them rather than let a shorter table pass
-    for a complete one."""
-    report = runner.last_report
-    if report is None or not report.quarantined:
-        return
-    print(f"WARNING: {len(report.quarantined)} cell(s) quarantined:", file=sys.stderr)
-    for line in report.failure_lines():
-        print(line, file=sys.stderr)
-
-
-def _emit(table, json_path: Optional[str], runner: ExperimentRunner) -> None:
-    print(table.render())
+def _show(text: str, runner: ExperimentRunner) -> None:
+    """Print a grid's rendering and the runner's summary.  Under
+    ``--failure-policy continue`` a grid can finish with quarantined
+    cells; name them rather than let a shorter table pass for a
+    complete one."""
+    print(text)
     print(runner.last_stats.summary())
-    _report_failures(runner)
+    report = runner.last_report
+    if report is not None and report.quarantined:
+        print(f"WARNING: {len(report.quarantined)} cell(s) quarantined:", file=sys.stderr)
+        for line in report.failure_lines():
+            print(line, file=sys.stderr)
     print()
-    if json_path:
-        table.save_json(Path(json_path), extra=run_provenance(runner))
-        print(f"saved: {json_path}")
 
 
-def _run_fig3(args, runner: Optional[ExperimentRunner] = None) -> None:
-    runner = runner or _make_runner(args)
-    _emit(
-        figure3_software_encryption(
-            ops=args.ops or 1500, batch=args.batch, runner=runner
-        ),
-        args.json,
-        runner,
-    )
+def _save(json_path: Optional[str], payload, runner: Optional[ExperimentRunner] = None) -> None:
+    """Write a command's ``--json`` output.  Grid commands pass their
+    runner, whose provenance block rides under the ``"runner"`` key."""
+    if not json_path:
+        return
+    extra = run_provenance(runner) if runner is not None else {}
+    if isinstance(payload, ResultTable):
+        payload.save_json(Path(json_path), extra=extra)
+    else:
+        Path(json_path).write_text(json.dumps({**payload, **extra}, indent=2))
+    print(f"saved: {json_path}")
 
 
-def _run_fig8(args, runner: Optional[ExperimentRunner] = None) -> None:
-    runner = runner or _make_runner(args)
-    _emit(
-        figure8_to_10_pmemkv(ops=args.ops or 600, batch=args.batch, runner=runner),
-        args.json,
-        runner,
-    )
+class _Figure(NamedTuple):
+    """A table-producing figure command."""
+
+    help: str
+    aliases: Tuple[str, ...]
+    flag: str  # the sizing flag: "ops", or "iters" (the driver's iterations=)
+    default: int
+    driver: Callable[..., ResultTable]
 
 
-def _run_fig11(args, runner: Optional[ExperimentRunner] = None) -> None:
-    runner = runner or _make_runner(args)
-    _emit(
-        figure11_whisper(ops=args.ops or 1500, batch=args.batch, runner=runner),
-        args.json,
-        runner,
-    )
+#: One run of fig8 produces all three PMEMKV series (Figures 8-10), one
+#: run of fig12 all three micro-benchmark series (Figures 12-14).
+_FIGURES = {
+    "fig3": _Figure("software-encryption motivation", (), "ops", 1500, figure3_software_encryption),
+    "fig8": _Figure(
+        "PMEMKV slowdown/writes/reads", ("fig9", "fig10"), "ops", 600, figure8_to_10_pmemkv
+    ),
+    "fig11": _Figure("Whisper slowdown/writes/reads", (), "ops", 1500, figure11_whisper),
+    "fig12": _Figure(
+        "synthetic micro-benchmarks", ("fig13", "fig14"), "iters", 8000, figure12_to_14_micro
+    ),
+}
 
 
-def _run_fig12(args, runner: Optional[ExperimentRunner] = None) -> None:
-    runner = runner or _make_runner(args)
-    _emit(
-        figure12_to_14_micro(
-            iterations=args.iters or 8000, batch=args.batch, runner=runner
-        ),
-        args.json,
-        runner,
-    )
+def _figure(name: str, args, runner: ExperimentRunner, json_path: Optional[str]) -> None:
+    figure = _FIGURES[name]
+    size = vars(args)[figure.flag] or figure.default
+    keyword = "iterations" if figure.flag == "iters" else "ops"
+    table = figure.driver(batch=args.batch, runner=runner, **{keyword: size})
+    _show(table.render(), runner)
+    _save(json_path, table, runner)
 
 
-def _run_fig15(args, runner: Optional[ExperimentRunner] = None) -> None:
-    runner = runner or _make_runner(args)
-    # --scheme selects the measured column ("fsencr+partitioned" plots
-    # the partitioned-cache variant); "all" keeps the figure's default.
-    scheme = None if args.scheme == "all" else args.scheme
+def _fig15(args, runner: ExperimentRunner, scheme: Optional[str], json_path: Optional[str]) -> None:
     curves = figure15_cache_sensitivity(
         pmemkv_ops=args.ops or 400,
         whisper_ops=(args.ops or 400) * 3,
@@ -162,24 +172,17 @@ def _run_fig15(args, runner: Optional[ExperimentRunner] = None) -> None:
         batch=args.batch,
         runner=runner,
     )
-    print(render_sensitivity(curves))
-    print(runner.last_stats.summary())
-    _report_failures(runner)
-    if args.json:
-        import json
+    _show(render_sensitivity(curves), runner)
+    curves_json = {key: {str(size): v for size, v in c.items()} for key, c in curves.items()}
+    _save(json_path, {"curves": curves_json}, runner)
 
-        Path(args.json).write_text(
-            json.dumps(
-                {
-                    "curves": {
-                        k: {str(s): v for s, v in c.items()} for k, c in curves.items()
-                    },
-                    **run_provenance(runner),
-                },
-                indent=2,
-            )
-        )
-        print(f"saved: {args.json}")
+
+def _run_figure(name: str, args) -> None:
+    _figure(name, args, _make_runner(args), args.json)
+
+
+def _run_fig15(args) -> None:
+    _fig15(args, _make_runner(args), args.scheme, args.json)
 
 
 def _run_table1(args) -> None:
@@ -189,8 +192,7 @@ def _run_table1(args) -> None:
 def _run_report(args) -> None:
     from .analysis import aggregate_report
 
-    results = Path(args.json) if args.json else Path("benchmarks/results")
-    print(aggregate_report(results))
+    print(aggregate_report(Path(args.results)))
 
 
 def _run_quick(args) -> None:
@@ -198,12 +200,8 @@ def _run_quick(args) -> None:
     runner = _make_runner(args)
     print(render_table1())
     print()
-    _emit(figure11_whisper(ops=400, batch=args.batch, runner=runner), None, runner)
-    _emit(
-        figure3_software_encryption(ops=400, batch=args.batch, runner=runner),
-        None,
-        runner,
-    )
+    for driver in (figure11_whisper, figure3_software_encryption):
+        _show(driver(ops=400, batch=args.batch, runner=runner).render(), runner)
 
 
 def _run_bench(args) -> None:
@@ -214,53 +212,43 @@ def _run_bench(args) -> None:
     lifetime summary shows exactly how much the cache saved.
     """
     runner = _make_runner(args)
-    for step in (_run_fig3, _run_fig8, _run_fig11, _run_fig12, _run_fig15):
-        step(args, runner)
-        print()
+    for name in _FIGURES:
+        _figure(name, args, runner, None)
+    _fig15(args, runner, None, None)  # fig15's default measured column
     print(runner.lifetime.summary())
 
 
 def _run_all(args) -> None:
-    for step in (_run_fig3, _run_fig8, _run_fig11, _run_fig12, _run_fig15):
-        step(args)
-        print()
-    _run_table1(args)
+    """``bench``'s grids, then Table I: every artefact in paper order."""
+    _run_bench(args)
+    print()
+    print(render_table1())
+
+
+#: Base plan for the fault flags ``--profile custom`` leaves unset: the
+#: historical CLI plan (a mixed half-drain), not FaultPlan's all-drained
+#: default.
+_CUSTOM_PLAN = {
+    "drain_fraction": 0.5,
+    "torn_probability": 0.5,
+    "torn_burst": 1,
+    "bit_flips": 0,
+    "counter_flips": 0,
+}
 
 
 def _run_crashsweep(args) -> int:
     """Crash-sweep the (scheme x fault-profile) matrix, audit every line.
 
-    ``--scheme all`` runs every registry matrix column; a matrix-column
-    name narrows to that column, and any other *registered* scheme name
-    runs as a one-off ad-hoc column (so new registry entries are
-    sweepable before they earn a matrix seat).  ``--profile all`` runs
-    every named fault profile; ``--profile custom`` builds one plan from
-    the individual fault flags.  Exit code is the total
-    silent-corruption count.
+    ``--scheme all`` runs every registry matrix column; any other
+    registered scheme name runs as that one column, matrix member or not
+    (so new registry entries are sweepable before they earn a matrix
+    seat).  ``--profile all`` runs every named fault profile;
+    ``--profile custom`` builds one plan from the individual fault
+    flags.  Exit code is the total silent-corruption count.
     """
-    import json
-
-    from .faults.plan import FAULT_PROFILES, FaultPlan
-    from .faults.sweep import matrix_configs, sweep_matrix
+    from .faults.sweep import sweep_matrix
     from .sim.config import MachineConfig
-    from .sim.schemes import crash_matrix_names, get_scheme, scheme_names
-
-    columns = matrix_configs()
-    if args.scheme != "all":
-        columns = [(label, cfg) for label, cfg in columns if label == args.scheme]
-        if not columns:
-            try:
-                spec = get_scheme(args.scheme)
-            except ValueError:
-                known = ", ".join(crash_matrix_names())
-                registered = ", ".join(scheme_names())
-                raise SystemExit(
-                    f"unknown --scheme {args.scheme!r} (matrix columns: "
-                    f"{known}, all; any registered scheme also works: "
-                    f"{registered})"
-                )
-            # Ad-hoc column: same base normalisation as matrix_configs.
-            columns = [(spec.name, spec.configure(MachineConfig().with_wpq(False)))]
 
     knobs = {
         "drain_fraction": args.drain_fraction,
@@ -269,37 +257,30 @@ def _run_crashsweep(args) -> int:
         "bit_flips": args.bit_flips,
         "counter_flips": args.counter_flips,
     }
-    knobs_given = any(value is not None for value in knobs.values())
+    given = {key: value for key, value in knobs.items() if value is not None}
     profile = args.profile
-    if knobs_given and profile == "all":
+    if given and profile == "all":
         # Individual plan flags imply a one-off plan; silently running
         # the named profiles instead would ignore what the user typed.
         profile = "custom"
     if profile == "custom":
-        # Base for unspecified flags: the historical CLI plan (a mixed
-        # half-drain), not FaultPlan's all-drained default.
-        base = {
-            "drain_fraction": 0.5,
-            "torn_probability": 0.5,
-            "torn_burst": 1,
-            "bit_flips": 0,
-            "counter_flips": 0,
-        }
-        base.update({key: value for key, value in knobs.items() if value is not None})
-        profiles = {"custom": FaultPlan(**base)}
-    elif knobs_given:
-        raise SystemExit(
+        profiles = {"custom": FaultPlan(**{**_CUSTOM_PLAN, **given})}
+    elif given:
+        raise UsageError(
             f"--profile {profile!r} is a named profile; plan flags like "
             "--drain-fraction only apply with --profile custom (or all, "
             "which they override)"
         )
-    elif args.profile == "all":
+    elif profile == "all":
         profiles = dict(FAULT_PROFILES)
-    elif args.profile in FAULT_PROFILES:
-        profiles = {args.profile: FAULT_PROFILES[args.profile]}
     else:
-        known = ", ".join(sorted(FAULT_PROFILES))
-        raise SystemExit(f"unknown --profile {args.profile!r} (choose from {known}, all, custom)")
+        profiles = {profile: FAULT_PROFILES[profile]}
+
+    # The base WPQ model is off, so only columns that pin it run with it
+    # (the same normalisation as faults.sweep.matrix_configs).
+    names = crash_matrix_names() if args.scheme == "all" else (args.scheme,)
+    base = MachineConfig().with_wpq(False)
+    columns = [(name, get_scheme(name).configure(base)) for name in names]
 
     runner = _make_runner(args)
     matrix = sweep_matrix(
@@ -313,51 +294,36 @@ def _run_crashsweep(args) -> int:
         iterations=args.iters or 0,
         runner=runner,
     )
-    print(matrix.summary())
-    print(runner.last_stats.summary())
-    _report_failures(runner)
-    for (scheme_label, profile_name), cell in sorted(matrix.cells.items()):
+    cells = sorted(matrix.cells.items())
+    lines = [matrix.summary()]
+    for (scheme_label, profile_name), cell in cells:
         for point in cell.points:
-            print(
+            lines.append(
                 f"  [{scheme_label}/{profile_name}] op {point.op_index:>5}: "
                 f"{point.dispositions} -> {point.outcomes}, "
                 f"{point.trials} trials, {point.recovery_ns / 1000.0:.1f} us recovery"
             )
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(
+    _show("\n".join(lines), runner)
+    _save(
+        args.json,
+        {
+            "workload": matrix.workload,
+            "seed": matrix.seed,
+            "silent_corruptions": matrix.silent_corruptions,
+            "cells": [
                 {
-                    "workload": matrix.workload,
-                    "seed": matrix.seed,
-                    "silent_corruptions": matrix.silent_corruptions,
-                    **run_provenance(runner),
-                    "cells": [
-                        {
-                            "scheme": scheme_label,
-                            "profile": profile_name,
-                            "boundaries_total": cell.boundaries_total,
-                            "silent_corruptions": cell.silent_corruptions,
-                            "outcomes": cell.outcome_totals(),
-                            "points": [
-                                {
-                                    "op_index": p.op_index,
-                                    "plan_seed": p.plan_seed,
-                                    "dispositions": p.dispositions,
-                                    "outcomes": p.outcomes,
-                                    "silent_lines": list(p.silent_lines),
-                                    "trials": p.trials,
-                                    "recovery_ns": p.recovery_ns,
-                                }
-                                for p in cell.points
-                            ],
-                        }
-                        for (scheme_label, profile_name), cell in sorted(matrix.cells.items())
-                    ],
-                },
-                indent=2,
-            )
-        )
-        print(f"saved: {args.json}")
+                    "scheme": scheme_label,
+                    "profile": profile_name,
+                    "boundaries_total": cell.boundaries_total,
+                    "silent_corruptions": cell.silent_corruptions,
+                    "outcomes": cell.outcome_totals(),
+                    "points": [point.to_dict() for point in cell.points],
+                }
+                for (scheme_label, profile_name), cell in cells
+            ],
+        },
+        runner,
+    )
     if matrix.silent_corruptions:
         print(f"FAIL: {matrix.silent_corruptions} silent corruption(s)")
     else:
@@ -407,13 +373,11 @@ def _run_batchcheck(args) -> int:
     divergent cells.
     """
     import hashlib
-    import json
     import time
 
     from .exec.spec import canonical_json
     from .sim.batch import BatchRunner
     from .sim.config import MachineConfig
-    from .sim.schemes import get_scheme
     from .workloads.base import run_workload
 
     reps = max(1, args.reps)
@@ -461,31 +425,24 @@ def _run_batchcheck(args) -> int:
     else:
         print("OK: every batched payload is bit-identical to per-access")
 
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(
-                {
-                    "cells": {
-                        cell: {
-                            "digest": direct_digests[cell],
-                            "match": cell not in mismatches,
-                        }
-                        for cell in sorted(direct_digests)
-                    },
-                    "runner": {
-                        "mode": "batchcheck",
-                        "cells": cells,
-                        "reps": reps,
-                        "per_access_cells_per_s": per_access_rate,
-                        "batched_cells_per_s": batched_rate,
-                        "speedup": speedup,
-                        "digests_match": not mismatches,
-                    },
-                },
-                indent=2,
-            )
-        )
-        print(f"saved: {args.json}")
+    _save(
+        args.json,
+        {
+            "cells": {
+                cell: {"digest": direct_digests[cell], "match": cell not in mismatches}
+                for cell in sorted(direct_digests)
+            },
+            "runner": {
+                "mode": "batchcheck",
+                "cells": cells,
+                "reps": reps,
+                "per_access_cells_per_s": per_access_rate,
+                "batched_cells_per_s": batched_rate,
+                "speedup": speedup,
+                "digests_match": not mismatches,
+            },
+        },
+    )
     return len(mismatches)
 
 
@@ -500,8 +457,6 @@ def _run_loadcurve(args) -> int:
     non-decreasing in load — loud, because a non-monotone curve means
     the sweep is under-sampled for the mix.
     """
-    import json
-
     from .analysis.tails import p99_monotone, render_load_curve
     from .exec.spec import CellSpec, payload_to_curves
     from .sim.config import MachineConfig
@@ -527,59 +482,31 @@ def _run_loadcurve(args) -> int:
     for result in runner.run(specs):
         curves.update(payload_to_curves(result.payload))
 
-    print(render_load_curve(curves))
-    print(runner.last_stats.summary())
-    _report_failures(runner)
-    non_monotone = 0
-    for scheme, curve in curves.items():
-        if p99_monotone(curve["points"]):
+    monotone = {scheme: p99_monotone(curve["points"]) for scheme, curve in curves.items()}
+    _show(render_load_curve(curves), runner)
+    for scheme, ok in monotone.items():
+        if ok:
             print(f"  p99 monotone in load: {scheme} ok")
         else:
-            non_monotone += 1
             print(f"  p99 NOT monotone in load: {scheme}")
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(
-                {
-                    "mix": args.streams,
-                    "loads": list(loads),
-                    "window": args.window,
-                    "curves": curves,
-                    "p99_monotone": {
-                        scheme: p99_monotone(curve["points"])
-                        for scheme, curve in curves.items()
-                    },
-                    **run_provenance(runner),
-                },
-                indent=2,
-            )
-        )
-        print(f"saved: {args.json}")
-    return non_monotone
+    _save(
+        args.json,
+        {
+            "mix": args.streams,
+            "loads": list(loads),
+            "window": args.window,
+            "curves": curves,
+            "p99_monotone": monotone,
+        },
+        runner,
+    )
+    return sum(not ok for ok in monotone.values())
 
 
-def _run_cache(argv) -> int:
-    """``python -m repro cache stats|verify|gc`` — cache hygiene tooling.
-
-    Handled by its own parser (the main one is shaped around figure
-    grids).  ``verify``'s exit code is the corrupt-entry count so CI can
-    assert a warm cache is clean with a bare command.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro cache",
-        description="Inspect, audit, or garbage-collect .repro-cache/.",
-    )
-    parser.add_argument(
-        "operation",
-        choices=["stats", "verify", "gc"],
-        help="stats: counts/bytes/age; verify: checksum audit, quarantine "
-        "corrupt entries (exit code = corrupt count); gc: remove orphaned "
-        "*.tmp.* files and stale-fingerprint entries",
-    )
-    parser.add_argument(
-        "--cache-dir", type=str, default=None, help="result-cache directory (default: .repro-cache)"
-    )
-    args = parser.parse_args(argv)
+def _run_cache(args) -> int:
+    """``cache stats|verify|gc`` — cache hygiene tooling.  ``verify``'s
+    exit code is the corrupt-entry count so CI can assert a warm cache
+    is clean with a bare command."""
     cache = ResultCache(Path(args.cache_dir) if args.cache_dir else None)
     if args.operation == "stats":
         stats = cache.stats()
@@ -611,64 +538,37 @@ def _run_cache(argv) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fig3": _run_fig3,
-    "fig8": _run_fig8,
-    "fig9": _run_fig8,  # same run produces all three PMEMKV series
-    "fig10": _run_fig8,
-    "fig11": _run_fig11,
-    "fig12": _run_fig12,
-    "fig13": _run_fig12,
-    "fig14": _run_fig12,
-    "fig15": _run_fig15,
-    "table1": _run_table1,
-    "report": _run_report,
-    "quick": _run_quick,
-    "bench": _run_bench,
-    "all": _run_all,
-    "crashsweep": _run_crashsweep,
-    "batchcheck": _run_batchcheck,
-    "loadcurve": _run_loadcurve,
-}
+def _job_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError("must be >= 0 (0 = one worker per CPU)")
+    return jobs
 
 
-def main(argv: Optional[list] = None) -> int:
-    arglist = list(sys.argv[1:] if argv is None else argv)
-    if arglist[:1] == ["cache"]:
-        return _run_cache(arglist[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the FsEncr paper's tables and figures.",
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole CLI: one subparser per command, each holding only the
+    flags its handler reads.  Shared flags are defined once, on the
+    parent parsers below."""
+    cache_dir = _parent()
+    cache_dir.add_argument(
+        "--cache-dir", type=str, default=None, help="result-cache directory (default: .repro-cache)"
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS), help="artefact to regenerate")
-    parser.add_argument("--ops", type=int, default=None, help="workload operation count")
-    parser.add_argument("--iters", type=int, default=None, help="micro-benchmark iterations")
-    parser.add_argument("--json", type=str, default=None, help="save table data to this path")
-    runner = parser.add_argument_group("runner")
+    runner = _parent(cache_dir)
     runner.add_argument(
         "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for grid cells (0 = one per CPU; default: serial)",
+        type=_job_count,
+        default=1,
+        help="worker processes for grid cells (0 = one per CPU; default: 1, serial)",
     )
     runner.add_argument(
-        "--batch",
-        action="store_true",
-        help="execute compare cells through the compiled-trace batch "
-        "path (bit-identical payloads, one capture per encryption class)",
+        "--no-cache", action="store_true", help="always simulate; never read or write the cache"
     )
     runner.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always simulate; never read or write .repro-cache/",
-    )
-    runner.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="empty the result cache before running",
-    )
-    runner.add_argument(
-        "--cache-dir", type=str, default=None, help="result-cache directory (default: .repro-cache)"
+        "--clear-cache", action="store_true", help="empty the result cache before running"
     )
     runner.add_argument(
         "--timeout",
@@ -697,82 +597,160 @@ def main(argv: Optional[list] = None) -> int:
         help="fail_fast: first exhausted cell aborts the grid; continue: "
         "quarantine it in the grid report and keep going",
     )
-    curve = parser.add_argument_group("loadcurve")
+    ops = _parent()
+    ops.add_argument("--ops", type=int, default=None, help="workload operation count")
+    iters = _parent()
+    iters.add_argument("--iters", type=int, default=None, help="micro-benchmark iterations")
+    batch = _parent()
+    batch.add_argument(
+        "--batch",
+        action="store_true",
+        help="execute compare cells through the compiled-trace batch "
+        "path (bit-identical payloads, one capture per encryption class)",
+    )
+    output = _parent()
+    output.add_argument("--json", type=str, default=None, help="save the results to this path")
+    sizing = {"ops": ops, "iters": iters}
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate the FsEncr paper's tables and figures.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    def command(name, handler, help, parents=(), **kwargs):
+        sub = commands.add_parser(
+            name, help=help, description=help, parents=list(parents), allow_abbrev=False, **kwargs
+        )
+        sub.set_defaults(func=handler)
+        return sub
+
+    for name, figure in _FIGURES.items():
+        parents = [runner, sizing[figure.flag], batch, output]
+        handler = partial(_run_figure, name)
+        command(name, handler, figure.help, parents, aliases=list(figure.aliases))
+    fig15 = command(
+        "fig15", _run_fig15, "metadata-cache sensitivity sweep", [runner, ops, iters, batch, output]
+    )
+    fig15.add_argument(
+        "--scheme",
+        choices=scheme_names(),
+        default=None,
+        help="the measured column (default: fsencr; fsencr+partitioned plots "
+        "the partitioned-cache variant)",
+    )
+    command("table1", _run_table1, "executable vulnerability matrix")
+    report = command("report", _run_report, "aggregate saved results into one report")
+    report.add_argument(
+        "results",
+        nargs="?",
+        default="benchmarks/results",
+        metavar="RESULTS_DIR",
+        help="directory of saved --json results (default: benchmarks/results)",
+    )
+    command("quick", _run_quick, "one fast end-to-end sanity pass", [runner, batch])
+    command("bench", _run_bench, "every figure grid on one runner", [runner, ops, iters, batch])
+    command("all", _run_all, "every figure grid, then Table I", [runner, ops, iters, batch])
+
+    sweep = command(
+        "crashsweep",
+        _run_crashsweep,
+        "systematic crash/recovery audit (exit status = silent corruptions)",
+        [runner, ops, iters, output],
+    )
+    sweep.add_argument("--workload", type=str, default="DAX-3", help="workload to crash-sweep")
+    sweep.add_argument("--points", type=int, default=8, help="max crash points to sample")
+    sweep.add_argument("--seed", type=int, default=0xC0FFEE, help="sweep / fault-plan seed")
+    matrix = ", ".join(crash_matrix_names())
+    sweep.add_argument(
+        "--scheme",
+        choices=["all", *scheme_names()],
+        default="all",
+        metavar="SCHEME",
+        help=f"all (the matrix columns: {matrix}) or any registered scheme as a "
+        f"single column ({', '.join(scheme_names())}; default: all)",
+    )
+    sweep.add_argument(
+        "--profile",
+        choices=[*sorted(FAULT_PROFILES), "all", "custom"],
+        default="all",
+        help="named fault profile, all of them, or custom (built from the plan "
+        "flags below; default: all)",
+    )
+    plan = sweep.add_argument_group("custom fault plan")
+    plan.add_argument(
+        "--drain-fraction", type=float, default=None, help="fraction of the WPQ the ADR drains"
+    )
+    plan.add_argument(
+        "--torn-prob", type=float, default=None, help="torn-write probability per undrained line"
+    )
+    plan.add_argument(
+        "--torn-burst", type=int, default=None, help="max contiguous lines one tear event takes down"
+    )
+    plan.add_argument("--bit-flips", type=int, default=None, help="media bit flips per crash")
+    plan.add_argument(
+        "--counter-flips", type=int, default=None, help="media bit flips in security metadata per crash"
+    )
+
+    check = command(
+        "batchcheck",
+        _run_batchcheck,
+        "batch-vs-per-access fidelity + speed gate (exit status = divergent cells)",
+        [output],
+    )
+    check.add_argument(
+        "--reps", type=int, default=2, help="timing repetitions per mode (best-of-N; default: 2)"
+    )
+
+    curve = command(
+        "loadcurve",
+        _run_loadcurve,
+        "concurrent-traffic throughput vs p99",
+        [runner, ops, output],
+    )
     curve.add_argument(
         "--streams",
         type=str,
         default="3xFillseq-S",
-        help="loadcurve stream mix, e.g. 3xFillseq-S+2xHashmap "
-        "(default: 3xFillseq-S)",
+        help="stream mix, e.g. 3xFillseq-S+2xHashmap (default: 3xFillseq-S)",
     )
     curve.add_argument(
         "--schemes",
         type=str,
         default="baseline_secure,fsencr",
-        help="loadcurve: comma-separated scheme columns "
-        "(default: baseline_secure,fsencr)",
+        help="comma-separated scheme columns (default: baseline_secure,fsencr)",
     )
     curve.add_argument(
         "--loads",
         type=str,
         default="0.25,0.5,1.0",
-        help="loadcurve: offered-load fractions of the mix's calibrated "
-        "throughput (default: 0.25,0.5,1.0)",
+        help="offered-load fractions of the mix's calibrated throughput "
+        "(default: 0.25,0.5,1.0)",
     )
     curve.add_argument(
-        "--window",
-        type=int,
-        default=1,
-        help="loadcurve: closed-loop calibration MLP window (default: 1)",
+        "--window", type=int, default=1, help="closed-loop calibration MLP window (default: 1)"
     )
-    sweep = parser.add_argument_group("crashsweep")
-    sweep.add_argument("--workload", type=str, default="DAX-3", help="workload to crash-sweep")
-    sweep.add_argument("--points", type=int, default=8, help="max crash points to sample")
-    sweep.add_argument(
-        "--reps",
-        type=int,
-        default=2,
-        help="batchcheck: timing repetitions per mode (best-of-N; default: 2)",
-    )
-    sweep.add_argument("--seed", type=int, default=0xC0FFEE, help="sweep / fault-plan seed")
-    from .sim.schemes import crash_matrix_names, scheme_names
 
-    sweep.add_argument(
-        "--scheme",
-        type=str,
-        default="all",
-        help=(
-            "crashsweep: matrix column ("
-            + ", ".join(crash_matrix_names())
-            + ", or all), or any registered scheme as an ad-hoc column ("
-            + ", ".join(
-                name for name in scheme_names() if name not in crash_matrix_names()
-            )
-            + "); fig15: the measured column (default fsencr)"
-        ),
+    cache = command(
+        "cache", _run_cache, "inspect, audit, or garbage-collect the result cache", [cache_dir]
     )
-    sweep.add_argument(
-        "--profile",
-        type=str,
-        default="all",
-        help="fault profile: mixed, torn-burst, counter-flips, all, or custom",
+    cache.add_argument(
+        "operation",
+        choices=["stats", "verify", "gc"],
+        help="stats: counts/bytes/age; verify: checksum audit, quarantine "
+        "corrupt entries (exit status = corrupt count); gc: remove orphaned "
+        "*.tmp.* files and stale-fingerprint entries",
     )
-    sweep.add_argument(
-        "--drain-fraction", type=float, default=None, help="fraction of the WPQ the ADR drains"
-    )
-    sweep.add_argument(
-        "--torn-prob", type=float, default=None, help="torn-write probability per undrained line"
-    )
-    sweep.add_argument(
-        "--torn-burst", type=int, default=None, help="max contiguous lines one tear event takes down"
-    )
-    sweep.add_argument("--bit-flips", type=int, default=None, help="media bit flips per crash")
-    sweep.add_argument(
-        "--counter-flips", type=int, default=None, help="media bit flips in security metadata per crash"
-    )
-    args = parser.parse_args(arglist)
-    rc = _COMMANDS[args.command](args)
-    return int(rc or 0)
+    return parser
+
+
+def main(argv: Optional[list] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return int(args.func(args) or 0)
+    except UsageError as err:
+        parser.error(f"{args.command}: {err}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,0 +1,152 @@
+"""The CLI's parser: one subparser per command, each accepting exactly
+the flags its handler reads, and every documented invocation parsing."""
+
+from __future__ import annotations
+
+import os
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.cli import _make_runner, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig3", "--streams", "5"],
+        ["table1", "--jobs", "2"],
+        ["batchcheck", "--jobs", "2"],
+        ["crashsweep", "--batch"],
+        ["loadcurve", "--points", "3"],
+        ["bench", "--json", "x"],
+        ["all", "--json", "x"],
+        ["fig12", "--reps", "2"],
+        ["fig12", "--ops", "2"],
+        ["fig3", "--iters", "2"],
+        ["fig15", "--profile", "mixed"],
+        ["quick", "--ops", "2"],
+        ["report", "--jobs", "2"],
+        ["report", "--json", "results"],
+        ["cache", "stats", "--jobs", "2"],
+        ["batchcheck", "--no-cache"],
+    ],
+    ids=" ".join,
+)
+def test_inapplicable_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flags_from_other_commands_do_not_pass_silently():
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--streams", "5", "--jobs", "3", "--reps", "9", "--profile", "nonsense"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig12", "--jobs", "-1"],
+        ["crashsweep", "--profile", "nonsense"],
+        ["crashsweep", "--scheme", "nonsense"],
+        ["fig15", "--scheme", "nonsense"],
+        ["fig12", "--iter", "10"],  # no abbreviations of long flags
+    ],
+    ids=" ".join,
+)
+def test_invalid_values_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_jobs_zero_means_one_worker_per_cpu(tmp_path):
+    args = build_parser().parse_args(["fig12", "--jobs", "0", "--cache-dir", str(tmp_path)])
+    assert _make_runner(args).jobs == os.cpu_count()
+
+
+def test_jobs_defaults_to_serial(tmp_path):
+    args = build_parser().parse_args(["crashsweep", "--cache-dir", str(tmp_path)])
+    assert _make_runner(args).jobs == 1
+
+
+def test_timeout_on_a_serial_runner_is_rejected(capsys):
+    # The serial path cannot preempt a cell, so the deadline would be
+    # silently unenforced; the command must refuse before simulating.
+    with pytest.raises(SystemExit) as exc:
+        main(["fig12", "--iters", "10", "--no-cache", "--timeout", "5"])
+    assert exc.value.code == 2
+    assert "--timeout needs --jobs >= 2" in capsys.readouterr().err
+
+
+def test_timeout_with_workers_builds_a_supervised_runner(tmp_path):
+    args = build_parser().parse_args(
+        ["fig12", "--jobs", "2", "--timeout", "5", "--cache-dir", str(tmp_path)]
+    )
+    assert _make_runner(args).policy.timeout_seconds == 5
+
+
+def test_plan_flags_with_a_named_profile_are_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["crashsweep", "--profile", "mixed", "--torn-burst", "4", "--no-cache"])
+    assert exc.value.code == 2
+
+
+def test_figure_aliases_share_one_handler():
+    parser = build_parser()
+    fig8 = parser.parse_args(["fig8"]).func
+    assert parser.parse_args(["fig9"]).func == fig8
+    assert parser.parse_args(["fig10"]).func == fig8
+    assert parser.parse_args(["fig13", "--iters", "5"]).iters == 5
+
+
+def test_report_reads_a_positional_directory():
+    parser = build_parser()
+    assert parser.parse_args(["report"]).results == "benchmarks/results"
+    assert parser.parse_args(["report", "out"]).results == "out"
+
+
+def _documented_commands():
+    """Every ``python -m repro ...`` invocation in the README, docs/ and
+    the CI workflow, backslash continuations joined, shell comments and
+    anything after a shell operator dropped."""
+    paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    paths.append(ROOT / ".github" / "workflows" / "ci.yml")
+    commands = []
+    for path in paths:
+        text = re.sub(r"\\\n\s*", " ", path.read_text(encoding="utf-8"))
+        for match in re.finditer(r"python -m repro +([^`\n]*)", text):
+            argv = []
+            for token in shlex.split(match.group(1), comments=True):
+                if token in {"|", "||", "&&", ";", ">", ">>"}:
+                    break
+                argv.append(token)
+            commands.append(pytest.param(argv, id=f"{path.name}: {' '.join(argv)}"))
+    return commands
+
+
+def test_the_docs_have_commands():
+    assert len(_documented_commands()) >= 30
+
+
+@pytest.mark.parametrize("argv", _documented_commands())
+def test_documented_command_parses(argv):
+    args = build_parser().parse_args(argv)
+    assert callable(args.func)
+
+
+def test_all_runs_every_grid_on_one_runner(tmp_path, capsys):
+    # bench's fig15 grid runs at its default column: neither bench nor
+    # all has a --scheme for it to read.
+    argv = ["all", "--ops", "10", "--iters", "50", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "Figure 15" in out and "System A" in out
+    assert out.count("exec: ") == 6  # five grids, then the shared runner's lifetime

@@ -161,5 +161,5 @@ class TestReport:
     def test_report_cli(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["report", "--json", str(tmp_path)]) == 0
+        assert main(["report", str(tmp_path)]) == 0
         assert "aggregate results" in capsys.readouterr().out
