@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, Iterable, List, Optional
 
+from ..mem.address import LINE_SIZE
 from ..mem.stats import StatCounters
 from .layout import MetadataLayout
 
@@ -52,6 +53,8 @@ class BonsaiMerkleTree:
         ciphertext); the tree itself stores no leaf data."""
         self.layout = layout
         self.arity = layout.merkle_arity
+        #: Internal levels stored in memory (``MetadataLayout.merkle_levels``).
+        self.num_levels = layout.merkle_levels
         self._leaf_reader = leaf_reader
         self.stats = stats or StatCounters("merkle")
         self._nodes: Dict["tuple[int, int]", bytes] = {}
@@ -61,16 +64,6 @@ class BonsaiMerkleTree:
 
     # -- geometry -----------------------------------------------------------
 
-    @property
-    def num_levels(self) -> int:
-        """Internal levels stored in memory (root excluded)."""
-        levels = 0
-        nodes = self.layout.merkle_leaves
-        while nodes > 1:
-            nodes = -(-nodes // self.arity)
-            levels += 1
-        return levels
-
     def path_to_root(self, metadata_addr: int) -> List[int]:
         """Memory addresses of the internal nodes covering a leaf.
 
@@ -78,12 +71,11 @@ class BonsaiMerkleTree:
         root's only child; the root itself has no address.
         """
         index = self.layout.merkle_leaf_index(metadata_addr)
+        arity = self.arity
         addrs: List[int] = []
-        nodes = self.layout.merkle_leaves
-        for level in range(self.num_levels):
-            index //= self.arity
-            nodes = -(-nodes // self.arity)
-            addrs.append(self.layout.merkle_node_addr(level, index))
+        for base in self.layout.merkle_level_bases:
+            index //= arity
+            addrs.append(base + index * LINE_SIZE)
         return addrs
 
     # -- functional hashing ----------------------------------------------------
@@ -91,12 +83,10 @@ class BonsaiMerkleTree:
     def _compute_default_digests(self) -> List[bytes]:
         """Digest of an all-default subtree at each level (leaf level = 0)."""
         digests = [_ZERO_DIGEST]
-        nodes = self.layout.merkle_leaves
-        while nodes > 1:
+        for _ in range(self.num_levels):
             digests.append(
                 hashlib.sha256(digests[-1] * self.arity).digest()
             )
-            nodes = -(-nodes // self.arity)
         return digests
 
     def _leaf_digest(self, leaf_index: int) -> bytes:
