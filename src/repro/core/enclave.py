@@ -121,7 +121,7 @@ class EnclaveManager:
         if expected is None or measured != expected:
             # Standalone attestation model: its counters are asserted on
             # directly by its unit tests, never through a machine registry.
-            self.stats.add("failed_attestations")  # repro-lint: disable=stats-flow (standalone component)
+            self.stats.add("failed_attestations")  # repro-lint: disable=stats-registered (standalone component)
             raise AttestationError(f"enclave {enclave_id}: measurement mismatch")
         self.stats.add("launches")
         return EnclaveChannel(self, Enclave(enclave_id=enclave_id, measurement=measured))

@@ -112,7 +112,7 @@ class KeyHierarchy:
 
     def __init__(self, memory_key: bytes, ott_key: bytes) -> None:
         # Validate via lengths only: the key bytes themselves must stay
-        # out of the raise path (key-material-taint).
+        # out of the raise path (key-hygiene).
         sizes = {"memory_key": len(memory_key), "ott_key": len(ott_key)}
         for name, size in sizes.items():
             if size != KEY_SIZE:

@@ -36,9 +36,9 @@ DEFAULTS: Dict[str, object] = {
         "repro/faults/",
     ],
     # Worker-executed runner code: wall-timing is fine here, but seeds
-    # must come from the cell spec (no-worker-seed-entropy).
+    # must come from the cell spec (no-worker-seed-entropy's per-file check).
     "worker-paths": ["repro/exec/"],
-    # Layers that handle key material (key-hygiene).
+    # Layers that handle key material (key-hygiene's per-file check).
     "crypto-paths": [
         "repro/crypto/",
         "repro/core/",
@@ -47,7 +47,8 @@ DEFAULTS: Dict[str, object] = {
         "repro/fs/",
         "repro/faults/",
     ],
-    # Layers allowed to write NVM-backed state (persist-through-wpq).
+    # Layers allowed to write NVM-backed state (persist-through-wpq checks
+    # that their writes reach the WPQ).
     "nvm-write-paths": ["repro/mem/", "repro/secmem/", "repro/core/", "repro/faults/"],
     # Where the config-not-component contract applies.
     "benchmark-paths": ["benchmarks/"],
@@ -61,13 +62,13 @@ DEFAULTS: Dict[str, object] = {
     # Where the incremental flow index lives (repo-root relative; empty
     # string disables persistence, keeping each run in memory).
     "flow-index-dir": ".repro-lint-index",
-    # Worker execution entry points ("module:qualname") for the
-    # worker-entropy-reachability rule.  execute_cell is the pure cell
+    # Worker execution entry points ("module:qualname") for the call-graph
+    # check of no-worker-seed-entropy.  execute_cell is the pure cell
     # evaluator; the runner's timing wrapper legitimately reads the host
     # clock *around* it, never inside it.
     "flow-entry-points": ["repro.exec.spec:execute_cell"],
-    # Functions whose return value is raw key material (key-material-taint
-    # seeds; resolved against the call graph by bare name).
+    # Functions whose return value is raw key material (taint seeds for
+    # key-hygiene; resolved against the call graph by bare name).
     "key-source-functions": [
         "generate_fek",
         "derive_fekek",

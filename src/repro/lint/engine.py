@@ -178,15 +178,15 @@ class Project:
     #: classes defined in component layers that benchmarks must not build.
     component_classes: Dict[str, str] = field(default_factory=dict)  # name -> defining rel path
     #: lazily-built whole-program analysis (repro.lint.flow.FlowAnalysis),
-    #: shared by every flow rule in one lint pass.
+    #: shared by every whole-program check in one lint pass.
     _flow: Optional[object] = field(default=None, repr=False, compare=False)
 
     def flow(self, options: Dict[str, object]):
         """The whole-program :class:`~repro.lint.flow.FlowAnalysis`.
 
         Built on first use from the *configured* lint paths (unioned with
-        the files in this project), so flow rules reason about the whole
-        program even when only a subset of files is being linted.
+        the files in this project), so whole-program checks reason about
+        the whole program even when only a subset of files is being linted.
         """
         if self._flow is None:
             from .flow import build_flow  # local import: flow imports engine

@@ -8,9 +8,9 @@ project.  It builds three artefacts (docs/LINT.md, "Flow analysis"):
 3. an approximate call graph over ``src/repro``,
 
 then runs interprocedural passes on top — taint propagation from key
-material and reachability queries — that the four cross-module rules
-(``key-material-taint``, ``worker-entropy-reachability``,
-``persist-reaches-wpq``, ``stats-flow``) consume.
+material and reachability queries — that the whole-program checks of
+four rules (``key-hygiene``, ``no-worker-seed-entropy``,
+``persist-through-wpq``, ``stats-registered``) consume.
 
 The graph is always built from the *full* configured lint paths, even
 when only a subset of files is being linted — a single-file lint or a

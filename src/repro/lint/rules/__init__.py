@@ -11,11 +11,7 @@ from . import counter_overflow  # noqa: F401
 from . import cycle_accounting  # noqa: F401
 from . import determinism  # noqa: F401
 from . import key_hygiene  # noqa: F401
-from . import key_material_taint  # noqa: F401
-from . import persist_reaches_wpq  # noqa: F401
-from . import stats_flow  # noqa: F401
 from . import stats_registered  # noqa: F401
-from . import worker_entropy_reachability  # noqa: F401
 from . import wpq_persist  # noqa: F401
 
 __all__ = ["RULES", "Rule", "register"]

@@ -1,29 +1,30 @@
-"""no-wallclock-or-unseeded-rng — the timing model is a pure function.
+"""Host-entropy rules: the model and the workers are pure functions.
 
 Every figure in the paper is reproducible because a run is a pure
 function of (MachineConfig, workload, seed): the clock is the simulated
 ``clock_ns``, never the host's, and all randomness flows from seeded
 ``random.Random`` instances (DESIGN.md determinism contract;
-``MachineConfig.seed``).  Host wall-clock reads or the process-global
-``random`` module inside the model layers make runs non-replayable and
-CI flaky, so within the configured deterministic packages this rule
-bans:
+``MachineConfig.seed``).  The experiment runner extends the contract to
+cells: a cell result is a pure function of its spec, so ``--jobs N`` is
+bit-identical to ``--jobs 1`` (docs/RUNNER.md).
 
-* ``time.time/monotonic/perf_counter/...`` and ``datetime.now/utcnow``;
-* the module-level ``random.*`` API (seeded instances via
-  ``random.Random(seed)`` are fine; ``random.SystemRandom`` is not);
-* ambient entropy: ``os.urandom``, ``uuid.uuid1/uuid4``, ``secrets.*``.
+Both rules share one vocabulary, :func:`host_input`: host clock reads
+(``time.time`` and friends, ``datetime.now/utcnow/today``), process
+identity (``os.getpid``), ambient entropy (``os.urandom``,
+``os.getrandom``, ``uuid.uuid1/4``, ``secrets.*``, ``SystemRandom`` and
+argument-less ``random.Random()``), and the process-global ``random.*``
+API.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..engine import Finding, Project, SourceFile, path_matches
-from .base import Rule, attr_chain, register
+from .base import Rule, attr_chain, merge_arms, register
 
-_TIME_FNS = {
+_CLOCK_FNS = {
     "time",
     "time_ns",
     "monotonic",
@@ -34,193 +35,181 @@ _TIME_FNS = {
     "process_time_ns",
 }
 _DATETIME_FNS = {"now", "utcnow", "today"}
-_RANDOM_ALLOWED = {"Random"}
-_UUID_FNS = {"uuid1", "uuid4"}
+_PROCESS_IDENTITY = {"os.getpid"}
+_AMBIENT_ENTROPY = {"os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4"}
 
-#: (module, name) pairs banned when pulled in via ``from x import y``.
-_BANNED_FROM_IMPORTS = {
-    ("time", fn) for fn in _TIME_FNS
-} | {("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4")}
+
+def host_input(origin: str, seeded: bool) -> Optional[str]:
+    """The host-varying input a call reads, or None if it reads none.
+
+    ``origin`` is the call's dotted name with imports resolved
+    (``time.perf_counter``, ``datetime.datetime.now``); ``seeded`` says
+    whether the call got any argument, since ``random.Random()`` without
+    one seeds itself from the OS.
+    """
+    parts = origin.split(".")
+    if len(parts) < 2:
+        return None
+    head, tail = parts[0], parts[-1]
+    if head == "time" and tail in _CLOCK_FNS:
+        return "the host clock"
+    if tail in _DATETIME_FNS and ("datetime" in parts or head == "date"):
+        return "the host clock"
+    if origin in _PROCESS_IDENTITY:
+        return "process identity"
+    if origin in _AMBIENT_ENTROPY or head == "secrets":
+        return "ambient entropy"
+    if head == "random" and len(parts) == 2:
+        if tail == "SystemRandom" or (tail == "Random" and not seeded):
+            return "ambient entropy"
+        if tail != "Random":
+            return "the process-global RNG"
+    return None
+
+
+def _import_origins(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> dotted origin for the module's aliasing imports
+    (``from time import perf_counter as clock``, ``import time as t``)."""
+    origins: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                origins[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    origins[alias.asname] = alias.name
+    return origins
+
+
+def _host_call(node: ast.AST, origins: Dict[str, str]) -> Optional[Tuple[str, str]]:
+    """``(origin, input)`` when ``node`` is a call reading host input."""
+    if not isinstance(node, ast.Call):
+        return None
+    chain = attr_chain(node.func)
+    if not chain:
+        return None
+    origin = ".".join([origins.get(chain[0], chain[0]), *chain[1:]])
+    reads = host_input(origin, bool(node.args or node.keywords))
+    return (origin, reads) if reads else None
 
 
 @register
 class NoWallclockOrUnseededRng(Rule):
+    """no-wallclock-or-unseeded-rng — within ``deterministic-paths`` (the
+    model layers), no call may read host input of any kind."""
+
     name = "no-wallclock-or-unseeded-rng"
     summary = "model layers must not read host time or ambient randomness"
     contract = "DESIGN.md: a run is a pure function of (config, workload, seed)"
 
     def check(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
-        scoped = options.get("deterministic-paths", [])
-        if not path_matches(src.rel, scoped):
+        if not path_matches(src.rel, options.get("deterministic-paths", [])):
             return
-        banned_names = self._from_import_bans(src)
+        origins = _import_origins(src.tree)
         for node in ast.walk(src.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in banned_names:
-                origin = banned_names[func.id]
+            hit = _host_call(node, origins)
+            if hit:
                 yield self.finding(
                     src,
                     node,
-                    f"call to {origin[0]}.{origin[1]} breaks determinism; derive values "
-                    f"from the simulated clock or the seeded RNG",
+                    f"{hit[0]}() reads {hit[1]}, which breaks determinism; use the "
+                    f"machine's clock_ns or a random.Random(seed) from MachineConfig.seed",
                 )
-                continue
-            chain = attr_chain(func)
-            if not chain or len(chain) < 2:
-                continue
-            verdict = self._banned_chain(chain)
-            if verdict:
-                yield self.finding(src, node, verdict)
-
-    def _banned_chain(self, chain) -> str:
-        head, tail = chain[0], chain[-1]
-        dotted = ".".join(chain)
-        if head == "time" and tail in _TIME_FNS:
-            return f"{dotted}() reads the host wall clock; use the machine's clock_ns"
-        if tail in _DATETIME_FNS and ("datetime" in chain or head == "date"):
-            return f"{dotted}() reads the host wall clock; use the machine's clock_ns"
-        if head == "random" and len(chain) == 2 and tail not in _RANDOM_ALLOWED:
-            return (
-                f"{dotted}() uses the process-global RNG; construct random.Random(seed) "
-                f"from MachineConfig.seed instead"
-            )
-        if head == "os" and tail == "urandom":
-            return f"{dotted}() is ambient entropy; thread entropy in from the seeded RNG"
-        if head == "uuid" and tail in _UUID_FNS:
-            return f"{dotted}() is non-deterministic; derive identifiers from the seed"
-        if head == "secrets":
-            return f"{dotted}() is ambient entropy; thread entropy in from the seeded RNG"
-        return ""
-
-    def _from_import_bans(self, src: SourceFile) -> Dict[str, Tuple[str, str]]:
-        bans: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.ImportFrom) or node.module is None:
-                continue
-            for alias in node.names:
-                pair = (node.module, alias.name)
-                if pair in _BANNED_FROM_IMPORTS or node.module == "secrets":
-                    bans[alias.asname or alias.name] = pair
-                if node.module == "datetime" and alias.name in ("datetime", "date"):
-                    # datetime.now() via the class name is caught by the
-                    # attribute-chain check; nothing to record here.
-                    pass
-        return bans
-
-
-#: (module, attr) calls whose value varies per process / per invocation.
-_ENTROPY_CHAINS = {
-    ("os", "getpid"),
-    ("time", "time"),
-    ("time", "time_ns"),
-    ("time", "monotonic"),
-    ("time", "monotonic_ns"),
-    ("time", "perf_counter"),
-    ("time", "perf_counter_ns"),
-    ("os", "urandom"),
-    ("uuid", "uuid1"),
-    ("uuid", "uuid4"),
-}
 
 
 @register
 class NoWorkerSeedEntropy(Rule):
     """no-worker-seed-entropy — parallel workers must not invent seeds.
 
-    The experiment runner's worker processes (``worker-paths``, default
-    ``repro/exec/``) sit *outside* ``deterministic-paths`` on purpose:
-    they legitimately read the host clock to time cells.  What they must
-    never do is let per-process entropy flow into a *seed* — a worker
-    deriving randomness from ``os.getpid()`` or ``time.time()`` makes
-    ``--jobs N`` results differ from ``--jobs 1`` and breaks the
-    cache/parallel equivalence contract (docs/RUNNER.md).  This rule
-    flags process-varying calls only where they feed seeding: arguments
-    to ``random.Random(...)``, values bound to ``*seed*`` names, and
-    ``seed=``-style keyword arguments.
+    Two checks, one contract:
+
+    * per file, in ``worker-paths`` (default ``repro/exec/``): the runner
+      legitimately reads the host clock to time cells, so only host input
+      that feeds a *seed* is flagged — arguments to ``random.Random(...)``,
+      values bound to ``*seed*`` names, and ``seed=``-style keywords;
+    * on the call graph, from ``flow-entry-points`` (default
+      ``repro.exec.spec:execute_cell``): any reachable call reading host
+      input, wherever it lives.  The runner's timing wrapper reads the
+      clock *around* ``execute_cell``, not inside it, so it never trips.
     """
 
     name = "no-worker-seed-entropy"
-    summary = "worker-executed code must not derive seeds from pid/time entropy"
+    summary = "cell execution must not derive seeds or results from host time or entropy"
     contract = "docs/RUNNER.md: jobs=N is bit-identical to jobs=1"
 
     def check(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
-        scoped = options.get("worker-paths", [])
-        if not path_matches(src.rel, scoped):
+        return merge_arms(
+            self._check_seeds(src, options), self._check_reachable(src, project, options)
+        )
+
+    def _check_seeds(self, src: SourceFile, options) -> Iterator[Finding]:
+        if not path_matches(src.rel, options.get("worker-paths", [])):
             return
-        aliased = self._entropy_aliases(src)
+        origins = _import_origins(src.tree)
         for node in ast.walk(src.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                if node.value is None or not any(
-                    self._seedish_target(target) for target in targets
-                ):
+                if node.value is None or not any(map(_seedish_target, targets)):
                     continue
-                culprit = self._entropy_call(node.value, aliased)
-                if culprit is not None:
-                    yield self.finding(
-                        src,
-                        culprit,
-                        f"seed derived from {self._describe(culprit, aliased)}; workers "
-                        f"must take seeds from the cell spec, never invent them",
-                    )
+                seed_exprs = [node.value]
             elif isinstance(node, ast.Call):
                 chain = attr_chain(node.func)
                 is_rng_ctor = bool(chain) and chain[-1] in ("Random", "SystemRandom")
-                seed_args = list(node.args) if is_rng_ctor else []
-                seed_args += [
+                seed_exprs = list(node.args) if is_rng_ctor else []
+                seed_exprs += [
                     kw.value
                     for kw in node.keywords
                     if kw.arg is not None and "seed" in kw.arg.lower()
                 ]
-                for arg in seed_args:
-                    culprit = self._entropy_call(arg, aliased)
-                    if culprit is not None:
+            else:
+                continue
+            for expr in seed_exprs:
+                for sub in ast.walk(expr):
+                    hit = _host_call(sub, origins)
+                    if hit:
                         yield self.finding(
                             src,
-                            culprit,
-                            f"seed derived from {self._describe(culprit, aliased)}; workers "
-                            f"must take seeds from the cell spec, never invent them",
+                            sub,
+                            f"seed derived from {hit[0]}() ({hit[1]}); workers must "
+                            f"take seeds from the cell spec, never invent them",
                         )
+                        break
 
-    def _seedish_target(self, target: ast.AST) -> bool:
-        if isinstance(target, ast.Name):
-            return "seed" in target.id.lower()
-        if isinstance(target, ast.Attribute):
-            return "seed" in target.attr.lower()
-        if isinstance(target, (ast.Tuple, ast.List)):
-            return any(self._seedish_target(elt) for elt in target.elts)
-        return False
-
-    def _entropy_call(self, expr: ast.AST, aliased: Dict[str, Tuple[str, str]]):
-        """First process-varying call inside an expression, or None."""
-        for sub in ast.walk(expr):
-            if not isinstance(sub, ast.Call):
+    def _check_reachable(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
+        graph = project.flow(options).graph
+        entries = [
+            str(e) for e in options.get("flow-entry-points", []) if str(e) in graph.functions
+        ]
+        if not entries:
+            return
+        parents = graph.forward_reachable(entries)
+        for fnkey in graph.functions_by_rel.get(src.rel, ()):
+            if fnkey not in parents:
                 continue
-            func = sub.func
-            if isinstance(func, ast.Name) and func.id in aliased:
-                return sub
-            chain = attr_chain(func)
-            if chain and len(chain) >= 2 and (chain[0], chain[-1]) in _ENTROPY_CHAINS:
-                return sub
-        return None
+            _summary, fn = graph.functions[fnkey]
+            for resolution, call in zip(graph.resolutions[fnkey], fn.calls):
+                origin = resolution.origin or ".".join(call["chain"])
+                reads = host_input(origin, bool(call["args"] or call["kwargs"]))
+                if reads is None:
+                    continue
+                chain = " -> ".join(
+                    key.split(":", 1)[1] for key in graph.chain_to(parents, fnkey)
+                )
+                yield self.flow_finding(
+                    src,
+                    call,
+                    f"{origin}() reads {reads} and is reachable from cell execution "
+                    f"(via {chain}); worker results must be a pure function of the "
+                    f"cell spec",
+                )
 
-    def _describe(self, call: ast.Call, aliased: Dict[str, Tuple[str, str]]) -> str:
-        func = call.func
-        if isinstance(func, ast.Name):
-            module, name = aliased[func.id]
-            return f"{module}.{name}()"
-        chain = attr_chain(func)
-        return ".".join(chain or ["<call>"]) + "()"
 
-    def _entropy_aliases(self, src: SourceFile) -> Dict[str, Tuple[str, str]]:
-        """Names bound by ``from os import getpid``-style imports."""
-        aliases: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.ImportFrom) or node.module is None:
-                continue
-            for alias in node.names:
-                if (node.module, alias.name) in _ENTROPY_CHAINS:
-                    aliases[alias.asname or alias.name] = (node.module, alias.name)
-        return aliases
+def _seedish_target(target: ast.AST) -> bool:
+    if isinstance(target, ast.Name):
+        return "seed" in target.id.lower()
+    if isinstance(target, ast.Attribute):
+        return "seed" in target.attr.lower()
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_seedish_target(elt) for elt in target.elts)
+    return False

@@ -9,6 +9,7 @@ reaches CI.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from repro.lint import RULES
@@ -53,3 +54,11 @@ def test_baseline_entries_carry_reasons():
     baseline = Baseline.load(REPO_ROOT / ".repro-lint-baseline.json")
     missing = [fp for fp in baseline.entries if fp not in baseline.reasons]
     assert not missing, f"baseline entries without a reason: {missing}"
+
+
+def test_rule_catalogue_matches_registry():
+    # docs/LINT.md has exactly one ### `name` heading per registered rule
+    # and no heading for a rule that does not exist.
+    text = (REPO_ROOT / "docs" / "LINT.md").read_text(encoding="utf-8")
+    headings = re.findall(r"^### `([^`]+)`\s*$", text, flags=re.MULTILINE)
+    assert sorted(headings) == sorted(RULES)

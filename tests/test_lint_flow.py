@@ -1,9 +1,9 @@
-"""Whole-program flow analysis: the four cross-module rules, the
-incremental index cache, and the CLI satellites built on top
-(``--format sarif``, ``--changed``, ``--prune-baseline``).
+"""Whole-program flow analysis: the call-graph checks of the four rules
+that have one, the incremental index cache, and the CLI satellites built
+on top (``--format sarif``, ``--changed``, ``--prune-baseline``).
 
-Each flow rule gets the same treatment: a positive fixture where the
-offending flow crosses a module boundary, a suppressed variant (the
+Each call-graph check gets the same treatment: a positive fixture where
+the offending flow crosses a module boundary, a suppressed variant (the
 suppression must sit on the *sink* line — the source line does not
 count), and a clean fixture exercising the sanctioned idiom.
 """
@@ -35,7 +35,7 @@ def lint_tree(tmp_path: Path, files: dict, rule: str = None):
     return findings, suppressed
 
 
-# -- key-material-taint --------------------------------------------------
+# -- key-hygiene: taint check ---------------------------------------------
 
 
 KEY_SOURCE = """
@@ -57,7 +57,7 @@ def test_key_taint_flags_two_hop_fstring_leak(tmp_path):
                     return f"fek={fek}"
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     assert len(findings) == 1
     finding = findings[0]
@@ -84,7 +84,7 @@ def test_key_taint_flags_stats_and_exception_sinks(tmp_path):
                         raise ValueError(fek)
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     sinks = sorted(f.message.rsplit("into ", 1)[1] for f in findings)
     assert sinks == ["a StatCounters counter", "an exception message"]
@@ -100,11 +100,11 @@ def test_key_taint_suppression_counts_at_sink_not_source(tmp_path):
                 from repro.crypto.keys import generate_fek
 
                 def leak():
-                    fek = generate_fek()  # repro-lint: disable=key-material-taint
+                    fek = generate_fek()  # repro-lint: disable=key-hygiene
                     return f"fek={fek}"
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     assert len(findings) == 1 and suppressed == 0
 
@@ -118,10 +118,10 @@ def test_key_taint_suppression_counts_at_sink_not_source(tmp_path):
 
                 def leak():
                     fek = generate_fek()
-                    return f"fek={fek}"  # repro-lint: disable=key-material-taint
+                    return f"fek={fek}"  # repro-lint: disable=key-hygiene
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     assert findings == [] and suppressed == 1
 
@@ -142,12 +142,12 @@ def test_key_taint_allows_digest_declassification(tmp_path):
                     return f"fp={digest}"
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     assert findings == []
 
 
-# -- worker-entropy-reachability -----------------------------------------
+# -- no-worker-seed-entropy: reachability check --------------------------
 
 
 def test_worker_entropy_flags_transitive_clock_read(tmp_path):
@@ -167,7 +167,7 @@ def test_worker_entropy_flags_transitive_clock_read(tmp_path):
                     return time.time()
             """,
         },
-        rule="worker-entropy-reachability",
+        rule="no-worker-seed-entropy",
     )
     assert len(findings) == 1
     finding = findings[0]
@@ -190,10 +190,10 @@ def test_worker_entropy_suppressed_at_call_site(tmp_path):
                 import time
 
                 def step(spec):
-                    return time.time()  # repro-lint: disable=worker-entropy-reachability
+                    return time.time()  # repro-lint: disable=no-worker-seed-entropy
             """,
         },
-        rule="worker-entropy-reachability",
+        rule="no-worker-seed-entropy",
     )
     assert findings == [] and suppressed == 1
 
@@ -221,12 +221,12 @@ def test_worker_entropy_allows_seeded_rng_and_unreachable_clock(tmp_path):
                     return time.time()
             """,
         },
-        rule="worker-entropy-reachability",
+        rule="no-worker-seed-entropy",
     )
     assert findings == []
 
 
-# -- persist-reaches-wpq -------------------------------------------------
+# -- persist-through-wpq: reachability check -----------------------------
 
 
 WPQ_ENGINE = """
@@ -253,7 +253,7 @@ def test_persist_flags_write_disconnected_from_wpq(tmp_path):
                         self.store.write_line(addr, data)
             """,
         },
-        rule="persist-reaches-wpq",
+        rule="persist-through-wpq",
     )
     assert len(findings) == 1
     finding = findings[0]
@@ -281,7 +281,7 @@ def test_persist_allows_write_sharing_ancestor_with_wpq(tmp_path):
                     device.sneak(1, b"x")
             """,
         },
-        rule="persist-reaches-wpq",
+        rule="persist-through-wpq",
     )
     assert findings == []
 
@@ -297,15 +297,17 @@ def test_persist_suppression_on_write_line(tmp_path):
                         self.store = store
 
                     def sneak(self, addr, data):
-                        self.store.write_line(addr, data)  # repro-lint: disable=persist-reaches-wpq
+                        self.store.write_line(addr, data)  # repro-lint: disable=persist-through-wpq
             """,
         },
-        rule="persist-reaches-wpq",
+        rule="persist-through-wpq",
     )
     assert findings == [] and suppressed == 1
 
 
 def test_persist_ignores_files_outside_nvm_write_paths(tmp_path):
+    # Outside nvm-write-paths only the per-file check runs: the raw write
+    # is one bypass finding, never an "unreachable from the WPQ" one.
     findings, _ = lint_tree(
         tmp_path,
         {
@@ -319,12 +321,14 @@ def test_persist_ignores_files_outside_nvm_write_paths(tmp_path):
                         self.store.write_line(addr, data)
             """,
         },
-        rule="persist-reaches-wpq",
+        rule="persist-through-wpq",
     )
-    assert findings == []
+    assert len(findings) == 1
+    assert "bypasses encryption counters and the WPQ" in findings[0].message
+    assert "write-pending queue" not in findings[0].message
 
 
-# -- stats-flow ----------------------------------------------------------
+# -- stats-registered: producer/consumer check ---------------------------
 
 
 WIDGET = """
@@ -343,7 +347,7 @@ def test_stats_flow_flags_unregistered_bundle(tmp_path):
     findings, _ = lint_tree(
         tmp_path,
         {"src/repro/mem/widget.py": WIDGET},
-        rule="stats-flow",
+        rule="stats-registered",
     )
     assert len(findings) == 1
     finding = findings[0]
@@ -361,7 +365,7 @@ def test_stats_flow_cleared_by_cross_module_registration(tmp_path):
                     return registry.create("widget")
             """,
         },
-        rule="stats-flow",
+        rule="stats-registered",
     )
     assert findings == []
 
@@ -386,7 +390,7 @@ def test_stats_flow_checks_dotted_stat_consumers(tmp_path):
                     return result.stat("ghost.count")
             """,
         },
-        rule="stats-flow",
+        rule="stats-registered",
     )
     messages = sorted(f.message for f in findings)
     assert len(findings) == 2
@@ -406,10 +410,10 @@ def test_stats_flow_suppressed_at_add_site(tmp_path):
                         self.stats = StatCounters("widget")
 
                     def poke(self):
-                        self.stats.add("pokes")  # repro-lint: disable=stats-flow
+                        self.stats.add("pokes")  # repro-lint: disable=stats-registered
             """
         },
-        rule="stats-flow",
+        rule="stats-registered",
     )
     assert findings == [] and suppressed == 1
 
@@ -427,10 +431,10 @@ def test_multi_rule_suppression_on_one_line(tmp_path):
 
                 def leak():
                     fek = generate_fek()
-                    return f"fek={fek}"  # repro-lint: disable=key-material-taint, key-hygiene
+                    return f"fek={fek}"  # repro-lint: disable=no-wallclock-or-unseeded-rng, key-hygiene
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     assert findings == [] and suppressed == 1
 
@@ -445,14 +449,14 @@ def test_suppression_whitespace_variants(tmp_path):
 
                 def tight():
                     fek = generate_fek()
-                    return f"a={fek}"  #repro-lint:disable=key-material-taint
+                    return f"a={fek}"  #repro-lint:disable=key-hygiene
 
                 def spaced():
                     fek = generate_fek()
-                    return f"b={fek}"  #   repro-lint:   disable=key-material-taint
+                    return f"b={fek}"  #   repro-lint:   disable=key-hygiene
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     assert findings == [] and suppressed == 2
 
@@ -467,11 +471,11 @@ def test_suppression_above_sink_covers_multiline_call(tmp_path):
 
                 def leak():
                     fek = generate_fek()
-                    # repro-lint: disable=key-material-taint
+                    # repro-lint: disable=key-hygiene
                     return f"fek={fek}"
             """,
         },
-        rule="key-material-taint",
+        rule="key-hygiene",
     )
     assert findings == [] and suppressed == 1
 
@@ -689,7 +693,7 @@ def test_cli_changed_lints_changed_files_and_dependents(tmp_path, capsys):
 def test_cli_json_summary_carries_flow_stats(tmp_path, capsys):
     root = _violation_root(tmp_path)
     code = lint_main(
-        ["--root", str(root), "--format", "json", "--select", "stats-flow"]
+        ["--root", str(root), "--format", "json", "--select", "stats-registered"]
     )
     payload = json.loads(capsys.readouterr().out)
     assert code == 0

@@ -46,7 +46,7 @@ def lint_tree(tmp_path: Path, files: dict, rule: str = None):
     return findings, suppressed
 
 
-def test_registry_has_all_fourteen_rules():
+def test_registry_has_all_ten_rules():
     assert set(RULES) == {
         "bit-width-bounds",
         "counter-overflow-handled",
@@ -54,12 +54,8 @@ def test_registry_has_all_fourteen_rules():
         "no-worker-seed-entropy",
         "integer-cycle-accounting",
         "key-hygiene",
-        "key-material-taint",
-        "persist-reaches-wpq",
         "persist-through-wpq",
-        "stats-flow",
         "stats-registered",
-        "worker-entropy-reachability",
         "config-not-component",
         "builder-owns-wiring",
     }
@@ -292,11 +288,16 @@ def test_determinism_flags_wallclock_and_global_rng(tmp_path):
             return time.time()
         def pick():
             return random.randint(0, 7)
+        def fresh():
+            return random.Random()
         """,
         rule="no-wallclock-or-unseeded-rng",
     )
     messages = " | ".join(f.message for f in findings)
     assert "time.time" in messages and "random.randint" in messages
+    # An argument-less Random() seeds itself from the OS.
+    assert "random.Random() reads ambient entropy" in messages
+    assert len(findings) == 3
 
 
 def test_determinism_flags_from_import_alias(tmp_path):
@@ -347,8 +348,10 @@ def test_worker_seed_flags_pid_and_time_derived_seeds(tmp_path):
         tmp_path,
         "src/repro/exec/x.py",
         """
+        import datetime
         import os
         import random
+        import secrets
         import time
         def bad_rng():
             return random.Random(os.getpid())
@@ -357,6 +360,13 @@ def test_worker_seed_flags_pid_and_time_derived_seeds(tmp_path):
             return worker_seed
         def bad_keyword(run):
             return run(seed=time.time_ns())
+        def bad_datetime():
+            seed = datetime.datetime.now().microsecond
+            return seed
+        def bad_secrets():
+            return random.Random(secrets.randbits(32))
+        def bad_getrandom():
+            return random.Random(os.getrandom(4))
         """,
         rule="no-worker-seed-entropy",
     )
@@ -364,7 +374,10 @@ def test_worker_seed_flags_pid_and_time_derived_seeds(tmp_path):
     assert "os.getpid()" in messages
     assert "time.time()" in messages
     assert "time.time_ns()" in messages
-    assert len(findings) == 3
+    assert "datetime.datetime.now()" in messages
+    assert "secrets.randbits()" in messages
+    assert "os.getrandom()" in messages
+    assert len(findings) == 6
 
 
 def test_worker_seed_flags_from_import_alias(tmp_path):
@@ -499,6 +512,25 @@ def test_key_hygiene_quiet_for_hidden_fields_and_metadata(tmp_path):
         rule="key-hygiene",
     )
     assert findings == []
+
+
+def test_key_hygiene_reports_one_finding_per_leaking_line(tmp_path):
+    # Both checks see these leaks (direct key-ish names, and taint from
+    # key-ish parameters in a crypto path); the rule reports each line
+    # once, so one suppression covers it.
+    leak = """
+        def leak(fek, file_key):
+            print(fek){0}
+            return f"key={{file_key}}"{0}
+    """
+    findings, suppressed = lint_tree(tmp_path, {"src/repro/crypto/x.py": leak.format("")})
+    assert [(f.line, f.rule) for f in findings] == [(3, "key-hygiene"), (4, "key-hygiene")]
+    assert suppressed == 0
+
+    quiet, suppressed = lint_tree(
+        tmp_path, {"src/repro/crypto/x.py": leak.format("  # repro-lint: disable=key-hygiene")}
+    )
+    assert quiet == [] and suppressed == 2
 
 
 def test_key_hygiene_ignores_non_crypto_layers(tmp_path):
