@@ -15,7 +15,6 @@ from ..mem.dfbit import (
     set_df,
     strip,
 )
-from .enclave import AttestationError, Enclave, EnclaveManager, EnclaveOwnershipError
 from .fecb import FECBlock, FECBStore
 from .fsencr import FsEncrController
 from .transport import (
@@ -43,10 +42,6 @@ __all__ = [
     "has_df",
     "strip",
     "FECBlock",
-    "Enclave",
-    "EnclaveManager",
-    "AttestationError",
-    "EnclaveOwnershipError",
     "FECBStore",
     "FsEncrController",
     "TransportError",

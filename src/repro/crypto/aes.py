@@ -10,9 +10,10 @@ properties (wrong key => garbage plaintext, counter reuse detection, etc.).
 The implementation follows FIPS-197 directly: SubBytes / ShiftRows /
 MixColumns / AddRoundKey over a 4x4 column-major state, with a key
 schedule expanded once per key.  It is deliberately straightforward rather
-than table-optimised; the timing model never calls into it (timing uses
-the paper's 40 ns AES latency constant), so raw speed only matters for the
-functional test suite.
+than table-optimised.  The timing model never calls into it (timing uses
+the paper's 40 ns AES latency constant), but functional mode does, and
+the crash sweep runs in functional mode: there this cipher is the largest
+host cost, so its raw speed bounds crashsweep throughput.
 """
 
 from __future__ import annotations

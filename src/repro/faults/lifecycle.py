@@ -164,8 +164,7 @@ def _tear_line(store, write: LineWrite, rng) -> None:
 def _drop_volatile_state(machine) -> None:
     """Power loss: everything DRAM/SRAM-resident vanishes."""
     machine.hierarchy.drain_dirty()  # discard — no write-back after power loss
-    for context in machine._processes.values():
-        context.mmu.tlb.flush()
+    machine.mmu.tlb.flush()
     controller = machine.controller
     cache = getattr(controller, "metadata_cache", None)
     if cache is not None:

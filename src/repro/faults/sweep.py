@@ -49,7 +49,7 @@ from ..sim import trace as trace_mod
 from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.schemes import crash_matrix_names, get_scheme
-from ..sim.trace import TraceRecorder
+from ..sim.trace import TraceCursor, TraceRecorder
 from .lifecycle import CrashReport, RecoveryReport
 from .plan import FAULT_PROFILES, FaultPlan
 
@@ -220,33 +220,13 @@ def _replay_prefix(machine: Machine, workload, ops: List, upto: int, seed: int) 
     traffic shape the recording did.
     """
     workload.setup(machine)
-    last_handle = None
+    cursor = TraceCursor(machine)
+    data_ops = (trace_mod.STORE, trace_mod.PERSIST)
     for index in range(upto + 1):
         op = ops[index]
-        if op.op == trace_mod.CREATE:
-            last_handle = machine.create_file(
-                op.path, uid=op.addr, mode=op.size, encrypted=op.flag
-            )
-        elif op.op == trace_mod.OPEN:
-            last_handle = machine.open_file(op.path, uid=op.addr, write=op.flag)
-        elif op.op == trace_mod.MMAP:
-            if last_handle is None:
-                raise ValueError("trace mmap with no preceding create/open")
-            machine.mmap(last_handle, pages=op.size, file_page_start=op.addr)
-        elif op.op == trace_mod.LOAD:
-            machine.load(op.addr, op.size)
-        elif op.op == trace_mod.STORE:
+        if op.op in data_ops:
             machine.store_bytes(op.addr, _pattern(seed, index, op.addr, op.size))
-            machine.store(op.addr, op.size)
-        elif op.op == trace_mod.PERSIST:
-            machine.store_bytes(op.addr, _pattern(seed, index, op.addr, op.size))
-            machine.persist(op.addr, op.size)
-        elif op.op == trace_mod.COMPUTE:
-            machine.compute(float(op.size))
-        elif op.op == trace_mod.MARK:
-            machine.mark_measurement_start()
-        else:
-            raise ValueError(f"unknown trace op {op.op!r}")
+        cursor.apply(op)
 
 
 # ----------------------------------------------------------------------

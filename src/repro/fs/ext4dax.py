@@ -91,7 +91,6 @@ class DaxFilesystem:
         )
         self._namespace: Dict[str, int] = {}
         self._inodes: Dict[int, Inode] = {}
-        self._dirs: set = {"/"}
         self._next_ino = 2  # ino 1 is the root directory by convention
         self._entropy_counter = 0
 
@@ -133,11 +132,8 @@ class DaxFilesystem:
         """
         if path in self._namespace:
             raise FsError(f"EEXIST: {path}")
-        if self.is_dir(path):
-            raise FsError(f"EISDIR: {path}")
         user = self.users.user(uid)
         latency = self.costs.syscall_ns + self.costs.fs_layer_ns
-        self._materialise_parents(path)
         inode = Inode(i_ino=self._next_ino, i_uid=uid, i_gid=user.gid, mode=mode)
         self._next_ino += 1
 
@@ -181,8 +177,8 @@ class DaxFilesystem:
         return FileHandle(inode=inode, user=user, writable=write), latency
 
     def unlink(self, path: str, uid: int) -> float:
-        """unlink(2): drop the name; on the last link, revoke the key,
-        shred the extents, free the pages.
+        """unlink(2): drop the name, revoke the key, shred the extents,
+        free the pages.
 
         Secure deletion follows the Silent-Shredder approach (§VI): the
         controller invalidates the encryption state for the pages rather
@@ -195,10 +191,6 @@ class DaxFilesystem:
         check_access(inode.mode, user, inode.i_uid, inode.i_gid, write=True)
         latency = self.costs.syscall_ns + self.costs.fs_layer_ns
         del self._namespace[path]
-        inode.nlink -= 1
-        if inode.nlink > 0:
-            self.stats.add("unlinks")
-            return latency
         if inode.encrypted and self.mmio is not None:
             latency += self.mmio.revoke_file_key(inode.i_gid, inode.i_ino)
         for pfn in inode.extents.values():
@@ -207,143 +199,6 @@ class DaxFilesystem:
         del self._inodes[inode.i_ino]
         self.stats.add("unlinks")
         return latency
-
-    def rename(self, old_path: str, new_path: str, uid: int) -> float:
-        """rename(2): atomic namespace move; contents and keys untouched.
-
-        Replaces an existing destination the POSIX way (its final link
-        is dropped first).
-        """
-        inode = self._lookup(old_path)
-        user = self.users.user(uid)
-        check_access(inode.mode, user, inode.i_uid, inode.i_gid, write=True)
-        latency = self.costs.syscall_ns + self.costs.fs_layer_ns
-        if new_path in self._namespace and new_path != old_path:
-            latency += self.unlink(new_path, uid)
-        del self._namespace[old_path]
-        self._namespace[new_path] = inode.i_ino
-        self.stats.add("renames")
-        return latency
-
-    def link(self, existing_path: str, new_path: str, uid: int) -> float:
-        """link(2): a second name for the same inode (nlink++).
-
-        Hard links share the inode, hence the extents, the encryption
-        context, and — under FsEncr — the same FECB stamps and file key.
-        """
-        if new_path in self._namespace:
-            raise FsError(f"EEXIST: {new_path}")
-        inode = self._lookup(existing_path)
-        user = self.users.user(uid)
-        check_access(inode.mode, user, inode.i_uid, inode.i_gid, write=False)
-        inode.nlink += 1
-        self._namespace[new_path] = inode.i_ino
-        self.stats.add("links")
-        return self.costs.syscall_ns + self.costs.fs_layer_ns
-
-    # ------------------------------------------------------------------
-    # Directories
-    # ------------------------------------------------------------------
-    #
-    # Directory semantics follow the object-store convention: ``create``
-    # implicitly materialises missing parents (mkdir -p), ``mkdir``
-    # makes them explicit, ``readdir`` lists immediate children, and
-    # ``rmdir`` refuses while children exist.  This keeps flat-path
-    # callers working while giving hierarchical callers real structure.
-
-    @staticmethod
-    def _parent_of(path: str) -> str:
-        parent = path.rsplit("/", 1)[0]
-        return parent or "/"
-
-    def _materialise_parents(self, path: str) -> None:
-        parent = self._parent_of(path)
-        while parent not in self._dirs:
-            self._dirs.add(parent)
-            parent = self._parent_of(parent)
-
-    def mkdir(self, path: str, uid: int) -> None:
-        """mkdir -p: create the directory and any missing ancestors."""
-        if not path.startswith("/"):
-            raise FsError(f"EINVAL: directory path must be absolute: {path}")
-        if path in self._namespace:
-            raise FsError(f"EEXIST (as file): {path}")
-        self.users.user(uid)  # must exist
-        self._dirs.add(path.rstrip("/") or "/")
-        self._materialise_parents(path.rstrip("/") or "/")
-        self.stats.add("mkdirs")
-
-    def is_dir(self, path: str) -> bool:
-        return (path.rstrip("/") or "/") in self._dirs
-
-    def readdir(self, path: str) -> "List[str]":
-        """Immediate children (file and directory names), sorted."""
-        directory = path.rstrip("/") or "/"
-        if directory not in self._dirs:
-            raise FsError(f"ENOTDIR: {path}")
-        prefix = directory if directory.endswith("/") else directory + "/"
-        children = set()
-        for entry in list(self._namespace) + [d for d in self._dirs if d != "/"]:
-            if entry.startswith(prefix):
-                remainder = entry[len(prefix):]
-                if remainder:
-                    children.add(remainder.split("/", 1)[0])
-        self.stats.add("readdirs")
-        return sorted(children)
-
-    def rmdir(self, path: str, uid: int) -> None:
-        """Remove an empty directory."""
-        directory = path.rstrip("/") or "/"
-        if directory == "/":
-            raise FsError("EBUSY: cannot remove the root")
-        if directory not in self._dirs:
-            raise FsError(f"ENOTDIR: {path}")
-        self.users.user(uid)
-        if self.readdir(directory):
-            raise FsError(f"ENOTEMPTY: {path}")
-        self._dirs.discard(directory)
-        self.stats.add("rmdirs")
-
-    def fsck(self) -> "List[str]":
-        """Consistency check; returns a list of problems (empty = clean).
-
-        Invariants: namespace entries resolve; extents never shared
-        between inodes nor present on the free list; every allocated
-        page lies inside the mounted region; sizes cover the extents;
-        link counts match the namespace.
-        """
-        problems: List[str] = []
-        first_page = self.pmem_base // PAGE_SIZE
-        last_page = first_page + self.pmem_bytes // PAGE_SIZE
-
-        for path, ino in self._namespace.items():
-            if ino not in self._inodes:
-                problems.append(f"dangling namespace entry: {path} -> ino {ino}")
-
-        seen_pages: Dict[int, int] = {}
-        free_set = set(self._free_pages)
-        for ino, inode in self._inodes.items():
-            for file_page, pfn in inode.extents.items():
-                if not first_page <= pfn < last_page:
-                    problems.append(f"ino {ino}: page {pfn} outside the PMEM region")
-                if pfn in free_set:
-                    problems.append(f"ino {ino}: page {pfn} both allocated and free")
-                owner = seen_pages.setdefault(pfn, ino)
-                if owner != ino:
-                    problems.append(f"page {pfn} shared by inos {owner} and {ino}")
-            if inode.extents:
-                needed = (max(inode.extents) + 1) * PAGE_SIZE
-                if inode.size < needed:
-                    problems.append(
-                        f"ino {ino}: size {inode.size} below extent end {needed}"
-                    )
-            names = sum(1 for i in self._namespace.values() if i == ino)
-            if names != inode.nlink:
-                problems.append(
-                    f"ino {ino}: nlink {inode.nlink} but {names} namespace entries"
-                )
-        self.stats.add("fsck_runs")
-        return problems
 
     def chmod(self, path: str, uid: int, mode: int) -> None:
         """chmod(2): only the owner (or root) may change the mode."""

@@ -49,7 +49,6 @@ class Inode:
     size: int = 0
     encryption: Optional[EncryptionContext] = None
     extents: Dict[int, int] = field(default_factory=dict)
-    nlink: int = 1
 
     @property
     def encrypted(self) -> bool:

@@ -34,11 +34,11 @@ class TranslationResult:
 
 
 class MMU:
-    """Per-process translation front end.
+    """The machine's translation front end.
 
     ``fault_handler(vpn, is_write) -> (latency_ns)`` must install a
     mapping into the page table (or raise); it is provided by the kernel
-    object that owns file/anonymous memory policy.
+    object that owns the file-mapping policy.
     """
 
     def __init__(
@@ -95,7 +95,3 @@ class MMU:
         if self._fault_handler is None:
             raise PageFault(vpn, is_write)
         return self._fault_handler(vpn, is_write)
-
-    def invalidate(self, vpn: int) -> None:
-        """Shootdown after munmap / PTE change."""
-        self.tlb.invalidate(vpn)

@@ -56,7 +56,7 @@ class PageTableEntry:
 
 @dataclass
 class PageTable:
-    """A per-process map from virtual page number to PTE."""
+    """The machine's map from virtual page number to PTE."""
 
     entries: Dict[int, PageTableEntry] = field(default_factory=dict)
 
@@ -71,17 +71,3 @@ class PageTable:
         pte = PageTableEntry(pfn=pfn, writable=writable, df=df)
         self.entries[vpn] = pte
         return pte
-
-    def unmap(self, vpn: int) -> Optional[PageTableEntry]:
-        return self.entries.pop(vpn, None)
-
-    def unmap_range(self, vpn_start: int, pages: int) -> int:
-        """munmap: drop ``pages`` mappings; returns how many existed."""
-        removed = 0
-        for vpn in range(vpn_start, vpn_start + pages):
-            if self.entries.pop(vpn, None) is not None:
-                removed += 1
-        return removed
-
-    def mapped_count(self) -> int:
-        return len(self.entries)

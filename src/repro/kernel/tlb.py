@@ -51,15 +51,8 @@ class TLB:
             self.stats.add("evictions")
         self._entries[vpn] = pte
 
-    def invalidate(self, vpn: int) -> bool:
-        """Shootdown of one translation (munmap / permission change)."""
-        if self._entries.pop(vpn, None) is not None:
-            self.stats.add("shootdowns")
-            return True
-        return False
-
     def flush(self) -> None:
-        """Full flush (context switch with no ASID support)."""
+        """Full flush (power loss drops every cached translation)."""
         self._entries.clear()
         self.stats.add("flushes")
 

@@ -9,9 +9,15 @@ the ECC is the counter that encrypted the line.
 
 This module implements the classic Hamming(72,64) SEC-DED code per
 64-bit word (8 words per cache line => 64 ECC bits per line), with
-single-bit correction and double-bit detection — enough structure that a
-*wrong* counter's decryption fails the check with overwhelming
-probability, which is exactly the property Osiris recovery leans on.
+single-bit correction and double-bit detection.  Each word's check is
+8 bits, so a wrong counter's pseudo-random decryption passes one word
+about 1 time in 2^8.  When all eight words of a line are decrypted under
+the wrong counter, the line passes with about 2^-64 probability, which
+is the property Osiris recovery leans on.  A torn line is weaker: its
+new words pass under the new counter, so only its old words are tested,
+at about 2^-8 each — a torn first write with one old word is accepted
+about 1 time in 256 (docs/FAULTS.md, "Open defect: a torn first
+write can alias its ECC").
 """
 
 from __future__ import annotations

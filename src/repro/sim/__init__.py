@@ -20,7 +20,7 @@ from .batch import (
     execute_compiled,
     run_workload_batch,
 )
-from .trace import Trace, TraceOp, TraceRecorder, replay, resolve_mmap_handle
+from .trace import Trace, TraceOp, TraceRecorder, replay
 
 __all__ = [
     "MachineConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "TraceOp",
     "TraceRecorder",
     "replay",
-    "resolve_mmap_handle",
     "BatchRunner",
     "CompiledTrace",
     "capture_workload",

@@ -10,7 +10,8 @@ boundaries and allocates request/outcome objects.  This module keeps the
    (:func:`capture_workload`), producing a :class:`~repro.sim.trace.Trace`
    without touching the machine's timing state.  Workloads that reach
    beyond the traceable API (functional byte access, crash lifecycle,
-   multi-process) are detected and fall back to direct execution.
+   filesystem management) are detected and fall back to direct
+   execution.
 2. **Compile** — :func:`compile_trace` expands the trace into three
    parallel lists (op kind, line vaddr, compute ns), split into chunks
    at the rare structural ops (create/open/mmap/mark).
@@ -29,8 +30,8 @@ boundaries and allocates request/outcome objects.  This module keeps the
    buffer stays inline on a row miss too: about 30% of NVM accesses
    miss the row, and calling ``NVMDevice`` for them measured slower in
    every run (docs/BATCH.md).  Machines the
-   interpreter does not model (functional mode, histograms,
-   multi-process, crash domains, Anubis) replay the trace through
+   interpreter does not model (functional mode, histograms, service
+   queues, crash domains, Anubis) replay the trace through
    :func:`~repro.sim.trace.replay` instead.
 
 Bit-identity is the hard pin: the inline probes replicate the reference
@@ -66,9 +67,9 @@ from .trace import (
     PERSIST,
     STORE,
     Trace,
+    TraceCursor,
     TraceOp,
     replay,
-    resolve_mmap_handle,
 )
 
 __all__ = [
@@ -212,7 +213,7 @@ def _lower(records):
         elif mnemonic == COMPUTE:
             kinds.append(_COMPUTE)
             addrs.append(0)
-            ns.append(rec[5] if rec[5] else float(rec[2]))
+            ns.append(rec[5])
         elif mnemonic in (CREATE, OPEN, MMAP, MARK):
             chunks.append((lo, len(kinds)))
             rares.append(TraceOp(*rec))
@@ -285,9 +286,9 @@ class _CaptureMachine:
         self.raw: list = []
         self._rec = self.raw.append
         self._config = machine.config
-        # Mirror of ProcessContext.next_vpn so recorded workloads see
-        # the same mmap base addresses replay will produce.
-        self._next_vpn = machine._process.next_vpn
+        # Mirror of Machine._next_vpn so recorded workloads see the
+        # same mmap base addresses replay will produce.
+        self._next_vpn = machine._next_vpn
 
     @property
     def config(self):
@@ -325,7 +326,7 @@ class _CaptureMachine:
         self._rec((PERSIST, vaddr, size, "", False, 0.0, 0))
 
     def compute(self, ns: float) -> None:
-        self._rec((COMPUTE, 0, int(ns), "", False, float(ns), 0))
+        self._rec((COMPUTE, 0, 0, "", False, float(ns), 0))
 
     def mark_measurement_start(self) -> None:
         self._rec((MARK, 0, 0, "", False, 0.0, 0))
@@ -370,8 +371,6 @@ def _supports_fast_path(machine: Machine) -> bool:
         # access; the inline interpreter knows nothing about it, so a
         # stream machine always takes the reference path.
         return False
-    if len(machine._processes) != 1 or machine._current_pid != 0:
-        return False
     controller = machine.controller
     kind = type(controller)
     if kind is PlainMemoryController:
@@ -389,7 +388,7 @@ def execute_compiled(compiled: CompiledTrace, machine: Machine) -> None:
     """Run a compiled trace on a machine, bit-identically.
 
     Machines outside the interpreter's envelope (functional mode,
-    histograms attached, multi-process, crash/Anubis wiring, custom
+    histograms attached, service queues, crash/Anubis wiring, custom
     controllers) replay the original trace through the reference path.
     """
     if _supports_fast_path(machine):
@@ -925,8 +924,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
     chunks = compiled.chunks
     rares = compiled.rares
 
-    handles: Dict[str, object] = {}
-    last_handle = None
+    cursor = TraceCursor(machine)
     tlb_get = tlb_entries.get
     clock = machine.clock_ns
     try:
@@ -961,7 +959,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                         if mapped is _NOT_MAPPED:
                             mapped = None
                             region = region_for(vpn)
-                            if region is not None and region.handle is not None:
+                            if region is not None:
                                 inode = region.handle.inode
                                 file_page = region.file_page(vpn)
                                 dev_pfn = inode.extents.get(file_page)
@@ -1099,21 +1097,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
             flush_stats()
             machine.clock_ns = clock
             if chunk_index < len(rares):
-                op = rares[chunk_index]
-                mnemonic = op.op
-                if mnemonic == CREATE:
-                    last_handle = machine.create_file(
-                        op.path, uid=op.addr, mode=op.size, encrypted=op.flag)
-                    handles[op.path] = last_handle
-                elif mnemonic == OPEN:
-                    last_handle = machine.open_file(
-                        op.path, uid=op.addr, write=op.flag)
-                    handles[op.path] = last_handle
-                elif mnemonic == MMAP:
-                    handle = resolve_mmap_handle(op, handles, last_handle)
-                    machine.mmap(handle, pages=op.size, file_page_start=op.addr)
-                else:  # MARK
-                    machine.mark_measurement_start()
+                cursor.apply(rares[chunk_index])
                 clock = machine.clock_ns
                 if overlay is not None:
                     region_memo.clear()

@@ -134,6 +134,12 @@ class MachineConfig:
             raise ValueError("OTT geometry must have at least one slot")
         if self.anubis_shadow_lines < 1:
             raise ValueError("anubis_shadow_lines must be >= 1")
+        if self.stop_loss < 1:
+            raise ValueError("stop_loss must be >= 1")
+        if not self.aes_latency_ns >= 0.0:
+            raise ValueError("aes_latency_ns must be >= 0")
+        if self.page_cache_pages < 1:
+            raise ValueError("page_cache_pages must be >= 1")
 
     def controller_config(self) -> SecureControllerConfig:
         return SecureControllerConfig(

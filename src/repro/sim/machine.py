@@ -55,11 +55,11 @@ _ADR_DRAIN_NS = 60.0  # clwb completion into the ADR persistence domain
 
 @dataclass
 class MappedRegion:
-    """One mmap'd range of the process address space."""
+    """One mmap'd range of a file in the machine's address space."""
 
     vpn_start: int
     pages: int
-    handle: Optional[FileHandle]  # None => anonymous memory
+    handle: FileHandle
     file_page_start: int = 0
 
     def contains(self, vpn: int) -> bool:
@@ -67,19 +67,6 @@ class MappedRegion:
 
     def file_page(self, vpn: int) -> int:
         return self.file_page_start + (vpn - self.vpn_start)
-
-
-@dataclass
-class ProcessContext:
-    """One process's address-space state: its own MMU (page table +
-    TLB) and mapped regions.  Processes share the caches, the
-    controller, and the filesystem — like threads of different programs
-    on one socket."""
-
-    pid: int
-    mmu: MMU
-    regions: List[MappedRegion]
-    next_vpn: int = 0x1000
 
 
 class Machine:
@@ -108,9 +95,15 @@ class Machine:
         device = builder.build_device(self)
         self.controller = builder.build_controller(self, device)
         self.hierarchy = builder.build_hierarchy(self)
-        self._processes: Dict[int, ProcessContext] = {}
-        self._current_pid = 0
-        self._create_process_context(0)
+        # One address space per machine: its MMU (page table + TLB) and
+        # mapped regions.
+        self.mmu = MMU(
+            tlb=TLB(stats=self.registry.create("tlb")),
+            stats=self.registry.create("mmu"),
+        )
+        self.mmu.set_fault_handler(self._handle_fault)
+        self._regions: List[MappedRegion] = []
+        self._next_vpn = 0x1000
 
         self.users = UserDatabase()
         self.keyring = Keyring()
@@ -138,10 +131,10 @@ class Machine:
         # Persist-path model: fixed ADR constant or an explicit WPQ.
         self.wpq = builder.build_wpq(self)
 
-        # Anonymous (non-PMEM) physical pages come from below the PMEM
-        # region; shadow page-cache copies also live there.
-        self._next_anon_pfn = 0x100
-        self._anon_limit_pfn = self.config.pmem_base // PAGE_SIZE
+        # Page-cache shadow copies live in non-PMEM physical pages
+        # below the PMEM region.
+        self._next_shadow_pfn = 0x100
+        self._shadow_limit_pfn = self.config.pmem_base // PAGE_SIZE
         self._shadow_pfns: Dict[Tuple[int, int], int] = {}
 
         # Crash lifecycle wiring (CrashDomain staging, Anubis shadow).
@@ -152,57 +145,6 @@ class Machine:
 
     def controller_config(self):
         return self.config.controller_config()
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-
-    _CONTEXT_SWITCH_NS = 1200.0  # trap + scheduler + register state
-
-    def _create_process_context(self, pid: int) -> ProcessContext:
-        suffix = "" if pid == 0 else f"_p{pid}"
-        mmu = MMU(
-            tlb=TLB(stats=self.registry.create(f"tlb{suffix}")),
-            stats=self.registry.create(f"mmu{suffix}"),
-        )
-        mmu.set_fault_handler(self._handle_fault)
-        context = ProcessContext(pid=pid, mmu=mmu, regions=[])
-        self._processes[pid] = context
-        return context
-
-    def create_process(self, pid: int) -> int:
-        """Create a new process (own page table, TLB, address space)."""
-        if pid in self._processes:
-            raise ValueError(f"pid {pid} already exists")
-        self._create_process_context(pid)
-        return pid
-
-    def switch_process(self, pid: int) -> None:
-        """Context switch: scheduler cost plus a full TLB flush (the
-        model has no ASIDs, matching the paper's era of kernels)."""
-        if pid not in self._processes:
-            raise ValueError(f"unknown pid {pid}")
-        if pid == self._current_pid:
-            return
-        self._processes[self._current_pid].mmu.tlb.flush()
-        self._current_pid = pid
-        self.clock_ns += self._CONTEXT_SWITCH_NS
-
-    @property
-    def current_pid(self) -> int:
-        return self._current_pid
-
-    @property
-    def _process(self) -> ProcessContext:
-        return self._processes[self._current_pid]
-
-    @property
-    def mmu(self) -> MMU:
-        return self._process.mmu
-
-    @property
-    def _regions(self) -> List[MappedRegion]:
-        return self._process.regions
 
     @property
     def device(self) -> NVMDevice:
@@ -243,41 +185,16 @@ class Machine:
         """Map ``pages`` of an open file; returns the base virtual address."""
         if pages <= 0:
             raise ValueError("pages must be positive")
-        process = self._process
         region = MappedRegion(
-            vpn_start=process.next_vpn,
+            vpn_start=self._next_vpn,
             pages=pages,
             handle=handle,
             file_page_start=file_page_start,
         )
-        process.regions.append(region)
-        process.next_vpn += pages + 8  # guard gap
+        self._regions.append(region)
+        self._next_vpn += pages + 8  # guard gap
         self.clock_ns += self.costs.syscall_ns
         return region.vpn_start * PAGE_SIZE
-
-    def mmap_anonymous(self, pages: int) -> int:
-        process = self._process
-        region = MappedRegion(vpn_start=process.next_vpn, pages=pages, handle=None)
-        process.regions.append(region)
-        process.next_vpn += pages + 8
-        self.clock_ns += self.costs.syscall_ns
-        return region.vpn_start * PAGE_SIZE
-
-    def munmap(self, base_vaddr: int) -> None:
-        """Unmap the region starting at ``base_vaddr``: PTEs dropped,
-        TLB shot down.  File contents persist (it is a DAX mapping, not
-        the file); a fresh mmap sees them again."""
-        vpn = base_vaddr // PAGE_SIZE
-        process = self._process
-        for index, region in enumerate(process.regions):
-            if region.vpn_start == vpn:
-                for mapped_vpn in range(region.vpn_start, region.vpn_start + region.pages):
-                    process.mmu.page_table.unmap(mapped_vpn)
-                    process.mmu.invalidate(mapped_vpn)
-                process.regions.pop(index)
-                self.clock_ns += self.costs.syscall_ns
-                return
-        raise ValueError(f"no mapping starts at {base_vaddr:#x}")
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -289,23 +206,12 @@ class Machine:
                 return region
         return None
 
-    def _alloc_anon_pfn(self) -> int:
-        if self._next_anon_pfn >= self._anon_limit_pfn:
-            raise MemoryError("anonymous memory exhausted")
-        pfn = self._next_anon_pfn
-        self._next_anon_pfn += 1
-        return pfn
-
     def _handle_fault(self, vpn: int, is_write: bool) -> float:
         region = self._region_for(vpn)
         if region is None:
             from ..kernel.page_table import PageFault
 
             raise PageFault(vpn, is_write)
-        if region.handle is None:
-            pfn = self._alloc_anon_pfn()
-            self.mmu.page_table.map(vpn, pfn, df=False)
-            return self.costs.minor_fault_ns
 
         file_page = region.file_page(vpn)
         if self.scheme_spec.uses_page_cache:
@@ -314,7 +220,10 @@ class Machine:
             key = (region.handle.inode.i_ino, file_page)
             pfn = self._shadow_pfns.get(key)
             if pfn is None:
-                pfn = self._alloc_anon_pfn()
+                pfn = self._next_shadow_pfn
+                if pfn >= self._shadow_limit_pfn:
+                    raise MemoryError("page-cache shadow memory exhausted")
+                self._next_shadow_pfn += 1
                 self._shadow_pfns[key] = pfn
             # Make sure the file page exists on the device too.
             if region.handle.inode.extents.get(file_page) is None:
@@ -447,7 +356,7 @@ class Machine:
 
         if self.overlay is not None:
             region = self._region_for(line_vaddr // PAGE_SIZE)
-            if region is not None and region.handle is not None:
+            if region is not None:
                 inode = region.handle.inode
                 file_page = region.file_page(line_vaddr // PAGE_SIZE)
                 dev_pfn = inode.extents.get(file_page)
@@ -610,25 +519,6 @@ class Machine:
         self._mark_ns = self.clock_ns
         self._mark_reads = self.device.read_count
         self._mark_writes = self.device.write_count
-
-    def execute_trace(self, trace, batch: bool = False) -> None:
-        """Re-execute a recorded trace on this machine.
-
-        ``batch=True`` lowers the trace to flat micro-op arrays and runs
-        the vectorized interpreter (:mod:`repro.sim.batch`); machines
-        outside the interpreter's envelope fall back to the reference
-        replay.  Results are bit-identical either way.
-        """
-        if batch:
-            # Imported lazily: batch imports trace which imports this
-            # module, so a top-level import would be circular.
-            from .batch import compile_trace, execute_compiled
-
-            execute_compiled(compile_trace(trace), self)
-        else:
-            from .trace import replay
-
-            replay(trace, self)
 
     def result(self, workload: str) -> RunResult:
         return RunResult(

@@ -296,8 +296,8 @@ def capture_streams(config: MachineConfig, workloads: Sequence) -> MultiStreamTr
 
     Capture uses a scratch machine per stream purely for address-layout
     mirroring; nothing is executed on it.  Raises when a workload steps
-    outside the traceable API (multi-process workloads, direct machine
-    surgery) — the service model cannot interleave what it cannot
+    outside the traceable API (functional byte access, filesystem
+    management, direct machine surgery) — the service model cannot interleave what it cannot
     capture, and a silent drop would fabricate a lighter mix.
     """
     from .batch import capture_workload

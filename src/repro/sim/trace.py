@@ -2,38 +2,26 @@
 
 A :class:`TraceRecorder` wraps a machine and logs every timing-path
 operation a workload issues; the resulting :class:`Trace` replays
-verbatim onto any other machine.  This is how the library supports the
-classic trace-driven methodology beyond its built-in workloads:
-
-* capture once, replay under every scheme — eliminating even the
-  (already deterministic) workload re-execution between comparisons;
-* export traces to a portable JSON-lines file for external tools;
-* import traces produced elsewhere (e.g. converted PIN/valgrind logs)
-  and drive the FsEncr model with real applications.
+verbatim onto any other machine.  Capturing once and replaying under
+every scheme removes even the (already deterministic) workload
+re-execution between comparisons, and it is the input format of the
+batch compiler (:mod:`repro.sim.batch`), the crash sweep
+(:mod:`repro.faults.sweep`) and the service model
+(:mod:`repro.sim.service`).
 
 Replay requires the target machine to have the same virtual layout the
 trace was captured against, so the recorder also logs the file/mmap
 preamble and replays it first.
 
-File format: line one is a header (``{"name": ..., "version": 2}``),
-then one JSON object per op.  Version 1 files (no ``version`` key, no
-``ns``/``uid`` fields) still load; they replay with v1 fidelity —
-compute times truncated to whole ns and mmap bound to the last handle.
-
-Ops optionally carry a stream id (``sid``; default 0) so one file can
-hold several concurrent streams' operations: :class:`MultiStreamTrace`
-groups per-stream traces for the concurrent-traffic service model
-(:mod:`repro.sim.service`), which interleaves them by virtual time
-under a closed-loop or open-loop arrival policy.  Single-stream files
-never emit the field, so v2 consumers keep working unchanged.
+:class:`MultiStreamTrace` groups per-stream traces for the
+concurrent-traffic service model, which interleaves them by virtual
+time under a closed-loop or open-loop arrival policy.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .machine import Machine
 
@@ -44,12 +32,7 @@ __all__ = [
     "TraceRecorder",
     "TraceCursor",
     "replay",
-    "resolve_mmap_handle",
 ]
-
-#: Current trace-file format.  v2 added the exact ``ns`` on compute ops
-#: and the originating handle's ``path``/``uid`` on mmap ops.
-TRACE_VERSION = 2
 
 # Operation mnemonics.
 LOAD = "load"
@@ -67,12 +50,9 @@ class TraceOp:
     """One logged event.  Field meaning depends on ``op``:
 
     load/store/persist: (addr=vaddr, size)
-    compute:            (size=int(ns), ns=exact ns)
+    compute:            (ns)
     create/open:        (path, addr=uid, size=mode/writable, flag=encrypted)
     mmap:               (path, uid, size=pages, addr=file_page_start)
-
-    ``sid`` names the stream the op belongs to (0 = the sole stream of
-    a classic single-stream trace).
     """
 
     op: str
@@ -82,28 +62,6 @@ class TraceOp:
     flag: bool = False
     ns: float = 0.0
     uid: int = 0
-    sid: int = 0
-
-    def to_json(self) -> str:
-        payload = {"op": self.op, "addr": self.addr, "size": self.size,
-                   "path": self.path, "flag": self.flag}
-        # v2 fields are emitted only when set, so v1 consumers that
-        # require exactly five keys keep working on unaffected ops.
-        if self.ns:
-            payload["ns"] = self.ns
-        if self.uid:
-            payload["uid"] = self.uid
-        if self.sid:
-            payload["sid"] = self.sid
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, line: str) -> "TraceOp":
-        raw = json.loads(line)
-        return cls(op=raw["op"], addr=raw["addr"], size=raw["size"],
-                   path=raw["path"], flag=raw["flag"],
-                   ns=float(raw.get("ns", 0.0)), uid=int(raw.get("uid", 0)),
-                   sid=int(raw.get("sid", 0)))
 
 
 @dataclass
@@ -118,19 +76,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    def save(self, path: Path) -> None:
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"name": self.name, "version": TRACE_VERSION}) + "\n")
-            for op in self.ops:
-                fh.write(op.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: Path) -> "Trace":
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            ops = [TraceOp.from_json(line) for line in fh if line.strip()]
-        return cls(name=header["name"], ops=ops)
 
 
 class TraceRecorder:
@@ -179,7 +124,7 @@ class TraceRecorder:
         self._machine.persist(vaddr, size)
 
     def compute(self, ns: float) -> None:
-        self.trace.append(TraceOp(op=COMPUTE, size=int(ns), ns=float(ns)))
+        self.trace.append(TraceOp(op=COMPUTE, ns=float(ns)))
         self._machine.compute(ns)
 
     def mark_measurement_start(self) -> None:
@@ -190,35 +135,6 @@ class TraceRecorder:
 
     def __getattr__(self, item):
         return getattr(self._machine, item)
-
-
-def resolve_mmap_handle(op: TraceOp, handles: Dict[str, object], last_handle):
-    """Bind an ``mmap`` op to the handle it mapped at capture time.
-
-    v2 ops name their file, so they bind to the latest handle for that
-    path.  Legacy v1 ops (no path) bind to the most recently
-    created/opened handle — but only while the trace has touched a
-    single file; with several files in play that guess could silently
-    map the wrong one, so it raises instead.  Shared by :func:`replay`
-    and the batch interpreter so both resolve identically.
-    """
-    if op.path:
-        handle = handles.get(op.path)
-        if handle is None:
-            raise ValueError(
-                f"trace mmap references {op.path!r} with no preceding "
-                "create/open for that path"
-            )
-        return handle
-    if last_handle is None:
-        raise ValueError("trace mmap with no preceding create/open")
-    if len(handles) > 1:
-        raise ValueError(
-            "legacy trace mmap (no path recorded) is ambiguous: "
-            f"{len(handles)} files are open; re-capture the trace "
-            "with a current recorder"
-        )
-    return last_handle
 
 
 class TraceCursor:
@@ -234,7 +150,6 @@ class TraceCursor:
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self._handles: Dict[str, object] = {}
-        self._last_handle = None
 
     def apply(self, op: TraceOp) -> None:
         machine = self.machine
@@ -245,17 +160,23 @@ class TraceCursor:
         elif op.op == PERSIST:
             machine.persist(op.addr, op.size)
         elif op.op == COMPUTE:
-            machine.compute(op.ns if op.ns else float(op.size))
+            machine.compute(op.ns)
         elif op.op == CREATE:
-            self._last_handle = machine.create_file(
+            self._handles[op.path] = machine.create_file(
                 op.path, uid=op.addr, mode=op.size, encrypted=op.flag
             )
-            self._handles[op.path] = self._last_handle
         elif op.op == OPEN:
-            self._last_handle = machine.open_file(op.path, uid=op.addr, write=op.flag)
-            self._handles[op.path] = self._last_handle
+            self._handles[op.path] = machine.open_file(
+                op.path, uid=op.addr, write=op.flag
+            )
         elif op.op == MMAP:
-            handle = resolve_mmap_handle(op, self._handles, self._last_handle)
+            # An mmap binds to the latest handle for the path it names.
+            handle = self._handles.get(op.path)
+            if handle is None:
+                raise ValueError(
+                    f"trace mmap references {op.path!r} with no preceding "
+                    "create/open for that path"
+                )
             machine.mmap(handle, pages=op.size, file_page_start=op.addr)
         elif op.op == MARK:
             machine.mark_measurement_start()
@@ -264,14 +185,7 @@ class TraceCursor:
 
 
 def replay(trace: Trace, machine: Machine) -> None:
-    """Re-execute a trace on a fresh machine.
-
-    v2 ``mmap`` ops name the file they mapped, so each binds to the
-    latest handle for that path.  Legacy v1 ops (no path) bind to the
-    most recently created/opened handle — but only while the trace has
-    touched a single file; with several files in play that guess could
-    silently map the wrong one, so it raises instead.
-    """
+    """Re-execute a trace on a fresh machine."""
     cursor = TraceCursor(machine)
     for op in trace.ops:
         cursor.apply(op)
@@ -286,8 +200,7 @@ class MultiStreamTrace:
     the streams is not fixed here — it is produced by the service
     model's scheduler under an arrival policy (closed-loop MLP window
     or open-loop seeded inter-arrival process; see
-    :mod:`repro.sim.service`) — but the container round-trips through
-    the JSONL format by tagging every op with its ``sid``.
+    :mod:`repro.sim.service`).
     """
 
     name: str
@@ -299,48 +212,6 @@ class MultiStreamTrace:
     @property
     def total_ops(self) -> int:
         return sum(len(stream) for stream in self.streams)
-
-    def tagged_ops(self) -> List[TraceOp]:
-        """All ops with their ``sid`` stamped, stream-major order."""
-        from dataclasses import replace
-
-        ops: List[TraceOp] = []
-        for sid, stream in enumerate(self.streams):
-            for op in stream.ops:
-                ops.append(op if op.sid == sid else replace(op, sid=sid))
-        return ops
-
-    def save(self, path: Path) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {"name": self.name, "version": TRACE_VERSION,
-                     "streams": len(self.streams)}
-                )
-                + "\n"
-            )
-            for op in self.tagged_ops():
-                fh.write(op.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: Path) -> "MultiStreamTrace":
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            ops = [TraceOp.from_json(line) for line in fh if line.strip()]
-        count = int(header.get("streams", 0)) or (
-            max((op.sid for op in ops), default=0) + 1
-        )
-        streams = [
-            Trace(name=f"{header['name']}#{sid}") for sid in range(count)
-        ]
-        for op in ops:
-            if not 0 <= op.sid < count:
-                raise ValueError(
-                    f"trace op names stream {op.sid} but the file declares "
-                    f"{count} stream(s)"
-                )
-            streams[op.sid].append(op)
-        return cls(name=header["name"], streams=streams)
 
     @classmethod
     def from_traces(cls, name: str, traces: List[Trace]) -> "MultiStreamTrace":

@@ -42,7 +42,6 @@ from .pmemkv import (
     Readseq,
     make_pmemkv_workload,
 )
-from .transactions import BankAccounts, BankWorkload, RedoLog, TxError
 from .whisper import (
     WHISPER_BENCHMARKS,
     CtreeWorkload,
@@ -64,10 +63,6 @@ __all__ = [
     "PersistentBTree",
     "PersistentHashmap",
     "ManyFilesWorkload",
-    "BankAccounts",
-    "BankWorkload",
-    "RedoLog",
-    "TxError",
     "PersistentCritbitTree",
     "PmemkvWorkload",
     "Fillseq",

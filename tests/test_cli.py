@@ -142,6 +142,33 @@ def test_documented_command_parses(argv):
     assert callable(args.func)
 
 
+def _documented_py_paths():
+    """Every backticked ``*.py`` path in DESIGN.md and docs/, any
+    ``::test`` or ``:NAME`` suffix dropped; globs and ``<name>``
+    placeholders skipped."""
+    refs = {}
+    for path in [ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        text = path.read_text(encoding="utf-8")
+        for match in re.finditer(r"`([\w./<>*-]+\.py)(?::[^`]*)?`", text):
+            ref = match.group(1)
+            if "*" not in ref and "<" not in ref:
+                refs.setdefault(f"{path.name}: {ref}", ref)
+    return [pytest.param(ref, id=key) for key, ref in refs.items()]
+
+
+def test_the_docs_have_py_paths():
+    assert len(_documented_py_paths()) >= 30
+
+
+@pytest.mark.parametrize("ref", _documented_py_paths())
+def test_documented_py_path_exists(ref):
+    """A deleted module must not linger in the docs.  Paths resolve
+    from the repo root, from ``src/`` (``repro/...``) or from
+    ``src/repro/`` (``sim/trace.py``)."""
+    bases = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+    assert any((base / ref).is_file() for base in bases), ref
+
+
 def test_all_runs_every_grid_on_one_runner(tmp_path, capsys):
     # bench's fig15 grid runs at its default column: neither bench nor
     # all has a --scheme for it to read.

@@ -136,7 +136,9 @@ class TestSchemeMatrix:
 class TestStrictStatLookups:
     def test_run_result_stat_raises_on_unknown_key(self):
         machine = Machine(MachineConfig())
-        base = machine.mmap_anonymous(pages=1)
+        machine.add_user(uid=1000, gid=100, passphrase="pw")
+        handle = machine.create_file("/pmem/strict", uid=1000)
+        base = machine.mmap(handle, pages=1)
         machine.load(base)
         result = machine.result("strict")
         known = next(k for k in sorted(result.stats) if "." in k)

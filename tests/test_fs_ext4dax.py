@@ -207,6 +207,20 @@ class TestAllocation:
         fs.fault_in(handle, 0)
         assert fs.free_bytes == 3 * PAGE_SIZE
 
+    def test_free_bytes_restored_after_churn(self):
+        fs, _ = make_fs(pmem_pages=64)
+        free_before = fs.free_bytes
+        for i in range(12):
+            handle, _ = fs.create(f"/f{i}", uid=1000, encrypted=(i % 2 == 0))
+            for page in range(i % 4 + 1):
+                fs.fault_in(handle, page)
+        for i in range(0, 12, 3):
+            fs.unlink(f"/f{i}", uid=1000)
+        for i in range(12):
+            if i % 3:
+                fs.unlink(f"/f{i}", uid=1000)
+        assert fs.free_bytes == free_before
+
     def test_misaligned_region_rejected(self):
         with pytest.raises(ValueError):
             DaxFilesystem(pmem_base=100, pmem_bytes=PAGE_SIZE)

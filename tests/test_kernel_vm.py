@@ -27,25 +27,17 @@ class TestPageTableEntry:
 
 
 class TestPageTable:
-    def test_map_lookup_unmap(self):
+    def test_map_lookup(self):
         pt = PageTable()
         pt.map(7, pfn=100)
         assert pt.lookup(7).pfn == 100
-        assert pt.unmap(7).pfn == 100
-        assert pt.lookup(7) is None
+        assert pt.lookup(8) is None
 
     def test_not_present_hidden(self):
         pt = PageTable()
         pte = pt.map(7, pfn=100)
         pte.present = False
         assert pt.lookup(7) is None
-
-    def test_unmap_range(self):
-        pt = PageTable()
-        for vpn in range(10, 14):
-            pt.map(vpn, pfn=vpn)
-        assert pt.unmap_range(10, 8) == 4
-        assert pt.mapped_count() == 0
 
     def test_df_flag_stored(self):
         pt = PageTable()
@@ -74,13 +66,6 @@ class TestTLB:
         tlb.fill(3, PageTableEntry(pfn=3))  # evicts vpn 2
         assert tlb.lookup(2) is None
         assert tlb.lookup(1) is not None
-
-    def test_invalidate(self):
-        tlb = TLB(entries=4)
-        tlb.fill(7, PageTableEntry(pfn=1))
-        assert tlb.invalidate(7) is True
-        assert tlb.invalidate(7) is False
-        assert tlb.lookup(7) is None
 
     def test_flush(self):
         tlb = TLB(entries=4)
@@ -152,10 +137,10 @@ class TestMMU:
         with pytest.raises(PageFault):
             mmu.translate(0, False)
 
-    def test_invalidate_forces_walk(self):
+    def test_flushed_tlb_forces_walk(self):
         mmu, _ = self.make_mmu()
         mmu.translate(3 * PAGE_SIZE, False)
-        mmu.invalidate(3)
+        mmu.tlb.flush()
         result = mmu.translate(3 * PAGE_SIZE, False)
         assert not result.faulted  # page table still has it
         assert result.latency_ns == mmu.tlb.walk_latency_ns

@@ -22,6 +22,7 @@ from repro.sim import (
     compile_trace,
     execute_compiled,
     get_scheme,
+    replay,
     run_workload_batch,
     scheme_names,
 )
@@ -29,8 +30,7 @@ from repro.sim.batch import _supports_fast_path
 from repro.sim.config import MachineConfig, Scheme
 from repro.sim.trace import TraceOp
 from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
-from repro.workloads.base import run_workload
-from repro.workloads.transactions import BankWorkload
+from repro.workloads.base import Workload, run_workload
 
 _FACTORIES = {
     "DAX-1": lambda: make_dax_micro("DAX-1", iterations=120, seed=7),
@@ -40,6 +40,51 @@ _FACTORIES = {
     # here whose lines leave L1 dirty under a tiny hierarchy.
     "DAX-4": lambda: make_dax_micro("DAX-4", iterations=120, seed=7),
 }
+
+
+class _RedoTransfers(Workload):
+    """Redo-logged transfers over two mmapped files: per transfer, append
+    two log records (persist), persist the commit marker, apply both
+    records to the data file, persist the invalidate marker — the
+    densest persist-per-byte pattern here.  In functional mode the apply
+    writes real bytes through ``store_bytes``, which the capture stub
+    does not model."""
+
+    name = "RedoTx"
+
+    def __init__(self, accounts: int = 16, transfers: int = 20, seed: int = 3):
+        super().__init__(seed=seed)
+        self.accounts = accounts
+        self.transfers = transfers
+
+    def run(self, machine):
+        encrypted = machine.config.scheme.has_file_encryption
+        log_file = machine.create_file("/pmem/tx.log", uid=self.uid,
+                                       encrypted=encrypted)
+        data_file = machine.create_file("/pmem/tx.data", uid=self.uid,
+                                        encrypted=encrypted)
+        log = machine.mmap(log_file, pages=1)
+        data = machine.mmap(data_file, pages=1)
+        functional = machine.config.functional
+        machine.mark_measurement_start()
+        rng = self.rng()
+        for _ in range(self.transfers):
+            src = rng.randrange(self.accounts)
+            dst = (src + rng.randrange(1, self.accounts)) % self.accounts
+            machine.load(data + src * 8, 8)
+            machine.load(data + dst * 8, 8)
+            for slot in range(2):
+                machine.persist(log + 16 + slot * 24, 24)  # append record
+            machine.persist(log, 16)  # commit marker
+            for account in (src, dst):
+                if functional:
+                    machine.store_bytes(data + account * 8,
+                                        account.to_bytes(8, "big"))
+                else:
+                    machine.persist(data + account * 8, 8)
+            machine.persist(log, 16)  # invalidate marker
+            machine.compute(200.0)
+
 
 # Direct-mapped two-line L1 and L2: an L2 fill can then evict a line an
 # earlier L1 victim left dirty there.
@@ -113,29 +158,26 @@ def test_run_workload_batch_kwarg_routes():
 
 
 def test_transactional_workload_batches_bit_identically():
-    """BankWorkload's persist-dense redo-log pattern exercises the
-    flush/fence micro-ops harder than the KV suites."""
+    """The persist-dense redo-log pattern exercises the flush/fence
+    micro-ops harder than the KV suites."""
     config = get_scheme("fsencr").configure(MachineConfig())
-    direct = run_workload(config, BankWorkload(accounts=16, transfers=20, seed=3))
+    direct = run_workload(config, _RedoTransfers())
     batched = run_workload_batch(
-        get_scheme("fsencr").configure(MachineConfig()),
-        BankWorkload(accounts=16, transfers=20, seed=3),
+        get_scheme("fsencr").configure(MachineConfig()), _RedoTransfers()
     )
     assert batched.to_dict() == direct.to_dict()
 
 
 def test_capture_fallback_for_untraceable_workload():
-    """In functional mode BankWorkload drives the byte-level API
-    (store_bytes), which the capture stub deliberately does not model;
-    batch execution must fall back to a plain direct run with
+    """In functional mode the redo-log workload drives the byte-level
+    API (store_bytes), which the capture stub deliberately does not
+    model; batch execution must fall back to a plain direct run with
     identical results."""
     config = replace(
         get_scheme("fsencr").configure(MachineConfig()), functional=True
     )
-    direct = run_workload(config, BankWorkload(accounts=16, transfers=20, seed=3))
-    batched = run_workload_batch(
-        config, BankWorkload(accounts=16, transfers=20, seed=3)
-    )
+    direct = run_workload(config, _RedoTransfers())
+    batched = run_workload_batch(config, _RedoTransfers())
     assert batched.to_dict() == direct.to_dict()
 
 
@@ -169,7 +211,7 @@ class TestBatchRunner:
         )
         runner = BatchRunner()
         for _ in range(2):
-            runner.run(config, BankWorkload(accounts=16, transfers=5, seed=3))
+            runner.run(config, _RedoTransfers(transfers=5))
         key = next(iter(runner._compiled))
         assert runner._compiled[key] is None
 
@@ -216,18 +258,8 @@ class TestCompile:
 
         reference = Machine(MachineConfig())
         reference.add_user(uid=1000, gid=100, passphrase="pw")
-        reference.execute_trace(trace)  # replay path
+        replay(trace, reference)
         assert fresh.result("t").to_dict() == reference.result("t").to_dict()
-
-    def test_machine_execute_trace_batch_kwarg(self):
-        trace = self._recorded_trace()
-        a = Machine(MachineConfig())
-        a.add_user(uid=1000, gid=100, passphrase="pw")
-        a.execute_trace(trace, batch=True)
-        b = Machine(MachineConfig())
-        b.add_user(uid=1000, gid=100, passphrase="pw")
-        b.execute_trace(trace, batch=False)
-        assert a.result("t").to_dict() == b.result("t").to_dict()
 
 
 class TestFastPathGate:
@@ -263,7 +295,7 @@ class TestFastPathGate:
         replayed = Machine(config)
         replayed.add_user(uid=1000, gid=100, passphrase="pw")
         replayed_hist = replayed.attach_histogram()
-        replayed.execute_trace(recorder.trace, batch=True)
+        execute_compiled(compile_trace(recorder.trace), replayed)
         assert replayed.result("t").to_dict() == direct.result("t").to_dict()
         assert replayed_hist.as_dict() == direct_hist.as_dict()
 

@@ -56,6 +56,10 @@ class TestMachineConfig:
         dict(pmem_bytes=100),
         dict(pmem_base=512 * 1024 * 1024, pmem_bytes=128 * 1024 * 1024),
         dict(write_contention_factor=1.5),
+        dict(stop_loss=0),
+        dict(aes_latency_ns=-5.0),
+        dict(aes_latency_ns=float("nan")),
+        dict(page_cache_pages=0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

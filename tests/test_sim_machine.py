@@ -83,12 +83,14 @@ class TestAccessPath:
         m.load(base, 8)
         assert m.mmu.page_table.lookup(base // PAGE_SIZE).df is False
 
-    def test_anonymous_memory(self):
+    def test_file_mapping_faults_once_per_page(self):
         m = make_machine()
-        base = m.mmap_anonymous(pages=2)
+        h = m.create_file("/pmem/f", uid=1000)
+        base = m.mmap(h, pages=2)
         m.store(base, 64)
         m.load(base, 64)
-        assert m.device.read_count >= 0  # no crash; anon faults served
+        m.load(base + PAGE_SIZE, 8)
+        assert m.mmu.stats.get("faults") == 2
 
     def test_multi_line_access_touches_all_lines(self):
         m = make_machine()

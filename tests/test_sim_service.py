@@ -234,7 +234,7 @@ def test_service_machine_outside_batch_fast_path():
 def test_uncapturable_stream_raises():
     class Surgeon(Fillseq):
         def run(self, machine):
-            machine.create_process(7)  # not part of the traceable API
+            machine.chmod("/pmem/x", uid=1000, mode=0o600)  # not traceable
 
     config = get_scheme("fsencr").configure(MachineConfig())
     with pytest.raises(ValueError, match="not capturable"):
@@ -359,34 +359,21 @@ def test_many_files_churn_validation():
 
 
 # ----------------------------------------------------------------------
-# MultiStreamTrace round-trip
+# MultiStreamTrace
 # ----------------------------------------------------------------------
 
 
-def test_multi_stream_trace_roundtrip(tmp_path):
+def test_multi_stream_trace_from_traces():
     streams = [
         Trace(name="a", ops=[TraceOp(op="load", addr=64), TraceOp(op="mark")]),
         Trace(name="b", ops=[TraceOp(op="store", addr=128, size=8)]),
     ]
     multi = MultiStreamTrace.from_traces("a+b", streams)
+    assert len(multi) == 2
     assert multi.total_ops == 3
-    path = tmp_path / "multi.trace"
-    multi.save(path)
-    loaded = MultiStreamTrace.load(path)
-    assert len(loaded) == 2
-    assert [op.op for op in loaded.streams[0].ops] == ["load", "mark"]
-    assert loaded.streams[1].ops[0].sid == 1
+    assert [op.op for op in multi.streams[0].ops] == ["load", "mark"]
     with pytest.raises(ValueError):
         MultiStreamTrace.from_traces("empty", [])
-
-
-def test_trace_op_sid_json_roundtrip():
-    tagged = TraceOp(op="load", addr=64, sid=2)
-    assert TraceOp.from_json(tagged.to_json()) == tagged
-    # sid 0 stays off the wire so classic v2 consumers see five keys.
-    plain = TraceOp(op="load", addr=64)
-    assert '"sid"' not in plain.to_json()
-    assert TraceOp.from_json(plain.to_json()) == plain
 
 
 # ----------------------------------------------------------------------

@@ -77,28 +77,6 @@ class TestReplay:
             replay(trace, make_machine())
 
 
-class TestSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        recorder = TraceRecorder(make_machine(), name="t")
-        drive(recorder)
-        path = tmp_path / "trace.jsonl"
-        recorder.trace.save(path)
-        loaded = Trace.load(path)
-        assert loaded.name == "t"
-        assert loaded.ops == recorder.trace.ops
-
-    def test_loaded_trace_replays(self, tmp_path):
-        recorder = TraceRecorder(make_machine(), name="t")
-        drive(recorder)
-        original = recorder.result("t")
-        path = tmp_path / "trace.jsonl"
-        recorder.trace.save(path)
-
-        fresh = make_machine()
-        replay(Trace.load(path), fresh)
-        assert fresh.result("t").elapsed_ns == pytest.approx(original.elapsed_ns)
-
-
 class TestCli:
     def test_table1_command(self, capsys):
         from repro.cli import main

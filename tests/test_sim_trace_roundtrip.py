@@ -1,12 +1,11 @@
-"""Trace round-trip fidelity: capture -> JSONL -> replay == direct run.
+"""Trace round-trip fidelity: capture -> replay == direct run.
 
 Every built-in workload family is captured through a
-:class:`TraceRecorder`, saved to the portable JSON-lines format, loaded
-back, and replayed on a fresh machine under every registered scheme.
-The replayed run must be bit-identical to direct execution — same
-clock, same NVM traffic, same stats dict — which pins the two trace
-fidelity fixes (fractional compute ns, mmap handle binding) and gates
-the batch compiler's input format.
+:class:`TraceRecorder` and replayed on a fresh machine under every
+registered scheme.  The replayed run must be bit-identical to direct
+execution — same clock, same NVM traffic, same stats dict — which pins
+the two trace fidelity fixes (fractional compute ns, mmap handle
+binding) and gates the batch compiler's input format.
 """
 
 import pytest
@@ -35,7 +34,7 @@ def _capture(config, workload):
 
 @pytest.mark.parametrize("workload_name", sorted(_FACTORIES))
 @pytest.mark.parametrize("scheme_name", scheme_names())
-def test_roundtrip_bit_identical(workload_name, scheme_name, tmp_path):
+def test_roundtrip_bit_identical(workload_name, scheme_name):
     factory = _FACTORIES[workload_name]
     config = get_scheme(scheme_name).configure(MachineConfig())
 
@@ -43,14 +42,9 @@ def test_roundtrip_bit_identical(workload_name, scheme_name, tmp_path):
     trace, captured = _capture(config, factory())
     assert captured.to_dict() == direct.to_dict()  # recording is transparent
 
-    path = tmp_path / "trace.jsonl"
-    trace.save(path)
-    loaded = Trace.load(path)
-    assert loaded.ops == trace.ops
-
     fresh = Machine(config)
     factory().setup(fresh)
-    replay(loaded, fresh)
+    replay(trace, fresh)
     replayed = fresh.result(workload_name)
     assert replayed.to_dict() == direct.to_dict()
 
@@ -59,38 +53,18 @@ class TestComputeFidelity:
     """Regression: compute() used to store int(ns), so fractional
     compute times drifted between capture and replay."""
 
-    def test_fractional_ns_survives_json(self, tmp_path):
+    def test_fractional_ns_survives_replay(self):
         machine = Machine(MachineConfig())
         machine.add_user(uid=1000, gid=100, passphrase="pw")
         recorder = TraceRecorder(machine, name="t")
         recorder.compute(12.75)
-
-        path = tmp_path / "trace.jsonl"
-        recorder.trace.save(path)
-        (op,) = Trace.load(path).ops
+        (op,) = recorder.trace.ops
         assert op.ns == 12.75
 
         fresh = Machine(MachineConfig())
         fresh.add_user(uid=1000, gid=100, passphrase="pw")
-        replay(Trace.load(path), fresh)
+        replay(recorder.trace, fresh)
         assert fresh.result("t").elapsed_ns == machine.result("t").elapsed_ns
-
-    def test_legacy_compute_still_replays(self):
-        # v1 traces carry only the truncated size; replay keeps using it.
-        machine = Machine(MachineConfig())
-        machine.add_user(uid=1000, gid=100, passphrase="pw")
-        replay(Trace(name="v1", ops=[TraceOp(op="compute", size=50)]), machine)
-        assert machine.result("t").elapsed_ns == 50.0
-
-    def test_v1_json_line_loads(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
-        path.write_text(
-            '{"name": "old"}\n'
-            '{"op": "compute", "addr": 0, "size": 50, "path": "", "flag": false}\n'
-        )
-        trace = Trace.load(path)
-        assert trace.name == "old"
-        assert trace.ops == [TraceOp(op="compute", size=50)]
 
 
 class TestMmapBinding:
@@ -127,28 +101,6 @@ class TestMmapBinding:
         fresh = self._machine()
         replay(recorder.trace, fresh)
         assert fresh.result("t").to_dict() == direct.to_dict()
-
-    def test_legacy_single_file_trace_still_replays(self):
-        trace = Trace(
-            name="v1",
-            ops=[
-                TraceOp(op="create", path="/pmem/a.dat", addr=1000, size=0o644),
-                TraceOp(op="mmap", size=1),  # no path recorded
-            ],
-        )
-        replay(trace, self._machine())  # unambiguous: one file open
-
-    def test_legacy_multi_file_trace_raises(self):
-        trace = Trace(
-            name="v1",
-            ops=[
-                TraceOp(op="create", path="/pmem/a.dat", addr=1000, size=0o644),
-                TraceOp(op="create", path="/pmem/b.dat", addr=1000, size=0o644),
-                TraceOp(op="mmap", size=1),  # ambiguous under two files
-            ],
-        )
-        with pytest.raises(ValueError, match="ambiguous"):
-            replay(trace, self._machine())
 
     def test_unknown_path_raises(self):
         trace = Trace(
