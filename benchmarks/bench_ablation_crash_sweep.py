@@ -13,9 +13,10 @@ every window size; recovery trials grow with the window while runtime
 counter persists shrink — the two ends of the Osiris trade, measured.
 """
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import sweep_workload, workload_factory
 from repro.sim import Machine, MachineConfig, Scheme
+from repro.sim.schemes import crash_matrix_names
 
 STOP_LOSSES = (1, 2, 4, 8)
 ITERATIONS = 12
@@ -100,15 +101,16 @@ def run_matrix():
 
 def test_ablation_crash_sweep_scheme_matrix(benchmark, results_dir):
     """The universal claim: every (scheme, fault-profile) cell of the
-    matrix — FsEncr, the secure baseline, and FsEncr with the explicit
-    WPQ model, each under mixed / torn-burst / counter-flip faults —
-    recovers or detects every line, never silently corrupts."""
+    matrix — every registered crash-matrix column (FsEncr, the secure
+    baseline, FsEncr with the explicit WPQ model, FsEncr with Anubis),
+    each under every fault profile — recovers or detects every line,
+    never silently corrupts."""
     matrix = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
 
     print()
     print(matrix.summary())
     matrix.assert_invariant()
-    assert len(matrix.cells) == 9  # 3 schemes x 3 profiles
+    assert len(matrix.cells) == len(crash_matrix_names()) * len(FAULT_PROFILES)
 
     # Each profile must have really exercised its fault type somewhere.
     torn_bursts = meta_flips = 0

@@ -7,18 +7,25 @@ whenever the simulator runs in *functional* mode — i.e. when cache lines
 are really encrypted so that tests can verify end-to-end confidentiality
 properties (wrong key => garbage plaintext, counter reuse detection, etc.).
 
-The implementation follows FIPS-197 directly: SubBytes / ShiftRows /
-MixColumns / AddRoundKey over a 4x4 column-major state, with a key
-schedule expanded once per key.  It is deliberately straightforward rather
-than table-optimised.  The timing model never calls into it (timing uses
-the paper's 40 ns AES latency constant), but functional mode does, and
-the crash sweep runs in functional mode: there this cipher is the largest
-host cost, so its raw speed bounds crashsweep throughput.
+Encryption is the standard 32-bit T-table round (Daemen & Rijmen's
+Rijndael proposal): four 256-entry tables, built once from the S-box at
+import, fuse SubBytes and MixColumns into four lookups per column word;
+ShiftRows is which state word each lookup reads; round keys are held as
+four big-endian words per round, and the last round uses the S-box
+alone.  Counter mode only ever encrypts.  Decryption stays byte-wise
+(InvSubBytes / InvShiftRows / InvMixColumns over a flat state), because
+``crypto/keys.py`` unwraps file keys with it; it shares only the S-box
+and the key schedule with encryption, so the tests use it as an
+independent inverse.  The timing model never calls into this module
+(timing uses the paper's 40 ns AES latency constant), but functional
+mode does, and the crash sweep runs in functional mode: there this
+cipher is a leading host cost, so its raw speed bounds crashsweep
+throughput.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Tuple
 
 __all__ = ["AES128", "aes128_encrypt_block", "aes128_decrypt_block"]
 
@@ -73,29 +80,49 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
-def _expand_key(key: bytes) -> List[List[int]]:
-    """Expand a 16-byte key into 11 round keys of 16 bytes each."""
+def _build_te_tables() -> Tuple[List[int], ...]:
+    """The four encryption T-tables: SubBytes and MixColumns fused.
+
+    ``Te0[x]`` is the big-endian column ``(2s, s, s, 3s)`` for
+    ``s = SBOX[x]``; ``Te1``..``Te3`` are its byte rotations, one per
+    ShiftRows offset.
+    """
+    te0, te1, te2, te3 = [], [], [], []
+    for s in _SBOX:
+        s2 = _xtime(s)
+        word = (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s)
+        te0.append(word)
+        te1.append(((word >> 8) | (word << 24)) & 0xFFFFFFFF)
+        te2.append(((word >> 16) | (word << 16)) & 0xFFFFFFFF)
+        te3.append(((word >> 24) | (word << 8)) & 0xFFFFFFFF)
+    return te0, te1, te2, te3
+
+
+_TE0, _TE1, _TE2, _TE3 = _build_te_tables()
+
+
+def _expand_key(key: bytes) -> List[int]:
+    """Expand a 16-byte key into 44 big-endian words (11 round keys)."""
     if len(key) != 16:
         raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
-    words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
+    sbox = _SBOX
+    words = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]
     for i in range(4, 44):
-        temp = list(words[i - 1])
+        temp = words[i - 1]
         if i % 4 == 0:
-            temp = temp[1:] + temp[:1]
-            temp = [_SBOX[b] for b in temp]
-            temp[0] ^= _RCON[i // 4 - 1]
-        words.append([t ^ w for t, w in zip(temp, words[i - 4])])
-    return [sum(words[4 * r : 4 * r + 4], []) for r in range(11)]
+            temp = (
+                (sbox[(temp >> 16) & 0xFF] << 24)
+                | (sbox[(temp >> 8) & 0xFF] << 16)
+                | (sbox[temp & 0xFF] << 8)
+                | sbox[temp >> 24]
+            ) ^ (_RCON[i // 4 - 1] << 24)
+        words.append(words[i - 4] ^ temp)
+    return words
 
 
-def _add_round_key(state: List[int], round_key: Sequence[int]) -> None:
+def _add_round_key(state: List[int], round_key: bytes) -> None:
     for i in range(16):
         state[i] ^= round_key[i]
-
-
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _SBOX[state[i]]
 
 
 def _inv_sub_bytes(state: List[int]) -> None:
@@ -104,29 +131,13 @@ def _inv_sub_bytes(state: List[int]) -> None:
 
 
 # The state is kept in flat row-major byte order of the input block; AES's
-# column-major indexing is folded into these row shuffles.
-_SHIFT_ROWS = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11]
-_INV_SHIFT_ROWS = [0] * 16
-for _i, _v in enumerate(_SHIFT_ROWS):
-    _INV_SHIFT_ROWS[_v] = _i
-
-
-def _shift_rows(state: List[int]) -> List[int]:
-    return [state[i] for i in _SHIFT_ROWS]
+# column-major indexing is folded into this row shuffle (the inverse of
+# ShiftRows' [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11]).
+_INV_SHIFT_ROWS = [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3]
 
 
 def _inv_shift_rows(state: List[int]) -> List[int]:
     return [state[i] for i in _INV_SHIFT_ROWS]
-
-
-def _mix_columns(state: List[int]) -> None:
-    for c in range(4):
-        i = 4 * c
-        a0, a1, a2, a3 = state[i : i + 4]
-        state[i + 0] = _xtime(a0) ^ _xtime(a1) ^ a1 ^ a2 ^ a3
-        state[i + 1] = a0 ^ _xtime(a1) ^ _xtime(a2) ^ a2 ^ a3
-        state[i + 2] = a0 ^ a1 ^ _xtime(a2) ^ _xtime(a3) ^ a3
-        state[i + 3] = _xtime(a0) ^ a0 ^ a1 ^ a2 ^ _xtime(a3)
 
 
 def _inv_mix_columns(state: List[int]) -> None:
@@ -151,7 +162,9 @@ class AES128:
 
     def __init__(self, key: bytes) -> None:
         self._key = bytes(key)
-        self._round_keys = _expand_key(self._key)
+        words = _expand_key(self._key)
+        # 11 round keys, each four big-endian column words.
+        self._round_keys = tuple(tuple(words[k : k + 4]) for k in range(0, 44, 4))
 
     @property
     def key(self) -> bytes:
@@ -160,24 +173,39 @@ class AES128:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-        state = list(block)
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
         rk = self._round_keys
-        _add_round_key(state, rk[0])
-        for rnd in range(1, 10):
-            _sub_bytes(state)
-            state = _shift_rows(state)
-            _mix_columns(state)
-            _add_round_key(state, rk[rnd])
-        _sub_bytes(state)
-        state = _shift_rows(state)
-        _add_round_key(state, rk[10])
-        return bytes(state)
+        k0, k1, k2, k3 = rk[0]
+        s0 = int.from_bytes(block[0:4], "big") ^ k0
+        s1 = int.from_bytes(block[4:8], "big") ^ k1
+        s2 = int.from_bytes(block[8:12], "big") ^ k2
+        s3 = int.from_bytes(block[12:16], "big") ^ k3
+        for k0, k1, k2, k3 in rk[1:10]:
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 255] ^ te2[(s2 >> 8) & 255] ^ te3[s3 & 255] ^ k0,
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 255] ^ te2[(s3 >> 8) & 255] ^ te3[s0 & 255] ^ k1,
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 255] ^ te2[(s0 >> 8) & 255] ^ te3[s1 & 255] ^ k2,
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 255] ^ te2[(s1 >> 8) & 255] ^ te3[s2 & 255] ^ k3,
+            )
+        # Last round: SubBytes and ShiftRows, no MixColumns, then AddRoundKey.
+        sbox = _SBOX
+        last = bytes(
+            (
+                sbox[s0 >> 24], sbox[(s1 >> 16) & 255], sbox[(s2 >> 8) & 255], sbox[s3 & 255],
+                sbox[s1 >> 24], sbox[(s2 >> 16) & 255], sbox[(s3 >> 8) & 255], sbox[s0 & 255],
+                sbox[s2 >> 24], sbox[(s3 >> 16) & 255], sbox[(s0 >> 8) & 255], sbox[s1 & 255],
+                sbox[s3 >> 24], sbox[(s0 >> 16) & 255], sbox[(s1 >> 8) & 255], sbox[s2 & 255],
+            )
+        )
+        k0, k1, k2, k3 = rk[10]
+        last_key = k0 << 96 | k1 << 64 | k2 << 32 | k3
+        return (int.from_bytes(last, "big") ^ last_key).to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
         state = list(block)
-        rk = self._round_keys
+        rk = [b"".join(w.to_bytes(4, "big") for w in words) for words in self._round_keys]
         _add_round_key(state, rk[10])
         state = _inv_shift_rows(state)
         _inv_sub_bytes(state)

@@ -28,7 +28,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def generate_otp(cipher: AES128, iv: CounterIV, length: int = 64) -> bytes:
@@ -89,5 +89,9 @@ class OTPEngine:
         return apply_pad(ciphertext, self.pad_for(iv))
 
     def rekey(self, key: bytes) -> None:
-        """Install a new key (used by the re-key-on-overflow path)."""
-        self._cipher = AES128(key)
+        """Install a new key (used by the re-key-on-overflow path).
+
+        Re-installing the current key keeps the cached key schedule.
+        """
+        if key != self._cipher.key:
+            self._cipher = AES128(key)

@@ -8,16 +8,20 @@ counter values are tried in order and the one whose decryption satisfies
 the ECC is the counter that encrypted the line.
 
 This module implements the classic Hamming(72,64) SEC-DED code per
-64-bit word (8 words per cache line => 64 ECC bits per line), with
-single-bit correction and double-bit detection.  Each word's check is
-8 bits, so a wrong counter's pseudo-random decryption passes one word
-about 1 time in 2^8.  When all eight words of a line are decrypted under
-the wrong counter, the line passes with about 2^-64 probability, which
-is the property Osiris recovery leans on.  A torn line is weaker: its
-new words pass under the new counter, so only its old words are tested,
-at about 2^-8 each — a torn first write with one old word is accepted
-about 1 time in 256 (docs/FAULTS.md, "Open defect: a torn first
-write can alias its ECC").
+64-bit word (8 words per cache line => 64 ECC bits per line).  The model
+only compares codes: ``check_word`` reports a mismatch, and nothing
+corrects a word.  Each word's check is 8 bits, so a wrong counter's
+pseudo-random decryption passes one word about 1 time in 2^8.  When all
+eight words of a line are decrypted under the wrong counter, the line
+passes with about 2^-64 probability, which is the property Osiris
+recovery leans on.  A torn line is weaker: its new words pass under the
+new counter, so only its old words are tested, at about 2^-8 each — a
+torn first write with one old word is accepted about 1 time in 256
+(docs/FAULTS.md, "Open defect: a torn first write can alias its ECC").
+
+The code is linear over GF(2), so ``encode_word`` XORs eight 256-entry
+byte tables built at import from the bit-level definition
+(``_hamming_ecc``).
 """
 
 from __future__ import annotations
@@ -51,10 +55,8 @@ _DATA_POSITIONS = _data_positions()
 _CODEWORD_BITS = _DATA_POSITIONS[-1]  # highest used position
 
 
-def encode_word(word: int) -> int:
-    """Compute the 8-bit ECC (7 Hamming parity bits + overall parity)."""
-    if word < 0 or word >= (1 << _DATA_BITS):
-        raise ValueError(f"word out of 64-bit range: {word:#x}")
+def _hamming_ecc(word: int) -> int:
+    """The 8-bit ECC by definition: 7 Hamming parity bits + overall parity."""
     # Scatter data bits into codeword positions.
     codeword = 0
     for bit_index, pos in enumerate(_DATA_POSITIONS):
@@ -73,6 +75,43 @@ def encode_word(word: int) -> int:
     # Overall parity over the full codeword for double-error detection.
     overall = bin(codeword).count("1") & 1
     return parity | (overall << 7)
+
+
+def _byte_tables() -> List[List[int]]:
+    """One 256-entry table per little-endian byte of a word.
+
+    The code is linear over GF(2) with ``ecc(0) == 0``, so a word's ECC is
+    the XOR of its bytes' entries, and each entry is the XOR of its set
+    bits' unit-vector codes: the definition runs only 64 times.
+    """
+    tables = []
+    for byte_index in range(8):
+        units = [_hamming_ecc(1 << (8 * byte_index + bit)) for bit in range(8)]
+        table = [0] * 256
+        for value in range(1, 256):
+            low = (value & -value).bit_length() - 1
+            table[value] = table[value & (value - 1)] ^ units[low]
+        tables.append(table)
+    return tables
+
+
+_T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7 = _byte_tables()
+
+
+def encode_word(word: int) -> int:
+    """Compute the 8-bit ECC (7 Hamming parity bits + overall parity)."""
+    if word < 0 or word >= (1 << _DATA_BITS):
+        raise ValueError(f"word out of 64-bit range: {word:#x}")
+    return (
+        _T0[word & 0xFF]
+        ^ _T1[(word >> 8) & 0xFF]
+        ^ _T2[(word >> 16) & 0xFF]
+        ^ _T3[(word >> 24) & 0xFF]
+        ^ _T4[(word >> 32) & 0xFF]
+        ^ _T5[(word >> 40) & 0xFF]
+        ^ _T6[(word >> 48) & 0xFF]
+        ^ _T7[word >> 56]
+    )
 
 
 def check_word(word: int, ecc: int) -> bool:

@@ -52,7 +52,7 @@ from .config import MachineConfig
 from .histograms import LatencyHistogram
 from .machine import Machine
 from .results import RunResult
-from .trace import LOAD, MARK, PERSIST, STORE, MultiStreamTrace, Trace, TraceCursor
+from .trace import LOAD, MARK, PERSIST, STORE, Trace, TraceCursor
 
 __all__ = [
     "ClosedLoop",
@@ -60,7 +60,6 @@ __all__ = [
     "ServiceQueues",
     "StreamServiceResult",
     "ServiceResult",
-    "capture_streams",
     "run_service",
 ]
 
@@ -289,34 +288,6 @@ class ServiceResult:
             "interleave_digest": self.interleave_digest,
             "service_stats": dict(self.service_stats),
         }
-
-
-def capture_streams(config: MachineConfig, workloads: Sequence) -> MultiStreamTrace:
-    """Capture each workload into one stream of a :class:`MultiStreamTrace`.
-
-    Capture uses a scratch machine per stream purely for address-layout
-    mirroring; nothing is executed on it.  Raises when a workload steps
-    outside the traceable API (functional byte access, filesystem
-    management, direct machine surgery) — the service model cannot interleave what it cannot
-    capture, and a silent drop would fabricate a lighter mix.
-    """
-    from .batch import capture_workload
-
-    if not workloads:
-        raise ValueError("a service run needs at least one stream")
-    streams: List[Trace] = []
-    for workload in workloads:
-        machine = Machine(config)
-        workload.setup(machine)
-        trace = capture_workload(machine, workload)
-        if trace is None:
-            raise ValueError(
-                f"workload {workload.name!r} is not capturable; the service "
-                "model only runs trace-expressible streams"
-            )
-        streams.append(trace)
-    name = "+".join(w.name for w in workloads)
-    return MultiStreamTrace.from_traces(name=name, streams=streams)
 
 
 def run_service(

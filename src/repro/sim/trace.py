@@ -12,10 +12,6 @@ batch compiler (:mod:`repro.sim.batch`), the crash sweep
 Replay requires the target machine to have the same virtual layout the
 trace was captured against, so the recorder also logs the file/mmap
 preamble and replays it first.
-
-:class:`MultiStreamTrace` groups per-stream traces for the
-concurrent-traffic service model, which interleaves them by virtual
-time under a closed-loop or open-loop arrival policy.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from .machine import Machine
 __all__ = [
     "TraceOp",
     "Trace",
-    "MultiStreamTrace",
     "TraceRecorder",
     "TraceCursor",
     "replay",
@@ -189,32 +184,3 @@ def replay(trace: Trace, machine: Machine) -> None:
     cursor = TraceCursor(machine)
     for op in trace.ops:
         cursor.apply(op)
-
-
-@dataclass
-class MultiStreamTrace:
-    """Per-stream traces destined for one concurrent service run.
-
-    Stream ``k`` is ``streams[k]``; each holds the classic
-    single-stream op sequence one client issues.  The *interleaving* of
-    the streams is not fixed here — it is produced by the service
-    model's scheduler under an arrival policy (closed-loop MLP window
-    or open-loop seeded inter-arrival process; see
-    :mod:`repro.sim.service`).
-    """
-
-    name: str
-    streams: List[Trace] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.streams)
-
-    @property
-    def total_ops(self) -> int:
-        return sum(len(stream) for stream in self.streams)
-
-    @classmethod
-    def from_traces(cls, name: str, traces: List[Trace]) -> "MultiStreamTrace":
-        if not traces:
-            raise ValueError("a MultiStreamTrace needs at least one stream")
-        return cls(name=name, streams=list(traces))

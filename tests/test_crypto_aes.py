@@ -1,10 +1,27 @@
-"""AES-128 primitive: FIPS-197 conformance, inversion, error handling."""
+"""AES-128 primitive: FIPS-197 conformance, inversion, error handling.
+
+Counter mode decrypts correctly under *any* keyed permutation, so a
+wrong encryption table would leave every sweep and golden digest
+unchanged.  The known-answer vectors, the byte-wise inverse and the
+pinned keystream digest below are the cipher's own guard.
+"""
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import AES128, aes128_decrypt_block, aes128_encrypt_block
+from repro.crypto import (
+    AES128,
+    FILE_DOMAIN,
+    MEMORY_DOMAIN,
+    CounterIV,
+    OTPEngine,
+    aes128_decrypt_block,
+    aes128_encrypt_block,
+)
 
 # FIPS-197 Appendix C.1 vector.
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -15,6 +32,18 @@ FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 APPB_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 APPB_PLAIN = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
 APPB_CIPHER = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+
+# NIST SP 800-38A Appendix F.1.1, ECB-AES128 (key as in Appendix B).
+SP800_38A_ECB = [
+    ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97"),
+    ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf"),
+    ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688"),
+    ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
+]
+
+# sha256 over OTPEngine.pad_for for the seeded engines and IVs of
+# _keystream_digest, recorded with the byte-wise FIPS-197 cipher.
+KEYSTREAM_SHA256 = "66efae3acef13b28aace4fbb7cc1dc3ae1f938e54edd266166cf273f3815b044"
 
 
 class TestFipsVectors:
@@ -29,6 +58,14 @@ class TestFipsVectors:
 
     def test_appendix_b_decrypt(self):
         assert AES128(APPB_KEY).decrypt_block(APPB_CIPHER) == APPB_PLAIN
+
+    @pytest.mark.parametrize("plain, cipher", SP800_38A_ECB)
+    def test_sp800_38a_ecb_encrypt(self, plain, cipher):
+        assert AES128(APPB_KEY).encrypt_block(bytes.fromhex(plain)) == bytes.fromhex(cipher)
+
+    @pytest.mark.parametrize("plain, cipher", SP800_38A_ECB)
+    def test_sp800_38a_ecb_decrypt(self, plain, cipher):
+        assert AES128(APPB_KEY).decrypt_block(bytes.fromhex(cipher)) == bytes.fromhex(plain)
 
     def test_one_shot_helpers(self):
         assert aes128_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
@@ -80,8 +117,10 @@ class TestCipherProperties:
         assert AES128(bytes(16)).encrypt_block(bytes(16)) != bytes(16)
 
     @given(key=st.binary(min_size=16, max_size=16), block=st.binary(min_size=16, max_size=16))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_roundtrip_property(self, key, block):
+        # Decryption is byte-wise FIPS-197, independent of the T-table
+        # encryption rounds: it is the oracle for them.
         cipher = AES128(key)
         assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
 
@@ -90,3 +129,26 @@ class TestCipherProperties:
     def test_encrypt_decrypt_are_inverse_both_ways(self, block):
         cipher = AES128(FIPS_KEY)
         assert cipher.encrypt_block(cipher.decrypt_block(block)) == block
+
+
+def _keystream_digest() -> str:
+    rng = random.Random(20220402)
+    digest = hashlib.sha256()
+    for _ in range(4):
+        engine = OTPEngine(rng.randbytes(16))
+        for domain in (MEMORY_DOMAIN, FILE_DOMAIN):
+            for _ in range(16):
+                iv = CounterIV(
+                    domain=domain,
+                    page_id=rng.getrandbits(40),
+                    page_offset=rng.getrandbits(6),
+                    major=rng.getrandbits(64),
+                    minor=rng.getrandbits(7),
+                )
+                digest.update(engine.pad_for(iv))
+    return digest.hexdigest()
+
+
+def test_keystream_digest_pinned():
+    """Memory- and file-domain pads, byte for byte, against the pinned digest."""
+    assert _keystream_digest() == KEYSTREAM_SHA256

@@ -40,6 +40,15 @@ class TestXorBytes:
     def test_involution_property(self, a, b):
         assert xor_bytes(xor_bytes(a, b), b) == a
 
+    @given(data=st.data(), size=st.integers(0, 80))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_bytewise_xor(self, data, size):
+        a = data.draw(st.binary(min_size=size, max_size=size))
+        b = data.draw(st.binary(min_size=size, max_size=size))
+        out = xor_bytes(bytearray(a), memoryview(b))
+        assert type(out) is bytes
+        assert out == bytes(x ^ y for x, y in zip(a, b))
+
 
 class TestGenerateOtp:
     def test_length(self):
@@ -117,6 +126,19 @@ class TestOTPEngine:
         before = engine.pad_for(iv())
         engine.rekey(bytes([9] * 16))
         assert engine.pad_for(iv()) != before
+
+    def test_rekey_to_current_key_keeps_schedule(self):
+        engine = OTPEngine(bytes(16))
+        cipher = engine._cipher
+        engine.rekey(bytes(16))
+        assert engine._cipher is cipher
+
+    def test_rekey_back_restores_pads(self):
+        engine = OTPEngine(bytes(16))
+        before = engine.pad_for(iv())
+        engine.rekey(bytes([9] * 16))
+        engine.rekey(bytes(16))
+        assert engine.pad_for(iv()) == before
 
     def test_line_size_respected(self):
         engine = OTPEngine(bytes(16), line_size=32)

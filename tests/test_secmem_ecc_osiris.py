@@ -1,5 +1,8 @@
 """SEC-DED ECC codec and Osiris stop-loss crash consistency."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,11 @@ from repro.secmem import (
     encode_line,
     encode_word,
 )
+from repro.secmem.ecc import _hamming_ecc
+
+# sha256 over encode_line for the seeded lines of _encode_line_digest,
+# recorded with the bit-loop Hamming encoder.
+ENCODE_LINE_SHA256 = "467ed230fef0dd1ac003dfc5c6396f80beb33f85a0036453845e836159c7241f"
 
 
 class TestEccWord:
@@ -45,6 +53,22 @@ class TestEccWord:
     def test_any_single_flip_detected_property(self, word, bit):
         assert not check_word(word ^ (1 << bit), encode_word(word))
 
+    @given(a=st.integers(0, (1 << 64) - 1), b=st.integers(0, (1 << 64) - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_linear_over_gf2_property(self, a, b):
+        assert encode_word(a ^ b) == encode_word(a) ^ encode_word(b)
+        assert _hamming_ecc(a ^ b) == _hamming_ecc(a) ^ _hamming_ecc(b)
+        assert encode_word(a) == _hamming_ecc(a)
+
+    def test_tables_match_definition_on_every_byte_value(self):
+        """Every table entry (the 64 unit vectors among them) equals the
+        bit-loop Hamming code of the word holding that one byte."""
+        assert encode_word(0) == _hamming_ecc(0) == 0
+        for shift in range(0, 64, 8):
+            for value in range(1, 256):
+                word = value << shift
+                assert encode_word(word) == _hamming_ecc(word), hex(word)
+
 
 class TestEccLine:
     def test_roundtrip(self):
@@ -62,14 +86,19 @@ class TestEccLine:
         eight words must fail — this is what Osiris recovery leans on."""
         line = bytes(range(64))
         ecc = encode_line(line)
-        import hashlib
-
         failures = 0
         for trial in range(32):
             garbage = hashlib.sha256(bytes([trial])).digest() * 2
             if not check_line(garbage, ecc):
                 failures += 1
         assert failures == 32
+
+    def test_encode_line_digest_pinned(self):
+        rng = random.Random(20220402)
+        digest = hashlib.sha256()
+        for _ in range(256):
+            digest.update(encode_line(rng.randbytes(64)))
+        assert digest.hexdigest() == ENCODE_LINE_SHA256
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

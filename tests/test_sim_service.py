@@ -27,7 +27,6 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.schemes import get_scheme, scheme_names
 from repro.sim.service import ClosedLoop, OpenLoop, ServiceQueues, run_service
-from repro.sim.trace import MultiStreamTrace, Trace, TraceOp
 from repro.workloads import ManyFilesWorkload
 from repro.workloads.base import (
     StreamSpec,
@@ -356,24 +355,6 @@ def test_many_files_churn_validation():
         ManyFilesWorkload(churn=1.5)
     with pytest.raises(ValueError):
         ManyFilesWorkload(churn=-0.1)
-
-
-# ----------------------------------------------------------------------
-# MultiStreamTrace
-# ----------------------------------------------------------------------
-
-
-def test_multi_stream_trace_from_traces():
-    streams = [
-        Trace(name="a", ops=[TraceOp(op="load", addr=64), TraceOp(op="mark")]),
-        Trace(name="b", ops=[TraceOp(op="store", addr=128, size=8)]),
-    ]
-    multi = MultiStreamTrace.from_traces("a+b", streams)
-    assert len(multi) == 2
-    assert multi.total_ops == 3
-    assert [op.op for op in multi.streams[0].ops] == ["load", "mark"]
-    with pytest.raises(ValueError):
-        MultiStreamTrace.from_traces("empty", [])
 
 
 # ----------------------------------------------------------------------
