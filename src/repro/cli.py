@@ -294,6 +294,12 @@ def _run_crashsweep(args) -> int:
         iterations=args.iters or 0,
         runner=runner,
     )
+    if matrix.cells and not any(cell.boundaries_total for cell in matrix.cells.values()):
+        # Zero crash points audited: an "OK" here would be vacuous.
+        raise UsageError(
+            f"workload {args.workload!r} has no persist boundary to crash at; "
+            "the sweep needs a workload that persists"
+        )
     cells = sorted(matrix.cells.items())
     lines = [matrix.summary()]
     for (scheme_label, profile_name), cell in cells:

@@ -221,7 +221,7 @@ class FsEncrController(BaselineSecureController):
         yield from super()._integrity_leaf_addrs()
         for page in sorted(self.fecb.snapshot()):
             yield self.layout.fecb_addr(page)
-        for slot in range(self.layout.ott_slots):
+        for slot in self.ott_region.occupied_slots():
             if self.ott_region.slot_bytes(slot) != bytes(LINE_SIZE):
                 yield self.layout.ott_slot_addr(slot)
 
@@ -470,7 +470,9 @@ class FsEncrController(BaselineSecureController):
         # The table object survives (its geometry and stats are hardware
         # properties); only the volatile SRAM contents are rebuilt.
         self.ott.reset()
-        for slot in range(self.layout.ott_slots):
+        # Unoccupied slots read as zeros and hold nothing to unseal; the
+        # modelled scan still reads every slot (``reboot_machine``).
+        for slot in self.ott_region.occupied_slots():
             raw = self.ott_region.slot_bytes(slot)
             if raw == bytes(LINE_SIZE):
                 continue

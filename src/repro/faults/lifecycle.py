@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.ott import KeyUnavailableError
 from ..crypto.iv import FILE_DOMAIN, MEMORY_DOMAIN, CounterIV
-from ..crypto.otp import xor_bytes
 from ..mem.address import LINE_SIZE, LINES_PER_PAGE, page_number, page_offset_lines
 from ..secmem.counters import MINOR_BITS
 from ..secmem.ecc import check_line
@@ -363,46 +362,19 @@ def crash_machine(machine, plan: FaultPlan) -> CrashReport:
 # ======================================================================
 
 
-def _memory_trial(controller, cipher: bytes, page: int, line_index: int, major: int, minor: int) -> bytes:
+def _line_pad(engine, domain: int, page: int, line_index: int, major: int, minor: int) -> int:
+    """One layer's pad for one line, as a little-endian integer."""
     iv = CounterIV(
-        domain=MEMORY_DOMAIN,
-        page_id=page,
-        page_offset=line_index,
-        major=major % (1 << 64),
-        minor=minor,
+        domain=domain, page_id=page, page_offset=line_index, major=major, minor=minor
     )
-    return xor_bytes(cipher, controller._memory_engine.pad_for(iv))
+    return int.from_bytes(engine.pad_for(iv), "little")
 
 
-def _stamped_trial(
-    controller,
-    key: bytes,
-    cipher: bytes,
-    page: int,
-    line_index: int,
-    mem_major: int,
-    mem_minor: int,
-    file_major: int,
-    file_minor: int,
-) -> bytes:
-    mem_iv = CounterIV(
-        domain=MEMORY_DOMAIN,
-        page_id=page,
-        page_offset=line_index,
-        major=mem_major % (1 << 64),
-        minor=mem_minor,
+def _memory_trial(controller, cipher: bytes, page: int, line_index: int, major: int, minor: int) -> bytes:
+    pad = _line_pad(
+        controller._memory_engine, MEMORY_DOMAIN, page, line_index, major % (1 << 64), minor
     )
-    file_iv = CounterIV(
-        domain=FILE_DOMAIN,
-        page_id=page,
-        page_offset=line_index,
-        major=file_major,
-        minor=file_minor,
-    )
-    pad = controller._memory_engine.pad_for(mem_iv)
-    controller._file_engine.rekey(key)
-    pad = xor_bytes(pad, controller._file_engine.pad_for(file_iv))
-    return xor_bytes(cipher, pad)
+    return (int.from_bytes(cipher, "little") ^ pad).to_bytes(LINE_SIZE, "little")
 
 
 def _recover_stamped_line(
@@ -424,7 +396,19 @@ def _recover_stamped_line(
     the write path, so the true pair is minimally ahead of the persisted
     pair — and each layer's lag is independently bounded by its own
     stop-loss window.
+
+    Each trial checks ``cipher ^ OTP_mem ^ OTP_file`` against the ECC.
+    A layer's pad depends only on its own candidate, so the window's at
+    most ``stop_loss + 1`` pads per layer are each computed once and
+    reused by every pair that shares them.
     """
+    memory_engine = controller._memory_engine
+    file_engine = controller._file_engine
+    file_engine.rekey(key)
+    mem_major %= 1 << 64
+    cipher_int = int.from_bytes(cipher, "little")
+    mem_pads: Dict[int, int] = {}
+    file_pads: Dict[int, int] = {}
     trials = 0
     for total in range(2 * stop_loss + 1):
         for mem_off in range(max(0, total - stop_loss), min(stop_loss, total) + 1):
@@ -434,10 +418,17 @@ def _recover_stamped_line(
             if cand_mem >= _MINOR_LIMIT or cand_file >= _MINOR_LIMIT:
                 continue
             trials += 1
-            plaintext = _stamped_trial(
-                controller, key, cipher, page, line_index,
-                mem_major, cand_mem, file_major, cand_file,
-            )
+            mem_pad = mem_pads.get(cand_mem)
+            if mem_pad is None:
+                mem_pad = mem_pads[cand_mem] = _line_pad(
+                    memory_engine, MEMORY_DOMAIN, page, line_index, mem_major, cand_mem
+                )
+            file_pad = file_pads.get(cand_file)
+            if file_pad is None:
+                file_pad = file_pads[cand_file] = _line_pad(
+                    file_engine, FILE_DOMAIN, page, line_index, file_major, cand_file
+                )
+            plaintext = (cipher_int ^ mem_pad ^ file_pad).to_bytes(LINE_SIZE, "little")
             if check_line(plaintext, ecc):
                 return (cand_mem, cand_file, plaintext), trials
     return None, trials
@@ -576,10 +567,13 @@ def reboot_machine(machine) -> RecoveryReport:
                     new_shadow[addr] = found[2]
                     lines_recovered += 1
                 else:
+                    plaintexts: Dict[int, bytes] = {}
+
                     def decrypt(candidate: int) -> bytes:
-                        return _memory_trial(
+                        plaintext = plaintexts[candidate] = _memory_trial(
                             controller, cipher, page, line_index, mem_major, candidate
                         )
+                        return plaintext
 
                     try:
                         result = osiris_recovery.recover_counter(
@@ -603,10 +597,7 @@ def reboot_machine(machine) -> RecoveryReport:
                     trials_total += result.trials
                     recovery_ns += result.trials * trial_cost_ns
                     mem_minors[line_index] = result.recovered_value
-                    new_shadow[addr] = _memory_trial(
-                        controller, cipher, page, line_index,
-                        mem_major, result.recovered_value,
-                    )
+                    new_shadow[addr] = plaintexts[result.recovered_value]
                     lines_recovered += 1
 
     # -- 3. install the recovered state ---------------------------------

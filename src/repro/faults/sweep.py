@@ -7,9 +7,11 @@ to a state that is either consistent or *explicitly* detected as
 damaged.  One hand-picked crash test cannot check a universal claim;
 this module enumerates the claim's domain instead:
 
-1. record a workload run through :class:`~repro.sim.trace.TraceRecorder`
-   and collect every persist boundary (each ``persist`` is a point where
-   an application believes data durable — the interesting instants);
+1. capture the workload's op stream with
+   :func:`~repro.sim.batch.capture_workload` — a recording stub on a
+   set-up machine, so nothing is simulated — and collect every persist
+   boundary (each ``persist`` is a point where an application believes
+   data durable — the interesting instants);
 2. for each sampled boundary, replay the op prefix onto a fresh
    functional machine — stores carry deterministic, address-salted
    payloads so every line has a known expected value — and crash it
@@ -46,10 +48,11 @@ from ..secmem.ecc import check_line
 from ..secmem.merkle import IntegrityError
 from ..secmem.osiris import CounterRecoveryError
 from ..sim import trace as trace_mod
+from ..sim.batch import capture_workload
 from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.schemes import crash_matrix_names, get_scheme
-from ..sim.trace import TraceCursor, TraceRecorder
+from ..sim.trace import TraceCursor
 from .lifecycle import CrashReport, RecoveryReport
 from .plan import FAULT_PROFILES, FaultPlan
 
@@ -286,14 +289,20 @@ def sweep_workload(
     plan = plan or FaultPlan()
 
     workload = factory()
-    recorder = TraceRecorder(Machine(run_config), name=name or getattr(workload, "name", "sweep"))
-    workload.setup(recorder)
-    workload.run(recorder)
-    ops = recorder.trace.ops
+    workload_name = name or getattr(workload, "name", "sweep")
+    machine = Machine(run_config)
+    workload.setup(machine)
+    trace = capture_workload(machine, workload)
+    if trace is None:
+        raise ValueError(
+            f"workload {workload_name!r} is not capturable; the crash sweep "
+            "only runs trace-expressible workloads"
+        )
+    ops = trace.ops
     boundaries = [i for i, op in enumerate(ops) if op.op == trace_mod.PERSIST]
 
     result = SweepResult(
-        workload=recorder.trace.name,
+        workload=workload_name,
         scheme=run_config.scheme.value,
         seed=seed,
         boundaries_total=len(boundaries),

@@ -19,7 +19,7 @@ Two concerns live here, deliberately separated:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .address import LINE_SIZE, AddressMap, line_address
 from .stats import StatCounters
@@ -88,6 +88,19 @@ class NVMDevice:
         # let ablations and users audit wear hot spots.
         self._track_wear = track_wear
         self._wear: Dict[int, int] = {}
+        # Every read and write runs through _locate and _access, so the
+        # geometry and latencies they need are plain attributes.
+        amap = self.address_map
+        self._row_shift = amap.row_buffer_bytes.bit_length() - 1
+        self._channel_bits = amap.channels.bit_length() - 1
+        self._bank_bits = amap.banks_per_rank.bit_length() - 1
+        self._bank_index_bits = amap.total_banks.bit_length() - 1
+        self._bank_mask = amap.total_banks - 1
+        self._bank_slots: List[Optional[_BankState]] = [None] * amap.total_banks
+        self._row_hit_ns = self.timing.row_hit_ns
+        self._row_miss_ns = self.timing.row_miss_read_ns
+        self._dirty_evict_ns = self.timing.dirty_evict_ns
+        self._counters = self.stats.counters
 
     def _bank(self, key: tuple) -> _BankState:
         state = self._banks.get(key)
@@ -96,40 +109,62 @@ class NVMDevice:
             self._banks[key] = state
         return state
 
-    def _access(self, addr: int, is_write: bool) -> float:
-        coord = self.address_map.decompose(addr)
-        bank = self._bank(coord.bank_key)
-        timing = self.timing
-        latency = 0.0
-        if bank.open_row == coord.row:
+    def _locate(self, addr: int) -> Tuple[_BankState, int]:
+        """``(bank state, row)`` of a byte address.
+
+        The integer form of :meth:`AddressMap.decompose` plus
+        :meth:`_bank`: every geometry is a power of two, so the
+        (channel, bank, rank) fields are the low bits of the row-buffer
+        index and the row is what lies above them.
+        """
+        if addr < 0:
+            raise ValueError(f"negative address: {addr:#x}")
+        line = addr >> self._row_shift
+        index = line & self._bank_mask
+        state = self._bank_slots[index]
+        if state is None:
+            channel_bits = self._channel_bits
+            bank_bits = self._bank_bits
+            channel = index & ((1 << channel_bits) - 1)
+            bank = (index >> channel_bits) & ((1 << bank_bits) - 1)
+            rank = index >> (channel_bits + bank_bits)
+            state = self._bank((channel, rank, bank))
+            self._bank_slots[index] = state
+        return state, line >> self._bank_index_bits
+
+    def _access(self, bank: _BankState, row: int, is_write: bool) -> float:
+        counters = self._counters
+        if bank.open_row == row:
             bank.consecutive_misses = 0
-            latency += timing.row_hit_ns
-            self.stats.add("row_hits")
-        else:
-            bank.consecutive_misses += 1
-            self.stats.add("row_misses")
-            if bank.open_row is not None and bank.dirty:
-                # Dirty row restore before the new activate.
-                latency += timing.dirty_evict_ns
-                self.stats.add("dirty_row_writebacks")
-            latency += timing.row_miss_read_ns
-            bank.open_row = coord.row
-            bank.dirty = False
-            if bank.consecutive_misses >= self.ADAPT_THRESHOLD:
-                # Adaptive close: pay the restore now, skip it next miss.
-                if bank.dirty:
-                    latency += timing.dirty_evict_ns
-                bank.open_row = None
-                bank.consecutive_misses = 0
-                self.stats.add("adaptive_closes")
+            counters["row_hits"] += 1
+            if is_write:
+                bank.dirty = True
+            return self._row_hit_ns
+        latency = 0.0
+        bank.consecutive_misses += 1
+        counters["row_misses"] += 1
+        if bank.open_row is not None and bank.dirty:
+            # Dirty row restore before the new activate.
+            latency += self._dirty_evict_ns
+            counters["dirty_row_writebacks"] += 1
+        latency += self._row_miss_ns
+        bank.open_row = row
+        bank.dirty = False
+        if bank.consecutive_misses >= self.ADAPT_THRESHOLD:
+            # Adaptive close: the new activate leaves the buffer clean,
+            # so closing it now costs no restore.
+            bank.open_row = None
+            bank.consecutive_misses = 0
+            counters["adaptive_closes"] += 1
         if is_write:
             bank.dirty = bank.open_row is not None
         return latency
 
     def read(self, addr: int) -> float:
         """Read one line; returns latency in ns."""
-        self.stats.add("reads")
-        return self._access(addr, is_write=False)
+        self._counters["reads"] += 1
+        bank, row = self._locate(addr)
+        return self._access(bank, row, False)
 
     def write(self, addr: int, persist: bool = False) -> float:
         """Write one line; ``persist`` forces the PCM array write now.
@@ -138,16 +173,16 @@ class NVMDevice:
         row buffer: durability requires the cell write, which is why
         write-intensive persistent workloads hurt most in the paper.
         """
-        self.stats.add("writes")
+        self._counters["writes"] += 1
         if self._track_wear:
             line = line_address(addr)
             self._wear[line] = self._wear.get(line, 0) + 1
-        latency = self._access(addr, is_write=True)
+        bank, row = self._locate(addr)
+        latency = self._access(bank, row, True)
         if persist:
-            latency += self.timing.dirty_evict_ns
-            coord = self.address_map.decompose(addr)
-            self._bank(coord.bank_key).dirty = False
-            self.stats.add("persist_writes")
+            latency += self._dirty_evict_ns
+            bank.dirty = False
+            self._counters["persist_writes"] += 1
         return latency
 
     @property

@@ -538,30 +538,16 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
     ROW_MISS = timing.row_miss_read_ns
     DIRTY_EVICT = timing.dirty_evict_ns
     ADAPT = device.ADAPT_THRESHOLD
-    amap = device.address_map
-    _LSIZE_COLS = amap.line_size * amap.columns_per_row
-    _CHANS = amap.channels
-    _BANKS = amap.banks_per_rank
-    _RANKS = amap.ranks_per_channel
-    get_bank = device._bank
+    locate = device._locate
     track_wear = device._track_wear
     wear = device._wear
     bank_memo: Dict[int, tuple] = {}
 
     def dev_bank(addr: int) -> tuple:
-        """AddressMap.decompose + NVMDevice._bank, memoized per address."""
+        """NVMDevice._locate, memoized per address."""
         entry = bank_memo.get(addr)
         if entry is None:
-            if addr < 0:
-                raise ValueError(f"negative address: {addr:#x}")
-            line = addr // _LSIZE_COLS
-            channel = line % _CHANS
-            line //= _CHANS
-            bank = line % _BANKS
-            line //= _BANKS
-            rank = line % _RANKS
-            entry = (get_bank((channel, rank, bank)), line // _RANKS)
-            bank_memo[addr] = entry
+            entry = bank_memo[addr] = locate(addr)
         return entry
 
     def dev_read_miss(bank, row: int) -> float:

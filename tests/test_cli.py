@@ -99,6 +99,18 @@ def test_plan_flags_with_a_named_profile_are_rejected():
     assert exc.value.code == 2
 
 
+def test_crashsweep_without_persist_boundaries_is_a_usage_error(tmp_path, capsys):
+    # DAX-1 only loads: no crash point exists, so "OK" would be vacuous.
+    with pytest.raises(SystemExit) as exc:
+        main(["crashsweep", "--workload", "DAX-1", "--iters", "20", "--points", "2",
+              "--seed", "7", "--scheme", "fsencr", "--profile", "mixed",
+              "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "'DAX-1' has no persist boundary" in captured.err
+    assert "OK:" not in captured.out
+
+
 def test_figure_aliases_share_one_handler():
     parser = build_parser()
     fig8 = parser.parse_args(["fig8"]).func

@@ -11,10 +11,16 @@ as silently wrong bytes.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro.crypto.iv import FILE_DOMAIN, MEMORY_DOMAIN, CounterIV
+from repro.crypto.otp import OTPEngine, xor_bytes
 from repro.faults import CrashDomain, FaultPlan, LineWrite, TEAR_BYTES
-from repro.secmem.ecc import check_line
+from repro.faults.lifecycle import _MINOR_LIMIT, _recover_stamped_line
+from repro.secmem.ecc import check_line, encode_line
 from repro.sim import Machine, MachineConfig, Scheme
 
 LINE = 64
@@ -314,3 +320,135 @@ class TestCrashDomainUnit:
     def test_tear_granularity_is_device_word(self):
         assert TEAR_BYTES == 8
         assert LINE % TEAR_BYTES == 0
+
+
+class _CountingEngine:
+    """An OTP engine wrapper that counts pad computations per IV."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.calls = Counter()
+
+    def pad_for(self, iv):
+        self.calls[iv.pack()] += 1
+        return self._engine.pad_for(iv)
+
+    def rekey(self, key):
+        self._engine.rekey(key)
+
+
+class _EngineHolder:
+    """The two engine attributes the Osiris search reads off a controller."""
+
+    def __init__(self, mem_key, file_key):
+        self._memory_engine = _CountingEngine(OTPEngine(mem_key))
+        self._file_engine = _CountingEngine(OTPEngine(file_key))
+
+
+def _naive_stamped_search(mem_key, file_key, cipher, ecc, page, line_index,
+                          mem_major, mem_minor, file_major, file_minor, stop_loss):
+    """Reference 2-D search: every in-range (MECB, FECB) lag pair, ordered
+    by total lag then MECB lag, both pads recomputed for each trial."""
+    pairs = sorted(
+        ((m, f) for m in range(stop_loss + 1) for f in range(stop_loss + 1)),
+        key=lambda pair: (pair[0] + pair[1], pair[0]),
+    )
+    mem_engine, file_engine = OTPEngine(mem_key), OTPEngine(file_key)
+    trials = 0
+    for mem_off, file_off in pairs:
+        cand_mem, cand_file = mem_minor + mem_off, file_minor + file_off
+        if cand_mem >= _MINOR_LIMIT or cand_file >= _MINOR_LIMIT:
+            continue
+        trials += 1
+        mem_pad = mem_engine.pad_for(CounterIV(
+            domain=MEMORY_DOMAIN, page_id=page, page_offset=line_index,
+            major=mem_major, minor=cand_mem,
+        ))
+        file_pad = file_engine.pad_for(CounterIV(
+            domain=FILE_DOMAIN, page_id=page, page_offset=line_index,
+            major=file_major, minor=cand_file,
+        ))
+        plaintext = xor_bytes(xor_bytes(cipher, mem_pad), file_pad)
+        if check_line(plaintext, ecc):
+            return (cand_mem, cand_file, plaintext), trials
+    return None, trials
+
+
+def _stamped_cases(seed, count=24, stop_loss=4):
+    """Seeded search inputs: lags inside the window, minors at the top of
+    the 7-bit field (clipped windows), and lines with no match."""
+    rng = random.Random(seed)
+    mem_key, file_key = rng.randbytes(16), rng.randbytes(16)
+    for index in range(count):
+        page, line_index = rng.randrange(1 << 20), rng.randrange(64)
+        mem_major, file_major = rng.randrange(1 << 40), rng.randrange(1 << 20)
+        near_ceiling, no_match = index % 2, index % 4 >= 2
+        if near_ceiling:  # the window is clipped at the field's top
+            mem_minor = _MINOR_LIMIT - 1 - rng.randrange(stop_loss)
+            file_minor = _MINOR_LIMIT - 1 - rng.randrange(stop_loss)
+        else:
+            mem_minor = rng.randrange(_MINOR_LIMIT - stop_loss)
+            file_minor = rng.randrange(_MINOR_LIMIT - stop_loss)
+        plaintext = rng.randbytes(LINE)
+        ecc = encode_line(plaintext)
+        if no_match:  # no candidate decrypts to a line matching this ECC
+            cipher = rng.randbytes(LINE)
+        else:
+            true_mem = rng.randrange(mem_minor, min(mem_minor + stop_loss, _MINOR_LIMIT - 1) + 1)
+            true_file = rng.randrange(file_minor, min(file_minor + stop_loss, _MINOR_LIMIT - 1) + 1)
+            cipher = xor_bytes(xor_bytes(plaintext, OTPEngine(mem_key).pad_for(CounterIV(
+                domain=MEMORY_DOMAIN, page_id=page, page_offset=line_index,
+                major=mem_major, minor=true_mem,
+            ))), OTPEngine(file_key).pad_for(CounterIV(
+                domain=FILE_DOMAIN, page_id=page, page_offset=line_index,
+                major=file_major, minor=true_file,
+            )))
+        yield (mem_key, file_key, cipher, ecc, page, line_index,
+               mem_major, mem_minor, file_major, file_minor, stop_loss)
+
+
+class TestOsirisSearch:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stamped_search_matches_naive_reference(self, seed):
+        kinds = Counter()
+        for case in _stamped_cases(seed):
+            mem_key, file_key, *args = case
+            holder = _EngineHolder(mem_key, file_key)
+            got = _recover_stamped_line(holder, file_key, *args)
+            want = _naive_stamped_search(mem_key, file_key, *args)
+            assert got == want
+            stop_loss = args[-1]
+            mem_minor, file_minor = args[5], args[7]
+            window = (min(stop_loss + 1, _MINOR_LIMIT - mem_minor)
+                      * min(stop_loss + 1, _MINOR_LIMIT - file_minor))
+            clipped = window < (stop_loss + 1) ** 2
+            if got[0] is None:
+                assert got[1] == window  # an exhausted search tries the whole window
+                kinds["miss, clipped" if clipped else "miss"] += 1
+            else:
+                kinds["found, clipped" if clipped else "found"] += 1
+            # Each candidate's pad is computed at most once per line.
+            for engine in (holder._memory_engine, holder._file_engine):
+                assert engine.calls and max(engine.calls.values()) == 1
+            assert len(holder._memory_engine.calls) <= stop_loss + 1
+            assert len(holder._file_engine.calls) <= stop_loss + 1
+        assert set(kinds) == {"found", "found, clipped", "miss", "miss, clipped"}
+
+    def test_reboot_computes_each_candidate_pad_once(self):
+        machine = make_machine()
+        for path, encrypted in (("/pmem/enc", True), ("/pmem/plain", False)):
+            handle = machine.create_file(path, uid=1000, encrypted=encrypted)
+            base = machine.mmap(handle, pages=1)
+            for i in range(4):
+                machine.store_bytes(base + i * LINE, bytes([i + 1]) * LINE)
+        # This plan drops two plain-page lines (their searches exhaust the
+        # window) and recovers the other six.
+        machine.crash(FaultPlan(seed=1, drain_fraction=0.75))
+        controller = machine.controller
+        controller._memory_engine = _CountingEngine(controller._memory_engine)
+        controller._file_engine = _CountingEngine(controller._file_engine)
+        recovery = machine.reboot()
+        assert recovery.lines_recovered and recovery.failed_lines
+        assert recovery.trials > recovery.lines_checked
+        for engine in (controller._memory_engine, controller._file_engine):
+            assert engine.calls and max(engine.calls.values()) == 1

@@ -25,6 +25,9 @@ from repro.faults.sweep import (
     workload_factory,
 )
 from repro.sim import Machine, MachineConfig, Scheme
+from repro.sim.batch import capture_workload
+from repro.sim.trace import TraceRecorder
+from repro.workloads.pmemkv import PMEMKV_BENCHMARKS, PMEMKV_EXTENSIONS
 
 PLAN = FaultPlan(seed=0xFA11, drain_fraction=0.5, torn_probability=0.5, bit_flips=1)
 
@@ -171,3 +174,43 @@ class TestAssertInvariantMechanism:
         )
         with pytest.raises(AssertionError, match="0x1000"):
             result.assert_invariant()
+
+
+#: Every workload ``workload_factory`` resolves: the PMEMKV patterns
+#: (paper set and extensions) and the four DAX micro-benchmarks.
+_SWEEP_REACHABLE = (
+    [name for name, *_ in PMEMKV_BENCHMARKS + PMEMKV_EXTENSIONS]
+    + [f"DAX-{i}" for i in range(1, 5)]
+)
+
+
+class TestCapturedOps:
+    @pytest.mark.parametrize("name", _SWEEP_REACHABLE)
+    def test_capture_stub_ops_equal_recorded_ops(self, name):
+        # The sweep takes its op list from the capture stub; a functional
+        # run through TraceRecorder must have produced exactly the same.
+        factory = workload_factory(name, ops=8, iterations=8)
+        config = MachineConfig(scheme=Scheme.FSENCR, functional=True)
+        workload = factory()
+        recorder = TraceRecorder(Machine(config), name=workload.name)
+        workload.setup(recorder)
+        workload.run(recorder)
+        workload = factory()
+        machine = Machine(config)
+        workload.setup(machine)
+        captured = capture_workload(machine, workload)
+        assert captured is not None
+        assert captured.ops == recorder.trace.ops
+
+    def test_uncapturable_workload_is_rejected_by_name(self):
+        class ByteWriter:
+            name = "ByteWriter"
+
+            def setup(self, machine):
+                machine.add_user(uid=1000, gid=100, passphrase="pw")
+
+            def run(self, machine):
+                machine.store_bytes(0, bytes(64))  # outside the traced API
+
+        with pytest.raises(ValueError, match="'ByteWriter' is not capturable"):
+            sweep_workload(ByteWriter, MachineConfig(scheme=Scheme.FSENCR))

@@ -1,8 +1,14 @@
 """PCM device model: row-buffer timing, persist semantics, backing store."""
 
-import pytest
+import hashlib
+import json
+import random
 
-from repro.mem import NVMDevice, NVMStore, NVMTiming
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mem import AddressMap, NVMDevice, NVMStore, NVMTiming
 
 
 class TestTimingConstants:
@@ -88,6 +94,73 @@ class TestAdaptivePolicy:
         for i in range(NVMDevice.ADAPT_THRESHOLD + 1):
             dev.read(i * span)  # every access a new row in bank 0
         assert dev.stats.get("adaptive_closes") >= 1
+
+
+_POW2 = st.integers(min_value=0, max_value=4).map(lambda bits: 1 << bits)
+
+
+@given(
+    channels=_POW2,
+    ranks=_POW2,
+    banks=_POW2,
+    row_bits=st.integers(min_value=6, max_value=13),
+    addrs=st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1), min_size=1, max_size=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_locate_agrees_with_decompose(channels, ranks, banks, row_bits, addrs):
+    amap = AddressMap(channels=channels, ranks_per_channel=ranks,
+                      banks_per_rank=banks, row_buffer_bytes=1 << row_bits)
+    dev = NVMDevice(amap)
+    for addr in addrs:
+        coord = amap.decompose(addr)
+        state, row = dev._locate(addr)
+        assert row == coord.row
+        assert state is dev._bank(coord.bank_key)
+
+
+def test_locate_rejects_negative_addresses():
+    with pytest.raises(ValueError):
+        NVMDevice()._locate(-64)
+
+
+#: sha256 of the latencies and final counters of the seeded stream in
+#: ``_seeded_stream_digest``, taken from the device model that located
+#: banks through ``AddressMap.decompose``: locating them by integer
+#: arithmetic must not move a single latency or counter.
+STREAM_DIGEST = "ae0a8f935adccb164bc5ab36bcaf7e9685979abedec909adf9df8f2d9a8ac1ac"
+
+
+def _seeded_stream_digest() -> str:
+    rng = random.Random(0x5EED)
+    devices = (
+        NVMDevice(),
+        NVMDevice(AddressMap(channels=2, ranks_per_channel=1, banks_per_rank=4,
+                             row_buffer_bytes=2048)),
+    )
+    record = []
+    for dev in devices:
+        latencies = []
+        for _ in range(3000):
+            # Mostly a small hot window (row hits), sometimes far away
+            # (row misses, adaptive closes, dirty restores).
+            span = 1 << 14 if rng.random() < 0.7 else 1 << 24
+            addr = rng.randrange(span)
+            kind = rng.random()
+            if kind < 0.5:
+                latencies.append(repr(dev.read(addr)))
+            else:
+                latencies.append(repr(dev.write(addr, persist=kind > 0.85)))
+        record.append({
+            "latencies": latencies,
+            "stats": dict(sorted(dev.stats.counters.items())),
+            "max_wear": dev.max_wear,
+        })
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_seeded_stream_pinned():
+    assert _seeded_stream_digest() == STREAM_DIGEST
 
 
 class TestNVMStore:
