@@ -72,12 +72,9 @@ def _comparison_cells(
     schemes: Tuple[str, ...],
     ops: int = 0,
     iterations: int = 0,
-    batch: bool = False,
 ) -> List[CellSpec]:
     """One compare cell per benchmark; schemes are registry names
-    (``CellSpec`` canonicalises and validates them).  ``batch=True``
-    marks the cells for compiled-trace execution — same payloads,
-    produced by the array sweep instead of per-access dispatch."""
+    (``CellSpec`` canonicalises and validates them)."""
     base = config or MachineConfig()
     return [
         CellSpec(
@@ -87,7 +84,6 @@ def _comparison_cells(
             ops=ops,
             iterations=iterations,
             schemes=tuple(schemes),
-            batch=batch,
         )
         for name in benchmarks
     ]
@@ -102,8 +98,6 @@ def _comparison_table(
 ) -> ResultTable:
     table = ResultTable(title)
     for result in runner.run(cells):
-        if result is None:  # quarantined under failure_policy="continue"
-            continue
         comparison = WorkloadComparison(
             workload=result.payload["workload"], runs=payload_to_runs(result.payload)
         )
@@ -115,7 +109,6 @@ def figure3_software_encryption(
     config: Optional[MachineConfig] = None,
     ops: int = DEFAULT_WHISPER_OPS,
     *,
-    batch: bool = False,
     runner: Optional[ExperimentRunner] = None,
     jobs: Optional[int] = None,
 ) -> ResultTable:
@@ -130,7 +123,6 @@ def figure3_software_encryption(
         config,
         (plain_ref, software_ref),
         ops=ops,
-        batch=batch,
     )
     return _comparison_table(
         "Figure 3: software filesystem encryption overhead",
@@ -145,7 +137,6 @@ def figure8_to_10_pmemkv(
     config: Optional[MachineConfig] = None,
     ops: int = DEFAULT_PMEMKV_OPS,
     *,
-    batch: bool = False,
     runner: Optional[ExperimentRunner] = None,
     jobs: Optional[int] = None,
 ) -> ResultTable:
@@ -161,7 +152,6 @@ def figure8_to_10_pmemkv(
         config,
         (baseline, contribution),
         ops=ops,
-        batch=batch,
     )
     return _comparison_table(
         "Figures 8-10: PMEMKV, FsEncr vs baseline security",
@@ -176,7 +166,6 @@ def figure11_whisper(
     config: Optional[MachineConfig] = None,
     ops: int = DEFAULT_WHISPER_OPS,
     *,
-    batch: bool = False,
     runner: Optional[ExperimentRunner] = None,
     jobs: Optional[int] = None,
 ) -> ResultTable:
@@ -192,7 +181,6 @@ def figure11_whisper(
         config,
         (baseline, contribution),
         ops=ops,
-        batch=batch,
     )
     return _comparison_table(
         "Figure 11: Whisper, FsEncr vs baseline security",
@@ -207,7 +195,6 @@ def figure12_to_14_micro(
     config: Optional[MachineConfig] = None,
     iterations: int = DEFAULT_MICRO_ITERS,
     *,
-    batch: bool = False,
     runner: Optional[ExperimentRunner] = None,
     jobs: Optional[int] = None,
 ) -> ResultTable:
@@ -223,7 +210,6 @@ def figure12_to_14_micro(
         config,
         (baseline, contribution),
         iterations=iterations,
-        batch=batch,
     )
     return _comparison_table(
         "Figures 12-14: DAX micro-benchmarks, FsEncr vs baseline",
@@ -254,7 +240,6 @@ def figure15_cache_sensitivity(
     *,
     scheme: Optional[SchemeRef] = None,
     workloads: Optional[Sequence[str]] = None,
-    batch: bool = False,
     runner: Optional[ExperimentRunner] = None,
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[int, float]]:
@@ -298,7 +283,6 @@ def figure15_cache_sensitivity(
             ops=ops,
             iterations=iterations,
             schemes=schemes,
-            batch=batch,
         )
 
     grid = [(name, size) for name in names for size in sizes]
@@ -308,8 +292,6 @@ def figure15_cache_sensitivity(
 
     curves: Dict[str, Dict[int, float]] = {name: {} for name in names}
     for (name, size), result in zip(grid, results):
-        if result is None:  # quarantined under failure_policy="continue"
-            continue
         runs = payload_to_runs(result.payload)
         row = Comparison.of(runs[measured], runs[baseline])
         curves[name][size] = row.overhead_percent

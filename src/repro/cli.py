@@ -4,13 +4,13 @@ Every command is its own subparser and accepts exactly the flags its
 handler reads; any other flag is an argparse error (exit status 2).
 
     command                  flags (beyond -h)
-    fig3  fig11              RUNNER --ops --batch --json
-    fig8 (= fig9, fig10)     RUNNER --ops --batch --json
-    fig12 (= fig13, fig14)   RUNNER --iters --batch --json
-    fig15                    RUNNER --ops --iters --batch --scheme --json
-    bench                    RUNNER --ops --iters --batch
-    all                      RUNNER --ops --iters --batch
-    quick                    RUNNER --batch
+    fig3  fig11              RUNNER --ops --json
+    fig8 (= fig9, fig10)     RUNNER --ops --json
+    fig12 (= fig13, fig14)   RUNNER --iters --json
+    fig15                    RUNNER --ops --iters --scheme --json
+    bench                    RUNNER --ops --iters
+    all                      RUNNER --ops --iters
+    quick                    RUNNER
     table1                   (none)
     report                   [RESULTS_DIR]  (default: benchmarks/results)
     crashsweep               RUNNER --ops --iters --json --workload --points
@@ -22,20 +22,19 @@ handler reads; any other flag is an argparse error (exit status 2).
                              --loads --window
     cache {stats,verify,gc}  --cache-dir
 
-    RUNNER = --jobs --no-cache --clear-cache --cache-dir --timeout
-             --retries --backoff --failure-policy
+    RUNNER = --jobs --no-cache --clear-cache --cache-dir
 
 ``bench`` runs the fig3/8/11/12/15 grids on one shared runner; ``all``
 runs the same grids and then prints Table I.  ``quick`` is one fast
 end-to-end sanity pass.  ``--jobs N`` fans a grid's cells over N worker
 processes (default 1, serial; 0 = one per CPU), and unchanged cells are
-served from ``.repro-cache/`` (docs/RUNNER.md).  ``--timeout`` needs a
-resolved job count of at least 2, since only a worker process can be
-killed.  ``crashsweep`` runs the full (scheme x fault-profile) matrix by
-default and exits with its silent-corruption count; ``batchcheck`` exits
-with the number of divergent cells, ``loadcurve`` with the number of
-schemes whose p99 is not monotone in load, and ``cache verify`` with the
-corrupt-entry count.
+served from ``.repro-cache/`` (docs/RUNNER.md); the first failed cell
+aborts the command.  Figure cells run through the compiled-trace batch
+executor (docs/BATCH.md).  ``crashsweep`` runs the full (scheme x
+fault-profile) matrix by default and exits with its silent-corruption
+count; ``batchcheck`` exits with the number of divergent cells,
+``loadcurve`` with the number of schemes whose p99 is not monotone in
+load, and ``cache verify`` with the corrupt-entry count.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .analysis import (
     render_sensitivity,
     render_table1,
 )
-from .exec import ExperimentRunner, ResultCache, SupervisionPolicy, source_fingerprint
+from .exec import ExperimentRunner, ResultCache, source_fingerprint
 from .faults.plan import FAULT_PROFILES, FaultPlan
 from .sim.results import ResultTable, run_provenance
 from .sim.schemes import crash_matrix_names, get_scheme, scheme_names
@@ -78,23 +77,10 @@ def _make_runner(args) -> ExperimentRunner:
     ``--clear-cache`` plus a figure command is the natural "rebuild from
     scratch" spelling.
     """
-    jobs = args.jobs or os.cpu_count() or 1
-    if args.timeout is not None and jobs < 2:
-        raise UsageError(
-            f"--timeout needs --jobs >= 2 (resolved job count: {jobs}); the "
-            "serial path has no worker process to kill"
-        )
-    policy = SupervisionPolicy(
-        timeout_seconds=args.timeout,
-        max_attempts=max(0, args.retries) + 1,
-        backoff_base=args.backoff,
-        failure_policy=args.failure_policy,
-    )
     runner = ExperimentRunner(
-        jobs,
+        args.jobs or os.cpu_count() or 1,
         use_cache=not args.no_cache,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        policy=policy,
     )
     if args.clear_cache:
         removed = runner.clear_cache()
@@ -103,17 +89,9 @@ def _make_runner(args) -> ExperimentRunner:
 
 
 def _show(text: str, runner: ExperimentRunner) -> None:
-    """Print a grid's rendering and the runner's summary.  Under
-    ``--failure-policy continue`` a grid can finish with quarantined
-    cells; name them rather than let a shorter table pass for a
-    complete one."""
+    """Print a grid's rendering and the runner's summary."""
     print(text)
     print(runner.last_stats.summary())
-    report = runner.last_report
-    if report is not None and report.quarantined:
-        print(f"WARNING: {len(report.quarantined)} cell(s) quarantined:", file=sys.stderr)
-        for line in report.failure_lines():
-            print(line, file=sys.stderr)
     print()
 
 
@@ -158,7 +136,7 @@ def _figure(name: str, args, runner: ExperimentRunner, json_path: Optional[str])
     figure = _FIGURES[name]
     size = vars(args)[figure.flag] or figure.default
     keyword = "iterations" if figure.flag == "iters" else "ops"
-    table = figure.driver(batch=args.batch, runner=runner, **{keyword: size})
+    table = figure.driver(runner=runner, **{keyword: size})
     _show(table.render(), runner)
     _save(json_path, table, runner)
 
@@ -169,7 +147,6 @@ def _fig15(args, runner: ExperimentRunner, scheme: Optional[str], json_path: Opt
         whisper_ops=(args.ops or 400) * 3,
         micro_iters=args.iters or 6000,
         scheme=scheme,
-        batch=args.batch,
         runner=runner,
     )
     _show(render_sensitivity(curves), runner)
@@ -201,7 +178,7 @@ def _run_quick(args) -> None:
     print(render_table1())
     print()
     for driver in (figure11_whisper, figure3_software_encryption):
-        _show(driver(ops=400, batch=args.batch, runner=runner).render(), runner)
+        _show(driver(ops=400, runner=runner).render(), runner)
 
 
 def _run_bench(args) -> None:
@@ -576,44 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument(
         "--clear-cache", action="store_true", help="empty the result cache before running"
     )
-    runner.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-cell wall-clock deadline in seconds; hung workers are killed "
-        "(needs --jobs >= 2; default: none)",
-    )
-    runner.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-run a failed or timed-out cell up to N more times (default: 0)",
-    )
-    runner.add_argument(
-        "--backoff",
-        type=float,
-        default=0.0,
-        help="base delay in seconds before a retry, doubling per attempt with "
-        "deterministic seeded jitter (default: 0)",
-    )
-    runner.add_argument(
-        "--failure-policy",
-        choices=["fail_fast", "continue"],
-        default="fail_fast",
-        help="fail_fast: first exhausted cell aborts the grid; continue: "
-        "quarantine it in the grid report and keep going",
-    )
     ops = _parent()
     ops.add_argument("--ops", type=int, default=None, help="workload operation count")
     iters = _parent()
     iters.add_argument("--iters", type=int, default=None, help="micro-benchmark iterations")
-    batch = _parent()
-    batch.add_argument(
-        "--batch",
-        action="store_true",
-        help="execute compare cells through the compiled-trace batch "
-        "path (bit-identical payloads, one capture per encryption class)",
-    )
     output = _parent()
     output.add_argument("--json", type=str, default=None, help="save the results to this path")
     sizing = {"ops": ops, "iters": iters}
@@ -632,11 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     for name, figure in _FIGURES.items():
-        parents = [runner, sizing[figure.flag], batch, output]
+        parents = [runner, sizing[figure.flag], output]
         handler = partial(_run_figure, name)
         command(name, handler, figure.help, parents, aliases=list(figure.aliases))
     fig15 = command(
-        "fig15", _run_fig15, "metadata-cache sensitivity sweep", [runner, ops, iters, batch, output]
+        "fig15", _run_fig15, "metadata-cache sensitivity sweep", [runner, ops, iters, output]
     )
     fig15.add_argument(
         "--scheme",
@@ -654,9 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RESULTS_DIR",
         help="directory of saved --json results (default: benchmarks/results)",
     )
-    command("quick", _run_quick, "one fast end-to-end sanity pass", [runner, batch])
-    command("bench", _run_bench, "every figure grid on one runner", [runner, ops, iters, batch])
-    command("all", _run_all, "every figure grid, then Table I", [runner, ops, iters, batch])
+    command("quick", _run_quick, "one fast end-to-end sanity pass", [runner])
+    command("bench", _run_bench, "every figure grid on one runner", [runner, ops, iters])
+    command("all", _run_all, "every figure grid, then Table I", [runner, ops, iters])
 
     sweep = command(
         "crashsweep",

@@ -1,23 +1,18 @@
-"""repro.exec — parallel, cache-aware, supervised execution of grids.
+"""repro.exec — parallel, cache-aware execution of grids.
 
 Every figure/sweep in this reproduction is a grid of fully independent
 simulation cells.  This package makes "run this grid" a first-class
 operation: :class:`CellSpec` describes one cell by value,
 :class:`ExperimentRunner` fans cells out over a process pool (``jobs=1``
-is the exact serial path) and memoises results content-addressed on disk
-(``.repro-cache/``, keyed by spec + source fingerprint), the
-supervision layer (:class:`SupervisionPolicy`, :class:`GridReport`)
-guarantees every submitted cell one recorded outcome — timeouts kill
-hung workers, retries re-run transient failures with deterministic
-seeded backoff, pool deaths rebuild and re-queue — and
-:class:`RunnerStats` records the observability every consumer persists
-alongside its results.  :class:`ChaosPolicy` injects hangs, deaths,
-transient errors, and corrupt cache writes so the tests can prove all
-of it.  See docs/RUNNER.md.
+is the exact serial path), memoises results content-addressed on disk
+(``.repro-cache/``, keyed by spec + source fingerprint) and fails fast:
+the first failed cell raises :class:`CellExecutionError`, while the
+cells finished before it stay cached.  :class:`RunnerStats` records the
+observability every consumer persists alongside its results.  See
+docs/RUNNER.md.
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache, payload_checksum
-from .chaos import ChaosAction, ChaosPolicy, ChaosTransientError
 from .fingerprint import reset_fingerprint_cache, source_fingerprint
 from .runner import CellExecutionError, CellResult, ExperimentRunner, RunnerStats
 from .spec import (
@@ -28,14 +23,6 @@ from .spec import (
     payload_to_runs,
     payload_to_sweep,
     resolve_workload,
-)
-from .supervise import (
-    FAILURE_POLICIES,
-    FINAL_OUTCOMES,
-    CellAttempt,
-    CellRecord,
-    GridReport,
-    SupervisionPolicy,
 )
 
 __all__ = [
@@ -55,13 +42,4 @@ __all__ = [
     "payload_to_runs",
     "payload_to_sweep",
     "resolve_workload",
-    "FAILURE_POLICIES",
-    "FINAL_OUTCOMES",
-    "CellAttempt",
-    "CellRecord",
-    "GridReport",
-    "SupervisionPolicy",
-    "ChaosAction",
-    "ChaosPolicy",
-    "ChaosTransientError",
 ]

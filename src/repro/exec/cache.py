@@ -16,7 +16,7 @@ an identical payload.
 
 Every entry written carries a ``checksum`` over its canonical payload
 JSON, so corruption *after* the atomic rename — bit rot, a torn page,
-an injected chaos write — is detected, not served: ``get`` treats a
+a hand-edited file — is detected, not served: ``get`` treats a
 mismatch as a miss, and ``verify`` moves the damaged file into
 ``<dir>/quarantine/`` for inspection.  ``gc`` sweeps the two kinds of
 dead weight a cache accumulates: orphaned ``*.tmp.<pid>`` files from

@@ -1,4 +1,4 @@
-"""The parallel, memoised, *supervised* experiment runner.
+"""The parallel, memoised experiment runner.
 
 ``ExperimentRunner.run`` takes a list of :class:`CellSpec` and returns
 their payloads in order, fanning uncached cells out over a
@@ -13,59 +13,44 @@ of labour:
 * ``jobs=1`` executes in-process with no pool at all — the exact serial
   path, used by tests to prove the parallel path changes nothing.
 
-Supervision (:mod:`repro.exec.supervise`) sits on top: per-cell
-wall-clock timeouts, bounded retries with deterministic seeded backoff,
-``BrokenProcessPoolError`` recovery that rebuilds the pool and re-queues
-the in-flight cells, and a ``failure_policy`` of ``fail_fast`` (default:
-the first quarantined cell raises) or ``continue`` (finish the grid,
-quarantine failures into the :class:`GridReport`).  Results are stored
-*as cells complete* — a failure late in a grid never discards finished
-work.
+Failure semantics follow from purity: a retry cannot turn a failure
+into a pass, so the first failed cell raises :class:`CellExecutionError`
+naming it, with the worker's traceback.  Results are stored *as cells
+complete*, so the cells that finished before it stay cached.  The pool
+holds at most one outstanding cell per worker; when the pool dies, the
+outstanding cells are exactly the ones in flight, and the error names
+them — never a cell that was still queued.
 
 Observability: every ``run`` records per-cell wall-seconds, hit/miss
-counts, recovery activity (retries, timeouts, re-queues, pool rebuilds),
-and throughput into :class:`RunnerStats` (``runner.last_stats``, with a
-lifetime accumulation in ``runner.lifetime``) and the per-cell audit
-into ``runner.last_report``; consumers persist both into their results
-JSON so a figure's provenance records how it was produced.
+counts and throughput into :class:`RunnerStats` (``runner.last_stats``,
+with a lifetime accumulation in ``runner.lifetime``); consumers persist
+it into their results JSON so a figure's provenance records how it was
+produced.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import traceback
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .cache import ResultCache
-from .chaos import ChaosPolicy, sabotage_cache_write
 from .fingerprint import source_fingerprint
 from .spec import CellSpec, cell_key, execute_cell
-from .supervise import (
-    OUTCOME_CACHED,
-    OUTCOME_CANCELLED,
-    OUTCOME_FAILED,
-    OUTCOME_SIMULATED,
-    OUTCOME_TIMED_OUT,
-    CellRecord,
-    GridReport,
-    SupervisionPolicy,
-    Supervisor,
-)
 
 __all__ = ["CellExecutionError", "CellResult", "RunnerStats", "ExperimentRunner"]
 
 
 class CellExecutionError(RuntimeError):
-    """A cell was quarantined under ``fail_fast``.  The grid run raises
-    — it never returns a silent partial grid — and the message names the
-    cell (or, for a pool death, the cells that were in flight).  The
-    full :class:`GridReport` rides along as ``.report``."""
-
-    def __init__(self, message: str, report: Optional[GridReport] = None) -> None:
-        super().__init__(message)
-        self.report = report
+    """A cell failed, or the worker pool died.  The grid run raises —
+    it never returns a silent partial grid — and the message names the
+    failed cell (or, for a pool death, the cells that were in flight)."""
 
 
 @dataclass
@@ -89,13 +74,6 @@ class RunnerStats:
     wall_seconds: float = 0.0   # elapsed for the whole run() call
     cell_seconds: float = 0.0   # sum of per-cell simulation time
     jobs: int = 1
-    # Recovery activity (docs/RUNNER.md "Supervised execution"):
-    retries: int = 0            # attempts re-run after an error or timeout
-    timeouts: int = 0           # deadline kills performed by the supervisor
-    requeues: int = 0           # cells resubmitted after a pool death
-    pool_rebuilds: int = 0      # times a broken pool was replaced
-    failed_cells: int = 0       # final outcome failed or timed-out
-    cancelled_cells: int = 0    # never ran: a fail_fast grid aborted first
 
     @property
     def cache_misses(self) -> int:
@@ -125,36 +103,14 @@ class RunnerStats:
         self.wall_seconds += other.wall_seconds
         self.cell_seconds += other.cell_seconds
         self.jobs = max(self.jobs, other.jobs)
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.requeues += other.requeues
-        self.pool_rebuilds += other.pool_rebuilds
-        self.failed_cells += other.failed_cells
-        self.cancelled_cells += other.cancelled_cells
 
     def summary(self) -> str:
-        text = (
+        return (
             f"exec: {self.cells_total} cells "
             f"({self.simulated} simulated, {self.cache_hits} cached) "
             f"in {self.wall_seconds:.2f}s wall / {self.cell_seconds:.2f}s cell time, "
             f"{self.cells_per_second:.2f} cells/s, jobs={self.jobs}"
         )
-        recovery = []
-        if self.retries:
-            recovery.append(f"{self.retries} retries")
-        if self.timeouts:
-            recovery.append(f"{self.timeouts} timeouts")
-        if self.requeues:
-            recovery.append(f"{self.requeues} requeued")
-        if self.pool_rebuilds:
-            recovery.append(f"{self.pool_rebuilds} pool rebuilds")
-        if self.failed_cells:
-            recovery.append(f"{self.failed_cells} quarantined")
-        if self.cancelled_cells:
-            recovery.append(f"{self.cancelled_cells} cancelled")
-        if recovery:
-            text += f" [{', '.join(recovery)}]"
-        return text
 
     def to_dict(self) -> Dict:
         return {
@@ -166,12 +122,6 @@ class RunnerStats:
             "cell_seconds": self.cell_seconds,
             "cells_per_second": self.cells_per_second,
             "jobs": self.jobs,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "requeues": self.requeues,
-            "pool_rebuilds": self.pool_rebuilds,
-            "failed_cells": self.failed_cells,
-            "cancelled_cells": self.cancelled_cells,
         }
 
 
@@ -181,6 +131,71 @@ def _execute_timed(spec: CellSpec):
     start = time.perf_counter()
     payload = execute_cell(spec)
     return payload, time.perf_counter() - start
+
+
+def _format_error(exc: BaseException) -> str:
+    """The exception plus its remote worker traceback, if one travelled."""
+    if exc.__traceback__ is not None:
+        return "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ).strip()
+    text = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+    cause = exc.__cause__
+    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
+        text = f"{text}\n{str(cause).strip()}"
+    return text
+
+
+def _cell_failed(spec: CellSpec, exc: BaseException) -> CellExecutionError:
+    return CellExecutionError(f"cell {spec.label} failed: {_format_error(exc)}")
+
+
+def _run_pool(
+    specs: Sequence[CellSpec],
+    pending: Sequence[int],
+    workers: int,
+    store: Callable[[int, Dict, float], None],
+) -> None:
+    """Execute ``pending`` over ``workers`` processes, fail fast.
+
+    At most one future per worker is outstanding, so every outstanding
+    future is a cell a worker holds: a pool death is blamed on exactly
+    those cells.
+    """
+    queue = deque(pending)
+    outstanding: Dict[Future, int] = {}
+
+    def pool_died() -> CellExecutionError:
+        labels = ", ".join(specs[i].label for i in sorted(outstanding.values()))
+        return CellExecutionError(
+            f"worker pool died (BrokenProcessPoolError) with {len(outstanding)} "
+            f"cell(s) in flight: {labels}"
+        )
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while queue or outstanding:
+            while queue and len(outstanding) < workers:
+                index = queue.popleft()
+                try:
+                    outstanding[pool.submit(_execute_timed, specs[index])] = index
+                except BrokenProcessPool:
+                    raise pool_died() from None
+            done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
+            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
+                raise pool_died()
+            failed = {}
+            for future in done:
+                index = outstanding.pop(future)
+                if future.exception() is None:
+                    store(index, *future.result())
+                else:
+                    failed[index] = future.exception()
+            if failed:
+                index = min(failed)
+                raise _cell_failed(specs[index], failed[index])
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 class ExperimentRunner:
@@ -193,10 +208,6 @@ class ExperimentRunner:
     * ``cache_dir`` — override the cache location.
     * ``fingerprint`` — override the source fingerprint (tests use this
       to prove a "source change" invalidates every key).
-    * ``policy`` — the :class:`SupervisionPolicy`; the default is
-      exactly the unsupervised semantics (no timeout, one attempt,
-      ``fail_fast``).
-    * ``chaos`` — a :class:`ChaosPolicy` saboteur (tests only).
     """
 
     def __init__(
@@ -207,8 +218,6 @@ class ExperimentRunner:
         cache_dir: Optional[Path] = None,
         cache: Optional[ResultCache] = None,
         fingerprint: Optional[str] = None,
-        policy: Optional[SupervisionPolicy] = None,
-        chaos: Optional[ChaosPolicy] = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -216,11 +225,8 @@ class ExperimentRunner:
         self.use_cache = use_cache
         self.cache = cache or ResultCache(cache_dir)
         self._fingerprint = fingerprint
-        self.policy = policy or SupervisionPolicy()
-        self.chaos = chaos
         self.last_stats = RunnerStats(jobs=self.jobs)
         self.lifetime = RunnerStats(jobs=self.jobs)
-        self.last_report: Optional[GridReport] = None
 
     def fingerprint(self) -> str:
         return self._fingerprint or source_fingerprint()
@@ -230,32 +236,24 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
 
-    def run(self, specs: Sequence[CellSpec]) -> List[Optional[CellResult]]:
+    def run(self, specs: Sequence[CellSpec]) -> List[CellResult]:
         """Execute a grid; results come back in spec order.
 
-        Under ``fail_fast`` (the default) a quarantined cell raises
-        :class:`CellExecutionError` — never a silent partial grid — and
-        every list entry of a normal return is a :class:`CellResult`.
-        Under ``continue`` the grid finishes around failures: the
-        returned list keeps spec order with ``None`` holes for
-        quarantined cells, and ``runner.last_report`` records every
-        cell's fate.  Either way, cells that completed are already
-        cached, so a re-run after a fix only pays for what never
+        The first failed cell raises :class:`CellExecutionError` — never
+        a silent partial grid.  Cells that completed before it are
+        already cached, so a re-run after a fix only pays for what never
         finished.
         """
         start = time.perf_counter()
         fingerprint = self.fingerprint()
         keys = [cell_key(spec, fingerprint) for spec in specs]
         results: List[Optional[CellResult]] = [None] * len(specs)
-        records = [
-            CellRecord(label=spec.label, key=key) for spec, key in zip(specs, keys)
-        ]
-        stats = RunnerStats(cells_total=len(specs), jobs=self.jobs)
-
         pending: List[int] = []
         for index, (spec, key) in enumerate(zip(specs, keys)):
             entry = self.cache.get(key) if self.use_cache else None
-            if entry is not None:
+            if entry is None:
+                pending.append(index)
+            else:
                 results[index] = CellResult(
                     spec=spec,
                     key=key,
@@ -263,78 +261,38 @@ class ExperimentRunner:
                     wall_seconds=entry.get("wall_seconds", 0.0),
                     from_cache=True,
                 )
-                records[index].outcome = OUTCOME_CACHED
-            else:
-                pending.append(index)
 
-        if pending:
-            supervisor = Supervisor(
-                specs=specs,
-                keys=keys,
-                records=records,
-                policy=self.policy,
-                chaos=self.chaos,
-                store=lambda index, payload, seconds: results.__setitem__(
-                    index,
-                    self._store(specs[index], keys[index], payload, seconds, fingerprint),
-                ),
-                stats=stats,
+        def store(index: int, payload: Dict, seconds: float) -> None:
+            results[index] = self._store(specs[index], keys[index], payload, seconds, fingerprint)
+
+        try:
+            if self.jobs == 1 or len(pending) <= 1:
+                for index in pending:
+                    try:
+                        payload, seconds = _execute_timed(specs[index])
+                    except Exception as exc:
+                        raise _cell_failed(specs[index], exc) from exc
+                    store(index, payload, seconds)
+            else:
+                _run_pool(specs, pending, min(self.jobs, len(pending)), store)
+        finally:
+            simulated = [r for r in results if r is not None and not r.from_cache]
+            stats = RunnerStats(
+                cells_total=len(specs),
+                cache_hits=len(specs) - len(pending),
+                simulated=len(simulated),
+                wall_seconds=time.perf_counter() - start,
+                cell_seconds=sum(r.wall_seconds for r in simulated),
+                jobs=self.jobs,
             )
-            if self.jobs == 1 or len(pending) == 1:
-                supervisor.run_serial(pending)
-            else:
-                supervisor.run_pool(pending, self.jobs)
-
-        report = GridReport(cells=records, failure_policy=self.policy.failure_policy)
-        stats.cache_hits = len(specs) - len(pending)
-        stats.simulated = sum(1 for r in records if r.outcome == OUTCOME_SIMULATED)
-        stats.failed_cells = sum(
-            1 for r in records if r.outcome in (OUTCOME_FAILED, OUTCOME_TIMED_OUT)
-        )
-        stats.cancelled_cells = sum(
-            1 for r in records if r.outcome == OUTCOME_CANCELLED
-        )
-        stats.wall_seconds = time.perf_counter() - start
-        stats.cell_seconds = sum(
-            r.wall_seconds for r in results if r is not None and not r.from_cache
-        )
-        self.last_stats = stats
-        self.lifetime.merge(stats)
-        self.last_report = report
-
-        if self.policy.failure_policy == "fail_fast":
-            quarantined = report.quarantined
-            if quarantined:
-                raise CellExecutionError(self._blame(quarantined[0]), report)
+            self.last_stats = stats
+            self.lifetime.merge(stats)
         return results
 
     def run_one(self, spec: CellSpec) -> CellResult:
         return self.run([spec])[0]
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _blame(record: CellRecord) -> str:
-        """The fail_fast message: name the true culprit, not a bystander.
-
-        A pool death fails every pending future at once; blaming
-        whichever future iterates first misattributes the crash, so the
-        pool-death attempt's own text (which names the cells that were
-        actually in flight) is surfaced verbatim.
-        """
-        last = record.attempts[-1] if record.attempts else None
-        if last is not None and last.outcome == "pool-death":
-            return last.error
-        if record.outcome == OUTCOME_TIMED_OUT:
-            return (
-                f"cell {record.label} timed out "
-                f"({record.executed_attempts} attempt(s)): {last.error if last else ''}"
-            )
-        detail = last.error if last else "no attempt recorded"
-        return (
-            f"cell {record.label} failed in worker after "
-            f"{record.executed_attempts} attempt(s): {detail}"
-        )
 
     def _store(self, spec: CellSpec, key: str, payload: Dict, seconds: float,
                fingerprint: str) -> CellResult:
@@ -348,7 +306,6 @@ class ExperimentRunner:
                     "wall_seconds": seconds,
                 },
             )
-            sabotage_cache_write(self.cache, key, spec, self.chaos)
         return CellResult(
             spec=spec, key=key, payload=payload, wall_seconds=seconds, from_cache=False
         )

@@ -10,7 +10,7 @@ which seeds.  ``execute_cell`` turns a spec into a JSON-safe payload; it
 is a pure function, which is what makes both process-pool fan-out and
 content-addressed caching sound.
 
-Two cell kinds cover every consumer:
+Three cell kinds cover every consumer:
 
 * ``compare`` — run the workload once per scheme on otherwise-equal
   machines (the ``compare_schemes`` idiom every figure uses); payload
@@ -57,13 +57,9 @@ __all__ = [
 #: (correctly) new key.
 _LATE_DEFAULTS = {
     "MachineConfig": {"anubis_recovery": False},
-    # batch changes how a cell executes, never what it produces (the
-    # interpreter is pinned bit-identical), so it stays out of the cell
-    # key at its default exactly like a late-added config flag.
     # loads/mlp_window/arrival_seed exist only for loadcurve cells,
     # which post-date every cached key.
     "CellSpec": {
-        "batch": False,
         "loads": (),
         "mlp_window": 1,
         "arrival_seed": 0xA221,
@@ -121,10 +117,6 @@ class CellSpec:
     max_points: int = 8
     sweep_seed: int = 0xC0FFEE
     name: str = ""                  # sweep trace name (part of the payload)
-    # compare cells: execute through the compiled-trace batch path.
-    # Bit-identical payloads by contract, so the default stays out of
-    # the cell key (see _LATE_DEFAULTS).
-    batch: bool = False
     # loadcurve cells: offered-load fractions of the mix's calibrated
     # throughput, the closed-loop calibration's MLP window, and the
     # open-loop arrival-process seed.
@@ -263,8 +255,8 @@ def execute_cell(spec: CellSpec) -> Dict:
 
 
 def _execute_compare(spec: CellSpec) -> Dict:
+    from ..sim.batch import BatchRunner
     from ..sim.schemes import get_scheme
-    from ..workloads.base import run_workload
 
     factory = resolve_workload(
         spec.workload, ops=spec.ops, iterations=spec.iterations, seed=spec.workload_seed
@@ -273,12 +265,10 @@ def _execute_compare(spec: CellSpec) -> Dict:
     workload_name = spec.workload
     # A compare cell is BatchRunner's sweet spot: one captured trace
     # sweeps every scheme column, so the workload's own Python runs
-    # once per encryption class instead of once per column.
-    batch_runner = None
-    if spec.batch:
-        from ..sim.batch import BatchRunner
-
-        batch_runner = BatchRunner()
+    # once per encryption class instead of once per column.  Payloads
+    # are bit-identical to per-access runs by contract, and the runner
+    # falls back to direct execution outside the interpreter's envelope.
+    batch_runner = BatchRunner()
     for scheme_name in spec.schemes:
         workload = factory()
         workload_name = workload.name
@@ -286,11 +276,7 @@ def _execute_compare(spec: CellSpec) -> Dict:
         # for the base schemes this is exactly with_scheme(); variant
         # columns ("fsencr+wpq", "fsencr+anubis", ...) add their pins.
         run_config = get_scheme(scheme_name).configure(spec.config)
-        if batch_runner is not None:
-            result = batch_runner.run(run_config, workload)
-        else:
-            result = run_workload(run_config, workload)
-        runs[scheme_name] = result.to_dict()
+        runs[scheme_name] = batch_runner.run(run_config, workload).to_dict()
     return {"kind": "compare", "workload": workload_name, "runs": runs}
 
 

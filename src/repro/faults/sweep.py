@@ -495,8 +495,6 @@ def sweep_matrix(
         for (scheme_label, _config, profile_name, _profile), cell_result in zip(
             grid, runner.run(cells)
         ):
-            if cell_result is None:  # quarantined under failure_policy="continue"
-                continue
             cell = payload_to_sweep(cell_result.payload)
             result.cells[(scheme_label, profile_name)] = cell
             if not result.workload or result.workload == "matrix":

@@ -33,6 +33,13 @@ class CacheConfig:
     hit_latency: float = 0.0  # ns; 1 GHz clock makes cycles == ns
 
     def __post_init__(self) -> None:
+        if self.ways < 1 or self.line_size < 1:
+            raise ValueError(
+                f"{self.name}: ways and line_size must be >= 1, "
+                f"got {self.ways} and {self.line_size}"
+            )
+        if not self.hit_latency >= 0.0:
+            raise ValueError(f"{self.name}: hit_latency must be >= 0, got {self.hit_latency!r}")
         if self.size_bytes <= 0 or self.size_bytes % (self.ways * self.line_size):
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not divisible by "

@@ -37,6 +37,12 @@ class NVMTiming:
     t_cl_ns: float = 12.5
     t_burst_ns: float = 5.0
 
+    def __post_init__(self) -> None:
+        for name in ("read_ns", "write_ns", "t_rcd_ns", "t_cl_ns", "t_burst_ns"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"NVMTiming.{name} must be >= 0, got {value!r}")
+
     @property
     def row_hit_ns(self) -> float:
         """Latency to read/write a line already in the row buffer."""

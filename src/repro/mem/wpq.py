@@ -35,6 +35,13 @@ class WPQConfig:
     def __post_init__(self) -> None:
         if self.entries < 1:
             raise ValueError("WPQ needs at least one entry")
+        if not self.accept_ns >= 0.0:
+            raise ValueError(f"WPQ accept_ns must be >= 0, got {self.accept_ns!r}")
+        if not self.drain_ns_per_entry > 0.0:
+            # occupancy_at divides by the drain time.
+            raise ValueError(
+                f"WPQ drain_ns_per_entry must be > 0, got {self.drain_ns_per_entry!r}"
+            )
 
 
 class WritePendingQueue:

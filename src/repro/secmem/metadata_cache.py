@@ -47,6 +47,15 @@ class MetadataCacheConfig:
     hit_latency: float = 3.0  # ns; small on-chip SRAM
     partitioned: bool = False
 
+    def __post_init__(self) -> None:
+        if self.ways < 1 or self.line_size < 1:
+            raise ValueError(
+                f"metadata cache: ways and line_size must be >= 1, "
+                f"got {self.ways} and {self.line_size}"
+            )
+        if not self.hit_latency >= 0.0:
+            raise ValueError(f"metadata cache: hit_latency must be >= 0, got {self.hit_latency!r}")
+
 
 class MetadataCache:
     """Address-tagged cache front for the in-memory metadata region."""

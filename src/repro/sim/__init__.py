@@ -18,7 +18,6 @@ from .batch import (
     capture_workload,
     compile_trace,
     execute_compiled,
-    run_workload_batch,
 )
 from .trace import Trace, TraceOp, TraceRecorder, replay
 
@@ -48,5 +47,4 @@ __all__ = [
     "capture_workload",
     "compile_trace",
     "execute_compiled",
-    "run_workload_batch",
 ]

@@ -78,7 +78,6 @@ __all__ = [
     "capture_workload",
     "compile_trace",
     "execute_compiled",
-    "run_workload_batch",
 ]
 
 # Micro-op kinds (the ``kinds`` column of the compiled trace).
@@ -395,22 +394,6 @@ def execute_compiled(compiled: CompiledTrace, machine: Machine) -> None:
         _interpret(compiled, machine)
     else:
         replay(compiled.trace, machine)
-
-
-def run_workload_batch(config, workload):
-    """``run_workload`` with capture/compile/sweep execution.
-
-    Falls back to direct execution when the workload cannot be captured;
-    results are bit-identical either way.
-    """
-    machine = Machine(config)
-    workload.setup(machine)
-    stub = _capture_raw(machine, workload)
-    if stub is None:
-        workload.run(machine)
-    else:
-        execute_compiled(_compile_raw(stub.name, stub.raw), machine)
-    return machine.result(workload.name)
 
 
 def _workload_trace_key(config, workload) -> tuple:

@@ -17,21 +17,13 @@ __all__ = ["RunResult", "Comparison", "ResultTable", "run_provenance"]
 
 def run_provenance(runner) -> Dict:
     """The ``extra`` block every saved-results JSON carries: one
-    ``"runner"`` key holding the runner's stats plus, once a grid has
-    run, the per-cell :class:`GridReport` (attempts, outcomes,
-    quarantined failures).
+    ``"runner"`` key holding the runner's stats.
 
     Everything nests under ``"runner"`` deliberately — consumers that
-    diff two result files for payload equality already pop that one key
-    (CI does exactly this for its cold-vs-warm check), and the report
-    must ride inside it rather than invent a second volatile top-level
-    key they would each have to learn about.
+    diff two result files for payload equality pop that one key (CI
+    does exactly this for its cold-vs-warm check).
     """
-    block = dict(runner.last_stats.to_dict())
-    report = getattr(runner, "last_report", None)
-    if report is not None:
-        block["grid_report"] = report.to_dict()
-    return {"runner": block}
+    return {"runner": runner.last_stats.to_dict()}
 
 
 @dataclass

@@ -70,22 +70,13 @@ class Workload(ABC):
         return scheme.has_file_encryption
 
 
-def run_workload(
-    config: MachineConfig, workload: Workload, batch: bool = False
-) -> RunResult:
+def run_workload(config: MachineConfig, workload: Workload) -> RunResult:
     """Build a machine, run the workload, return the result record.
 
-    ``batch=True`` routes through the compiled-trace executor
-    (:mod:`repro.sim.batch`): the workload is captured once, lowered to
-    flat micro-op arrays, and swept through the inline interpreter.
-    Results are bit-identical to the per-access path either way — the
-    batch module falls back to direct execution for workloads or
-    machine configurations outside its envelope.
+    This is the per-access reference path.  The compiled-trace executor
+    (:class:`repro.sim.batch.BatchRunner`) produces bit-identical
+    results, and the exec runner's compare cells go through it.
     """
-    if batch:
-        from ..sim.batch import run_workload_batch
-
-        return run_workload_batch(config, workload)
     machine = Machine(config)
     workload.setup(machine)
     workload.run(machine)

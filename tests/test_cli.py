@@ -34,6 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
         ["report", "--json", "results"],
         ["cache", "stats", "--jobs", "2"],
         ["batchcheck", "--no-cache"],
+        ["fig12", "--timeout", "5"],
+        ["fig12", "--retries", "1"],
+        ["fig12", "--backoff", "1"],
+        ["fig12", "--failure-policy", "continue"],
+        ["fig12", "--batch"],
     ],
     ids=" ".join,
 )
@@ -75,22 +80,6 @@ def test_jobs_zero_means_one_worker_per_cpu(tmp_path):
 def test_jobs_defaults_to_serial(tmp_path):
     args = build_parser().parse_args(["crashsweep", "--cache-dir", str(tmp_path)])
     assert _make_runner(args).jobs == 1
-
-
-def test_timeout_on_a_serial_runner_is_rejected(capsys):
-    # The serial path cannot preempt a cell, so the deadline would be
-    # silently unenforced; the command must refuse before simulating.
-    with pytest.raises(SystemExit) as exc:
-        main(["fig12", "--iters", "10", "--no-cache", "--timeout", "5"])
-    assert exc.value.code == 2
-    assert "--timeout needs --jobs >= 2" in capsys.readouterr().err
-
-
-def test_timeout_with_workers_builds_a_supervised_runner(tmp_path):
-    args = build_parser().parse_args(
-        ["fig12", "--jobs", "2", "--timeout", "5", "--cache-dir", str(tmp_path)]
-    )
-    assert _make_runner(args).policy.timeout_seconds == 5
 
 
 def test_plan_flags_with_a_named_profile_are_rejected():

@@ -13,9 +13,12 @@ The runner's contract has three legs, and each gets direct coverage:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from repro.exec import runner as runner_module
 from repro.exec import (
     CellExecutionError,
     CellSpec,
@@ -147,16 +150,71 @@ def test_clear_cache_removes_entries(tmp_path):
     assert runner.last_stats.simulated == 1
 
 
+def _truncate(path):
+    path.write_text("{ truncated", encoding="utf-8")
+
+
+def _garble(path):
+    # Valid JSON whose payload no longer matches its stored checksum.
+    entry = json.loads(path.read_text())
+    entry["payload"]["workload"] = "garbled"
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+
 def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
-    runner = runner_for(tmp_path)
+    """Both kinds of damage read as a miss and are recomputed: a
+    truncated entry (a killed writer) and a garbled one (bit rot that
+    still parses)."""
     spec = spec_for()
-    runner.run([spec])
     key = cell_key(spec, "test-fingerprint")
-    entry_path = runner.cache.directory / key[:2] / f"{key}.json"
-    entry_path.write_text("{ truncated", encoding="utf-8")
-    result = runner.run([spec])[0]
-    assert not result.from_cache
-    assert json.loads(entry_path.read_text())["payload"] == result.payload
+    for corrupt in (_truncate, _garble):
+        runner = runner_for(tmp_path / corrupt.__name__)
+        truth = runner.run([spec])[0].payload
+        entry_path = runner.cache.entry_path(key)
+        corrupt(entry_path)
+        result = runner.run([spec])[0]
+        assert not result.from_cache, corrupt.__name__
+        assert result.payload == truth
+        assert json.loads(entry_path.read_text())["payload"] == truth
+
+
+@pytest.mark.parametrize("mode", ["truncate", "garble"])
+def test_corrupt_cache_write_is_a_miss_and_verify_quarantines(tmp_path, mode):
+    grid = [spec_for(ops=8), spec_for("DAX-1", ops=0), spec_for(ops=9)]
+    cold = runner_for(tmp_path)
+    cold_results = cold.run(grid)
+    corrupt = {"truncate": _truncate, "garble": _garble}[mode]
+    corrupt(cold.cache.entry_path(cell_key(grid[1], "test-fingerprint")))
+
+    # verify() finds exactly the damaged entry and quarantines it.
+    audit = cold.cache.verify()
+    assert audit["checked"] == 3
+    assert audit["corrupt"] == 1 and audit["ok"] == 2
+    assert len(audit["quarantined"]) == 1
+    quarantine = cold.cache.directory / "quarantine"
+    assert sorted(p.name for p in quarantine.glob("*.json")) == audit["quarantined"]
+
+    # A warm run treats the quarantined entry as a miss and recomputes
+    # it to the same payload; the survivors still hit.
+    warm = runner_for(tmp_path)
+    warm_results = warm.run(grid)
+    assert warm.last_stats.cache_hits == 2
+    assert warm.last_stats.simulated == 1
+    assert [r.payload for r in warm_results] == [r.payload for r in cold_results]
+    assert warm.cache.verify()["corrupt"] == 0
+
+
+def test_garbled_entry_is_a_miss_even_without_verify(tmp_path):
+    """The checksum check in ``get`` itself: a garbled payload with a
+    stale checksum must never be served, even if nobody ran verify."""
+    grid = [spec_for(ops=8), spec_for("DAX-1", ops=0)]
+    truth = [r.payload for r in runner_for(tmp_path).run(grid)]
+    _garble(runner_for(tmp_path).cache.entry_path(cell_key(grid[1], "test-fingerprint")))
+    warm = runner_for(tmp_path)
+    results = warm.run(grid)
+    assert warm.last_stats.simulated == 1  # the garbled cell, recomputed
+    assert [r.payload for r in results] == truth
+    assert "garbled" not in json.dumps(results[1].payload)
 
 
 # -- parallel == serial --------------------------------------------------
@@ -202,6 +260,19 @@ def test_failing_cell_raises_serial(tmp_path):
         runner.run([spec_for("No-Such-Workload")])
 
 
+def test_fail_fast_attaches_the_grid_report(tmp_path):
+    """With no audit object left, the error message is the report: it
+    names the failed cell and carries the worker's traceback."""
+    runner = runner_for(tmp_path, jobs=2)
+    grid = [spec_for(ops=8), spec_for("No-Such-Workload")]
+    with pytest.raises(CellExecutionError) as err:
+        runner.run(grid)
+    message = str(err.value)
+    assert message.startswith(f"cell {grid[1].label} failed:")
+    assert "Traceback" in message
+    assert grid[0].label not in message
+
+
 def test_failing_cell_raises_in_pool_never_partial(tmp_path):
     runner = runner_for(tmp_path, jobs=2)
     grid = [spec_for("Fillseq-S", ops=10), spec_for("No-Such-Workload")]
@@ -217,6 +288,64 @@ def test_completed_cells_survive_a_failed_grid(tmp_path):
     # after the fix only pays for what never completed.
     rerun = runner.run([spec_for("Fillseq-S", ops=10)])[0]
     assert rerun.from_cache
+
+
+def _fail_on(monkeypatch, failing, fail=None):
+    """Make ``execute_cell`` fail for the cells ``failing(spec)`` picks.
+    Fork-started pool workers inherit the patch."""
+    real = runner_module.execute_cell
+
+    def execute_cell(spec):
+        if failing(spec):
+            if fail is not None:
+                fail()
+            raise RuntimeError(f"injected failure in {spec.label}")
+        return real(spec)
+
+    monkeypatch.setattr(runner_module, "execute_cell", execute_cell)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched execute_cell reaches workers only through fork",
+)
+def test_pool_death_is_blamed_on_the_in_flight_cell(tmp_path, monkeypatch):
+    """A dead pool names the cells in flight, never a queued one: with
+    two workers, DAX-1 and Fillrandom-S are outstanding and Fillseq-S
+    waits for a free worker."""
+    _fail_on(monkeypatch, lambda spec: spec.workload == "DAX-1", fail=lambda: os._exit(13))
+    grid = [
+        spec_for("DAX-1", ops=0),
+        spec_for("Fillrandom-S", ops=800),
+        spec_for("Fillseq-S", ops=8),
+    ]
+    with pytest.raises(CellExecutionError) as err:
+        runner_for(tmp_path, jobs=2).run(grid)
+    message = str(err.value)
+    assert "worker pool died (BrokenProcessPoolError)" in message
+    assert "in flight" in message and "DAX-1" in message
+    assert "Fillseq-S" not in message
+
+
+def test_failed_figure_cell_writes_no_json(tmp_path, monkeypatch):
+    """A figure grid with a failing cell raises; it never prints or
+    saves a table with that row missing."""
+    from repro.cli import main
+
+    _fail_on(monkeypatch, lambda spec: spec.workload == "DAX-2")
+    out = tmp_path / "fig12.json"
+    with pytest.raises(CellExecutionError, match="DAX-2"):
+        main(["fig12", "--iters", "30", "--cache-dir", str(tmp_path / "c"),
+              "--json", str(out)])
+    assert not out.exists()
+
+
+def test_failed_loadcurve_cell_raises_cell_error(tmp_path, monkeypatch):
+    from repro.cli import main
+
+    _fail_on(monkeypatch, lambda spec: spec.kind == "loadcurve")
+    with pytest.raises(CellExecutionError, match=r"3xFillseq-S\[loadcurve baseline_secure\]"):
+        main(["loadcurve", "--cache-dir", str(tmp_path)])
 
 
 def test_result_cache_roundtrip(tmp_path):
@@ -338,6 +467,6 @@ def test_runner_stats_strict_lookup(tmp_path):
     runner.run([spec_for()])
     stats = runner.last_stats
     assert stats.stat("simulated") == 1
-    assert stats.stat("retries") == 0
-    with pytest.raises(KeyError, match="reties"):
-        stats.stat("reties")  # typos fail loudly, never read as 0
+    assert stats.stat("cache_hits") == 0
+    with pytest.raises(KeyError, match="cache_hit'"):
+        stats.stat("cache_hit")  # typos fail loudly, never read as 0

@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro.faults.sweep import sweep_workload, workload_factory
+from repro.sim.batch import BatchRunner
 from repro.sim.config import MachineConfig, Scheme
 from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
 from repro.workloads.base import run_workload
@@ -47,9 +48,8 @@ _FACTORIES = {
 
 
 def _run_digest(workload: str, scheme: Scheme, batch: bool = False):
-    result = run_workload(
-        MachineConfig(scheme=scheme), _FACTORIES[workload](), batch=batch
-    )
+    run = BatchRunner().run if batch else run_workload
+    result = run(MachineConfig(scheme=scheme), _FACTORIES[workload]())
     blob = json.dumps(
         {
             "workload": result.workload,
@@ -115,8 +115,8 @@ def test_timing_path_bit_identical(workload, scheme):
 def test_batched_path_bit_identical(workload, scheme):
     """The compiled-trace sweep (repro.sim.batch) must reproduce the
     same frozen digests: batching is an execution strategy, not a model
-    change, and this is the contract that makes ``--batch`` safe to use
-    on any figure grid."""
+    change, and this is the contract that lets every figure grid's
+    compare cells run through it."""
     digest, result = _run_digest(workload, Scheme(scheme), batch=True)
     want_digest, want_ns, want_reads, want_writes = GOLDEN[(workload, scheme)]
     assert result.elapsed_ns == want_ns, f"{workload}/{scheme}: clock drifted (batch)"

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.exec.spec import CellSpec, canonical_json, execute_cell
+from repro.exec.spec import CellSpec, canonical_json, cell_key, execute_cell, resolve_workload
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
 from repro.secmem.metadata_cache import MetadataCacheConfig
@@ -23,7 +23,6 @@ from repro.sim import (
     execute_compiled,
     get_scheme,
     replay,
-    run_workload_batch,
     scheme_names,
 )
 from repro.sim.batch import _supports_fast_path
@@ -139,7 +138,7 @@ def test_batched_equals_per_access(scheme_name, workload_name, geometry):
     factory = _FACTORIES[workload_name]
     config = get_scheme(scheme_name).configure(_GEOMETRIES[geometry])
     direct = run_workload(config, factory())
-    batched = run_workload_batch(config, factory())
+    batched = BatchRunner().run(config, factory())
     assert batched.to_dict() == direct.to_dict()
     if geometry != "default":
         stats = direct.stats
@@ -150,19 +149,12 @@ def test_batched_equals_per_access(scheme_name, workload_name, geometry):
             assert stats.get("metadata_cache.merkle_misses", 0) > 0
 
 
-def test_run_workload_batch_kwarg_routes():
-    config = get_scheme("fsencr").configure(MachineConfig())
-    direct = run_workload(config, _FACTORIES["DAX-1"]())
-    via_kwarg = run_workload(config, _FACTORIES["DAX-1"](), batch=True)
-    assert via_kwarg.to_dict() == direct.to_dict()
-
-
 def test_transactional_workload_batches_bit_identically():
     """The persist-dense redo-log pattern exercises the flush/fence
     micro-ops harder than the KV suites."""
     config = get_scheme("fsencr").configure(MachineConfig())
     direct = run_workload(config, _RedoTransfers())
-    batched = run_workload_batch(
+    batched = BatchRunner().run(
         get_scheme("fsencr").configure(MachineConfig()), _RedoTransfers()
     )
     assert batched.to_dict() == direct.to_dict()
@@ -177,7 +169,7 @@ def test_capture_fallback_for_untraceable_workload():
         get_scheme("fsencr").configure(MachineConfig()), functional=True
     )
     direct = run_workload(config, _RedoTransfers())
-    batched = run_workload_batch(config, _RedoTransfers())
+    batched = BatchRunner().run(config, _RedoTransfers())
     assert batched.to_dict() == direct.to_dict()
 
 
@@ -310,12 +302,20 @@ class TestCellSpecBatch:
     )
 
     def test_batch_cell_payload_identical(self):
-        plain = execute_cell(CellSpec(**self._CELL))
-        batched = execute_cell(CellSpec(batch=True, **self._CELL))
-        assert batched == plain
+        """Compare cells always execute through BatchRunner; their
+        payload must equal per-access runs of every column."""
+        payload = execute_cell(CellSpec(**self._CELL))
+        for scheme_name in self._CELL["schemes"]:
+            config = get_scheme(scheme_name).configure(MachineConfig())
+            direct = run_workload(config, resolve_workload("Fillseq-S", ops=24)())
+            assert payload["runs"][scheme_name] == direct.to_dict()
 
     def test_default_stays_out_of_cell_key(self):
-        """batch=False must not perturb existing cache keys — a late
-        default, exactly like anubis_recovery on MachineConfig."""
-        assert "batch" not in canonical_json(CellSpec(**self._CELL))
-        assert "batch" in canonical_json(CellSpec(batch=True, **self._CELL))
+        """Execution strategy is not part of a cell's identity: a
+        default compare cell keeps the key it had while batching was
+        still an opt-in flag."""
+        spec = CellSpec(**self._CELL)
+        assert "batch" not in canonical_json(spec)
+        assert cell_key(spec, "fp") == (
+            "b97fd2977142b2831c56e9d3b5ff81347bad308d724561fc59194017dd41a093"
+        )

@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+from repro.mem.cache import CacheConfig
+from repro.mem.nvm import NVMTiming
+from repro.mem.wpq import WPQConfig
+from repro.secmem.metadata_cache import MetadataCacheConfig
 from repro.sim import Comparison, MachineConfig, ResultTable, RunResult, Scheme
 from repro.sim.config import SCALE_FACTOR, scaled_hierarchy
 
@@ -64,6 +68,34 @@ class TestMachineConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             MachineConfig(**kwargs)
+
+    @pytest.mark.parametrize("build", [
+        lambda: CacheConfig("l1", 32 * 1024, ways=0),
+        lambda: CacheConfig("l1", 32 * 1024, ways=8, line_size=0),
+        lambda: CacheConfig("l1", 32 * 1024, ways=8, hit_latency=-1.0),
+        lambda: CacheConfig("l1", 32 * 1024, ways=8, hit_latency=float("nan")),
+        lambda: MetadataCacheConfig(ways=0),
+        lambda: MetadataCacheConfig(line_size=0),
+        lambda: MetadataCacheConfig(hit_latency=-3.0),
+        lambda: MetadataCacheConfig(hit_latency=float("nan")),
+        lambda: NVMTiming(read_ns=-60.0),
+        lambda: NVMTiming(write_ns=float("nan")),
+        lambda: NVMTiming(t_cl_ns=float("nan")),
+        lambda: WPQConfig(accept_ns=-30.0),
+        lambda: WPQConfig(accept_ns=float("nan")),
+        lambda: WPQConfig(drain_ns_per_entry=0.0),
+        lambda: WPQConfig(drain_ns_per_entry=float("nan")),
+    ], ids=[
+        "cache-ways-0", "cache-line-0", "cache-latency-negative", "cache-latency-nan",
+        "mdc-ways-0", "mdc-line-0", "mdc-latency-negative", "mdc-latency-nan",
+        "nvm-read-negative", "nvm-write-nan", "nvm-tcl-nan",
+        "wpq-accept-negative", "wpq-accept-nan", "wpq-drain-0", "wpq-drain-nan",
+    ])
+    def test_nested_config_validation(self, build):
+        """A nonsense nested config fails at construction, not as a
+        ZeroDivisionError or a NaN clock deep inside a run."""
+        with pytest.raises(ValueError):
+            build()
 
     def test_table3_timing_defaults(self):
         cfg = MachineConfig()
