@@ -46,12 +46,8 @@ def source_fingerprint(root: Optional[Path] = None) -> str:
 
 
 def file_fingerprint(path: Path) -> str:
-    """Hex digest of one file's bytes.
-
-    This is the per-file half of the tree fingerprint; the lint flow
-    index (``repro.lint.flow``) keys its incremental cache on it so both
-    caches agree on what "this file changed" means.
-    """
+    """Hex digest of one file's bytes: the per-file half of the tree
+    fingerprint."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -9,9 +9,12 @@ fails CI on regressions.
 
 Usage::
 
-    python -m repro.lint src benchmarks --strict
-    python -m repro.lint --format json
+    python -m repro.lint                  # lint src/ and benchmarks/ under cwd
+    python -m repro.lint --root DIR --format json
     repro-lint --list-rules
+
+Exit codes: 0 clean, 1 findings, 2 usage or parse error.  Inline
+``# repro-lint: disable=<rule>`` comments are the only suppression.
 
 See ``docs/LINT.md`` for the rule catalogue and the invariant each rule
 protects.

@@ -1,11 +1,13 @@
 """Core machinery: source loading, project-wide collection, rule dispatch.
 
-The engine runs in two passes.  Pass one parses every file and builds a
-:class:`Project` index — the ``*_BITS`` constant table, the set of
-classes that accept an injectable ``stats`` bundle, and the component
+The engine runs in two passes.  Pass one parses every file once and
+builds a :class:`Project` index — the ``*_BITS`` constant table, the set
+of classes that accept an injectable ``stats`` bundle, and the component
 classes benchmarks must not construct.  Pass two runs each registered
-rule over each file with the index in hand, then filters findings
-through inline ``# repro-lint: disable=<rule>`` suppressions.
+rule over each file with the index in hand (rules that need the whole
+program share :meth:`Project.flow`, built from the same ASTs), then
+filters findings through inline ``# repro-lint: disable=<rule>``
+suppressions.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ __all__ = [
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
-#: Directory fragments never worth parsing.
-_SKIP_FRAGMENTS = ("__pycache__", ".egg-info", ".git", ".tox", ".venv")
+#: Directory names never worth parsing (plus any ``*.egg-info``).
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".tox", ".venv"})
 
 #: Component layers (used by the project index): classes defined here are
 #: hardware/kernel components that benchmarks must reach only through
@@ -78,12 +80,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity used for baseline matching,
-        so unrelated edits above a baselined finding do not unbaseline it."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -184,14 +180,15 @@ class Project:
     def flow(self, options: Dict[str, object]):
         """The whole-program :class:`~repro.lint.flow.FlowAnalysis`.
 
-        Built on first use from the *configured* lint paths (unioned with
-        the files in this project), so whole-program checks reason about
-        the whole program even when only a subset of files is being linted.
+        Built on first use from exactly :attr:`files`, reusing the ASTs
+        :meth:`SourceFile.parse` produced, so no file is parsed twice.
         """
         if self._flow is None:
-            from .flow import build_flow  # local import: flow imports engine
+            from .flow import FlowAnalysis, build_graph, extract_module, solve_taint
 
-            self._flow = build_flow(self.root, options, self.files)
+            summaries = {src.rel: extract_module(src.rel, src.tree) for src in self.files}
+            graph = build_graph(summaries)
+            self._flow = FlowAnalysis(graph, solve_taint(graph, options))
         return self._flow
 
     def index(self) -> None:
@@ -322,7 +319,12 @@ def path_matches(rel: str, patterns: Iterable[str]) -> bool:
 
 
 def collect_files(paths: Sequence[Path], root: Path) -> List[Path]:
-    """Expand files/directories into the sorted list of lintable modules."""
+    """Expand files/directories into the sorted list of lintable modules.
+
+    Skip names match whole path components *below* each lint path, so a
+    checkout that itself sits under e.g. ``mirror.git/`` is still linted.
+    Finding no module at all is an error, never a silent pass.
+    """
     seen: Set[Path] = set()
     out: List[Path] = []
     for path in paths:
@@ -330,13 +332,18 @@ def collect_files(paths: Sequence[Path], root: Path) -> List[Path]:
             raise LintError(f"path does not exist: {path}")
         candidates = [path] if path.is_file() else sorted(path.rglob("*.py"))
         for candidate in candidates:
-            posix = candidate.as_posix()
-            if any(fragment in posix for fragment in _SKIP_FRAGMENTS):
+            if any(
+                part in _SKIP_DIRS or part.endswith(".egg-info")
+                for part in candidate.relative_to(path).parts
+            ):
                 continue
             resolved = candidate.resolve()
             if resolved not in seen:
                 seen.add(resolved)
                 out.append(candidate)
+    if not out:
+        where = ", ".join(path.as_posix() for path in paths) or root.as_posix()
+        raise LintError(f"no Python files to lint under {where}")
     return out
 
 
@@ -345,17 +352,14 @@ def lint_sources(
     root: Path,
     rules: Iterable,
     options: Dict[str, object],
-    only: Optional[Set[str]] = None,
     project: Optional[Project] = None,
 ) -> Tuple[List[Finding], int]:
     """Run ``rules`` over parsed sources.
 
     Returns ``(active_findings, suppressed_count)`` — suppressed findings
-    are dropped, everything else is sorted by location.
-
-    ``only`` restricts which files findings are *reported* for while the
-    cross-file index (and the flow graph) still sees every source — the
-    ``--changed`` contract: narrow output, whole-program analysis.
+    are dropped, everything else is sorted by location.  ``project`` is
+    the already-indexed :class:`Project` over ``sources``, built here
+    when not given.
     """
     if project is None:
         project = Project(root=root, files=sources)
@@ -363,8 +367,6 @@ def lint_sources(
     active: List[Finding] = []
     suppressed = 0
     for src in sources:
-        if only is not None and src.rel not in only:
-            continue
         for rule in rules:
             for finding in rule.check(src, project, options):
                 if src.suppressed(finding):
@@ -380,12 +382,14 @@ def lint_paths(
     root: Path,
     rules: Iterable,
     options: Dict[str, object],
-) -> Tuple[List[Finding], int, int]:
-    """Convenience wrapper: collect, parse, lint.
+) -> Tuple[List[Finding], int, Project]:
+    """Collect, parse once, index, lint.
 
-    Returns ``(findings, suppressed_count, file_count)``.
+    Returns ``(findings, suppressed_count, project)``; the project holds
+    the parsed files and, if a whole-program check ran, the flow analysis.
     """
-    files = collect_files(paths, root)
-    sources = [SourceFile.parse(path, root) for path in files]
-    findings, suppressed = lint_sources(sources, root, rules, options)
-    return findings, suppressed, len(sources)
+    sources = [SourceFile.parse(path, root) for path in collect_files(paths, root)]
+    project = Project(root=root, files=sources)
+    project.index()
+    findings, suppressed = lint_sources(sources, root, rules, options, project)
+    return findings, suppressed, project

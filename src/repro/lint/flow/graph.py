@@ -1,7 +1,7 @@
-"""Whole-program graphs: imports, symbols, and the approximate call graph.
+"""Whole-program graphs: symbols and the approximate call graph.
 
 Built from :class:`~repro.lint.flow.index.ModuleSummary` objects, never
-from ASTs — so a warm index cache gives a warm graph.  Resolution is a
+from ASTs.  Resolution is a
 deliberate approximation (documented in docs/LINT.md):
 
 * bare names resolve through the module's imports (with re-export
@@ -85,8 +85,6 @@ class FlowGraph:
         self.edges: Dict[str, Set[str]] = {}
         #: callee key -> caller keys
         self.redges: Dict[str, Set[str]] = {}
-        #: module name -> imported module names (project-internal only)
-        self.module_imports: Dict[str, Set[str]] = {}
         #: rel path -> function keys defined there (rule dispatch index)
         self.functions_by_rel: Dict[str, List[str]] = {}
         #: bare class name -> bare names of direct subclasses
@@ -136,20 +134,6 @@ class FlowGraph:
                     self.methods_by_name.setdefault(method, []).append(
                         f"{summary.name}:{method_qual}"
                     )
-            imported: Set[str] = set()
-            for target in summary.imports.values():
-                module = target[0]
-                # "module" or "module.symbol": accept either granularity.
-                if module in self.by_name:
-                    imported.add(module)
-                elif len(target) == 2 and f"{module}.{target[1]}" in self.by_name:
-                    imported.add(f"{module}.{target[1]}")
-                else:
-                    # fromlist import of a submodule's parent package.
-                    parent = module.rsplit(".", 1)[0] if "." in module else ""
-                    if parent and parent in self.by_name:
-                        imported.add(parent)
-            self.module_imports[summary.name] = imported
         self.stats["modules"] = len(self.modules)
         self.stats["functions"] = len(self.functions)
 
@@ -484,33 +468,6 @@ class FlowGraph:
             chain.append(cursor)
             cursor = parents.get(cursor)
         return list(reversed(chain))
-
-    def dependents_of(self, rels: Iterable[str]) -> Set[str]:
-        """Transitive reverse-import closure, as rel paths.
-
-        Given changed files, returns every file whose module (directly
-        or transitively) imports one of them — the ``--changed``
-        fallback set.  The changed files themselves are included.
-        """
-        reverse: Dict[str, Set[str]] = {}
-        for module, imported in self.module_imports.items():
-            for dep in imported:
-                reverse.setdefault(dep, set()).add(module)
-        name_by_rel = {rel: summary.name for rel, summary in self.modules.items()}
-        rel_by_name = {summary.name: rel for rel, summary in self.modules.items()}
-        queue: deque = deque(
-            name_by_rel[rel] for rel in rels if rel in name_by_rel
-        )
-        seen: Set[str] = set(queue)
-        while queue:
-            current = queue.popleft()
-            for dependent in reverse.get(current, ()):
-                if dependent not in seen:
-                    seen.add(dependent)
-                    queue.append(dependent)
-        out = {rel_by_name[name] for name in seen if name in rel_by_name}
-        out.update(rel for rel in rels if rel in self.modules)
-        return out
 
 
 def build_graph(summaries: Dict[str, ModuleSummary]) -> FlowGraph:

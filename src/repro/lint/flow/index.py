@@ -1,11 +1,10 @@
-"""Per-module extraction: one parsed file -> a JSON-serialisable summary.
+"""Per-module extraction: one parsed file -> a plain-data summary.
 
-The flow engine never holds ASTs for the whole project at once.  Each
-file is walked exactly once and reduced to a :class:`ModuleSummary` —
-imports, classes, and per-function :class:`FunctionSummary` tables of
-calls, assignments, returns, and output surfaces — in plain dict/list
-form so the incremental index cache can round-trip it through JSON
-without re-parsing unchanged files.
+Each module AST the engine parsed is walked exactly once and reduced to
+a :class:`ModuleSummary` — imports, classes, and per-function
+:class:`FunctionSummary` tables of calls, assignments, returns, and
+output surfaces — in plain dict/list form, which the graph and the
+taint solver query without touching the AST again.
 
 The expression model is deliberately coarse: an expression occurrence is
 summarised as the set of names it reads, the attribute chains it reads,
@@ -21,16 +20,11 @@ import ast
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
-    "INDEX_FORMAT",
     "ModuleSummary",
     "FunctionSummary",
     "extract_module",
     "module_name_for",
 ]
-
-#: Bump when the summary shape changes — stale cache entries are then
-#: re-extracted instead of misread.
-INDEX_FORMAT = 2
 
 #: Calls whose result drops taint: length/shape metadata, strong digests
 #: (a SHA-256 of a key is deliberately exported by e.g. the admin
@@ -95,16 +89,6 @@ class FunctionSummary:
         #: ``x[...] = v`` stores: [{"target_chain": [...], "expr": expr}]
         self.subscript_stores: List[Dict] = []
 
-    def to_dict(self) -> Dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, raw: Dict) -> "FunctionSummary":
-        out = cls(raw["qualname"], raw["lineno"])
-        for slot in cls.__slots__:
-            setattr(out, slot, raw[slot])
-        return out
-
 
 class ModuleSummary:
     """Everything the flow graph needs to know about one module."""
@@ -129,26 +113,6 @@ class ModuleSummary:
         self.classes: Dict[str, Dict] = {}
         #: qualname -> FunctionSummary ("<module>" holds the module body)
         self.functions: Dict[str, FunctionSummary] = {}
-
-    def to_dict(self) -> Dict:
-        return {
-            "rel": self.rel,
-            "name": self.name,
-            "is_package": self.is_package,
-            "imports": self.imports,
-            "classes": self.classes,
-            "functions": {q: fn.to_dict() for q, fn in self.functions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict) -> "ModuleSummary":
-        out = cls(raw["rel"], raw["name"], raw["is_package"])
-        out.imports = raw["imports"]
-        out.classes = raw["classes"]
-        out.functions = {
-            q: FunctionSummary.from_dict(fn) for q, fn in raw["functions"].items()
-        }
-        return out
 
 
 def module_name_for(rel: str) -> Tuple[str, bool]:

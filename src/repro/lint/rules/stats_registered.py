@@ -16,7 +16,7 @@ bundles the rule exists to catch are precisely the ones created in
 helper modules *away* from the registry — a module-scoped gate
 whitelists the exact code most likely to be wrong.)  Self-contained
 construction sites — ablation helpers probing a component's own bundle,
-test fixtures — carry inline suppressions or a baseline entry.
+test fixtures — carry inline suppressions.
 
 A second check closes the loop across modules on the whole-program flow
 graph (docs/RUNNER.md: figures read ``RunResult.stats``, a registry

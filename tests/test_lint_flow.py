@@ -1,6 +1,6 @@
 """Whole-program flow analysis: the call-graph checks of the four rules
-that have one, the incremental index cache, and the CLI satellites built
-on top (``--format sarif``, ``--changed``, ``--prune-baseline``).
+that have one, the one-parse contract (the flow graph reuses the ASTs
+the engine parsed), and the flow statistics in the CLI's JSON summary.
 
 Each call-graph check gets the same treatment: a positive fixture where
 the offending flow crosses a module boundary, a suppressed variant (the
@@ -10,17 +10,15 @@ count), and a clean fixture exercising the sanctioned idiom.
 
 from __future__ import annotations
 
+import ast
 import json
-import subprocess
 import textwrap
 from pathlib import Path
 
 from repro.lint import RULES
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.config import DEFAULTS
 from repro.lint.engine import SourceFile, lint_sources
-from repro.lint.flow import build_flow
 
 
 def lint_tree(tmp_path: Path, files: dict, rule: str = None):
@@ -480,223 +478,54 @@ def test_suppression_above_sink_covers_multiline_call(tmp_path):
     assert findings == [] and suppressed == 1
 
 
-# -- incremental index cache ---------------------------------------------
+# -- one parse per file, and the CLI's flow statistics -------------------
 
 
-def _flow_options(tmp_path: Path) -> dict:
-    options = dict(DEFAULTS)
-    options["paths"] = ["src"]
-    options["flow-index-dir"] = str(tmp_path / ".idx")
-    return options
-
-
-def _write_tree(tmp_path: Path) -> None:
-    for rel, source in {
-        "src/repro/a.py": "def one():\n    return 1\n",
-        "src/repro/b.py": "from repro.a import one\n\ndef two():\n    return one() + 1\n",
-    }.items():
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source, encoding="utf-8")
-
-
-def test_warm_flow_build_serves_from_index_cache(tmp_path):
-    _write_tree(tmp_path)
-    options = _flow_options(tmp_path)
-
-    cold = build_flow(tmp_path, options, [])
-    assert cold.cache_stats.misses == 2 and cold.cache_stats.hits == 0
-
-    warm = build_flow(tmp_path, options, [])
-    assert warm.cache_stats.hits == 2 and warm.cache_stats.misses == 0
-    assert warm.graph.stats == cold.graph.stats
-
-
-def test_incremental_rebuild_reparses_only_changed_file(tmp_path):
-    _write_tree(tmp_path)
-    options = _flow_options(tmp_path)
-    build_flow(tmp_path, options, [])
-
-    (tmp_path / "src/repro/a.py").write_text(
-        "def one():\n    return 42\n", encoding="utf-8"
-    )
-    rebuilt = build_flow(tmp_path, options, [])
-    assert rebuilt.cache_stats.hits == 1 and rebuilt.cache_stats.misses == 1
-
-
-def test_index_cache_disabled_by_empty_dir_option(tmp_path):
-    _write_tree(tmp_path)
-    options = _flow_options(tmp_path)
-    options["flow-index-dir"] = ""
-    build_flow(tmp_path, options, [])
-    again = build_flow(tmp_path, options, [])
-    assert again.cache_stats.hits == 0 and again.cache_stats.misses == 2
-    assert not (tmp_path / ".idx").exists()
-
-
-# -- CLI satellites ------------------------------------------------------
-
-
-def _violation_root(tmp_path: Path) -> Path:
-    pkg = tmp_path / "src" / "repro" / "sim"
-    pkg.mkdir(parents=True)
-    (pkg / "bad.py").write_text(
-        "import time\n\ndef now():\n    return time.time()\n", encoding="utf-8"
-    )
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\npaths = ["src"]\n', encoding="utf-8"
-    )
-    return tmp_path
-
-
-def test_cli_sarif_output(tmp_path, capsys):
-    root = _violation_root(tmp_path)
-    code = lint_main(["--root", str(root), "--format", "sarif"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    result = run["results"][0]
-    assert result["ruleId"] == "no-wallclock-or-unseeded-rng"
-    assert result["level"] == "error"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "src/repro/sim/bad.py"
-    assert location["region"]["startLine"] == 4
-    ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert ids == {"no-wallclock-or-unseeded-rng"}
-
-
-def test_cli_sarif_marks_baselined_as_suppressed(tmp_path, capsys):
-    root = _violation_root(tmp_path)
-    assert lint_main(["--root", str(root), "--write-baseline"]) == 0
-    capsys.readouterr()
-    code = lint_main(["--root", str(root), "--format", "sarif"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    result = payload["runs"][0]["results"][0]
-    assert result["suppressions"][0]["kind"] == "external"
-
-
-def test_cli_prune_baseline_keeps_reasons_for_live_debt(tmp_path, capsys):
-    root = _violation_root(tmp_path)
-    extra = root / "src" / "repro" / "sim" / "worse.py"
-    extra.write_text(
-        "import time\n\ndef later():\n    return time.time()\n", encoding="utf-8"
-    )
-    assert lint_main(["--root", str(root), "--write-baseline"]) == 0
-    capsys.readouterr()
-
-    # Annotate both entries with reasons, as a maintainer would.
-    baseline_path = root / str(DEFAULTS["baseline"])
-    raw = json.loads(baseline_path.read_text(encoding="utf-8"))
-    for item in raw["findings"]:
-        item["reason"] = f"legacy clock read in {item['path']}"
-    baseline_path.write_text(json.dumps(raw), encoding="utf-8")
-
-    # Pay off one entry; prune must drop it and keep the other's reason.
-    extra.write_text("def later(clock_ns):\n    return clock_ns\n", encoding="utf-8")
-    assert lint_main(["--root", str(root), "--prune-baseline"]) == 0
-    out = capsys.readouterr().out
-    assert "pruned 1 stale entry" in out
-
-    pruned = Baseline.load(baseline_path)
-    assert sum(pruned.entries.values()) == 1
-    (fingerprint,) = pruned.entries
-    assert fingerprint[1] == "src/repro/sim/bad.py"
-    assert pruned.reasons[fingerprint] == "legacy clock read in src/repro/sim/bad.py"
-    assert lint_main(["--root", str(root), "--strict"]) == 0
-
-
-def test_cli_write_baseline_preserves_reasons(tmp_path, capsys):
-    root = _violation_root(tmp_path)
-    assert lint_main(["--root", str(root), "--write-baseline"]) == 0
-    capsys.readouterr()
-    baseline_path = root / str(DEFAULTS["baseline"])
-    raw = json.loads(baseline_path.read_text(encoding="utf-8"))
-    raw["findings"][0]["reason"] = "known debt"
-    baseline_path.write_text(json.dumps(raw), encoding="utf-8")
-
-    assert lint_main(["--root", str(root), "--write-baseline"]) == 0
-    capsys.readouterr()
-    reloaded = Baseline.load(baseline_path)
-    assert list(reloaded.reasons.values()) == ["known debt"]
-
-
-def test_cli_stale_baseline_warning_mentions_prune(tmp_path, capsys):
-    root = _violation_root(tmp_path)
-    assert lint_main(["--root", str(root), "--write-baseline"]) == 0
-    capsys.readouterr()
-    (root / "src" / "repro" / "sim" / "bad.py").write_text(
-        "def now(clock_ns):\n    return clock_ns\n", encoding="utf-8"
-    )
-    assert lint_main(["--root", str(root)]) == 0
-    out = capsys.readouterr().out
-    assert "warning: stale-baseline" in out and "--prune-baseline" in out
-
-
-def _git(root: Path, *args: str) -> None:
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=root,
-        check=True,
-        capture_output=True,
-    )
-
-
-def test_cli_changed_lints_changed_files_and_dependents(tmp_path, capsys):
-    root = tmp_path
-    files = {
-        "src/repro/base.py": "def base():\n    return 1\n",
-        "src/repro/user.py": (
-            "from repro.base import base\n\ndef use():\n    return base()\n"
-        ),
-        "src/repro/sim/lone.py": "import time\n\ndef now():\n    return time.time()\n",
-    }
+def _write_tree(root: Path, files: dict) -> Path:
     for rel, source in files.items():
         target = root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source, encoding="utf-8")
-    (root / "pyproject.toml").write_text(
-        '[tool.repro-lint]\npaths = ["src"]\n', encoding="utf-8"
-    )
-    _git(root, "init", "-q")
-    _git(root, "add", ".")
-    _git(root, "commit", "-qm", "seed")
+        target.write_text(textwrap.dedent(source), encoding="utf-8")
+    return root
 
-    # Nothing changed: --changed lints nothing and passes even though
-    # lone.py has a violation.
-    code = lint_main(["--root", str(root), "--changed", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0 and payload["summary"]["files"] == 0
 
-    # Touch the leaf: the dependent is re-linted too, the unrelated
-    # violating file still is not.
-    (root / "src/repro/base.py").write_text(
-        "def base():\n    return 2\n", encoding="utf-8"
-    )
-    code = lint_main(["--root", str(root), "--changed", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["summary"]["files"] == 2
+TWO_HOP_LEAK = {
+    "src/repro/crypto/keys.py": KEY_SOURCE,
+    "src/repro/sim/report.py": """
+        from repro.crypto.keys import generate_fek
 
-    # Touch the violating file itself: now it fails.
-    (root / "src/repro/sim/lone.py").write_text(
-        "import time\n\ndef now():\n    return time.time() + 1\n", encoding="utf-8"
-    )
-    code = lint_main(["--root", str(root), "--changed", "--format", "json"])
+        def leak():
+            fek = generate_fek()
+            return f"fek={fek}"
+    """,
+}
+
+
+def test_each_file_is_parsed_once(tmp_path, monkeypatch, capsys):
+    root = _write_tree(tmp_path, TWO_HOP_LEAK)
+    parses = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        parses.append(kwargs.get("filename"))
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    code = lint_main(["--root", str(root), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
+    # The flow rule fired, so the whole-program graph was built...
     assert code == 1
-    assert {f["path"] for f in payload["findings"]} == {"src/repro/sim/lone.py"}
+    assert [f["rule"] for f in payload["findings"]] == ["key-hygiene"]
+    # ...from the engine's ASTs: one parse per linted file, no more.
+    assert payload["summary"]["files"] == 2
+    assert len(parses) == 2
 
 
 def test_cli_json_summary_carries_flow_stats(tmp_path, capsys):
-    root = _violation_root(tmp_path)
-    code = lint_main(
-        ["--root", str(root), "--format", "json", "--select", "stats-registered"]
-    )
+    root = _write_tree(tmp_path, TWO_HOP_LEAK)
+    code = lint_main(["--root", str(root), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 0
+    assert code == 1
     flow = payload["summary"]["flow"]
-    assert flow["graph"]["modules"] >= 1
-    assert flow["index_cache"]["files"] >= 1
+    assert flow["modules"] == payload["summary"]["files"] == 2
+    assert flow["resolved"] >= 1

@@ -3,8 +3,8 @@
 Each rule gets at least one positive fixture (must flag) and one
 negative fixture (must stay quiet), all as small inline sources written
 into a scratch tree whose layout mirrors the real package (rules scope
-themselves by path).  The suppression and baseline mechanisms are
-round-tripped through the CLI's JSON output.
+themselves by path).  Inline suppressions and the CLI's exit codes are
+round-tripped through its JSON output.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import RULES
-from repro.lint.baseline import Baseline, split_findings
 from repro.lint.cli import main as lint_main
-from repro.lint.config import DEFAULTS, load_config
+from repro.lint.config import DEFAULTS
 from repro.lint.engine import SourceFile, lint_sources
 
 
@@ -785,7 +784,7 @@ def test_builder_owns_wiring_quiet_in_builder_tests_and_devices(tmp_path):
     assert findings == []
 
 
-# -- suppressions, baseline, CLI round-trip ------------------------------
+# -- suppressions, CLI round-trip ----------------------------------------
 
 
 def test_inline_suppression_same_line_and_line_above(tmp_path):
@@ -824,19 +823,16 @@ def test_unrelated_suppression_does_not_hide(tmp_path):
     assert suppressed == 0 and len(findings) == 1
 
 
-def _write_violation_tree(tmp_path: Path) -> Path:
-    pkg = tmp_path / "src" / "repro" / "sim"
+def _write_violation_tree(root: Path) -> Path:
+    pkg = root / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "bad.py").write_text(
         "import time\n\ndef now():\n    return time.time()\n", encoding="utf-8"
     )
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\npaths = ["src"]\n', encoding="utf-8"
-    )
-    return tmp_path
+    return root
 
 
-def test_cli_baseline_round_trip_through_json(tmp_path, capsys):
+def test_cli_json_report_round_trip(tmp_path, capsys):
     root = _write_violation_tree(tmp_path)
 
     # 1. The violation fails the run and shows up in the JSON stream.
@@ -844,107 +840,65 @@ def test_cli_baseline_round_trip_through_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["exit_code"] == 1
-    new = [f for f in payload["findings"] if f["status"] == "new"]
-    assert len(new) == 1 and new[0]["rule"] == "no-wallclock-or-unseeded-rng"
+    assert [f["rule"] for f in payload["findings"]] == ["no-wallclock-or-unseeded-rng"]
+    assert payload["summary"]["findings"] == 1 and payload["summary"]["files"] == 1
 
-    # 2. Accept it into the baseline; the run becomes clean.
-    assert lint_main(["--root", str(root), "--write-baseline"]) == 0
-    capsys.readouterr()
-    code = lint_main(["--root", str(root), "--format", "json", "--strict"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["summary"]["baselined"] == 1 and payload["summary"]["new"] == 0
-
-    # 3. Fix the violation: strict mode now fails on the stale entry...
+    # 2. Suppress it inline: the run is clean and counts the suppression.
     (root / "src" / "repro" / "sim" / "bad.py").write_text(
-        "def now(clock_ns):\n    return clock_ns\n", encoding="utf-8"
+        "import time\n\ndef now():\n"
+        "    return time.time()  # repro-lint: disable=no-wallclock-or-unseeded-rng\n",
+        encoding="utf-8",
     )
-    code = lint_main(["--root", str(root), "--format", "json", "--strict"])
+    code = lint_main(["--root", str(root), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 1 and payload["summary"]["stale_baseline"] == 1
-
-    # ...while the non-strict run keeps passing.
-    assert lint_main(["--root", str(root)]) == 0
+    assert code == 0 and payload["findings"] == []
+    assert payload["summary"]["suppressed"] == 1
 
 
-def test_baseline_matching_ignores_line_numbers(tmp_path):
-    findings, _ = lint_tree(
-        tmp_path,
-        {"src/repro/sim/x.py": "import time\n\ndef f():\n    return time.time()\n"},
-        rule="no-wallclock-or-unseeded-rng",
+def test_cli_lints_a_checkout_below_a_skip_named_directory(tmp_path, capsys):
+    # Skip names (.git, .venv, ...) match path components below the lint
+    # path only; a checkout under "x.git-mirror/" must still be linted.
+    root = _write_violation_tree(tmp_path / "x.git-mirror" / "repo")
+    (root / "src" / "repro" / "sim" / "__pycache__").mkdir()
+    (root / "src" / "repro" / "sim" / "__pycache__" / "stale.py").write_text(
+        "import time\nTICK = time.time()\n", encoding="utf-8"
     )
-    baseline = Baseline.from_findings(findings)
-    shifted, _ = lint_tree(
-        tmp_path,
-        {"src/repro/sim/y.py": "import time\n\n\n\n\ndef f():\n    return time.time()\n"},
-        rule="no-wallclock-or-unseeded-rng",
-    )
-    # Same rule+message, different path: must NOT match the baseline.
-    new, matched, stale = split_findings(shifted, baseline)
-    assert len(new) == 1 and matched == [] and len(stale) == 1
-    # Same path, shifted line: must match.
-    moved = [f for f in findings]
-    relocated = [type(f)(f.rule, f.path, f.line + 40, f.col, f.message) for f in moved]
-    new, matched, stale = split_findings(relocated, baseline)
-    assert new == [] and len(matched) == 1 and stale == []
+    code = lint_main(["--root", str(root), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [f["path"] for f in payload["findings"]] == ["src/repro/sim/bad.py"]
 
 
-def test_cli_select_ignore_and_errors(tmp_path, capsys):
+def test_cli_errors_exit_2(tmp_path, capsys):
+    # A missing root, and a root with nothing to lint, are errors rather
+    # than a silent pass over zero files.
+    assert lint_main(["--root", str(tmp_path / "missing-dir")]) == 2
+    assert lint_main(["--root", str(tmp_path)]) == 2
+    (tmp_path / "src").mkdir()
+    assert lint_main(["--root", str(tmp_path)]) == 2
+    assert "no Python files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--strict"],
+        ["--changed"],
+        ["--baseline", "-"],
+        ["--format", "sarif"],
+        ["--select", "x"],
+        ["src"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_rejects_removed_options(tmp_path, argv):
     root = _write_violation_tree(tmp_path)
-    assert lint_main(["--root", str(root), "--select", "key-hygiene"]) == 0
-    capsys.readouterr()
-    assert lint_main(["--root", str(root), "--ignore", "no-wallclock-or-unseeded-rng"]) == 0
-    capsys.readouterr()
-    assert lint_main(["--root", str(root), "--select", "no-such-rule"]) == 2
-    assert lint_main(["--root", str(root / "missing-dir"), ]) == 2
+    with pytest.raises(SystemExit) as exc:
+        lint_main(["--root", str(root), *argv])
+    assert exc.value.code == 2
 
 
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == set(RULES)
-
-
-def test_config_table_overrides_defaults(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        textwrap.dedent(
-            """
-            [tool.repro-lint]
-            paths = ["elsewhere"]
-            mask-min-bits = 20
-            """
-        ),
-        encoding="utf-8",
-    )
-    options = load_config(tmp_path)
-    assert options["paths"] == ["elsewhere"]
-    assert options["mask-min-bits"] == 20
-    # Untouched keys keep their defaults.
-    assert options["baseline"] == DEFAULTS["baseline"]
-
-
-def test_config_fallback_parser_matches_subset():
-    from repro.lint.config import _parse_toml_subset
-
-    parsed = _parse_toml_subset(
-        textwrap.dedent(
-            """
-            [project]
-            name = "repro"
-
-            [tool.repro-lint]
-            paths = [
-                "src",
-                "benchmarks",
-            ]
-            mask-min-bits = 14
-            strict = true
-            baseline = ".repro-lint-baseline.json"
-            """
-        )
-    )
-    table = parsed["tool.repro-lint"]
-    assert table["paths"] == ["src", "benchmarks"]
-    assert table["mask-min-bits"] == 14
-    assert table["strict"] is True
-    assert table["baseline"] == ".repro-lint-baseline.json"
