@@ -20,6 +20,7 @@ from repro.core import (
     import_machine,
     set_df,
 )
+from repro.crypto import SecretKey
 from repro.secmem import MetadataLayout, SecureControllerConfig
 
 
@@ -33,7 +34,7 @@ def banner(text: str) -> None:
 def main() -> None:
     banner("Machine A: an encrypted file lives on the DIMM")
     source = FsEncrController(layout=LAYOUT, config=SecureControllerConfig(functional=True))
-    source.install_file_key(group_id=9, file_id=77, key=bytes(range(16)))
+    source.install_file_key(group_id=9, file_id=77, key=SecretKey(bytes(range(16))))
     source.update_fecb(page=5, group_id=9, file_id=77)
     addr = set_df(5 * 4096)
     payload = b"quarterly results: do not leak".ljust(64, b".")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..crypto.iv import FILE_DOMAIN, MEMORY_DOMAIN, CounterIV
+from ..crypto.keys import SecretKey
 from ..crypto.otp import OTPEngine, xor_bytes
 from ..mem import dfbit
 from ..mem.address import LINE_SIZE, page_number, page_offset_lines
@@ -77,16 +78,14 @@ class SystemDesign:
         self.controller = FsEncrController(
             layout=_LAYOUT, config=SecureControllerConfig(functional=True)
         )
-        self.file_keys: Dict[int, bytes] = {}
+        self.file_keys: Dict[int, SecretKey] = {}
         self.addr_of_file: Dict[int, int] = {}
         file_ids = (10, 11)
-        shared_key = bytes.fromhex("00112233445566778899aabbccddeeff")
+        shared_key = SecretKey(bytes.fromhex("00112233445566778899aabbccddeeff"))
         for index, file_id in enumerate(file_ids):
             page = 4 + index
             if any_file_keys:
-                key = (
-                    bytes([file_id]) * 16 if per_file_keys else shared_key
-                )
+                key = SecretKey(bytes([file_id]) * 16) if per_file_keys else shared_key
                 self.controller.install_file_key(group_id=1, file_id=file_id, key=key)
                 self.controller.update_fecb(page=page, group_id=1, file_id=file_id)
                 self.file_keys[file_id] = key

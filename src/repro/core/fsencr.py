@@ -30,7 +30,7 @@ import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.iv import FILE_DOMAIN, CounterIV
-from ..crypto.keys import KeyHierarchy
+from ..crypto.keys import KeyHierarchy, SecretKey
 from ..crypto.otp import OTPEngine, xor_bytes
 from ..mem import dfbit
 from ..mem.address import LINE_SIZE, page_number, page_offset_lines
@@ -78,7 +78,7 @@ class FsEncrController(BaselineSecureController):
         self.fecb = FECBStore()
         # One pooled file engine: re-keyed per request in functional mode.
         # Hardware would pipeline one AES datapath the same way.
-        self._file_engine = OTPEngine(bytes(16)) if self.config.functional else None
+        self._file_engine = OTPEngine(SecretKey(bytes(16))) if self.config.functional else None
         self._locked = False  # admin_login failure locks file decryption
         # Persisted-FECB journal, the file-layer sibling of the MECB
         # journal: {page: (group_id, file_id, major, minors)} as a
@@ -102,7 +102,7 @@ class FsEncrController(BaselineSecureController):
     # MMIOTarget — the kernel-facing management verbs (§III-F-1)
     # ==================================================================
 
-    def install_file_key(self, group_id: int, file_id: int, key: bytes) -> None:
+    def install_file_key(self, group_id: int, file_id: int, key: SecretKey) -> None:
         """File created/opened: key into the OTT, logged to the region.
 
         Write-through logging is the paper's first crash-consistency
@@ -243,7 +243,7 @@ class FsEncrController(BaselineSecureController):
     # Key lookup on the access path
     # ==================================================================
 
-    def _lookup_key(self, group_id: int, file_id: int) -> "tuple[bytes, float]":
+    def _lookup_key(self, group_id: int, file_id: int) -> "tuple[SecretKey, float]":
         """OTT lookup with region fallback; returns (key, latency)."""
         latency = self.ott.lookup_latency_ns
         entry = self.ott.lookup(group_id, file_id)
@@ -394,7 +394,7 @@ class FsEncrController(BaselineSecureController):
     # Re-keying and counter hygiene (§VI)
     # ==================================================================
 
-    def rekey_file(self, group_id: int, file_id: int) -> bytes:
+    def rekey_file(self, group_id: int, file_id: int) -> SecretKey:
         """Rotate a file's key (FECB major-counter saturation response).
 
         The paper's lazy scheme keeps both keys and re-encrypts on

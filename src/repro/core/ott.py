@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..crypto.aes import AES128
+from ..crypto.keys import SecretKey
 from ..crypto.otp import xor_bytes
 from ..mem.address import LINE_SIZE
 from ..mem.controller import ServiceQueue
@@ -52,22 +53,23 @@ class KeyUnavailableError(Exception):
 class OTTEntry:
     """One file-key binding.
 
-    ``key`` is excluded from the auto-repr: entries surface in
-    tracebacks and debug dumps, and plaintext file keys must never be
-    rendered (§III-E — key-hygiene lint rule).
+    ``key`` is a :class:`~repro.crypto.keys.SecretKey`, which redacts
+    itself anyway; it is also kept out of the auto-repr, since entries
+    surface in tracebacks and debug dumps (§III-E — key-hygiene lint
+    rule).
     """
 
     group_id: int
     file_id: int
-    key: bytes = field(repr=False)
+    key: SecretKey = field(repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.group_id < (1 << GROUP_ID_BITS):
             raise ValueError(f"group_id {self.group_id} exceeds {GROUP_ID_BITS} bits")
         if not 0 <= self.file_id < (1 << FILE_ID_BITS):
             raise ValueError(f"file_id {self.file_id} exceeds {FILE_ID_BITS} bits")
-        if len(self.key) != 16:
-            raise ValueError("file key must be 128 bits")
+        if not isinstance(self.key, SecretKey):
+            raise TypeError("file key must be a SecretKey")
 
     @property
     def ident(self) -> Tuple[int, int]:
@@ -174,7 +176,7 @@ class EncryptedOTTRegion:
     def __init__(
         self,
         slots: int,
-        ott_key: bytes,
+        ott_key: SecretKey,
         ways: int = 8,
         stats: Optional[StatCounters] = None,
     ) -> None:
@@ -196,29 +198,28 @@ class EncryptedOTTRegion:
             blocks.append(self._cipher.encrypt_block(block[:16]))
         return b"".join(blocks)
 
+    def _tag(self, slot: int, payload: bytes) -> bytes:
+        material = self._cipher.key.reveal() + slot.to_bytes(8, "big") + payload
+        return hashlib.sha256(material).digest()[:16]
+
     def _seal(self, slot: int, entry: OTTEntry) -> bytes:
         ident = (entry.group_id << FILE_ID_BITS) | entry.file_id
-        payload = ident.to_bytes(4, "big") + entry.key
-        tag = hashlib.sha256(
-            self._cipher.key + slot.to_bytes(8, "big") + payload
-        ).digest()[:16]
+        payload = ident.to_bytes(4, "big") + entry.key.reveal()
+        tag = self._tag(slot, payload)
         record = payload + tag + bytes(self.RECORD_BYTES - len(payload) - len(tag))
         return xor_bytes(record, self._pad(slot))
 
     def _unseal(self, slot: int, sealed: bytes) -> Optional[OTTEntry]:
         record = xor_bytes(sealed, self._pad(slot))
         payload, tag = record[:20], record[20:36]
-        expected = hashlib.sha256(
-            self._cipher.key + slot.to_bytes(8, "big") + payload
-        ).digest()[:16]
-        if tag != expected:
+        if tag != self._tag(slot, payload):
             self.stats.add("tag_failures")
             return None
         ident = int.from_bytes(payload[:4], "big")
         return OTTEntry(
             group_id=ident >> FILE_ID_BITS,
             file_id=ident & ((1 << FILE_ID_BITS) - 1),
-            key=payload[4:20],
+            key=SecretKey(payload[4:20]),
         )
 
     # -- hash-table operations ----------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..crypto.aes import AES128
-from ..crypto.keys import KEY_SIZE, KeyHierarchy, derive_fekek
+from ..crypto.keys import KEY_SIZE, KeyHierarchy, SecretKey, derive_fekek
 from ..crypto.otp import xor_bytes
 from ..secmem.layout import MetadataLayout
 from ..secmem.secure_controller import SecureControllerConfig
@@ -82,7 +82,9 @@ def _transport_pad(passphrase: str) -> bytes:
 
 def _tag(passphrase: str, sealed: bytes, root: bytes) -> bytes:
     tkey = derive_fekek(passphrase, _TRANSPORT_SALT)
-    return hmac.new(tkey, b"fsencr-transport" + sealed + root, hashlib.sha256).digest()
+    return hmac.new(
+        tkey.reveal(), b"fsencr-transport" + sealed + root, hashlib.sha256
+    ).digest()
 
 
 def export_machine(
@@ -94,7 +96,7 @@ def export_machine(
     only in volatile on-chip state), then seals the chip secrets.
     """
     controller.crash_flush_ott()
-    plaintext = controller.keys.memory_key + controller.keys.ott_key
+    plaintext = controller.keys.memory_key.reveal() + controller.keys.ott_key.reveal()
     pad = _transport_pad(passphrase)
     sealed = xor_bytes(plaintext, pad)
     root = controller.merkle.root
@@ -132,7 +134,7 @@ def import_machine(
 
     pad = _transport_pad(passphrase)
     plaintext = xor_bytes(package.sealed_keys, pad)
-    keys = KeyHierarchy(plaintext[:KEY_SIZE], plaintext[KEY_SIZE:])
+    keys = KeyHierarchy(SecretKey(plaintext[:KEY_SIZE]), SecretKey(plaintext[KEY_SIZE:]))
 
     # Throwaway functional controller for the receiving machine; no
     # results registry exists here and no machine is being wired.

@@ -3,7 +3,8 @@
 Everything here is implemented from scratch (no third-party crypto): an
 AES-128 block cipher, the counter-mode IV layout from the paper's
 Figure 2, pad generation / XOR composition, and the eCryptfs-style key
-hierarchy (FEK wrapped under a passphrase-derived FEKEK).
+hierarchy (FEK wrapped under a passphrase-derived FEKEK) whose keys are
+opaque :class:`SecretKey` values.
 """
 
 from .aes import AES128, aes128_decrypt_block, aes128_encrypt_block
@@ -12,6 +13,7 @@ from .keys import (
     KEY_SIZE,
     KeyHierarchy,
     KeyWrapError,
+    SecretKey,
     WrappedKey,
     derive_fekek,
     generate_fek,
@@ -37,6 +39,7 @@ __all__ = [
     "KEY_SIZE",
     "KeyHierarchy",
     "KeyWrapError",
+    "SecretKey",
     "WrappedKey",
     "derive_fekek",
     "generate_fek",

@@ -25,7 +25,10 @@ throughput.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - keys.py imports this module
+    from .keys import SecretKey
 
 __all__ = ["AES128", "aes128_encrypt_block", "aes128_decrypt_block"]
 
@@ -103,8 +106,6 @@ _TE0, _TE1, _TE2, _TE3 = _build_te_tables()
 
 def _expand_key(key: bytes) -> List[int]:
     """Expand a 16-byte key into 44 big-endian words (11 round keys)."""
-    if len(key) != 16:
-        raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
     sbox = _SBOX
     words = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]
     for i in range(4, 44):
@@ -153,21 +154,22 @@ def _inv_mix_columns(state: List[int]) -> None:
 class AES128:
     """A keyed AES-128 cipher with a cached key schedule.
 
-    >>> cipher = AES128(bytes(16))
+    >>> from repro.crypto.keys import SecretKey
+    >>> cipher = AES128(SecretKey(bytes(16)))
     >>> cipher.decrypt_block(cipher.encrypt_block(b"0123456789abcdef"))
     b'0123456789abcdef'
     """
 
     BLOCK_SIZE = 16
 
-    def __init__(self, key: bytes) -> None:
-        self._key = bytes(key)
-        words = _expand_key(self._key)
+    def __init__(self, key: "SecretKey") -> None:
+        self._key = key
+        words = _expand_key(key.reveal())
         # 11 round keys, each four big-endian column words.
         self._round_keys = tuple(tuple(words[k : k + 4]) for k in range(0, 44, 4))
 
     @property
-    def key(self) -> bytes:
+    def key(self) -> "SecretKey":
         return self._key
 
     def encrypt_block(self, block: bytes) -> bytes:
@@ -218,11 +220,11 @@ class AES128:
         return bytes(state)
 
 
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
+def aes128_encrypt_block(key: "SecretKey", block: bytes) -> bytes:
     """One-shot block encryption (expands the key schedule every call)."""
     return AES128(key).encrypt_block(block)
 
 
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
+def aes128_decrypt_block(key: "SecretKey", block: bytes) -> bytes:
     """One-shot block decryption (expands the key schedule every call)."""
     return AES128(key).decrypt_block(block)

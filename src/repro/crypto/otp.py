@@ -16,10 +16,13 @@ recovering the plaintext requires breaking *both* pads.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .aes import AES128
 from .iv import CounterIV
+
+if TYPE_CHECKING:  # pragma: no cover - keys.py imports this module
+    from .keys import SecretKey
 
 __all__ = ["generate_otp", "xor_bytes", "compose_pads", "apply_pad", "OTPEngine"]
 
@@ -71,7 +74,7 @@ class OTPEngine:
     the same engine with the configured AES latency and never calls here.
     """
 
-    def __init__(self, key: bytes, line_size: int = 64) -> None:
+    def __init__(self, key: "SecretKey", line_size: int = 64) -> None:
         self._cipher = AES128(key)
         self._line_size = line_size
 
@@ -88,10 +91,14 @@ class OTPEngine:
     def decrypt(self, ciphertext: bytes, iv: CounterIV) -> bytes:
         return apply_pad(ciphertext, self.pad_for(iv))
 
-    def rekey(self, key: bytes) -> None:
+    def rekey(self, key: "SecretKey") -> None:
         """Install a new key (used by the re-key-on-overflow path).
 
-        Re-installing the current key keeps the cached key schedule.
+        Re-installing the current key keeps the cached key schedule.  The
+        functional path re-keys before every file pad, almost always with
+        the very key object already installed, so identity is checked
+        before value.
         """
-        if key != self._cipher.key:
+        current = self._cipher.key
+        if key is not current and key != current:
             self._cipher = AES128(key)

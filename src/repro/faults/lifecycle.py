@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.ott import KeyUnavailableError
 from ..crypto.iv import FILE_DOMAIN, MEMORY_DOMAIN, CounterIV
+from ..crypto.keys import SecretKey
 from ..mem.address import LINE_SIZE, LINES_PER_PAGE, page_number, page_offset_lines
 from ..secmem.counters import MINOR_BITS
 from ..secmem.ecc import check_line
@@ -379,7 +380,7 @@ def _memory_trial(controller, cipher: bytes, page: int, line_index: int, major: 
 
 def _recover_stamped_line(
     controller,
-    key: bytes,
+    key: SecretKey,
     cipher: bytes,
     ecc: bytes,
     page: int,
@@ -536,7 +537,7 @@ def reboot_machine(machine) -> RecoveryReport:
             mem_major, mem_minors = final_mecb.setdefault(page, (0, [0] * LINES_PER_PAGE))
             fecb_entry = final_fecb.get(page)
             stamped = fecb_entry is not None and (fecb_entry[0] != 0 or fecb_entry[1] != 0)
-            key: Optional[bytes] = None
+            key: Optional[SecretKey] = None
             if stamped:
                 try:
                     key, _ = controller._lookup_key(fecb_entry[0], fecb_entry[1])

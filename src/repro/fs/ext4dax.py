@@ -142,7 +142,7 @@ class DaxFilesystem:
             fek = generate_fek(self._entropy_source())
             inode.encryption = EncryptionContext(
                 wrapped_fek=session.wrap(fek),
-                key_fingerprint=hashlib.sha256(fek).digest()[:8],
+                key_fingerprint=fek.fingerprint(),
             )
             if self.mmio is not None:
                 latency += self.mmio.install_file_key(inode.i_gid, inode.i_ino, fek)

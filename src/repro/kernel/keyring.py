@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 from ..crypto.keys import (
     KeyWrapError,
+    SecretKey,
     WrappedKey,
     derive_fekek,
     unwrap_key,
@@ -36,12 +37,12 @@ class SessionKeyring:
     uid: int
     # repr=False: the derived FEKEK is key material; session objects show
     # up in debug output and must not render it (key-hygiene lint rule).
-    fekek: bytes = field(repr=False)
+    fekek: SecretKey = field(repr=False)
 
-    def wrap(self, fek: bytes) -> WrappedKey:
+    def wrap(self, fek: SecretKey) -> WrappedKey:
         return wrap_key(fek, self.fekek)
 
-    def unwrap(self, wrapped: WrappedKey) -> bytes:
+    def unwrap(self, wrapped: WrappedKey) -> SecretKey:
         try:
             return unwrap_key(wrapped, self.fekek)
         except KeyWrapError as exc:

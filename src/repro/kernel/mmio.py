@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
+from ..crypto.keys import SecretKey
 from ..mem.stats import StatCounters
 
 __all__ = ["MMIOTarget", "MMIORegisters", "MMIO_WRITE_LATENCY_NS"]
@@ -32,7 +33,7 @@ MMIO_WRITE_LATENCY_NS = 150.0  # uncached store + fence to a device register
 class MMIOTarget(Protocol):
     """What the memory controller exposes to the kernel."""
 
-    def install_file_key(self, group_id: int, file_id: int, key: bytes) -> None:
+    def install_file_key(self, group_id: int, file_id: int, key: SecretKey) -> None:
         """OTT insert (file created or opened)."""
 
     def revoke_file_key(self, group_id: int, file_id: int) -> None:
@@ -68,7 +69,7 @@ class MMIORegisters:
         self.stats.add("register_writes", register_writes)
         return register_writes * self.write_latency_ns
 
-    def install_file_key(self, group_id: int, file_id: int, key: bytes) -> float:
+    def install_file_key(self, group_id: int, file_id: int, key: SecretKey) -> float:
         # 2 key halves + file id + group id + doorbell = 5 register writes.
         self.target.install_file_key(group_id, file_id, key)
         return self._charge("install_key", 5)

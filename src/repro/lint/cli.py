@@ -84,12 +84,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         "suppressed": suppressed,
         "files": len(project.files),
     }
-    if project._flow is not None:
-        summary["flow"] = dict(project._flow.graph.stats)
 
     if args.format == "json":
         payload = {
-            "version": 2,
+            "version": 3,
             "findings": [f.to_dict() for f in findings],
             "summary": summary,
             "exit_code": exit_code,

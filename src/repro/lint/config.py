@@ -16,7 +16,8 @@ DEFAULTS: Dict[str, object] = {
     # skipped).
     "paths": ["src", "benchmarks"],
     # Layers whose timing/crypto state must be a pure function of the
-    # seed (no-wallclock-or-unseeded-rng).
+    # seed (no-wallclock-or-unseeded-rng): every module a worker's
+    # execute_cell reaches, so a cell result is a function of its spec.
     "deterministic-paths": [
         "repro/sim/",
         "repro/secmem/",
@@ -24,11 +25,16 @@ DEFAULTS: Dict[str, object] = {
         "repro/core/",
         "repro/crypto/",
         "repro/faults/",
+        "repro/workloads/",
+        "repro/fs/",
+        "repro/kernel/",
+        "repro/analysis/",
     ],
     # Worker-executed runner code: wall-timing is fine here, but seeds
     # must come from the cell spec (no-worker-seed-entropy's per-file check).
     "worker-paths": ["repro/exec/"],
-    # Layers that handle key material (key-hygiene's per-file check).
+    # Layers that handle key material (key-hygiene's repr/log/weak-hash
+    # checks).
     "crypto-paths": [
         "repro/crypto/",
         "repro/core/",
@@ -37,9 +43,25 @@ DEFAULTS: Dict[str, object] = {
         "repro/fs/",
         "repro/faults/",
     ],
-    # Layers allowed to write NVM-backed state (persist-through-wpq checks
-    # that their writes reach the WPQ).
-    "nvm-write-paths": ["repro/mem/", "repro/secmem/", "repro/core/", "repro/faults/"],
+    # The only modules that may touch NVM lines directly: the ones that
+    # own the persist path (persist-through-wpq flags raw line access
+    # everywhere else).
+    "nvm-write-paths": [
+        "repro/mem/controller.py",
+        "repro/mem/nvm.py",
+        "repro/secmem/secure_controller.py",
+        "repro/core/fsencr.py",
+        "repro/core/ott.py",
+        "repro/faults/lifecycle.py",
+    ],
+    # The only modules that may call SecretKey.reveal(): the AES key
+    # schedule and key wrapping, the OTT spill region's sealing, and the
+    # machine-transport package (key-hygiene).
+    "key-reveal-paths": [
+        "repro/crypto/",
+        "repro/core/ott.py",
+        "repro/core/transport.py",
+    ],
     # Where the config-not-component contract applies.
     "benchmark-paths": ["benchmarks/"],
     # The one module allowed to construct wired machine components
@@ -49,18 +71,4 @@ DEFAULTS: Dict[str, object] = {
     "counter-modules": ["repro/secmem/counters.py"],
     # Narrowest *_BITS width policed as a literal mask/shift.
     "mask-min-bits": 14,
-    # Worker execution entry points ("module:qualname") for the call-graph
-    # check of no-worker-seed-entropy.  execute_cell is the pure cell
-    # evaluator; the runner's timing wrapper legitimately reads the host
-    # clock *around* it, never inside it.
-    "flow-entry-points": ["repro.exec.spec:execute_cell"],
-    # Functions whose return value is raw key material (taint seeds for
-    # key-hygiene; resolved against the call graph by bare name).
-    "key-source-functions": [
-        "generate_fek",
-        "derive_fekek",
-        "unwrap_key",
-        "derive_file_key",
-        "rotated_file_key",
-    ],
 }

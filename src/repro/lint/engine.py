@@ -4,10 +4,8 @@ The engine runs in two passes.  Pass one parses every file once and
 builds a :class:`Project` index — the ``*_BITS`` constant table, the set
 of classes that accept an injectable ``stats`` bundle, and the component
 classes benchmarks must not construct.  Pass two runs each registered
-rule over each file with the index in hand (rules that need the whole
-program share :meth:`Project.flow`, built from the same ASTs), then
-filters findings through inline ``# repro-lint: disable=<rule>``
-suppressions.
+rule over each file with the index in hand, then filters findings
+through inline ``# repro-lint: disable=<rule>`` suppressions.
 """
 
 from __future__ import annotations
@@ -173,23 +171,6 @@ class Project:
     stats_classes: Dict[str, int] = field(default_factory=dict)
     #: classes defined in component layers that benchmarks must not build.
     component_classes: Dict[str, str] = field(default_factory=dict)  # name -> defining rel path
-    #: lazily-built whole-program analysis (repro.lint.flow.FlowAnalysis),
-    #: shared by every whole-program check in one lint pass.
-    _flow: Optional[object] = field(default=None, repr=False, compare=False)
-
-    def flow(self, options: Dict[str, object]):
-        """The whole-program :class:`~repro.lint.flow.FlowAnalysis`.
-
-        Built on first use from exactly :attr:`files`, reusing the ASTs
-        :meth:`SourceFile.parse` produced, so no file is parsed twice.
-        """
-        if self._flow is None:
-            from .flow import FlowAnalysis, build_graph, extract_module, solve_taint
-
-            summaries = {src.rel: extract_module(src.rel, src.tree) for src in self.files}
-            graph = build_graph(summaries)
-            self._flow = FlowAnalysis(graph, solve_taint(graph, options))
-        return self._flow
 
     def index(self) -> None:
         for src in self.files:
@@ -386,7 +367,7 @@ def lint_paths(
     """Collect, parse once, index, lint.
 
     Returns ``(findings, suppressed_count, project)``; the project holds
-    the parsed files and, if a whole-program check ran, the flow analysis.
+    the parsed files.
     """
     sources = [SourceFile.parse(path, root) for path in collect_files(paths, root)]
     project = Project(root=root, files=sources)

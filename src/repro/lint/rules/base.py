@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from ..engine import Finding, Project, SourceFile
 
@@ -14,7 +14,6 @@ __all__ = [
     "attr_chain",
     "contains_float_literal",
     "is_keyish",
-    "merge_arms",
 ]
 
 RULES: Dict[str, "Rule"] = {}
@@ -40,34 +39,6 @@ class Rule:
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
         )
-
-    def flow_finding(self, src: SourceFile, site: Dict, message: str) -> Finding:
-        """A finding at a flow-summary site: a call, raise or f-string
-        entry, whose ``col`` is 0-based like the AST's."""
-        return Finding(
-            rule=self.name,
-            path=src.rel,
-            line=site["line"],
-            col=site["col"] + 1,
-            message=message,
-        )
-
-
-def merge_arms(per_file: Iterable[Finding], flow: Iterable[Finding]) -> Iterator[Finding]:
-    """Chain the two checks of one rule: one leak, one finding.
-
-    Every per-file finding is kept; a flow finding is kept only on a line
-    nothing has reported yet, so the line that both checks see (``print(fek)``
-    in a crypto path) is reported once and one ``disable=`` covers it.
-    """
-    lines: Set[int] = set()
-    for finding in per_file:
-        lines.add(finding.line)
-        yield finding
-    for finding in flow:
-        if finding.line not in lines:
-            lines.add(finding.line)
-            yield finding
 
 
 def register(cls):

@@ -22,7 +22,7 @@ import ast
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..engine import Finding, Project, SourceFile, path_matches
-from .base import Rule, attr_chain, merge_arms, register
+from .base import Rule, attr_chain, register
 
 _CLOCK_FNS = {
     "time",
@@ -97,7 +97,9 @@ def _host_call(node: ast.AST, origins: Dict[str, str]) -> Optional[Tuple[str, st
 @register
 class NoWallclockOrUnseededRng(Rule):
     """no-wallclock-or-unseeded-rng — within ``deterministic-paths`` (the
-    model layers), no call may read host input of any kind."""
+    model layers plus everything else a worker's ``execute_cell``
+    reaches: workloads, filesystem, kernel, analyses), no call may read
+    host input of any kind, reachable or not."""
 
     name = "no-wallclock-or-unseeded-rng"
     summary = "model layers must not read host time or ambient randomness"
@@ -122,16 +124,12 @@ class NoWallclockOrUnseededRng(Rule):
 class NoWorkerSeedEntropy(Rule):
     """no-worker-seed-entropy — parallel workers must not invent seeds.
 
-    Two checks, one contract:
-
-    * per file, in ``worker-paths`` (default ``repro/exec/``): the runner
-      legitimately reads the host clock to time cells, so only host input
-      that feeds a *seed* is flagged — arguments to ``random.Random(...)``,
-      values bound to ``*seed*`` names, and ``seed=``-style keywords;
-    * on the call graph, from ``flow-entry-points`` (default
-      ``repro.exec.spec:execute_cell``): any reachable call reading host
-      input, wherever it lives.  The runner's timing wrapper reads the
-      clock *around* ``execute_cell``, not inside it, so it never trips.
+    In ``worker-paths`` (default ``repro/exec/``) the runner legitimately
+    reads the host clock to time cells, so only host input that feeds a
+    *seed* is flagged: arguments to ``random.Random(...)``, values bound
+    to ``*seed*`` names, and ``seed=``-style keywords.  Everything the
+    cell evaluator calls lives in ``deterministic-paths``, where
+    no-wallclock-or-unseeded-rng bans host input outright.
     """
 
     name = "no-worker-seed-entropy"
@@ -139,11 +137,6 @@ class NoWorkerSeedEntropy(Rule):
     contract = "docs/RUNNER.md: jobs=N is bit-identical to jobs=1"
 
     def check(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
-        return merge_arms(
-            self._check_seeds(src, options), self._check_reachable(src, project, options)
-        )
-
-    def _check_seeds(self, src: SourceFile, options) -> Iterator[Finding]:
         if not path_matches(src.rel, options.get("worker-paths", [])):
             return
         origins = _import_origins(src.tree)
@@ -175,34 +168,6 @@ class NoWorkerSeedEntropy(Rule):
                             f"take seeds from the cell spec, never invent them",
                         )
                         break
-
-    def _check_reachable(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
-        graph = project.flow(options).graph
-        entries = [
-            str(e) for e in options.get("flow-entry-points", []) if str(e) in graph.functions
-        ]
-        if not entries:
-            return
-        parents = graph.forward_reachable(entries)
-        for fnkey in graph.functions_by_rel.get(src.rel, ()):
-            if fnkey not in parents:
-                continue
-            _summary, fn = graph.functions[fnkey]
-            for resolution, call in zip(graph.resolutions[fnkey], fn.calls):
-                origin = resolution.origin or ".".join(call["chain"])
-                reads = host_input(origin, bool(call["args"] or call["kwargs"]))
-                if reads is None:
-                    continue
-                chain = " -> ".join(
-                    key.split(":", 1)[1] for key in graph.chain_to(parents, fnkey)
-                )
-                yield self.flow_finding(
-                    src,
-                    call,
-                    f"{origin}() reads {reads} and is reachable from cell execution "
-                    f"(via {chain}); worker results must be a pure function of the "
-                    f"cell spec",
-                )
 
 
 def _seedish_target(target: ast.AST) -> bool:

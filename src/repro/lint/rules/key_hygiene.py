@@ -18,30 +18,27 @@ Within the configured crypto paths this rule flags:
 * ``hashlib.md5`` / ``hashlib.sha1`` (including via ``hashlib.new`` or
   ``pbkdf2_hmac``) — broken primitives have no place in crypto paths.
 
-Project-wide, a second check runs on the whole-program taint solution
-(``repro.lint.flow``), so a key returned by ``repro/crypto/keys.py``,
-stashed in an attribute, and interpolated three modules later still gets
-flagged.  Its sinks, in reporting priority order at one line: exception
-constructors in a ``raise``; ``StatCounters.add`` arguments (counters
-end up in every RunResult); ``RunResult(...)`` arguments (the persisted
-payload); ``cell_key(...)`` arguments (the exec cache key is written to
-disk); print/logging arguments; f-string interpolations.  Declassifiers
-(``sha256(...)``, ``encrypt_block(...)``, ``len(...)``) drop taint at
-extraction time — a key *fingerprint* or a *ciphertext* may surface.
-The taint check seeds from the narrower ``flow_keyish`` names (no bare
-``key``: whole-program propagation amplifies every false seed).
+Everywhere else the contract is carried by the type: every key source
+returns a :class:`~repro.crypto.keys.SecretKey`, which redacts itself in
+reprs, f-strings, logs and exception messages and refuses implicit
+conversion to bytes, so a key cannot reach a stats counter, a
+``RunResult`` or a cache key by accident.  The one way out is
+``SecretKey.reveal()``, and this rule flags that call in every linted
+file outside ``key-reveal-paths`` (the AES key schedule and key wrapping
+in ``repro/crypto/``, the OTT spill region's sealing, the
+machine-transport package).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Iterator
 
 from ..engine import Finding, Project, SourceFile, path_matches
-from .base import Rule, attr_chain, is_keyish, merge_arms, register
+from .base import Rule, attr_chain, is_keyish, register
 
 _WEAK_HASHES = {"md5", "sha1"}
-#: Calls whose arguments become user-visible text, for both checks.
+#: Calls whose arguments become user-visible text.
 _LOG_CALLS = {"print", "debug", "info", "warning", "error", "critical", "exception", "log"}
 #: Receivers that make a per-file ``x.info(...)`` call a logging call.
 _LOGGER_NAMES = {"log", "logger", "logging"}
@@ -89,20 +86,33 @@ def _field_hides_repr(value) -> bool:
 @register
 class KeyHygiene(Rule):
     name = "key-hygiene"
-    summary = "key bytes reach no repr, log, error, stat, result or cache key; no md5/sha1"
+    summary = "key bytes reach no repr or log; SecretKey.reveal() only where allowed; no md5/sha1"
     contract = "PAPER §III-E/§VI: plaintext file keys never leave the controller"
 
     def check(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
-        return merge_arms(
-            self._check_file(src, options), self._check_taint(src, project, options)
-        )
-
-    def _check_file(self, src: SourceFile, options) -> Iterator[Finding]:
+        if not path_matches(src.rel, options.get("key-reveal-paths", [])):
+            yield from self._check_reveals(src)
         if not path_matches(src.rel, options.get("crypto-paths", [])):
             return
         yield from self._check_weak_hashes(src)
         yield from self._check_dataclass_reprs(src)
         yield from self._check_output_surfaces(src)
+
+    # -- the one accessor to raw key bytes -------------------------------
+
+    def _check_reveals(self, src: SourceFile) -> Iterator[Finding]:
+        for node in ast.walk(src.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "reveal"
+            ):
+                yield self.finding(
+                    src,
+                    node,
+                    "SecretKey.reveal() outside key-reveal-paths; pass the SecretKey "
+                    "itself, or fingerprint() it",
+                )
 
     # -- weak hash primitives -------------------------------------------
 
@@ -182,60 +192,3 @@ class KeyHygiene(Rule):
         if not chain or chain[-1] not in _LOG_CALLS:
             return False
         return len(chain) == 1 or chain[0] in _LOGGER_NAMES or chain[0].endswith("log")
-
-    # -- whole-program taint ---------------------------------------------
-
-    def _check_taint(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
-        flow = project.flow(options)
-        graph, taint = flow.graph, flow.taint
-        for fnkey in graph.functions_by_rel.get(src.rel, ()):
-            _summary, fn = graph.functions[fnkey]
-            for entry in fn.raises:
-                if entry["call"] is None:
-                    continue
-                provenance = self._call_args_taint(taint, fnkey, fn.calls[entry["call"]])
-                if provenance is not None:
-                    yield self._leak(src, entry, provenance, "an exception message")
-            for resolution, call in zip(graph.resolutions[fnkey], fn.calls):
-                sink = self._call_sink(resolution, call)
-                if sink is None:
-                    continue
-                provenance = self._call_args_taint(taint, fnkey, call)
-                if provenance is not None:
-                    yield self._leak(src, call, provenance, sink)
-            for entry in fn.fstrings:
-                provenance = taint.expr_taint(fnkey, entry["expr"])
-                if provenance is not None:
-                    yield self._leak(src, entry, provenance, "a formatted string")
-
-    def _leak(self, src: SourceFile, site: Dict, provenance: str, sink: str) -> Finding:
-        return self.flow_finding(src, site, f"key material ({provenance}) flows into {sink}")
-
-    @staticmethod
-    def _call_sink(resolution, call: Dict) -> Optional[str]:
-        chain = call["chain"]
-        for target in resolution.targets:
-            qualname = target.split(":", 1)[1]
-            if qualname.endswith("StatCounters.add"):
-                return "a StatCounters counter"
-            if qualname == "cell_key" or qualname.endswith(".cell_key"):
-                return "the exec result-cache key"
-        if "RunResult" in resolution.result_types:
-            return "a RunResult payload"
-        if chain[-1] == "add" and len(chain) >= 2 and "stats" in chain[-2]:
-            return "a StatCounters counter"
-        if chain[-1] == "cell_key":
-            return "the exec result-cache key"
-        if chain[-1] in _LOG_CALLS and (len(chain) == 1 or not resolution.targets):
-            return "log output"
-        return None
-
-    @staticmethod
-    def _call_args_taint(taint, fnkey: str, call: Dict) -> Optional[str]:
-        exprs = list(call["args"])
-        exprs += [arg for name, arg in call["kwargs"].items() if name != "**"]
-        for expr in exprs:
-            provenance = taint.expr_taint(fnkey, expr)
-            if provenance is not None:
-                return provenance
-        return None

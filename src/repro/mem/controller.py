@@ -175,7 +175,7 @@ class MemoryControllerBase:
         replay install lines directly, deliberately bypassing the WPQ
         timing model (there is no crash window to model for them).
         """
-        self.store.write_line(addr, plaintext_line)  # repro-lint: disable=persist-through-wpq (functional path)
+        self.store.write_line(addr, plaintext_line)
 
     def read_data(self, addr: int) -> bytes:
         """Functionally load one 64 B line back to the CPU."""

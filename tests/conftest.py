@@ -10,7 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FsEncrController
+from repro.mem.stats import StatCounters
 from repro.secmem import BaselineSecureController, MetadataLayout, SecureControllerConfig
+from repro.secmem.metadata_cache import MetadataKind
 from repro.sim import Machine, MachineConfig, Scheme
 
 
@@ -57,3 +59,41 @@ def fsencr_machine() -> Machine:
 @pytest.fixture
 def functional_machine() -> Machine:
     return make_machine(Scheme.FSENCR, functional=True)
+
+
+#: Bundles deliberately left out of the registry: the metadata cache's
+#: internal structural caches, whose hits and misses the MetadataCache
+#: accounts per kind on its own registered bundle (the stats-registered
+#: suppressions in secmem/metadata_cache.py).
+PRIVATE_BUNDLES = frozenset(
+    {"metadata_shared"} | {f"metadata_{kind}" for kind in MetadataKind.ALL}
+)
+
+
+@pytest.fixture
+def orphan_bundles(monkeypatch):
+    """Record every StatCounters constructed from here on.
+
+    Returns ``orphans(machine)``: the names of the recorded bundles that
+    are not the machine registry's bundle of that name, i.e. counters no
+    ``RunResult`` will ever show (:data:`PRIVATE_BUNDLES` excepted).
+    """
+    built = []
+    real_init = StatCounters.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(StatCounters, "__init__", recording_init)
+
+    def orphans(machine: Machine):
+        assert built, "no StatCounters constructed: the recorder saw nothing"
+        registered = {name: machine.registry.bundle(name) for name in machine.registry.names}
+        return [
+            bundle.name
+            for bundle in built
+            if registered.get(bundle.name) is not bundle and bundle.name not in PRIVATE_BUNDLES
+        ]
+
+    return orphans

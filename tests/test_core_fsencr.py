@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import FsEncrController, KeyUnavailableError, set_df
+from repro.crypto import SecretKey
 from repro.mem import MemoryRequest
 from repro.secmem import IntegrityError, MetadataLayout, SecureControllerConfig
 
@@ -22,7 +23,7 @@ def timing_controller(**kwargs):
 
 
 def open_file(ctl, group=5, file=42, page=3, fill=0x77):
-    key = bytes([fill]) * 16
+    key = SecretKey(bytes([fill]) * 16)
     ctl.install_file_key(group_id=group, file_id=file, key=key)
     ctl.update_fecb(page=page, group_id=group, file_id=file)
     return key
@@ -124,7 +125,7 @@ class TestKeyLifecycle:
     def test_page_recycled_to_new_file_resets_counters(self):
         ctl = functional_controller()
         open_file(ctl, file=42, page=3)
-        ctl.install_file_key(5, 43, bytes([9]) * 16)
+        ctl.install_file_key(5, 43, SecretKey(bytes([9]) * 16))
         ctl.update_fecb(page=3, group_id=5, file_id=43)
         assert ctl.stats.get("fecb_recycles") == 1
         assert ctl.fecb.block(3).ident == (5, 43)
@@ -135,7 +136,7 @@ class TestKeyLifecycle:
         addr = set_df(3 * 4096)
         ctl.write_data(addr, b"\x13" * 64)
         new_key = ctl.rekey_file(5, 42)
-        assert new_key != bytes([0x77]) * 16
+        assert new_key != SecretKey(bytes([0x77]) * 16)
         assert ctl.read_data(addr) == b"\x13" * 64
         assert ctl.ott.lookup(5, 42).key == new_key
 
@@ -190,7 +191,7 @@ class TestIntegrityCoverage:
         must break integrity (the §VI File-ID protection argument)."""
         ctl = functional_controller()
         open_file(ctl, file=42, page=3)
-        ctl.install_file_key(5, 43, bytes([1]) * 16)
+        ctl.install_file_key(5, 43, SecretKey(bytes([1]) * 16))
         addr = set_df(3 * 4096)
         ctl.write_data(addr, bytes(64))
         ctl.fecb.block(3).file_id = 43  # out-of-band swap

@@ -10,10 +10,11 @@ from repro.core import (
     OpenTunnelTable,
     OTTEntry,
 )
+from repro.crypto import SecretKey
 
 
 def entry(group=1, file=1, fill=0xAB):
-    return OTTEntry(group_id=group, file_id=file, key=bytes([fill]) * 16)
+    return OTTEntry(group_id=group, file_id=file, key=SecretKey(bytes([fill]) * 16))
 
 
 class TestOTTEntry:
@@ -22,13 +23,13 @@ class TestOTTEntry:
         assert FILE_ID_BITS == 14
 
     @pytest.mark.parametrize("kwargs", [
-        dict(group_id=1 << 18, file_id=0, key=bytes(16)),
-        dict(group_id=-1, file_id=0, key=bytes(16)),
-        dict(group_id=0, file_id=1 << 14, key=bytes(16)),
-        dict(group_id=0, file_id=0, key=bytes(8)),
+        dict(group_id=1 << 18, file_id=0, key=SecretKey(bytes(16))),
+        dict(group_id=-1, file_id=0, key=SecretKey(bytes(16))),
+        dict(group_id=0, file_id=1 << 14, key=SecretKey(bytes(16))),
+        dict(group_id=0, file_id=0, key=bytes(16)),  # raw bytes, not a SecretKey
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, TypeError)):
             OTTEntry(**kwargs)
 
 
@@ -43,7 +44,7 @@ class TestOpenTunnelTable:
         ott = OpenTunnelTable()
         ott.insert(entry(1, 2))
         found = ott.lookup(1, 2)
-        assert found is not None and found.key == bytes([0xAB]) * 16
+        assert found is not None and found.key == SecretKey(bytes([0xAB]) * 16)
 
     def test_miss_returns_none(self):
         assert OpenTunnelTable().lookup(1, 2) is None
@@ -53,7 +54,7 @@ class TestOpenTunnelTable:
         ott.insert(entry(1, 2, fill=0x11))
         victim = ott.insert(entry(1, 2, fill=0x22))
         assert victim is None
-        assert ott.lookup(1, 2).key == bytes([0x22]) * 16
+        assert ott.lookup(1, 2).key == SecretKey(bytes([0x22]) * 16)
         assert len(ott) == 1
 
     def test_lru_eviction(self):
@@ -79,14 +80,14 @@ class TestOpenTunnelTable:
 
 
 class TestEncryptedOTTRegion:
-    def region(self, slots=64, ways=8, key=b"K" * 16):
+    def region(self, slots=64, ways=8, key=SecretKey(b"K" * 16)):
         return EncryptedOTTRegion(slots=slots, ott_key=key, ways=ways)
 
     def test_store_fetch_roundtrip(self):
         region = self.region()
         region.store(entry(3, 7))
         found, probed = region.fetch(3, 7)
-        assert found is not None and found.key == bytes([0xAB]) * 16
+        assert found is not None and found.key == SecretKey(bytes([0xAB]) * 16)
         assert len(probed) >= 1
 
     def test_fetch_miss(self):
@@ -102,9 +103,9 @@ class TestEncryptedOTTRegion:
         assert raw != bytes(64)
 
     def test_wrong_ott_key_cannot_unseal(self):
-        a = self.region(key=b"A" * 16)
+        a = self.region(key=SecretKey(b"A" * 16))
         slot = a.store(entry(3, 7))
-        b = self.region(key=b"B" * 16)
+        b = self.region(key=SecretKey(b"B" * 16))
         b._lines[slot] = a.slot_bytes(slot)[: EncryptedOTTRegion.RECORD_BYTES]
         b._occupancy[slot] = (3, 7)
         found, _ = b.fetch(3, 7)
@@ -123,7 +124,7 @@ class TestEncryptedOTTRegion:
         region.store(entry(3, 7, fill=0x11))
         region.store(entry(3, 7, fill=0x22))
         found, _ = region.fetch(3, 7)
-        assert found.key == bytes([0x22]) * 16
+        assert found.key == SecretKey(bytes([0x22]) * 16)
         assert len(region) == 1
 
     def test_remove(self):
@@ -144,6 +145,6 @@ class TestEncryptedOTTRegion:
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
-            EncryptedOTTRegion(slots=7, ott_key=bytes(16), ways=8)
+            EncryptedOTTRegion(slots=7, ott_key=SecretKey(bytes(16)), ways=8)
         with pytest.raises(ValueError):
-            EncryptedOTTRegion(slots=12, ott_key=bytes(16), ways=8)
+            EncryptedOTTRegion(slots=12, ott_key=SecretKey(bytes(16)), ways=8)

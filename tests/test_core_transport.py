@@ -9,6 +9,7 @@ from repro.core import (
     import_machine,
     set_df,
 )
+from repro.crypto import SecretKey
 from repro.secmem import MetadataLayout, SecureControllerConfig
 
 
@@ -17,7 +18,7 @@ LAYOUT = MetadataLayout(data_bytes=16 * 1024 * 1024, ott_region_bytes=32 * 1024)
 
 def populated_controller():
     ctl = FsEncrController(layout=LAYOUT, config=SecureControllerConfig(functional=True))
-    ctl.install_file_key(group_id=5, file_id=42, key=bytes([7]) * 16)
+    ctl.install_file_key(group_id=5, file_id=42, key=SecretKey(bytes([7]) * 16))
     ctl.update_fecb(page=3, group_id=5, file_id=42)
     ctl.write_data(set_df(3 * 4096), b"take me with you, processor!".ljust(64, b"."))
     ctl.write_data(0x9000, b"plain memory too".ljust(64, b"."))
@@ -37,7 +38,7 @@ class TestHappyPath:
         package, dimm = export_machine(src, "pw")
         dst = import_machine(LAYOUT, package, dimm, "pw")
         entry = dst.ott.lookup(5, 42)
-        assert entry is not None and entry.key == bytes([7]) * 16
+        assert entry is not None and entry.key == SecretKey(bytes([7]) * 16)
 
     def test_destination_can_keep_writing(self):
         src = populated_controller()
@@ -49,8 +50,8 @@ class TestHappyPath:
     def test_chip_keys_travel_sealed(self):
         src = populated_controller()
         package, _ = export_machine(src, "pw")
-        assert src.keys.memory_key not in package.sealed_keys
-        assert src.keys.ott_key not in package.sealed_keys
+        assert src.keys.memory_key.reveal() not in package.sealed_keys
+        assert src.keys.ott_key.reveal() not in package.sealed_keys
 
 
 class TestRefusals:

@@ -19,17 +19,18 @@ from repro.crypto import (
     MEMORY_DOMAIN,
     CounterIV,
     OTPEngine,
+    SecretKey,
     aes128_decrypt_block,
     aes128_encrypt_block,
 )
 
 # FIPS-197 Appendix C.1 vector.
-FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+FIPS_KEY = SecretKey(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
 FIPS_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
 # FIPS-197 Appendix B vector (the worked example).
-APPB_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+APPB_KEY = SecretKey(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
 APPB_PLAIN = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
 APPB_CIPHER = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
 
@@ -75,21 +76,26 @@ class TestFipsVectors:
 class TestValidation:
     def test_short_key_rejected(self):
         with pytest.raises(ValueError):
-            AES128(b"short")
+            AES128(SecretKey(b"short"))
 
     def test_long_key_rejected(self):
         with pytest.raises(ValueError):
-            AES128(bytes(32))
+            AES128(SecretKey(bytes(32)))
+
+    def test_raw_bytes_key_rejected(self):
+        # Keys travel as SecretKey; the cipher never takes bare bytes.
+        with pytest.raises(AttributeError):
+            AES128(bytes(16))
 
     @pytest.mark.parametrize("size", [0, 1, 15, 17, 64])
     def test_bad_block_size_encrypt(self, size):
         with pytest.raises(ValueError):
-            AES128(bytes(16)).encrypt_block(bytes(size))
+            AES128(SecretKey(bytes(16))).encrypt_block(bytes(size))
 
     @pytest.mark.parametrize("size", [0, 15, 17])
     def test_bad_block_size_decrypt(self, size):
         with pytest.raises(ValueError):
-            AES128(bytes(16)).decrypt_block(bytes(size))
+            AES128(SecretKey(bytes(16))).decrypt_block(bytes(size))
 
     def test_key_property(self):
         assert AES128(FIPS_KEY).key == FIPS_KEY
@@ -101,7 +107,8 @@ class TestCipherProperties:
         assert c.encrypt_block(FIPS_PLAIN) == c.encrypt_block(FIPS_PLAIN)
 
     def test_key_sensitivity(self):
-        tweaked = bytes([FIPS_KEY[0] ^ 1]) + FIPS_KEY[1:]
+        raw = FIPS_KEY.reveal()
+        tweaked = SecretKey(bytes([raw[0] ^ 1]) + raw[1:])
         assert AES128(FIPS_KEY).encrypt_block(FIPS_PLAIN) != AES128(tweaked).encrypt_block(FIPS_PLAIN)
 
     def test_plaintext_sensitivity(self):
@@ -114,14 +121,14 @@ class TestCipherProperties:
         assert differing > 30
 
     def test_not_identity(self):
-        assert AES128(bytes(16)).encrypt_block(bytes(16)) != bytes(16)
+        assert AES128(SecretKey(bytes(16))).encrypt_block(bytes(16)) != bytes(16)
 
     @given(key=st.binary(min_size=16, max_size=16), block=st.binary(min_size=16, max_size=16))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_property(self, key, block):
         # Decryption is byte-wise FIPS-197, independent of the T-table
         # encryption rounds: it is the oracle for them.
-        cipher = AES128(key)
+        cipher = AES128(SecretKey(key))
         assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
 
     @given(block=st.binary(min_size=16, max_size=16))
@@ -135,7 +142,7 @@ def _keystream_digest() -> str:
     rng = random.Random(20220402)
     digest = hashlib.sha256()
     for _ in range(4):
-        engine = OTPEngine(rng.randbytes(16))
+        engine = OTPEngine(SecretKey(rng.randbytes(16)))
         for domain in (MEMORY_DOMAIN, FILE_DOMAIN):
             for _ in range(16):
                 iv = CounterIV(

@@ -1,4 +1,12 @@
-"""Key hierarchy: derivation, wrapping, and the wrong-passphrase path."""
+"""Key hierarchy: derivation, wrapping, and the wrong-passphrase path;
+and the SecretKey contract every key source's output keeps: no
+rendering shows key bytes, no implicit conversion yields them."""
+
+import hashlib
+import json
+import logging
+import pickle
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -8,16 +16,19 @@ from repro.crypto import (
     KEY_SIZE,
     KeyHierarchy,
     KeyWrapError,
+    SecretKey,
     derive_fekek,
     generate_fek,
     unwrap_key,
     wrap_key,
 )
+from repro.exec import canonical_json
+from repro.mem.stats import StatCounters
 
 
 class TestDeriveFekek:
     def test_length(self):
-        assert len(derive_fekek("pass", b"salt")) == KEY_SIZE
+        assert len(derive_fekek("pass", b"salt").reveal()) == KEY_SIZE
 
     def test_deterministic(self):
         assert derive_fekek("pass", b"salt") == derive_fekek("pass", b"salt")
@@ -35,7 +46,7 @@ class TestDeriveFekek:
 
 class TestGenerateFek:
     def test_length(self):
-        assert len(generate_fek(b"entropy")) == KEY_SIZE
+        assert len(generate_fek(b"entropy").reveal()) == KEY_SIZE
 
     def test_entropy_matters(self):
         assert generate_fek(b"a") != generate_fek(b"b")
@@ -75,11 +86,13 @@ class TestWrapUnwrap:
 
     def test_wrapped_hides_fek(self):
         fek = generate_fek(b"e")
-        assert wrap_key(fek, derive_fekek("pw", b"s")).ciphertext != fek
+        assert wrap_key(fek, derive_fekek("pw", b"s")).ciphertext != fek.reveal()
 
     def test_bad_fek_size_rejected(self):
         with pytest.raises(ValueError):
-            wrap_key(b"short", derive_fekek("pw", b"s"))
+            wrap_key(SecretKey(b"short"), derive_fekek("pw", b"s"))
+        with pytest.raises(AttributeError):
+            wrap_key(bytes(16), derive_fekek("pw", b"s"))
 
     @given(entropy=st.binary(min_size=1, max_size=32), pw=st.text(min_size=1, max_size=16))
     @settings(max_examples=20, deadline=None)
@@ -101,9 +114,11 @@ class TestKeyHierarchy:
 
     def test_bad_key_sizes_rejected(self):
         with pytest.raises(ValueError):
-            KeyHierarchy(b"short", bytes(16))
-        with pytest.raises(ValueError):
-            KeyHierarchy(bytes(16), b"short")
+            KeyHierarchy(SecretKey(b"short"), SecretKey(bytes(16)))
+        with pytest.raises(TypeError):
+            KeyHierarchy(bytes(16), SecretKey(bytes(16)))
+        with pytest.raises(TypeError):
+            KeyHierarchy(SecretKey(bytes(16)), bytes(16))
 
     def test_derive_file_key_unique_per_entropy(self):
         h = KeyHierarchy.from_seed(b"x")
@@ -113,7 +128,7 @@ class TestKeyHierarchy:
         h = KeyHierarchy.from_seed(b"x")
         old = h.derive_file_key(1, 1, b"a")
         new = h.rotated_file_key(old)
-        assert new != old and len(new) == KEY_SIZE
+        assert new != old and isinstance(new, SecretKey)
 
     def test_rotation_chain_no_short_cycles(self):
         h = KeyHierarchy.from_seed(b"x")
@@ -123,3 +138,120 @@ class TestKeyHierarchy:
             key = h.rotated_file_key(key)
             assert key not in seen
             seen.add(key)
+
+
+# -- SecretKey: every key source's output neither renders nor converts ----
+
+_HIERARCHY = KeyHierarchy.from_seed(b"leak-test")
+_FEKEK = derive_fekek("pw", b"salt")
+
+KEY_SOURCES = {
+    "generate_fek": lambda: generate_fek(b"entropy"),
+    "derive_fekek": lambda: derive_fekek("pw", b"salt"),
+    "unwrap_key": lambda: unwrap_key(wrap_key(generate_fek(b"e"), _FEKEK), _FEKEK),
+    "derive_file_key": lambda: _HIERARCHY.derive_file_key(1, 2, b"e"),
+    "rotated_file_key": lambda: _HIERARCHY.rotated_file_key(
+        _HIERARCHY.derive_file_key(1, 2, b"e")
+    ),
+    "memory_key": lambda: _HIERARCHY.memory_key,
+    "ott_key": lambda: _HIERARCHY.ott_key,
+}
+
+
+@pytest.fixture(params=sorted(KEY_SOURCES))
+def source_key(request):
+    key = KEY_SOURCES[request.param]()
+    assert isinstance(key, SecretKey)
+    return key
+
+
+def assert_hidden(text: str, key: SecretKey) -> None:
+    raw = key.reveal()
+    for rendering in (raw.hex(), raw.hex().upper(), repr(raw), str(raw)):
+        assert rendering not in text
+
+
+class TestSecretKeyRedacts:
+    def test_text_renderings(self, source_key):
+        key = source_key
+        renderings = [
+            repr(key),
+            str(key),
+            f"{key}",
+            f"{key!r}",
+            f"{key:>40}",
+            format(key, "x"),
+            "%s %r" % (key, key),
+            "{}".format(key),
+            str([key]),
+        ]
+        for text in renderings:
+            assert_hidden(text, key)
+            assert "<redacted>" in text
+
+    def test_logging_record(self, source_key, caplog):
+        logger = logging.getLogger("repro.test.secret_key")
+        with caplog.at_level(logging.DEBUG, logger=logger.name):
+            logger.info("installed %s", source_key)
+            logger.warning("installed %r", source_key)
+            logger.error(source_key)
+        assert len(caplog.records) == 3
+        for record in caplog.records:
+            assert_hidden(record.getMessage(), source_key)
+        assert_hidden(caplog.text, source_key)
+
+    def test_exception_message(self, source_key):
+        with pytest.raises(ValueError) as excinfo:
+            raise ValueError(source_key)
+        assert_hidden(str(excinfo.value), source_key)
+        assert_hidden(repr(excinfo.value), source_key)
+        rendered = traceback.format_exception_only(excinfo.type, excinfo.value)
+        assert_hidden("".join(rendered), source_key)
+
+    def test_fingerprint_is_the_truncated_sha256(self, source_key):
+        raw = source_key.reveal()
+        assert source_key.fingerprint() == hashlib.sha256(raw).digest()[:8]
+
+
+class TestSecretKeyRefusesConversion:
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            pytest.param(bytes, id="bytes"),
+            pytest.param(bytearray, id="bytearray"),
+            pytest.param(memoryview, id="memoryview"),
+            pytest.param(lambda k: b"" + k, id="bytes-concat"),
+            pytest.param(lambda k: k + b"", id="concat-bytes"),
+            pytest.param(hashlib.sha256, id="sha256"),
+            pytest.param(lambda k: int.from_bytes(k, "big"), id="int-from-bytes"),
+            pytest.param(iter, id="iter"),
+            pytest.param(lambda k: StatCounters("x").add("x", k), id="stats-add"),
+            pytest.param(canonical_json, id="canonical-json"),
+            pytest.param(json.dumps, id="json"),
+            pytest.param(pickle.dumps, id="pickle"),
+        ],
+    )
+    def test_implicit_conversion_raises(self, source_key, convert):
+        with pytest.raises(TypeError):
+            convert(source_key)
+
+
+class TestSecretKeyValue:
+    def test_rejects_non_bytes_and_wrong_sizes(self):
+        with pytest.raises(TypeError):
+            SecretKey("0" * KEY_SIZE)
+        with pytest.raises(ValueError):
+            SecretKey(bytes(KEY_SIZE - 1))
+
+    def test_immutable(self):
+        key = SecretKey(bytes(KEY_SIZE))
+        with pytest.raises(AttributeError):
+            key._raw = bytes([1]) * KEY_SIZE
+        with pytest.raises(AttributeError):
+            key.extra = 1
+
+    def test_equality_and_hash_by_value(self):
+        a, b = SecretKey(bytes(KEY_SIZE)), SecretKey(bytes(KEY_SIZE))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SecretKey(bytes([1]) * KEY_SIZE)
+        assert a != bytes(KEY_SIZE)  # never equal to its raw bytes

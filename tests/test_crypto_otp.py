@@ -10,6 +10,7 @@ from repro.crypto import (
     MEMORY_DOMAIN,
     CounterIV,
     OTPEngine,
+    SecretKey,
     apply_pad,
     compose_pads,
     generate_otp,
@@ -52,21 +53,21 @@ class TestXorBytes:
 
 class TestGenerateOtp:
     def test_length(self):
-        pad = generate_otp(AES128(bytes(16)), iv(), length=64)
+        pad = generate_otp(AES128(SecretKey(bytes(16))), iv(), length=64)
         assert len(pad) == 64
 
     def test_non_multiple_length_rejected(self):
         with pytest.raises(ValueError):
-            generate_otp(AES128(bytes(16)), iv(), length=60)
+            generate_otp(AES128(SecretKey(bytes(16))), iv(), length=60)
 
     def test_blocks_differ_within_pad(self):
         """The four AES blocks of one line's pad must not repeat."""
-        pad = generate_otp(AES128(bytes(16)), iv(), length=64)
+        pad = generate_otp(AES128(SecretKey(bytes(16))), iv(), length=64)
         blocks = [pad[i : i + 16] for i in range(0, 64, 16)]
         assert len(set(blocks)) == 4
 
     def test_distinct_ivs_distinct_pads(self):
-        cipher = AES128(bytes(16))
+        cipher = AES128(SecretKey(bytes(16)))
         assert generate_otp(cipher, iv(minor=0)) != generate_otp(cipher, iv(minor=1))
         assert generate_otp(cipher, iv(major=0)) != generate_otp(cipher, iv(major=1))
         assert generate_otp(cipher, iv(page_id=1)) != generate_otp(cipher, iv(page_id=2))
@@ -74,7 +75,7 @@ class TestGenerateOtp:
 
     def test_domain_separation(self):
         """Same location+version, different engine domain => distinct pad."""
-        cipher = AES128(bytes(16))
+        cipher = AES128(SecretKey(bytes(16)))
         assert generate_otp(cipher, iv(domain=MEMORY_DOMAIN)) != generate_otp(
             cipher, iv(domain=FILE_DOMAIN)
         )
@@ -108,39 +109,39 @@ class TestComposePads:
 
 class TestOTPEngine:
     def test_roundtrip(self):
-        engine = OTPEngine(bytes(range(16)))
+        engine = OTPEngine(SecretKey(bytes(range(16))))
         sealed = engine.encrypt(b"x" * 64, iv())
         assert engine.decrypt(sealed, iv()) == b"x" * 64
 
     def test_ciphertext_differs_from_plaintext(self):
-        engine = OTPEngine(bytes(range(16)))
+        engine = OTPEngine(SecretKey(bytes(range(16))))
         assert engine.encrypt(b"x" * 64, iv()) != b"x" * 64
 
     def test_key_matters(self):
-        a = OTPEngine(bytes(16)).pad_for(iv())
-        b = OTPEngine(bytes([1] * 16)).pad_for(iv())
+        a = OTPEngine(SecretKey(bytes(16))).pad_for(iv())
+        b = OTPEngine(SecretKey(bytes([1] * 16))).pad_for(iv())
         assert a != b
 
     def test_rekey_changes_pads(self):
-        engine = OTPEngine(bytes(16))
+        engine = OTPEngine(SecretKey(bytes(16)))
         before = engine.pad_for(iv())
-        engine.rekey(bytes([9] * 16))
+        engine.rekey(SecretKey(bytes([9] * 16)))
         assert engine.pad_for(iv()) != before
 
     def test_rekey_to_current_key_keeps_schedule(self):
-        engine = OTPEngine(bytes(16))
+        engine = OTPEngine(SecretKey(bytes(16)))
         cipher = engine._cipher
-        engine.rekey(bytes(16))
+        engine.rekey(SecretKey(bytes(16)))
         assert engine._cipher is cipher
 
     def test_rekey_back_restores_pads(self):
-        engine = OTPEngine(bytes(16))
+        engine = OTPEngine(SecretKey(bytes(16)))
         before = engine.pad_for(iv())
-        engine.rekey(bytes([9] * 16))
-        engine.rekey(bytes(16))
+        engine.rekey(SecretKey(bytes([9] * 16)))
+        engine.rekey(SecretKey(bytes(16)))
         assert engine.pad_for(iv()) == before
 
     def test_line_size_respected(self):
-        engine = OTPEngine(bytes(16), line_size=32)
+        engine = OTPEngine(SecretKey(bytes(16)), line_size=32)
         assert len(engine.pad_for(iv())) == 32
         assert engine.line_size == 32

@@ -8,6 +8,7 @@ fault must surface as a detected failure (IntegrityError / tag failure
 import pytest
 
 from repro.core import FsEncrController, set_df
+from repro.crypto import SecretKey
 from repro.mem import MemoryRequest
 from repro.secmem import (
     BaselineSecureController,
@@ -96,9 +97,9 @@ class TestMetadataAttacks:
 
     def test_ott_region_flip_fails_tag_not_plaintext(self):
         ctl = fsencr()
-        ctl.install_file_key(1, 9, bytes([5]) * 16)
+        ctl.install_file_key(1, 9, SecretKey(bytes([5]) * 16))
         slot = ctl.ott_region.store(
-            type(ctl.ott.lookup(1, 9))(group_id=1, file_id=9, key=bytes([5]) * 16)
+            type(ctl.ott.lookup(1, 9))(group_id=1, file_id=9, key=SecretKey(bytes([5]) * 16))
         )
         ctl.ott.remove(1, 9)  # force the next lookup through the region
         ctl.ott_region.tamper(slot)
@@ -128,7 +129,7 @@ class TestPartialStateLoss:
     def test_locked_engine_blocks_even_after_cache_flush(self):
         ctl = fsencr()
         ctl.admin_login(b"x" * 32)
-        ctl.install_file_key(1, 9, bytes([5]) * 16)
+        ctl.install_file_key(1, 9, SecretKey(bytes([5]) * 16))
         ctl.update_fecb(page=6, group_id=1, file_id=9)
         addr = set_df(6 * 4096)
         ctl.write_data(addr, b"\x44" * 64)

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.crypto.iv import FILE_DOMAIN, MEMORY_DOMAIN, CounterIV
+from repro.crypto.keys import SecretKey
 from repro.crypto.otp import OTPEngine, xor_bytes
 from repro.faults import CrashDomain, FaultPlan, LineWrite, TEAR_BYTES
 from repro.faults.lifecycle import _MINOR_LIMIT, _recover_stamped_line
@@ -378,7 +379,7 @@ def _stamped_cases(seed, count=24, stop_loss=4):
     """Seeded search inputs: lags inside the window, minors at the top of
     the 7-bit field (clipped windows), and lines with no match."""
     rng = random.Random(seed)
-    mem_key, file_key = rng.randbytes(16), rng.randbytes(16)
+    mem_key, file_key = SecretKey(rng.randbytes(16)), SecretKey(rng.randbytes(16))
     for index in range(count):
         page, line_index = rng.randrange(1 << 20), rng.randrange(64)
         mem_major, file_major = rng.randrange(1 << 40), rng.randrange(1 << 20)

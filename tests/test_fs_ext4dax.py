@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import SecretKey
 from repro.fs import AccessDenied, DaxFilesystem, FsError
 from repro.kernel import Keyring, KeyringError, MMIORegisters
 from repro.mem import PAGE_SIZE
@@ -111,7 +112,9 @@ class TestEncryptionHooks:
         handle, _ = fs.create("/e", uid=1000, encrypted=True)
         ident = (handle.inode.i_gid, handle.inode.i_ino)
         assert ident in target.installed
-        assert len(target.installed[ident]) == 16
+        key = target.installed[ident]
+        assert isinstance(key, SecretKey)
+        assert handle.inode.encryption.key_fingerprint == key.fingerprint()
 
     def test_open_reinstalls_same_key(self):
         fs, target = make_fs()

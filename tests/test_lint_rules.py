@@ -325,10 +325,11 @@ def test_determinism_allows_seeded_rng_and_other_layers(tmp_path):
         rule="no-wallclock-or-unseeded-rng",
     )
     assert quiet == []
-    # Outside the deterministic layers (e.g. analysis) wall clock is fine.
+    # Outside the deterministic layers (the runner, which times cells)
+    # wall clock is fine.
     elsewhere = lint_snippet(
         tmp_path,
-        "src/repro/analysis/x.py",
+        "src/repro/exec/x.py",
         """
         import time
         def stamp():
@@ -337,6 +338,24 @@ def test_determinism_allows_seeded_rng_and_other_layers(tmp_path):
         rule="no-wallclock-or-unseeded-rng",
     )
     assert elsewhere == []
+
+
+@pytest.mark.parametrize("layer", ["workloads", "fs", "kernel", "analysis"])
+def test_determinism_covers_every_layer_a_cell_reaches(tmp_path, layer):
+    # execute_cell reaches workloads, the filesystem, the kernel model and
+    # the analyses too: a clock read there is flagged per file, whether
+    # or not any call path reaches it.
+    findings = lint_snippet(
+        tmp_path,
+        f"src/repro/{layer}/x.py",
+        """
+        import time
+        def unreachable_helper():
+            return time.time()
+        """,
+        rule="no-wallclock-or-unseeded-rng",
+    )
+    assert len(findings) == 1 and "time.time" in findings[0].message
 
 
 # -- no-worker-seed-entropy ---------------------------------------------
@@ -514,9 +533,7 @@ def test_key_hygiene_quiet_for_hidden_fields_and_metadata(tmp_path):
 
 
 def test_key_hygiene_reports_one_finding_per_leaking_line(tmp_path):
-    # Both checks see these leaks (direct key-ish names, and taint from
-    # key-ish parameters in a crypto path); the rule reports each line
-    # once, so one suppression covers it.
+    # Each leaking line is reported once, so one suppression covers it.
     leak = """
         def leak(fek, file_key):
             print(fek){0}
@@ -530,6 +547,83 @@ def test_key_hygiene_reports_one_finding_per_leaking_line(tmp_path):
         tmp_path, {"src/repro/crypto/x.py": leak.format("  # repro-lint: disable=key-hygiene")}
     )
     assert quiet == [] and suppressed == 2
+
+
+def test_key_hygiene_flags_reveal_outside_allowed_modules(tmp_path):
+    leak = """
+        def stash(fek):
+            return fek.reveal()
+    """
+    for rel in ("src/repro/fs/x.py", "src/repro/sim/x.py", "benchmarks/bench_x.py"):
+        findings = lint_snippet(tmp_path, rel, leak, rule="key-hygiene")
+        assert len(findings) == 1, rel
+        assert "reveal() outside key-reveal-paths" in findings[0].message
+    for rel in ("src/repro/crypto/x.py", "src/repro/core/ott.py", "src/repro/core/transport.py"):
+        assert lint_snippet(tmp_path, rel, leak, rule="key-hygiene") == [], rel
+    # The sanctioned way to identify a key anywhere is its fingerprint.
+    quiet = lint_snippet(
+        tmp_path,
+        "src/repro/fs/y.py",
+        """
+        def label(fek):
+            return f"fp={fek.fingerprint().hex()}"
+        """,
+        rule="key-hygiene",
+    )
+    assert quiet == []
+
+
+# Suppression edge cases on one per-file key-hygiene leak: an f-string
+# of a key-ish name in a crypto path.
+
+
+def test_multi_rule_suppression_on_one_line(tmp_path):
+    findings, suppressed = lint_tree(
+        tmp_path,
+        {
+            "src/repro/crypto/report.py": """
+                def leak(fek):
+                    return f"fek={fek}"  # repro-lint: disable=no-wallclock-or-unseeded-rng, key-hygiene
+            """,
+        },
+        rule="key-hygiene",
+    )
+    assert findings == [] and suppressed == 1
+
+
+def test_suppression_whitespace_variants(tmp_path):
+    findings, suppressed = lint_tree(
+        tmp_path,
+        {
+            "src/repro/crypto/report.py": """
+                def tight(fek):
+                    return f"a={fek}"  #repro-lint:disable=key-hygiene
+
+                def spaced(fek):
+                    return f"b={fek}"  #   repro-lint:   disable=key-hygiene
+            """,
+        },
+        rule="key-hygiene",
+    )
+    assert findings == [] and suppressed == 2
+
+
+def test_suppression_above_sink_covers_multiline_call(tmp_path):
+    findings, suppressed = lint_tree(
+        tmp_path,
+        {
+            "src/repro/crypto/report.py": """
+                import logging
+
+                def leak(fek):
+                    # repro-lint: disable=key-hygiene
+                    logging.info(f"fek={fek}",
+                                 "installed")
+            """,
+        },
+        rule="key-hygiene",
+    )
+    assert findings == [] and suppressed == 1
 
 
 def test_key_hygiene_ignores_non_crypto_layers(tmp_path):
@@ -566,7 +660,7 @@ def test_wpq_flags_raw_store_write_outside_controllers(tmp_path):
 def test_wpq_allows_controller_layer_reads_and_writes(tmp_path):
     quiet = lint_snippet(
         tmp_path,
-        "src/repro/secmem/x.py",
+        "src/repro/secmem/secure_controller.py",
         """
         def seal(self, addr, data):
             self.store.write_line(addr, data)
@@ -577,6 +671,24 @@ def test_wpq_allows_controller_layer_reads_and_writes(tmp_path):
         rule="persist-through-wpq",
     )
     assert quiet == []
+
+
+@pytest.mark.parametrize(
+    "rel", ["src/repro/mem/wpq.py", "src/repro/secmem/merkle.py", "src/repro/core/fecb.py"]
+)
+def test_wpq_scope_is_the_persist_path_modules_not_their_layers(tmp_path, rel):
+    # Only the six modules that own the persist path may write lines; a
+    # sibling module in the same layer is flagged like any other.
+    findings = lint_snippet(
+        tmp_path,
+        rel,
+        """
+        def sneak(self, addr, data):
+            self.store.write_line(addr, data)
+        """,
+        rule="persist-through-wpq",
+    )
+    assert len(findings) == 1 and "write_line" in findings[0].message
 
 
 def test_wpq_flags_raw_reads_outside_controllers(tmp_path):
@@ -842,6 +954,8 @@ def test_cli_json_report_round_trip(tmp_path, capsys):
     assert payload["exit_code"] == 1
     assert [f["rule"] for f in payload["findings"]] == ["no-wallclock-or-unseeded-rng"]
     assert payload["summary"]["findings"] == 1 and payload["summary"]["files"] == 1
+    assert payload["version"] == 3
+    assert set(payload["summary"]) == {"findings", "suppressed", "files"}
 
     # 2. Suppress it inline: the run is clean and counts the suppression.
     (root / "src" / "repro" / "sim" / "bad.py").write_text(

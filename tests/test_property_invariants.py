@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FsEncrController, set_df
-from repro.crypto.otp import OTPEngine
+from repro.crypto import OTPEngine, SecretKey
 from repro.mem import PAGE_SIZE
 from repro.secmem import MetadataLayout, SecureControllerConfig
 from repro.sim import Machine, MachineConfig, Scheme
@@ -100,7 +100,7 @@ class TestPadUniqueness:
         )
         # Swap both engines for recording variants with the same keys.
         controller._memory_engine = _RecordingEngine(controller.keys.memory_key)
-        controller._file_engine = _RecordingEngine(bytes(16))
+        controller._file_engine = _RecordingEngine(SecretKey(bytes(16)))
         return controller, observed
 
     @given(
@@ -116,7 +116,7 @@ class TestPadUniqueness:
         *sealing* never repeat per key.  (Read pads legitimately repeat
         — the same version is regenerated to decrypt.)"""
         controller, observed = self._instrumented_controller()
-        controller.install_file_key(1, 5, bytes([9]) * 16)
+        controller.install_file_key(1, 5, SecretKey(bytes([9]) * 16))
         for page in range(4):
             controller.update_fecb(page=page, group_id=1, file_id=5)
         observed.clear()  # discard install-time region sealing pads

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OpenTunnelTable, OTTEntry
+from repro.crypto import SecretKey
 from repro.mem import CacheConfig, SetAssociativeCache
 from repro.sim import Machine, MachineConfig, Scheme
 
@@ -90,7 +91,7 @@ class TestOttVsReference:
         ott = OpenTunnelTable(banks=1, entries_per_bank=4)
         reference: "OrderedDict[int, bytes]" = OrderedDict()
         for op, file_id in ops:
-            key = bytes([file_id]) * 16
+            key = SecretKey(bytes([file_id]) * 16)
             if op == "insert":
                 ott.insert(OTTEntry(group_id=1, file_id=file_id, key=key))
                 if file_id in reference:
