@@ -13,8 +13,9 @@ every window size; recovery trials grow with the window while runtime
 counter persists shrink — the two ends of the Osiris trade, measured.
 """
 
+from repro.exec import resolve_workload
 from repro.faults.plan import FAULT_PROFILES, FaultPlan
-from repro.faults.sweep import sweep_workload, workload_factory
+from repro.faults.sweep import sweep_workload
 from repro.sim import Machine, MachineConfig, Scheme
 from repro.sim.schemes import crash_matrix_names
 
@@ -30,7 +31,7 @@ def run_stop_loss(stop_loss: int):
     # is trial-decrypting counters stale within the stop-loss window.
     plan = FaultPlan(seed=SEED, drain_fraction=1.0, torn_probability=0.0)
     sweep = sweep_workload(
-        workload_factory("DAX-3", iterations=ITERATIONS),
+        resolve_workload("DAX-3", iterations=ITERATIONS),
         config,
         plan=plan,
         max_points=POINTS,
@@ -40,7 +41,7 @@ def run_stop_loss(stop_loss: int):
 
     # The same workload, uninterrupted, for the runtime write stream.
     machine = Machine(config)
-    workload = workload_factory("DAX-3", iterations=ITERATIONS)()
+    workload = resolve_workload("DAX-3", iterations=ITERATIONS)()
     workload.setup(machine)
     workload.run(machine)
     runtime = machine.result(f"DAX-3/sl={stop_loss}")
@@ -91,7 +92,7 @@ def run_matrix():
     from repro.faults.sweep import sweep_matrix
 
     return sweep_matrix(
-        workload_factory("DAX-3", iterations=ITERATIONS),
+        resolve_workload("DAX-3", iterations=ITERATIONS),
         MachineConfig(),
         max_points=2,
         seed=SEED,

@@ -5,11 +5,9 @@ Whisper trio lands in single-digit percent, a ~98% reduction of the
 software-encryption overhead of Figure 3.
 """
 
-from repro.analysis import figure3_software_encryption, figure11_whisper
 
-
-def test_fig11_whisper_all_series(benchmark, results_dir):
-    table = benchmark.pedantic(figure11_whisper, rounds=1, iterations=1)
+def test_fig11_whisper_all_series(benchmark, results_dir, whisper_table):
+    table = benchmark.pedantic(lambda: whisper_table, rounds=1, iterations=1)
     print()
     print(table.render())
     table.save_json(results_dir / "fig11.json")
@@ -22,15 +20,13 @@ def test_fig11_whisper_all_series(benchmark, results_dir):
     benchmark.extra_info["paper_mean"] = 1.038
 
 
-def test_fig11_vs_fig3_overhead_reduction(benchmark, results_dir):
+def test_fig11_vs_fig3_overhead_reduction(benchmark, whisper_table, software_table):
     """The paper's headline comparison: FsEncr removes ~98.33% of the
     software-encryption overhead on the Whisper workloads."""
-
-    def run_both():
-        return figure11_whisper(), figure3_software_encryption()
-
-    fsencr_table, software_table = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    sw_overhead = software_table.mean("slowdown") - 1.0
+    fsencr_table, sw_table = benchmark.pedantic(
+        lambda: (whisper_table, software_table), rounds=1, iterations=1
+    )
+    sw_overhead = sw_table.mean("slowdown") - 1.0
     hw_overhead = fsencr_table.mean("slowdown") - 1.0
     reduction = 1.0 - hw_overhead / sw_overhead
     print(f"\noverhead reduction vs software encryption: {reduction:.2%} "

@@ -26,28 +26,34 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
-# One experiment run feeds multiple figures (Figures 8/9/10 are three
-# views of the same runs; likewise 12/13/14).  A single session-scoped
-# ExperimentRunner gives every bench the same sharing — the first caller
-# simulates a cell, every later figure built from the same cells is
-# served from the runner's content-addressed cache — while also sharing
-# with past suite invocations through ``.repro-cache/`` on disk.
+# One experiment run feeds several tests: Figures 8/9/10 are three views
+# of the same runs (likewise 12/13/14), and the Figure 3 and Figure 11
+# grids feed both their own figure and the Figure 11 vs Figure 3
+# overhead-reduction comparison.  Session-scoped fixtures compute each
+# grid once per suite run; nothing is kept between runs.
 @pytest.fixture(scope="session")
-def experiment_runner():
-    from repro.exec import ExperimentRunner
-
-    return ExperimentRunner(jobs=1)
-
-
-@pytest.fixture(scope="session")
-def pmemkv_table(experiment_runner):
+def pmemkv_table():
     from repro.analysis import figure8_to_10_pmemkv
 
-    return figure8_to_10_pmemkv(runner=experiment_runner)
+    return figure8_to_10_pmemkv()
 
 
 @pytest.fixture(scope="session")
-def micro_table(experiment_runner):
+def micro_table():
     from repro.analysis import figure12_to_14_micro
 
-    return figure12_to_14_micro(runner=experiment_runner)
+    return figure12_to_14_micro()
+
+
+@pytest.fixture(scope="session")
+def whisper_table():
+    from repro.analysis import figure11_whisper
+
+    return figure11_whisper()
+
+
+@pytest.fixture(scope="session")
+def software_table():
+    from repro.analysis import figure3_software_encryption
+
+    return figure3_software_encryption()

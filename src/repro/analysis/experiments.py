@@ -9,9 +9,9 @@ their output against the paper's reported numbers.
 Every figure is a grid of independent cells, so each driver builds
 :class:`~repro.exec.CellSpec` lists and executes them through an
 :class:`~repro.exec.ExperimentRunner` — pass ``jobs=N`` (or a shared
-``runner``) to fan the grid out over worker processes and to memoise
-unchanged cells in ``.repro-cache/`` (docs/RUNNER.md).  The default is
-the serial in-process path, bit-identical to any ``jobs`` setting.
+``runner``) to fan the grid out over worker processes (docs/RUNNER.md).
+The default is the serial in-process path, bit-identical to any
+``jobs`` setting.
 
 Op counts are scaled for Python-speed runs (see ``SCALE_FACTOR`` in
 ``repro.sim.config``); pass larger ``ops``/``iterations`` to push
@@ -59,7 +59,7 @@ def _resolve_runner(
 
     Library calls default to the serial path (``jobs=1``) so importing a
     figure function never silently forks workers; the CLI passes the
-    ``--jobs`` value through, and benchmark fixtures share one runner.
+    ``--jobs`` value through.
     """
     if runner is not None:
         return runner

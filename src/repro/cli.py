@@ -20,21 +20,19 @@ handler reads; any other flag is an argparse error (exit status 2).
     batchcheck               --reps --json
     loadcurve                RUNNER --ops --json --streams --schemes
                              --loads --window
-    cache {stats,verify,gc}  --cache-dir
 
-    RUNNER = --jobs --no-cache --clear-cache --cache-dir
+    RUNNER = --jobs
 
 ``bench`` runs the fig3/8/11/12/15 grids on one shared runner; ``all``
 runs the same grids and then prints Table I.  ``quick`` is one fast
 end-to-end sanity pass.  ``--jobs N`` fans a grid's cells over N worker
-processes (default 1, serial; 0 = one per CPU), and unchanged cells are
-served from ``.repro-cache/`` (docs/RUNNER.md); the first failed cell
-aborts the command.  Figure cells run through the compiled-trace batch
-executor (docs/BATCH.md).  ``crashsweep`` runs the full (scheme x
-fault-profile) matrix by default and exits with its silent-corruption
-count; ``batchcheck`` exits with the number of divergent cells,
-``loadcurve`` with the number of schemes whose p99 is not monotone in
-load, and ``cache verify`` with the corrupt-entry count.
+processes (default 1, serial; 0 = one per CPU; docs/RUNNER.md); the
+first failed cell aborts the command.  Figure cells run through the
+compiled-trace batch executor (docs/BATCH.md).  ``crashsweep`` runs the
+full (scheme x fault-profile) matrix by default and exits with its
+silent-corruption count; ``batchcheck`` exits with the number of
+divergent cells, and ``loadcurve`` with the number of schemes whose p99
+is not monotone in load.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from .analysis import (
     render_sensitivity,
     render_table1,
 )
-from .exec import ExperimentRunner, ResultCache, source_fingerprint
+from .exec import ExperimentRunner, resolve_workload
 from .faults.plan import FAULT_PROFILES, FaultPlan
 from .sim.results import ResultTable, run_provenance
 from .sim.schemes import crash_matrix_names, get_scheme, scheme_names
@@ -70,22 +68,9 @@ class UsageError(Exception):
 
 
 def _make_runner(args) -> ExperimentRunner:
-    """Build the runner the command's grids execute on.
-
-    ``--jobs 0`` means one worker per CPU.  ``--clear-cache`` empties
-    the cache before the run rather than instead of it, so
-    ``--clear-cache`` plus a figure command is the natural "rebuild from
-    scratch" spelling.
-    """
-    runner = ExperimentRunner(
-        args.jobs or os.cpu_count() or 1,
-        use_cache=not args.no_cache,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-    )
-    if args.clear_cache:
-        removed = runner.clear_cache()
-        print(f"cache cleared: {removed} entries")
-    return runner
+    """The runner the command's grids execute on; ``--jobs 0`` means one
+    worker per CPU."""
+    return ExperimentRunner(args.jobs or os.cpu_count() or 1)
 
 
 def _show(text: str, runner: ExperimentRunner) -> None:
@@ -182,12 +167,8 @@ def _run_quick(args) -> None:
 
 
 def _run_bench(args) -> None:
-    """Every figure grid on one shared runner.
-
-    The point of sharing: overlapping grids (fig8 and fig15 both run
-    Fillrandom-L cells, say) are simulated once, and the closing
-    lifetime summary shows exactly how much the cache saved.
-    """
+    """Every figure grid on one shared runner, closing with the
+    runner's lifetime summary over all of them."""
     runner = _make_runner(args)
     for name in _FIGURES:
         _figure(name, args, runner, None)
@@ -333,18 +314,9 @@ BATCHCHECK_CELLS = [
     ("Hashmap", "fsencr+partitioned"),
 ]
 
-BATCHCHECK_SIZES = {"DAX-1": 3000, "Fillseq-S": 1200, "Hashmap": 3000}
-
-
-def _batchcheck_factory(workload: str):
-    from .workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
-
-    size = BATCHCHECK_SIZES[workload]
-    if workload == "DAX-1":
-        return lambda: make_dax_micro(workload, iterations=size, seed=7)
-    if workload == "Fillseq-S":
-        return lambda: make_pmemkv_workload(workload, ops=size, seed=1234)
-    return lambda: make_whisper_workload(workload, ops=size, seed=99)
+#: Each batchcheck workload's (size, seed); the size is the op count or,
+#: for the DAX micro, the iteration count.
+BATCHCHECK_WORKLOADS = {"DAX-1": (3000, 7), "Fillseq-S": (1200, 1234), "Hashmap": (3000, 99)}
 
 
 def _run_batchcheck(args) -> int:
@@ -370,7 +342,8 @@ def _run_batchcheck(args) -> int:
         digests = {}
         start = time.perf_counter()
         for workload_name, scheme_name in BATCHCHECK_CELLS:
-            workload = _batchcheck_factory(workload_name)()
+            size, seed = BATCHCHECK_WORKLOADS[workload_name]
+            workload = resolve_workload(workload_name, ops=size, iterations=size, seed=seed)()
             config = get_scheme(scheme_name).configure(MachineConfig())
             if runner is not None:
                 result = runner.run(config, workload)
@@ -433,9 +406,9 @@ def _run_loadcurve(args) -> int:
     """Throughput-vs-tail curves for a concurrent stream mix.
 
     One loadcurve cell per scheme (so ``--jobs`` parallelises across
-    schemes and the cache serves unchanged curves); each cell
-    calibrates the mix closed-loop, then sweeps the offered loads
-    open-loop through the shared memory-controller and OTT-port queues.
+    schemes); each cell calibrates the mix closed-loop, then sweeps the
+    offered loads open-loop through the shared memory-controller and
+    OTT-port queues.
     Exit code is the number of schemes whose p99 is *not* monotonically
     non-decreasing in load — loud, because a non-monotone curve means
     the sweep is under-sampled for the mix.
@@ -486,41 +459,6 @@ def _run_loadcurve(args) -> int:
     return sum(not ok for ok in monotone.values())
 
 
-def _run_cache(args) -> int:
-    """``cache stats|verify|gc`` — cache hygiene tooling.  ``verify``'s
-    exit code is the corrupt-entry count so CI can assert a warm cache
-    is clean with a bare command."""
-    cache = ResultCache(Path(args.cache_dir) if args.cache_dir else None)
-    if args.operation == "stats":
-        stats = cache.stats()
-        print(f"cache: {stats['directory']}")
-        print(f"  entries:     {stats['entries']} ({stats['bytes']} bytes)")
-        print(f"  tmp files:   {stats['tmp_files']}")
-        print(f"  quarantined: {stats['quarantined']}")
-        if stats["entries"]:
-            print(
-                f"  age span:    {stats['newest_age_seconds']:.0f}s (newest) "
-                f"to {stats['oldest_age_seconds']:.0f}s (oldest)"
-            )
-        return 0
-    if args.operation == "verify":
-        report = cache.verify()
-        print(
-            f"cache verify: {report['checked']} checked, {report['ok']} ok, "
-            f"{report['legacy']} legacy (pre-checksum), {report['corrupt']} corrupt"
-        )
-        for name in report["quarantined"]:
-            print(f"  quarantined: {name}")
-        return report["corrupt"]
-    report = cache.gc(source_fingerprint())
-    print(
-        f"cache gc: {report['tmp_removed']} tmp file(s) and "
-        f"{report['stale_removed']} stale entr(ies) removed "
-        f"({report['bytes_freed']} bytes), {report['entries_kept']} kept"
-    )
-    return 0
-
-
 def _job_count(text: str) -> int:
     jobs = int(text)
     if jobs < 0:
@@ -528,30 +466,27 @@ def _job_count(text: str) -> int:
     return jobs
 
 
-def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _parent() -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole CLI: one subparser per command, each holding only the
     flags its handler reads.  Shared flags are defined once, on the
     parent parsers below."""
-    cache_dir = _parent()
-    cache_dir.add_argument(
-        "--cache-dir", type=str, default=None, help="result-cache directory (default: .repro-cache)"
-    )
-    runner = _parent(cache_dir)
+    runner = _parent()
     runner.add_argument(
         "--jobs",
         type=_job_count,
         default=1,
         help="worker processes for grid cells (0 = one per CPU; default: 1, serial)",
-    )
-    runner.add_argument(
-        "--no-cache", action="store_true", help="always simulate; never read or write the cache"
-    )
-    runner.add_argument(
-        "--clear-cache", action="store_true", help="empty the result cache before running"
     )
     ops = _parent()
     ops.add_argument("--ops", type=int, default=None, help="workload operation count")
@@ -608,7 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
         [runner, ops, iters, output],
     )
     sweep.add_argument("--workload", type=str, default="DAX-3", help="workload to crash-sweep")
-    sweep.add_argument("--points", type=int, default=8, help="max crash points to sample")
+    sweep.add_argument(
+        "--points", type=_positive_int, default=8, help="max crash points to sample (>= 1)"
+    )
     sweep.add_argument("--seed", type=int, default=0xC0FFEE, help="sweep / fault-plan seed")
     matrix = ", ".join(crash_matrix_names())
     sweep.add_argument(
@@ -680,16 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, default=1, help="closed-loop calibration MLP window (default: 1)"
     )
 
-    cache = command(
-        "cache", _run_cache, "inspect, audit, or garbage-collect the result cache", [cache_dir]
-    )
-    cache.add_argument(
-        "operation",
-        choices=["stats", "verify", "gc"],
-        help="stats: counts/bytes/age; verify: checksum audit, quarantine "
-        "corrupt entries (exit status = corrupt count); gc: remove orphaned "
-        "*.tmp.* files and stale-fingerprint entries",
-    )
     return parser
 
 

@@ -7,8 +7,7 @@ independent *cells*.  A :class:`CellSpec` is the complete, serialisable
 description of one cell: which workload (by factory *name*, so the spec
 crosses process boundaries), under which :class:`MachineConfig`, with
 which seeds.  ``execute_cell`` turns a spec into a JSON-safe payload; it
-is a pure function, which is what makes both process-pool fan-out and
-content-addressed caching sound.
+is a pure function, which is what makes process-pool fan-out sound.
 
 Three cell kinds cover every consumer:
 
@@ -28,7 +27,6 @@ Three cell kinds cover every consumer:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -41,7 +39,6 @@ from ..sim.results import RunResult
 __all__ = [
     "CellSpec",
     "canonical_json",
-    "cell_key",
     "execute_cell",
     "resolve_workload",
     "payload_to_runs",
@@ -50,32 +47,10 @@ __all__ = [
 ]
 
 
-#: Fields added to a dataclass *after* cache keys referencing it existed
-#: in the wild.  While such a field still holds its original default it
-#: is omitted from the canonical form, so every pre-existing spec keeps
-#: its pre-existing cache key; specs that exercise the new knob get a
-#: (correctly) new key.
-_LATE_DEFAULTS = {
-    "MachineConfig": {"anubis_recovery": False},
-    # loads/mlp_window/arrival_seed exist only for loadcurve cells,
-    # which post-date every cached key.
-    "CellSpec": {
-        "loads": (),
-        "mlp_window": 1,
-        "arrival_seed": 0xA221,
-    },
-}
-
-
 def _plain(value):
     """Recursively reduce configs/plans to canonical JSON-safe values."""
     if is_dataclass(value) and not isinstance(value, type):
-        late = _LATE_DEFAULTS.get(type(value).__name__, {})
-        return {
-            f.name: _plain(getattr(value, f.name))
-            for f in fields(value)
-            if f.name not in late or getattr(value, f.name) != late[f.name]
-        }
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (list, tuple)):
@@ -84,7 +59,7 @@ def _plain(value):
         return {str(key): _plain(item) for key, item in sorted(value.items())}
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
-    raise TypeError(f"cannot canonicalise {type(value).__name__} for a cell key")
+    raise TypeError(f"cannot canonicalise {type(value).__name__}")
 
 
 def canonical_json(value) -> str:
@@ -98,8 +73,8 @@ class CellSpec:
 
     Everything here is part of the cell's identity: two specs with equal
     canonical JSON produce bit-identical payloads (the simulator is a
-    pure function of its inputs), which is the contract the result cache
-    and the ``--jobs N`` == ``--jobs 1`` equivalence both rest on.
+    pure function of its inputs), which is the contract the ``--jobs N``
+    == ``--jobs 1`` equivalence rests on.
     """
 
     kind: str                       # "compare" | "sweep" | "loadcurve"
@@ -142,11 +117,13 @@ class CellSpec:
             object.__setattr__(
                 self, "loads", tuple(float(load) for load in self.loads)
             )
+        if self.max_points < 1:
+            raise ValueError(f"max_points must be >= 1, got {self.max_points}")
         if self.mlp_window < 1:
             raise ValueError(f"mlp_window must be >= 1, got {self.mlp_window}")
         if self.schemes:
             # Scheme names are registry currency: canonicalise (and
-            # validate) them here so equal cells always hash equally,
+            # validate) them here so equal cells always compare equal,
             # whatever spelling the caller used.
             from ..sim.schemes import canonical_scheme_name
 
@@ -164,15 +141,6 @@ class CellSpec:
         if self.kind == "loadcurve":
             return f"{self.workload}[loadcurve {'/'.join(self.schemes)}]"
         return f"{self.workload}[sweep {self.config.scheme.value}]"
-
-    def canonical(self) -> Dict:
-        return _plain(self)
-
-
-def cell_key(spec: CellSpec, fingerprint: str) -> str:
-    """Content address: canonical spec JSON + the source fingerprint."""
-    blob = canonical_json(spec) + ":" + fingerprint
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

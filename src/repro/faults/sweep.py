@@ -64,7 +64,6 @@ __all__ = [
     "CrashPointResult",
     "SweepResult",
     "MatrixResult",
-    "workload_factory",
     "sweep_workload",
     "matrix_configs",
     "sweep_matrix",
@@ -158,7 +157,7 @@ class SweepResult:
             )
 
     def to_dict(self) -> Dict:
-        """JSON-safe record (the exec runner's cache/worker payload)."""
+        """JSON-safe record (the exec runner's worker payload)."""
         return {
             "workload": self.workload,
             "scheme": self.scheme,
@@ -179,25 +178,8 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-# Workload resolution and deterministic payloads
+# Deterministic payloads
 # ----------------------------------------------------------------------
-
-
-def workload_factory(name: str, ops: int = 0, iterations: int = 0) -> Callable[[], object]:
-    """A zero-argument factory for a fresh workload instance by name.
-
-    ``DAX-*`` names resolve to the microbenchmarks, everything else to
-    the PMEMKV patterns — the same naming the CLI's other commands use.
-    """
-    from ..workloads import make_dax_micro, make_pmemkv_workload
-
-    if name.upper().startswith("DAX"):
-        if iterations:
-            return lambda: make_dax_micro(name, iterations=iterations)
-        return lambda: make_dax_micro(name)
-    if ops:
-        return lambda: make_pmemkv_workload(name, ops=ops)
-    return lambda: make_pmemkv_workload(name)
 
 
 def _pattern(seed: int, op_index: int, vaddr: int, size: int) -> bytes:
@@ -281,9 +263,11 @@ def sweep_workload(
     """Crash-sweep one workload; returns the per-point audit.
 
     ``config.functional`` is forced on — the sweep's oracle needs real
-    ciphertext to audit.  ``max_points`` bounds the replay cost by
-    even-spaced sampling of the persist boundaries.
+    ciphertext to audit.  ``max_points`` (at least 1) bounds the replay
+    cost by even-spaced sampling of the persist boundaries.
     """
+    if max_points < 1:
+        raise ValueError(f"max_points must be >= 1, got {max_points}")
     base_config = config or MachineConfig()  # default scheme: fsencr
     run_config = base_config._replace(functional=True)
     plan = plan or FaultPlan()
@@ -454,8 +438,7 @@ def sweep_matrix(
     the matrix runnable on a :class:`~repro.exec.ExperimentRunner`
     (``runner=``): each cell becomes a picklable
     :class:`~repro.exec.CellSpec`, so the grid fans out over worker
-    processes and warm cells are served from the on-disk result cache —
-    bit-identical to the serial path either way.  A callable factory
+    processes, bit-identical to the serial path.  A callable factory
     cannot cross a process boundary, so combining one with ``runner``
     raises.
     """
@@ -476,7 +459,7 @@ def sweep_matrix(
             raise TypeError(
                 "sweep_matrix(runner=...) needs a workload name, not a "
                 "callable — a factory function cannot cross the worker "
-                "process boundary or be content-addressed for the cache"
+                "process boundary"
             )
         cells = [
             CellSpec(

@@ -56,7 +56,7 @@ from ..mem.dfbit import DF_MASK
 from ..secmem.counters import MINOR_BITS
 from ..secmem.metadata_cache import MetadataKind
 from ..secmem.secure_controller import BaselineSecureController
-from .machine import Machine
+from .machine import _ADR_DRAIN_NS, _FENCE_NS, Machine
 from .trace import (
     COMPUTE,
     CREATE,
@@ -87,8 +87,6 @@ _FLUSH = 2
 _FENCE = 3
 _COMPUTE = 4
 
-_FENCE_NS = 10.0
-_ADR_DRAIN_NS = 60.0
 _MINOR_LIMIT = 1 << MINOR_BITS
 
 # Pend-array slots for the per-level cache bundles.

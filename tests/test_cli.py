@@ -33,8 +33,10 @@ ROOT = Path(__file__).resolve().parent.parent
         ["quick", "--ops", "2"],
         ["report", "--jobs", "2"],
         ["report", "--json", "results"],
-        ["cache", "stats", "--jobs", "2"],
         ["batchcheck", "--no-cache"],
+        ["fig12", "--no-cache"],
+        ["fig12", "--clear-cache"],
+        ["crashsweep", "--cache-dir", "x"],
         ["fig12", "--timeout", "5"],
         ["fig12", "--retries", "1"],
         ["fig12", "--backoff", "1"],
@@ -64,6 +66,7 @@ def test_flags_from_other_commands_do_not_pass_silently():
         ["crashsweep", "--scheme", "nonsense"],
         ["fig15", "--scheme", "nonsense"],
         ["fig12", "--iter", "10"],  # no abbreviations of long flags
+        ["cache", "stats"],  # the result cache and its command are gone
     ],
     ids=" ".join,
 )
@@ -73,31 +76,42 @@ def test_invalid_values_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
-def test_jobs_zero_means_one_worker_per_cpu(tmp_path):
-    args = build_parser().parse_args(["fig12", "--jobs", "0", "--cache-dir", str(tmp_path)])
+def test_jobs_zero_means_one_worker_per_cpu():
+    args = build_parser().parse_args(["fig12", "--jobs", "0"])
     assert _make_runner(args).jobs == os.cpu_count()
 
 
-def test_jobs_defaults_to_serial(tmp_path):
-    args = build_parser().parse_args(["crashsweep", "--cache-dir", str(tmp_path)])
+def test_jobs_defaults_to_serial():
+    args = build_parser().parse_args(["crashsweep"])
     assert _make_runner(args).jobs == 1
 
 
 def test_plan_flags_with_a_named_profile_are_rejected():
     with pytest.raises(SystemExit) as exc:
-        main(["crashsweep", "--profile", "mixed", "--torn-burst", "4", "--no-cache"])
+        main(["crashsweep", "--profile", "mixed", "--torn-burst", "4"])
     assert exc.value.code == 2
 
 
-def test_crashsweep_without_persist_boundaries_is_a_usage_error(tmp_path, capsys):
+def test_crashsweep_without_persist_boundaries_is_a_usage_error(capsys):
     # DAX-1 only loads: no crash point exists, so "OK" would be vacuous.
     with pytest.raises(SystemExit) as exc:
         main(["crashsweep", "--workload", "DAX-1", "--iters", "20", "--points", "2",
-              "--seed", "7", "--scheme", "fsencr", "--profile", "mixed",
-              "--cache-dir", str(tmp_path)])
+              "--seed", "7", "--scheme", "fsencr", "--profile", "mixed"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "'DAX-1' has no persist boundary" in captured.err
+    assert "OK:" not in captured.out
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_crashsweep_needs_a_positive_point_count(points, capsys):
+    # 0 would divide by zero in the boundary sampler; a negative bound
+    # would sample no crash point and still print OK.
+    with pytest.raises(SystemExit) as exc:
+        main(["crashsweep", "--workload", "Fillseq-S", "--ops", "12", "--points", points])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --points: must be >= 1" in captured.err
     assert "OK:" not in captured.out
 
 
@@ -187,10 +201,10 @@ def test_documented_py_path_exists(ref):
     assert any((base / ref).is_file() for base in bases), ref
 
 
-def test_all_runs_every_grid_on_one_runner(tmp_path, capsys):
+def test_all_runs_every_grid_on_one_runner(capsys):
     # bench's fig15 grid runs at its default column: neither bench nor
     # all has a --scheme for it to read.
-    argv = ["all", "--ops", "10", "--iters", "50", "--cache-dir", str(tmp_path)]
+    argv = ["all", "--ops", "10", "--iters", "50"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "Figure 15" in out and "System A" in out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec import resolve_workload
 from repro.faults import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import (
     MATRIX_SCHEME_LABELS,
@@ -22,7 +23,6 @@ from repro.faults.sweep import (
     CrashPointResult,
     sweep_matrix,
     sweep_workload,
-    workload_factory,
 )
 from repro.sim import Machine, MachineConfig, Scheme
 from repro.sim.batch import capture_workload
@@ -34,7 +34,7 @@ PLAN = FaultPlan(seed=0xFA11, drain_fraction=0.5, torn_probability=0.5, bit_flip
 
 def run_sweep(name: str, **factory_kw) -> SweepResult:
     return sweep_workload(
-        workload_factory(name, **factory_kw),
+        resolve_workload(name, **factory_kw),
         MachineConfig(scheme=Scheme.FSENCR),
         plan=PLAN,
         max_points=4,
@@ -98,7 +98,7 @@ class TestDeterminism:
 @pytest.fixture(scope="module")
 def matrix() -> MatrixResult:
     return sweep_matrix(
-        workload_factory("Fillseq-S", ops=12),
+        resolve_workload("Fillseq-S", ops=12),
         MachineConfig(),
         max_points=2,
         seed=0xFA11,
@@ -176,8 +176,8 @@ class TestAssertInvariantMechanism:
             result.assert_invariant()
 
 
-#: Every workload ``workload_factory`` resolves: the PMEMKV patterns
-#: (paper set and extensions) and the four DAX micro-benchmarks.
+#: The PMEMKV patterns (paper set and extensions) and the four DAX
+#: micro-benchmarks.
 _SWEEP_REACHABLE = (
     [name for name, *_ in PMEMKV_BENCHMARKS + PMEMKV_EXTENSIONS]
     + [f"DAX-{i}" for i in range(1, 5)]
@@ -189,7 +189,7 @@ class TestCapturedOps:
     def test_capture_stub_ops_equal_recorded_ops(self, name):
         # The sweep takes its op list from the capture stub; a functional
         # run through TraceRecorder must have produced exactly the same.
-        factory = workload_factory(name, ops=8, iterations=8)
+        factory = resolve_workload(name, ops=8, iterations=8)
         config = MachineConfig(scheme=Scheme.FSENCR, functional=True)
         workload = factory()
         recorder = TraceRecorder(Machine(config), name=workload.name)
@@ -214,3 +214,18 @@ class TestCapturedOps:
 
         with pytest.raises(ValueError, match="'ByteWriter' is not capturable"):
             sweep_workload(ByteWriter, MachineConfig(scheme=Scheme.FSENCR))
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("max_points", [0, -2])
+    def test_max_points_below_one_is_rejected(self, max_points):
+        # 0 would divide by zero in the boundary sampler; a negative
+        # bound would sample no crash point and still report a clean sweep.
+        with pytest.raises(ValueError, match="max_points must be >= 1"):
+            sweep_workload(resolve_workload("Fillseq-S", ops=12), max_points=max_points)
+
+    def test_whisper_workloads_sweep_by_name(self):
+        sweep = sweep_workload(resolve_workload("Hashmap", ops=20), max_points=2, name="Hashmap")
+        assert sweep.boundaries_total > 0
+        assert len(sweep.points) == 2
+        sweep.assert_invariant()

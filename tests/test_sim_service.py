@@ -113,8 +113,8 @@ def test_loadcurve_cell_identical_under_jobs_2():
         schemes=("fsencr",),
         loads=(0.5, 1.0),
     )
-    serial = ExperimentRunner(1, use_cache=False).run([spec])[0].payload
-    parallel = ExperimentRunner(2, use_cache=False).run([spec])[0].payload
+    serial = ExperimentRunner(1).run([spec])[0].payload
+    parallel = ExperimentRunner(2).run([spec])[0].payload
     assert canonical_json(serial) == canonical_json(parallel)
 
 
@@ -358,20 +358,8 @@ def test_many_files_churn_validation():
 
 
 # ----------------------------------------------------------------------
-# Cell-spec compatibility
+# Cell-spec validation
 # ----------------------------------------------------------------------
-
-
-def test_loadcurve_fields_stay_out_of_old_cache_keys():
-    spec = CellSpec(
-        kind="compare",
-        workload="Fillseq-S",
-        config=MachineConfig(),
-        schemes=("fsencr",),
-    )
-    blob = canonical_json(spec)
-    for key in ("loads", "mlp_window", "arrival_seed"):
-        assert key not in blob
 
 
 def test_loadcurve_cell_validation():
