@@ -304,6 +304,8 @@ class EncryptedOTTRegion:
         *detected*, the key is reported unavailable, never garbage.
         """
         sealed = bytearray(self._lines[slot])
+        if not 0 <= bit < len(sealed) * 8:
+            raise ValueError(f"bit index {bit} out of record range")
         sealed[bit // 8] ^= 1 << (bit % 8)
         self._lines[slot] = bytes(sealed)
 

@@ -149,11 +149,7 @@ def import_machine(
     controller.fecb = dimm.fecb
     controller.ott_region._lines = dict(dimm.ott_region_lines)
     controller.ott_region._occupancy = dict(dimm.ott_region_occupancy)
-    controller.merkle._nodes = dict(dimm.merkle_nodes)
-    controller.merkle._touched = set(dimm.merkle_touched)
-    controller.merkle._root = controller.merkle._node_digest(
-        controller.merkle.num_levels - 1, 0
-    )
+    controller.merkle.adopt_nodes(dimm.merkle_nodes, dimm.merkle_touched)
 
     # Authenticate the module: its metadata must hash to the root the
     # authorised transport carried.

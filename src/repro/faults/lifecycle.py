@@ -478,11 +478,13 @@ def reboot_machine(machine) -> RecoveryReport:
         if nodes_poisoned:
             controller.stats.add("merkle_poisoned_nodes", nodes_poisoned)
 
-    # -- 1. OTT: scan the encrypted spill region (one read per slot) ----
+    # -- 1. OTT: scan the encrypted spill region (one sequential run) ---
     if hasattr(controller, "recover_ott_after_crash"):
         ott_recovered = controller.recover_ott_after_crash()
-        for slot in range(controller.layout.ott_slots):
-            recovery_ns += controller.device.read(controller.layout.ott_slot_addr(slot))
+        slots = controller.layout.ott_slots
+        if slots:
+            controller.layout.ott_slot_addr(slots - 1)  # the run stays in the region
+            recovery_ns += controller.device.read_run(controller.layout.ott_slot_addr(0), slots)
 
     # -- 2. counter recovery via ECC trial decryption -------------------
     final_mecb: Dict[int, Tuple[int, List[int]]] = {

@@ -14,6 +14,15 @@ Two faces, matching the rest of the simulator:
   the path after a counter change, :meth:`verify_leaf` recomputes up to
   the root and compares.  Tamper tests flip bits in the counter store and
   assert the root mismatch fires.
+
+Every stored node at level >= 1 keeps a *preimage*: the 8 stored digests
+of its children, concatenated.  :meth:`_store` is the only writer of node
+digests and writes each one through into its parent's preimage, so the
+invariant is that a preimage always equals the stored (or default)
+digests of its children, and rehashing a level >= 1 node is one SHA-256
+of its preimage.  Level 0 always reads its leaves' actual bytes through
+``leaf_reader``: an out-of-band leaf tamper, a replay or a flipped OTT
+slot is caught exactly where a full recompute of the children catches it.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .layout import MetadataLayout
 __all__ = ["IntegrityError", "BonsaiMerkleTree"]
 
 _ZERO_DIGEST = hashlib.sha256(b"fsencr-empty-node").digest()
+_DIGEST_BYTES = len(_ZERO_DIGEST)
 
 
 class IntegrityError(Exception):
@@ -56,8 +66,12 @@ class BonsaiMerkleTree:
         #: Internal levels stored in memory (``MetadataLayout.merkle_levels``).
         self.num_levels = layout.merkle_levels
         self._leaf_reader = leaf_reader
+        self._max_leaf = layout.merkle_leaves
         self.stats = stats or StatCounters("merkle")
         self._nodes: Dict["tuple[int, int]", bytes] = {}
+        #: (level >= 1, index) -> the node's children's stored digests,
+        #: concatenated; written only through :meth:`_store`.
+        self._preimages: Dict["tuple[int, int]", bytearray] = {}
         self._touched: set = set()
         self._default_digests = self._compute_default_digests()
         self._root = self._default_digests[-1]
@@ -105,24 +119,47 @@ class BonsaiMerkleTree:
         return hashlib.sha256(data).digest()
 
     def _node_digest(self, level: int, index: int) -> bytes:
-        """Digest of node (level, index); level 0 nodes hash leaf digests."""
+        """Stored digest of node (level, index), or its level's default."""
         stored = self._nodes.get((level, index))
         if stored is not None:
             return stored
         return self._default_digests[level + 1]
 
-    def _child_digests(self, level: int, index: int) -> Iterable[bytes]:
+    def _store(self, level: int, index: int, digest: bytes) -> None:
+        """Store a node digest and write it through into the parent's
+        preimage.  The only writer of ``_nodes``."""
+        self._nodes[(level, index)] = digest
+        if level + 1 < self.num_levels:
+            parent = (level + 1, index // self.arity)
+            preimage = self._preimages.get(parent)
+            if preimage is None:
+                preimage = bytearray(self._default_digests[level + 1] * self.arity)
+                self._preimages[parent] = preimage
+            offset = (index % self.arity) * _DIGEST_BYTES
+            preimage[offset:offset + _DIGEST_BYTES] = digest
+
+    def _level0_digest(self, index: int) -> bytes:
+        """Hash level-0 node ``index`` over its leaves' actual bytes.
+
+        Leaves past the protected region (and every leaf of a tree with
+        no ``leaf_reader``) count as default.
+        """
         base = index * self.arity
+        stop = base if self._leaf_reader is None else min(base + self.arity, self._max_leaf)
+        leaf = self._leaf_digest
+        return hashlib.sha256(
+            b"".join([leaf(child) for child in range(base, stop)])
+            + _ZERO_DIGEST * (base + self.arity - stop)
+        ).digest()
+
+    def _recompute(self, level: int, index: int) -> bytes:
+        """Digest of node (level, index) recomputed from its children."""
         if level == 0:
-            max_leaf = self.layout.merkle_leaves
-            for child in range(base, base + self.arity):
-                if child < max_leaf and self._leaf_reader is not None:
-                    yield self._leaf_digest(child)
-                else:
-                    yield _ZERO_DIGEST
-        else:
-            for child in range(base, base + self.arity):
-                yield self._node_digest(level - 1, child)
+            return self._level0_digest(index)
+        preimage = self._preimages.get((level, index))
+        if preimage is None:
+            return self._default_digests[level + 1]
+        return hashlib.sha256(preimage).digest()
 
     # -- public functional API ---------------------------------------------------
 
@@ -135,35 +172,62 @@ class BonsaiMerkleTree:
         index = self.layout.merkle_leaf_index(metadata_addr)
         self._touched.add(index)
         self.stats.add("leaf_updates")
-        for level in range(self.num_levels):
-            index //= self.arity
-            digest = hashlib.sha256(
-                b"".join(self._child_digests(level, index))
-            ).digest()
-            self._nodes[(level, index)] = digest
-        self._root = self._node_digest(self.num_levels - 1, 0)
+        arity = self.arity
+        preimages = self._preimages
+        store = self._store
+        index //= arity
+        digest = self._level0_digest(index)
+        store(0, index, digest)
+        for level in range(1, self.num_levels):
+            index //= arity
+            digest = hashlib.sha256(preimages[(level, index)]).digest()
+            store(level, index, digest)
+        self._root = digest
 
     def verify_leaf(self, metadata_addr: int) -> None:
         """Recompute the path and compare against the on-chip root.
 
-        Raises :class:`IntegrityError` on mismatch (tamper/replay).
+        Each level's recomputed digest must equal the stored digest its
+        parent's preimage holds.  Raises :class:`IntegrityError` on
+        mismatch (tamper/replay).
         """
         index = self.layout.merkle_leaf_index(metadata_addr)
         self.stats.add("verifications")
-        child_digest = self._leaf_digest(index)
-        for level in range(self.num_levels):
-            slot = index % self.arity
-            index //= self.arity
-            children = list(self._child_digests(level, index))
-            if children[slot] != child_digest:
+        if self._leaf_reader is None:
+            raise RuntimeError("functional hashing requires a leaf_reader")
+        arity = self.arity
+        index //= arity
+        digest = self._level0_digest(index)
+        for level in range(1, self.num_levels):
+            offset = (index % arity) * _DIGEST_BYTES
+            index //= arity
+            preimage = self._preimages.get((level, index))
+            if preimage is None:
+                stored = self._default_digests[level]
+                next_digest = self._default_digests[level + 1]
+            else:
+                stored = preimage[offset:offset + _DIGEST_BYTES]
+                next_digest = hashlib.sha256(preimage).digest()
+            if stored != digest:
                 self.stats.add("mismatches")
                 raise IntegrityError(
                     f"merkle mismatch at level {level} for {metadata_addr:#x}"
                 )
-            child_digest = hashlib.sha256(b"".join(children)).digest()
-        if child_digest != self._root:
+            digest = next_digest
+        if digest != self._root:
             self.stats.add("mismatches")
             raise IntegrityError(f"root mismatch verifying {metadata_addr:#x}")
+
+    def adopt_nodes(self, nodes: Dict["tuple[int, int]", bytes], touched: Iterable[int]) -> None:
+        """Take over another tree's stored nodes and touched leaves (a
+        transported DIMM's metadata region); the root follows the
+        adopted top node."""
+        self._nodes = {}
+        self._preimages = {}
+        for (level, index), digest in nodes.items():
+            self._store(level, index, digest)
+        self._touched = set(touched)
+        self._root = self._node_digest(self.num_levels - 1, 0)
 
     # -- fault injection and post-crash integrity scan --------------------------
 
@@ -178,9 +242,11 @@ class BonsaiMerkleTree:
         digest = self._nodes.get((level, index))
         if digest is None:
             raise KeyError(f"no stored node at level={level} index={index}")
+        if not 0 <= bit < len(digest) * 8:
+            raise ValueError(f"bit index {bit} out of digest range")
         corrupted = bytearray(digest)
         corrupted[bit // 8] ^= 1 << (bit % 8)
-        self._nodes[(level, index)] = bytes(corrupted)
+        self._store(level, index, bytes(corrupted))
 
     def flag_poisoned_nodes(self) -> List["tuple[int, int]"]:
         """Scan every stored node against a recompute from its children.
@@ -193,13 +259,10 @@ class BonsaiMerkleTree:
         checked against the on-chip root, which survives power loss
         inside the processor.  Returns the poisoned (level, index) list.
         """
-        poisoned: List["tuple[int, int]"] = []
-        for (level, index) in self.stored_nodes():
-            recomputed = hashlib.sha256(
-                b"".join(self._child_digests(level, index))
-            ).digest()
-            if recomputed != self._nodes[(level, index)]:
-                poisoned.append((level, index))
+        poisoned = [
+            node for node in self.stored_nodes()
+            if self._recompute(*node) != self._nodes[node]
+        ]
         top = (self.num_levels - 1, 0)
         if top in self._nodes and self._nodes[top] != self._root and top not in poisoned:
             poisoned.append(top)
@@ -218,10 +281,7 @@ class BonsaiMerkleTree:
         for level in range(self.num_levels):
             next_parents = set()
             for index in parents:
-                digest = hashlib.sha256(
-                    b"".join(self._child_digests(level, index))
-                ).digest()
-                self._nodes[(level, index)] = digest
+                self._store(level, index, self._recompute(level, index))
                 next_parents.add(index // self.arity)
             parents = next_parents
         self._root = self._node_digest(self.num_levels - 1, 0)

@@ -7,13 +7,23 @@ semantics depends on region size.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core import FsEncrController
 from repro.mem.stats import StatCounters
 from repro.secmem import BaselineSecureController, MetadataLayout, SecureControllerConfig
 from repro.secmem.metadata_cache import MetadataKind
 from repro.sim import Machine, MachineConfig, Scheme
+
+
+#: With ``CI`` set, a failing property test prints the blob that
+#: reproduces it (``@reproduce_failure``) in the log.
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 SMALL_LAYOUT_KWARGS = dict(data_bytes=16 * 1024 * 1024, ott_region_bytes=32 * 1024)

@@ -119,6 +119,15 @@ class TestEncryptedOTTRegion:
         assert found is None
         assert region.stats.get("tag_failures") == 1
 
+    @pytest.mark.parametrize("bit", [-1, EncryptedOTTRegion.RECORD_BYTES * 8])
+    def test_flip_bit_outside_record_rejected(self, bit):
+        region = self.region()
+        slot = region.store(entry(3, 7))
+        sealed = region.slot_bytes(slot)
+        with pytest.raises(ValueError):
+            region.flip_bit(slot, bit)
+        assert region.slot_bytes(slot) == sealed
+
     def test_update_in_place(self):
         region = self.region()
         region.store(entry(3, 7, fill=0x11))

@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro.exec import resolve_workload
+from repro.faults import FAULT_PROFILES
 from repro.faults.sweep import sweep_workload
 from repro.sim.batch import BatchRunner
 from repro.sim.config import MachineConfig, Scheme
@@ -40,6 +41,10 @@ GOLDEN = {
 #: The functional path (store_bytes / crash / reboot / recovery audit),
 #: via one crash-sweep cell: sha256, boundaries_total, sampled points.
 GOLDEN_SWEEP = ("1ac29b81d27a224507980e30f9cb56309edb5691b01e8e56791db021554b65fd", 24, 2)
+
+#: The metadata-flip path (Merkle-node and OTT-slot flips, the reboot's
+#: poison scan and OTT region scan) via one ``counter-flips`` cell.
+GOLDEN_SWEEP_FLIPS = ("a8a748146e58664e8c0d12c43a9c096c1fab73b84a63a228ad52db2196ef8c77", 62, 2)
 
 _FACTORIES = {
     "DAX-1": lambda: make_dax_micro("DAX-1", iterations=400, seed=7),
@@ -66,13 +71,20 @@ def _run_digest(workload: str, scheme: Scheme, batch: bool = False):
     return hashlib.sha256(blob.encode()).hexdigest(), result
 
 
-def _sweep_digest():
+def _sweep_digest(flips: bool = False):
+    if flips:
+        name, factory = "Fillseq-S", resolve_workload("Fillseq-S", ops=12)
+        plan = FAULT_PROFILES["counter-flips"]
+    else:
+        name, factory = "DAX-3", resolve_workload("DAX-3", iterations=12)
+        plan = None
     sweep = sweep_workload(
-        resolve_workload("DAX-3", iterations=12),
+        factory,
         MachineConfig(scheme=Scheme.FSENCR),
+        plan=plan,
         max_points=2,
         seed=0xAB1A,
-        name="DAX-3",
+        name=name,
     )
     blob = json.dumps(
         {
@@ -126,12 +138,20 @@ def test_batched_path_bit_identical(workload, scheme):
     assert digest == want_digest, f"{workload}/{scheme}: a stat counter drifted (batch)"
 
 
-def test_functional_sweep_bit_identical():
-    digest, sweep = _sweep_digest()
-    want_digest, want_boundaries, want_points = GOLDEN_SWEEP
+def _check_sweep(flips: bool, golden) -> None:
+    digest, sweep = _sweep_digest(flips)
+    want_digest, want_boundaries, want_points = golden
     assert sweep.boundaries_total == want_boundaries
     assert len(sweep.points) == want_points
     assert digest == want_digest, "crash-sweep record drifted"
+
+
+def test_functional_sweep_bit_identical():
+    _check_sweep(False, GOLDEN_SWEEP)
+
+
+def test_metadata_flip_sweep_bit_identical():
+    _check_sweep(True, GOLDEN_SWEEP_FLIPS)
 
 
 if __name__ == "__main__":  # regenerate the golden table
@@ -145,7 +165,8 @@ if __name__ == "__main__":  # regenerate the golden table
             f"{result.elapsed_ns!r}, {result.nvm_reads}, {result.nvm_writes}),\n"
         )
     sys.stdout.write("}\n")
-    digest, sweep = _sweep_digest()
-    sys.stdout.write(
-        f'GOLDEN_SWEEP = ("{digest}", {sweep.boundaries_total}, {len(sweep.points)})\n'
-    )
+    for label, flips in (("GOLDEN_SWEEP", False), ("GOLDEN_SWEEP_FLIPS", True)):
+        digest, sweep = _sweep_digest(flips)
+        sys.stdout.write(
+            f'{label} = ("{digest}", {sweep.boundaries_total}, {len(sweep.points)})\n'
+        )

@@ -123,6 +123,66 @@ def test_locate_rejects_negative_addresses():
         NVMDevice()._locate(-64)
 
 
+def _bank_states(dev):
+    return {key: (b.open_row, b.dirty, b.consecutive_misses) for key, b in dev._banks.items()}
+
+
+_SMALL_POW2 = st.integers(min_value=0, max_value=2).map(lambda bits: 1 << bits)
+
+
+@given(
+    channels=_SMALL_POW2,
+    ranks=_SMALL_POW2,
+    banks=_SMALL_POW2,
+    row_bits=st.integers(min_value=6, max_value=9),  # 64 B rows: every line its own run
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_read_run_matches_per_line_loop(channels, ranks, banks, row_bits, data):
+    """read_run books what the per-line read loop books: the same summed
+    latency (exact: Table III timings are multiples of 0.5 ns), counters
+    and per-bank (open row, dirty, miss streak)."""
+    amap = AddressMap(channels=channels, ranks_per_channel=ranks,
+                      banks_per_rank=banks, row_buffer_bytes=1 << row_bits)
+    span = amap.row_buffer_bytes * amap.total_banks
+    # Warm-up confined to four rows per bank, so it leaves open and
+    # dirty rows and miss streaks behind for the run to meet.
+    addr = st.integers(min_value=0, max_value=4 * span - 1)
+    warmup = data.draw(st.lists(st.tuples(addr, st.sampled_from(["read", "write", "persist"])),
+                                max_size=40))
+    base = data.draw(st.integers(min_value=0, max_value=6 * span))
+    lines = data.draw(st.integers(min_value=0, max_value=3 * span // 64 + 3))
+    run_dev, loop_dev = NVMDevice(amap), NVMDevice(amap)
+    for dev in (run_dev, loop_dev):
+        for where, kind in warmup:
+            if kind == "read":
+                dev.read(where)
+            else:
+                dev.write(where, persist=kind == "persist")
+    latency = 0.0
+    for i in range(lines):
+        latency += loop_dev.read(base + i * 64)
+    assert run_dev.read_run(base, lines) == latency
+    assert dict(run_dev.stats.counters) == dict(loop_dev.stats.counters)
+    assert _bank_states(run_dev) == _bank_states(loop_dev)
+
+
+def test_read_run_of_no_lines_changes_nothing():
+    dev = NVMDevice()
+    dev.read(0)
+    before = dict(dev.stats.counters), _bank_states(dev)
+    assert dev.read_run(4096, 0) == 0.0
+    assert (dict(dev.stats.counters), _bank_states(dev)) == before
+
+
+@pytest.mark.parametrize("addr,lines", [(-64, 1), (0, -1)])
+def test_read_run_rejects_negative_arguments(addr, lines):
+    dev = NVMDevice()
+    with pytest.raises(ValueError):
+        dev.read_run(addr, lines)
+    assert dict(dev.stats.counters) == {}
+
+
 #: sha256 of the latencies and final counters of the seeded stream in
 #: ``_seeded_stream_digest``, taken from the device model that located
 #: banks through ``AddressMap.decompose``: locating them by integer
