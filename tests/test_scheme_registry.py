@@ -51,6 +51,11 @@ GOLDEN_RUN_DIGESTS = {
     "software_encryption": "e5cc6e38f30f4980f59557b014c4d41f6b3baf0b1e2f7f8b0f81ff4c985f4cf1",
     "baseline_secure": "01f8732067f5ca3c4c35ab138439315f52c68683e4ec814222698c26e4e9744e",
     "fsencr": "9ef252c954f21f90d3841d1ea569704dd742ad058ab951d63257e041068e0857",
+    # The variant columns, captured on the last tree that wired machines
+    # through a separate builder layer.
+    "fsencr+wpq": "5503bcc31151f487db4eb1b9d25954a01f0786fa55f436df88b5faa2e0fd391a",
+    "fsencr+anubis": "9162a88d4429a2eed534724fd8ba6c3b658bad0500611b8e11125d89829a7e91",
+    "fsencr+partitioned": "9ef252c954f21f90d3841d1ea569704dd742ad058ab951d63257e041068e0857",
 }
 
 def result_digest(scheme_name: str) -> str:
