@@ -8,8 +8,8 @@ their output against the paper's reported numbers.
 
 Every figure is a grid of independent cells, so each driver builds
 :class:`~repro.exec.CellSpec` lists and executes them through an
-:class:`~repro.exec.ExperimentRunner` — pass ``jobs=N`` (or a shared
-``runner``) to fan the grid out over worker processes (docs/RUNNER.md).
+:class:`~repro.exec.ExperimentRunner` — pass a ``runner`` built with
+``jobs=N`` to fan the grid out over worker processes (docs/RUNNER.md).
 The default is the serial in-process path, bit-identical to any
 ``jobs`` setting.
 
@@ -52,20 +52,6 @@ DEFAULT_WHISPER_OPS = 1500
 DEFAULT_MICRO_ITERS = 8000
 
 
-def _resolve_runner(
-    runner: Optional[ExperimentRunner], jobs: Optional[int]
-) -> ExperimentRunner:
-    """The runner a figure driver executes on.
-
-    Library calls default to the serial path (``jobs=1``) so importing a
-    figure function never silently forks workers; the CLI passes the
-    ``--jobs`` value through.
-    """
-    if runner is not None:
-        return runner
-    return ExperimentRunner(jobs=jobs if jobs is not None else 1)
-
-
 def _comparison_cells(
     benchmarks: Sequence[str],
     config: Optional[MachineConfig],
@@ -94,10 +80,12 @@ def _comparison_table(
     cells: Sequence[CellSpec],
     baseline: str,
     scheme: str,
-    runner: ExperimentRunner,
+    runner: Optional[ExperimentRunner],
 ) -> ResultTable:
+    """Run the cells (serially when no runner is given, so importing a
+    figure function never forks workers) and tabulate the pair."""
     table = ResultTable(title)
-    for result in runner.run(cells):
+    for result in (runner or ExperimentRunner(jobs=1)).run(cells):
         comparison = WorkloadComparison(
             workload=result.payload["workload"], runs=payload_to_runs(result.payload)
         )
@@ -110,7 +98,6 @@ def figure3_software_encryption(
     ops: int = DEFAULT_WHISPER_OPS,
     *,
     runner: Optional[ExperimentRunner] = None,
-    jobs: Optional[int] = None,
 ) -> ResultTable:
     """Figure 3: eCryptfs-style software encryption vs plain ext4-dax.
 
@@ -129,7 +116,7 @@ def figure3_software_encryption(
         cells,
         plain_ref,
         software_ref,
-        _resolve_runner(runner, jobs),
+        runner,
     )
 
 
@@ -138,7 +125,6 @@ def figure8_to_10_pmemkv(
     ops: int = DEFAULT_PMEMKV_OPS,
     *,
     runner: Optional[ExperimentRunner] = None,
-    jobs: Optional[int] = None,
 ) -> ResultTable:
     """Figures 8 (slowdown), 9 (writes), 10 (reads): PMEMKV under FsEncr.
 
@@ -158,7 +144,7 @@ def figure8_to_10_pmemkv(
         cells,
         baseline,
         contribution,
-        _resolve_runner(runner, jobs),
+        runner,
     )
 
 
@@ -167,7 +153,6 @@ def figure11_whisper(
     ops: int = DEFAULT_WHISPER_OPS,
     *,
     runner: Optional[ExperimentRunner] = None,
-    jobs: Optional[int] = None,
 ) -> ResultTable:
     """Figure 11 (a/b/c): Whisper slowdown/writes/reads under FsEncr.
 
@@ -187,7 +172,7 @@ def figure11_whisper(
         cells,
         baseline,
         contribution,
-        _resolve_runner(runner, jobs),
+        runner,
     )
 
 
@@ -196,7 +181,6 @@ def figure12_to_14_micro(
     iterations: int = DEFAULT_MICRO_ITERS,
     *,
     runner: Optional[ExperimentRunner] = None,
-    jobs: Optional[int] = None,
 ) -> ResultTable:
     """Figures 12-14: adversarial synthetic micro-benchmarks.
 
@@ -216,7 +200,7 @@ def figure12_to_14_micro(
         cells,
         baseline,
         contribution,
-        _resolve_runner(runner, jobs),
+        runner,
     )
 
 
@@ -241,7 +225,6 @@ def figure15_cache_sensitivity(
     scheme: Optional[SchemeRef] = None,
     workloads: Optional[Sequence[str]] = None,
     runner: Optional[ExperimentRunner] = None,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[int, float]]:
     """Figure 15: slowdown (%) vs metadata-cache size.
 
@@ -286,7 +269,7 @@ def figure15_cache_sensitivity(
         )
 
     grid = [(name, size) for name in names for size in sizes]
-    results = _resolve_runner(runner, jobs).run(
+    results = (runner or ExperimentRunner(jobs=1)).run(
         [cell_for(name, size) for name, size in grid]
     )
 

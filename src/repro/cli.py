@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -205,8 +206,7 @@ def _run_crashsweep(args) -> int:
     ``--profile custom`` builds one plan from the individual fault
     flags.  Exit code is the total silent-corruption count.
     """
-    from .faults.sweep import sweep_matrix
-    from .sim.config import MachineConfig
+    from .faults.sweep import matrix_configs, sweep_matrix
 
     knobs = {
         "drain_fraction": args.drain_fraction,
@@ -234,11 +234,7 @@ def _run_crashsweep(args) -> int:
     else:
         profiles = {profile: FAULT_PROFILES[profile]}
 
-    # The base WPQ model is off, so only columns that pin it run with it
-    # (the same normalisation as faults.sweep.matrix_configs).
-    names = crash_matrix_names() if args.scheme == "all" else (args.scheme,)
-    base = MachineConfig().with_wpq(False)
-    columns = [(name, get_scheme(name).configure(base)) for name in names]
+    columns = matrix_configs(names=None if args.scheme == "all" else (args.scheme,))
 
     runner = _make_runner(args)
     matrix = sweep_matrix(
@@ -335,7 +331,7 @@ def _run_batchcheck(args) -> int:
     from .sim.config import MachineConfig
     from .workloads.base import run_workload
 
-    reps = max(1, args.reps)
+    reps = args.reps
 
     def sweep(use_batch: bool):
         runner = BatchRunner() if use_batch else None
@@ -416,11 +412,9 @@ def _run_loadcurve(args) -> int:
     from .analysis.tails import p99_monotone, render_load_curve
     from .exec.spec import CellSpec, payload_to_curves
     from .sim.config import MachineConfig
-    from .workloads.base import parse_stream_mix
 
-    loads = tuple(float(part) for part in args.loads.split(","))
+    loads = args.loads
     schemes = [part.strip() for part in args.schemes.split(",") if part.strip()]
-    parse_stream_mix(args.streams)  # fail on a malformed mix before running
     runner = _make_runner(args)
     specs = [
         CellSpec(
@@ -473,6 +467,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_floats(text: str) -> Tuple[float, ...]:
+    """A comma-separated list of finite positive numbers."""
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+    if not all(0.0 < value < math.inf for value in values):
+        raise argparse.ArgumentTypeError(f"every value must be a finite number > 0: {text!r}")
+    return values
+
+
+def _stream_mix(text: str) -> str:
+    """A stream mix whose every workload name resolves, checked before
+    any cell runs; the mix stays text because cells carry it by name."""
+    from .workloads.base import stream_factories
+
+    try:
+        stream_factories(text)
+    except (KeyError, ValueError) as err:
+        raise argparse.ArgumentTypeError(str(err.args[0]))
+    return text
+
+
 def _parent() -> argparse.ArgumentParser:
     return argparse.ArgumentParser(add_help=False)
 
@@ -489,9 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for grid cells (0 = one per CPU; default: 1, serial)",
     )
     ops = _parent()
-    ops.add_argument("--ops", type=int, default=None, help="workload operation count")
+    ops.add_argument("--ops", type=_positive_int, default=None, help="workload operation count")
     iters = _parent()
-    iters.add_argument("--iters", type=int, default=None, help="micro-benchmark iterations")
+    iters.add_argument(
+        "--iters", type=_positive_int, default=None, help="micro-benchmark iterations"
+    )
     output = _parent()
     output.add_argument("--json", type=str, default=None, help="save the results to this path")
     sizing = {"ops": ops, "iters": iters}
@@ -585,7 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
         [output],
     )
     check.add_argument(
-        "--reps", type=int, default=2, help="timing repetitions per mode (best-of-N; default: 2)"
+        "--reps",
+        type=_positive_int,
+        default=2,
+        help="timing repetitions per mode (best-of-N; default: 2)",
     )
 
     curve = command(
@@ -596,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     curve.add_argument(
         "--streams",
-        type=str,
+        type=_stream_mix,
         default="3xFillseq-S",
         help="stream mix, e.g. 3xFillseq-S+2xHashmap (default: 3xFillseq-S)",
     )
@@ -608,13 +630,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     curve.add_argument(
         "--loads",
-        type=str,
+        type=_positive_floats,
         default="0.25,0.5,1.0",
         help="offered-load fractions of the mix's calibrated throughput "
         "(default: 0.25,0.5,1.0)",
     )
     curve.add_argument(
-        "--window", type=int, default=1, help="closed-loop calibration MLP window (default: 1)"
+        "--window",
+        type=_positive_int,
+        default=1,
+        help="closed-loop calibration MLP window (default: 1)",
     )
 
     return parser

@@ -506,24 +506,19 @@ def reboot_machine(machine) -> RecoveryReport:
     anubis_table = getattr(controller, "anubis_shadow", None)
     if anubis_table is not None and anubis_table.occupancy:
         anubis_snaps = dict(getattr(controller, "_anubis_counters", {}))
-
-        def _install_from_shadow(addr: int) -> None:
-            nonlocal recovery_ns
+        tracked = sorted(anubis_table.tracked_lines())
+        for addr in tracked:
             recovery_ns += controller.device.read(anubis_table.slot_addr(addr))
             snap = anubis_snaps.get(addr)
             if snap is None:
-                return
+                continue
             if snap[0] == "mecb":
                 _, page, major, minors = snap
                 final_mecb[page] = (major, list(minors))
             else:
                 _, page, gid, fid, major, minors = snap
                 final_fecb[page] = (gid, fid, major, list(minors))
-
-        anubis_result = machine.config.build_anubis_recovery(
-            stats=machine.registry.ensure("anubis_recovery")
-        ).recover(anubis_table, _install_from_shadow)
-        anubis_restored = anubis_result.recovered_lines
+        anubis_restored = len(tracked)
 
     if functional:
         osiris_recovery = machine.config.build_osiris_recovery(

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ott import KeyUnavailableError
 from ..mem.address import LINE_SIZE
@@ -352,17 +352,20 @@ def sweep_workload(
 MATRIX_SCHEME_LABELS = crash_matrix_names()
 
 
-def matrix_configs(base: Optional[MachineConfig] = None) -> List[Tuple[str, MachineConfig]]:
-    """The matrix's scheme columns derived from one base config.
+def matrix_configs(
+    base: Optional[MachineConfig] = None, names: Optional[Sequence[str]] = None
+) -> List[Tuple[str, MachineConfig]]:
+    """The matrix's scheme columns (or the registered ``names`` given)
+    derived from one base config.
 
     The base's WPQ model is normalised off first so that only columns
     that *pin* it (e.g. ``fsencr+wpq``) run with it — column identity
     comes from the registry, not from whatever base the caller held.
     """
     base = (base or MachineConfig()).with_wpq(False)
-    return [
-        (name, get_scheme(name).configure(base)) for name in crash_matrix_names()
-    ]
+    if names is None:
+        names = crash_matrix_names()
+    return [(name, get_scheme(name).configure(base)) for name in names]
 
 
 @dataclass

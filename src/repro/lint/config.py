@@ -64,9 +64,10 @@ DEFAULTS: Dict[str, object] = {
     ],
     # Where the config-not-component contract applies.
     "benchmark-paths": ["benchmarks/"],
-    # The one module allowed to construct wired machine components
+    # The modules allowed to construct wired machine components: the
+    # machine and its config's recovery-object builders
     # (builder-owns-wiring).
-    "builder-paths": ["repro/sim/build.py"],
+    "builder-paths": ["repro/sim/machine.py", "repro/sim/config.py"],
     # The one module allowed to touch CounterBlock fields directly.
     "counter-modules": ["repro/secmem/counters.py"],
     # Narrowest *_BITS width policed as a literal mask/shift.

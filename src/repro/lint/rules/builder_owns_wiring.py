@@ -1,20 +1,21 @@
-"""builder-owns-wiring — machine wiring happens in the MachineBuilder.
+"""builder-owns-wiring — a machine is wired from its config, in one place.
 
 The scheme-registry contract (docs/SCHEMES.md): a scheme column is a
-declarative :class:`~repro.sim.schemes.SchemeSpec`, and the *only* place
-that turns a spec into live components is
-:class:`~repro.sim.build.MachineBuilder`.  Code elsewhere that calls
+declarative :class:`~repro.sim.schemes.SchemeSpec` that projects onto a
+:class:`~repro.sim.config.MachineConfig`, and the *only* code that turns
+a config into live components is ``Machine.__init__`` (plus the
+config's own recovery-object builders).  Code elsewhere that calls
 ``FsEncrController(...)`` or ``DaxFilesystem(...)`` directly forks the
 construction path: its machine silently stops matching what the
-registry (and therefore every figure, sweep, and cache key) describes
-the moment the builder's wiring changes.
+registry (and therefore every figure and sweep cell) describes the
+moment the machine's wiring changes.
 
 This rule flags direct constructor calls of the wired component set —
 controllers, the filesystem/overlay pair, the MMIO channel, the WPQ,
 the cache hierarchy, the OTT, the crash domain, and the recovery
-objects (Osiris, Anubis, the shadow table) — anywhere outside the
-builder module itself (``builder-paths``, default
-``repro/sim/build.py``).  The passive :class:`~repro.mem.NVMDevice` is
+objects (Osiris recovery, the Anubis shadow table) — anywhere outside
+the wiring modules (``builder-paths``: ``repro/sim/machine.py`` and
+``repro/sim/config.py``).  The passive :class:`~repro.mem.NVMDevice` is
 deliberately not in the set: white-box unit tests and probes build bare
 devices all the time, and a device carries no scheme-dependent wiring.
 Deliberate white-box constructions (security proofs, transport probes,
@@ -30,8 +31,7 @@ from ..engine import Finding, Project, SourceFile, path_matches
 from .base import Rule, register
 
 #: Components whose construction *is* machine wiring.  One entry per
-#: class the builder knows how to place; keep in sync with
-#: ``repro.sim.build``'s imports.
+#: class ``Machine.__init__`` or ``MachineConfig`` constructs.
 WIRED_COMPONENTS = frozenset(
     {
         "PlainMemoryController",
@@ -46,7 +46,6 @@ WIRED_COMPONENTS = frozenset(
         "OpenTunnelTable",
         "CrashDomain",
         "OsirisRecovery",
-        "AnubisRecovery",
         "ShadowTable",
     }
 )
@@ -55,11 +54,13 @@ WIRED_COMPONENTS = frozenset(
 @register
 class BuilderOwnsWiring(Rule):
     name = "builder-owns-wiring"
-    summary = "machine components are wired by MachineBuilder, nowhere else"
-    contract = "docs/SCHEMES.md: construction lives in repro.sim.build"
+    summary = "machine components are wired from the config by Machine, nowhere else"
+    contract = "docs/SCHEMES.md: construction lives in Machine.__init__"
 
     def check(self, src: SourceFile, project: Project, options) -> Iterator[Finding]:
-        builder_paths = options.get("builder-paths", ["repro/sim/build.py"])
+        builder_paths = options.get(
+            "builder-paths", ["repro/sim/machine.py", "repro/sim/config.py"]
+        )
         if path_matches(src.rel, builder_paths):
             return
         if path_matches(src.rel, ["tests/"]):
@@ -75,7 +76,7 @@ class BuilderOwnsWiring(Rule):
             yield self.finding(
                 src,
                 node,
-                f"{name} constructed outside the MachineBuilder; route machine "
-                f"wiring through repro.sim.build (or suppress with a "
+                f"{name} constructed outside Machine.__init__; build a "
+                f"Machine from a MachineConfig instead (or suppress with a "
                 f"justification for white-box use)",
             )

@@ -6,7 +6,7 @@ MECBs, an 8-ary Bonsai Merkle tree, the on-chip metadata cache, SEC-DED
 ECC, and Osiris stop-loss counter crash consistency.
 """
 
-from .anubis import AnubisRecovery, AnubisRecoveryResult, ShadowTable
+from .anubis import ShadowTable
 from .counters import CounterBlock, CounterStore, FECB_MAJOR_BITS, MECB_MAJOR_BITS, MINOR_BITS
 from .ecc import EccMismatch, check_line, check_word, encode_line, encode_word
 from .layout import MetadataLayout
@@ -17,8 +17,6 @@ from .secure_controller import BaselineSecureController, SecureControllerConfig
 
 __all__ = [
     "ShadowTable",
-    "AnubisRecovery",
-    "AnubisRecoveryResult",
     "CounterBlock",
     "CounterStore",
     "MECB_MAJOR_BITS",

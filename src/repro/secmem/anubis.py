@@ -17,19 +17,19 @@ The trade they make is recovery *time* vs runtime *writes*:
   cache size, not the memory size — Anubis's headline property.
 
 :class:`ShadowTable` models the region and its runtime write stream;
-:class:`AnubisRecovery` replays it.  The ablation benchmark races the
-two schemes' recovery work on identical crash states.
+reboot replays it by restoring ``sorted(shadow.tracked_lines())``.  The
+ablation benchmark races the two schemes' recovery work on identical
+crash states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from ..mem.address import LINE_SIZE
 from ..mem.stats import StatCounters
 
-__all__ = ["ShadowTable", "AnubisRecovery", "AnubisRecoveryResult"]
+__all__ = ["ShadowTable"]
 
 
 class ShadowTable:
@@ -104,35 +104,3 @@ class ShadowTable:
     @property
     def occupancy(self) -> int:
         return len(self._slots)
-
-
-@dataclass(frozen=True)
-class AnubisRecoveryResult:
-    recovered_lines: int
-    shadow_reads: int
-
-
-class AnubisRecovery:
-    """Post-crash: walk the shadow table, restore exactly those lines.
-
-    ``restore_line(addr)`` is supplied by the caller (re-derive the
-    counter via one ECC trial window, or take Anubis's logged value);
-    the point measured here is *how many lines* recovery must touch.
-    """
-
-    def __init__(self, stats: Optional[StatCounters] = None) -> None:
-        self.stats = stats or StatCounters("anubis_recovery")
-
-    def recover(
-        self,
-        shadow: ShadowTable,
-        restore_line: Callable[[int], None],
-    ) -> AnubisRecoveryResult:
-        tracked = shadow.tracked_lines()
-        for addr in sorted(tracked):
-            restore_line(addr)
-            self.stats.add("lines_restored")
-        self.stats.add("recoveries")
-        return AnubisRecoveryResult(
-            recovered_lines=len(tracked), shadow_reads=len(tracked)
-        )

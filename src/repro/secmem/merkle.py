@@ -57,10 +57,12 @@ class BonsaiMerkleTree:
         layout: MetadataLayout,
         leaf_reader: Optional[Callable[[int], bytes]] = None,
         stats: Optional[StatCounters] = None,
+        touched: Iterable[int] = (),
     ) -> None:
         """``leaf_reader(leaf_index) -> bytes`` returns the canonical bytes
         of the protected metadata line (counter serialisation / OTT slot
-        ciphertext); the tree itself stores no leaf data."""
+        ciphertext); the tree itself stores no leaf data.  ``touched``
+        seeds the leaf indices :meth:`rebuild_root` rehashes."""
         self.layout = layout
         self.arity = layout.merkle_arity
         #: Internal levels stored in memory (``MetadataLayout.merkle_levels``).
@@ -72,7 +74,7 @@ class BonsaiMerkleTree:
         #: (level >= 1, index) -> the node's children's stored digests,
         #: concatenated; written only through :meth:`_store`.
         self._preimages: Dict["tuple[int, int]", bytearray] = {}
-        self._touched: set = set()
+        self._touched: set = set(touched)
         self._default_digests = self._compute_default_digests()
         self._root = self._default_digests[-1]
 

@@ -99,7 +99,7 @@ class BaselineSecureController(MemoryControllerBase):
         # this in functional mode), every functional line write is staged
         # through it so a crash can tear or drop the in-flight tail.
         self.crash_domain = None
-        # Anubis wiring (attached by the builder for "+anubis" scheme
+        # Anubis wiring (attached by Machine for "+anubis" scheme
         # columns): the shadow table mirrors counter lines whose latest
         # update has not reached NVM, and _anubis_counters journals the
         # exact values a recovery reading the shadow region would find.
@@ -265,7 +265,7 @@ class BaselineSecureController(MemoryControllerBase):
         return latency
 
     # ------------------------------------------------------------------
-    # Anubis shadow tracking (wired by the builder for "+anubis" columns)
+    # Anubis shadow tracking (wired by Machine for "+anubis" columns)
     # ------------------------------------------------------------------
 
     def _anubis_note_update(self, counter_addr: int, persisted: bool) -> None:
@@ -484,16 +484,19 @@ class BaselineSecureController(MemoryControllerBase):
         """Reboot: recompute the BMT from recovered metadata.
 
         The on-chip tree state is volatile; after recovery installs the
-        surviving counters, every populated leaf is rehashed bottom-up so
+        surviving counters, a fresh tree over every populated leaf is
+        rebuilt bottom-up in one pass (each node hashed once) so
         subsequent reads verify against the *recovered* state.  Returns
         the number of leaves rebuilt.
         """
+        leaf_index = self.layout.merkle_leaf_index
+        touched = [leaf_index(addr) for addr in self._integrity_leaf_addrs()]
         self.merkle = BonsaiMerkleTree(
-            self.layout, leaf_reader=self._merkle_leaf_bytes, stats=self.merkle.stats
+            self.layout,
+            leaf_reader=self._merkle_leaf_bytes,
+            stats=self.merkle.stats,
+            touched=touched,
         )
-        leaves = 0
-        for addr in self._integrity_leaf_addrs():
-            self.merkle.update_leaf(addr)
-            leaves += 1
-        self.stats.add("merkle_rebuild_leaves", leaves)
-        return leaves
+        self.merkle.rebuild_root()
+        self.stats.add("merkle_rebuild_leaves", len(touched))
+        return len(touched)

@@ -1,6 +1,5 @@
 """Simulation layer: machine model, configuration, and run records."""
 
-from .build import MachineBuilder, build_machine
 from .config import MachineConfig, Scheme
 from .histograms import LatencyHistogram
 from .machine import Machine, MappedRegion
@@ -25,8 +24,6 @@ __all__ = [
     "MachineConfig",
     "Scheme",
     "SchemeSpec",
-    "MachineBuilder",
-    "build_machine",
     "canonical_scheme_name",
     "get_scheme",
     "register_scheme",

@@ -17,7 +17,9 @@ from ..mem.cache import CacheConfig
 from ..mem.hierarchy import HierarchyConfig
 from ..mem.nvm import NVMTiming
 from ..mem.wpq import WPQConfig
+from ..secmem.anubis import ShadowTable
 from ..secmem.metadata_cache import MetadataCacheConfig
+from ..secmem.osiris import OsirisRecovery
 from ..secmem.secure_controller import SecureControllerConfig
 
 __all__ = ["Scheme", "MachineConfig", "scaled_hierarchy", "SCALE_FACTOR"]
@@ -61,10 +63,6 @@ class Scheme(Enum):
     BASELINE_SECURE = "baseline_secure"
     #: The contribution: baseline + hardware filesystem encryption.
     FSENCR = "fsencr"
-
-    @property
-    def uses_dax(self) -> bool:
-        return self not in (Scheme.SOFTWARE_ENCRYPTION, Scheme.CONVENTIONAL)
 
     @property
     def uses_page_cache(self) -> bool:
@@ -149,29 +147,21 @@ class MachineConfig:
             metadata_cache=self.metadata_cache,
         )
 
-    # -- recovery-object builders ---------------------------------------
-    # Thin delegates: construction lives in repro.sim.build (the
-    # builder-owns-wiring contract); imported lazily to keep config a
-    # leaf module.
+    # -- recovery objects ---------------------------------------------------
 
-    def build_osiris_recovery(self, stats=None) -> "OsirisRecovery":
+    def build_osiris_recovery(self, stats=None) -> OsirisRecovery:
         """The Osiris trial-decryption recoverer for this machine's
         stop-loss window (used at reboot and by the recovery ablation)."""
-        from .build import make_osiris_recovery
+        return OsirisRecovery(stop_loss=self.stop_loss, stats=stats)
 
-        return make_osiris_recovery(self, stats=stats)
-
-    def build_anubis_shadow(self, write_hook=None, stats=None) -> "ShadowTable":
+    def build_anubis_shadow(self, write_hook=None, stats=None) -> ShadowTable:
         """The Anubis shadow table sized by this config's knobs."""
-        from .build import make_anubis_shadow
-
-        return make_anubis_shadow(self, write_hook=write_hook, stats=stats)
-
-    def build_anubis_recovery(self, stats=None) -> "AnubisRecovery":
-        """The Anubis-side recoverer (reads back the shadow region)."""
-        from .build import make_anubis_recovery
-
-        return make_anubis_recovery(self, stats=stats)
+        return ShadowTable(
+            capacity_lines=self.anubis_shadow_lines,
+            base_addr=self.anubis_shadow_base,
+            write_hook=write_hook,
+            stats=stats,
+        )
 
     @classmethod
     def paper_scale(cls, **overrides) -> "MachineConfig":

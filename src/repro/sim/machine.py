@@ -31,19 +31,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..fs.ext4dax import FileHandle
+from ..core.fsencr import FsEncrController
+from ..core.ott import OpenTunnelTable
+from ..faults.domain import CrashDomain
+from ..fs.ecryptfs import SoftwareEncryptionOverlay
+from ..fs.ext4dax import DaxFilesystem, FileHandle
+from ..fs.permissions import UserDatabase
 from ..kernel.costs import SoftwareCosts
 from ..kernel.keyring import Keyring
+from ..kernel.mmio import MMIORegisters
 from ..kernel.mmu import MMU
+from ..kernel.page_cache import PageCache, PageCacheConfig
 from ..kernel.tlb import TLB
 from ..mem.address import LINE_SIZE, PAGE_SIZE, line_address
-from ..mem.controller import MemoryRequest
+from ..mem.controller import MemoryControllerBase, MemoryRequest, PlainMemoryController
+from ..mem.hierarchy import CacheHierarchy
 from ..mem.nvm import NVMDevice
 from ..mem.stats import StatsRegistry
+from ..mem.wpq import WritePendingQueue
 from ..secmem.layout import MetadataLayout
-from ..fs.permissions import UserDatabase
-from .build import MachineBuilder
-from .config import MachineConfig
+from ..secmem.secure_controller import BaselineSecureController
+from .config import MachineConfig, Scheme
 from .histograms import LatencyHistogram
 from .results import RunResult
 
@@ -72,34 +80,25 @@ class MappedRegion:
 class Machine:
     """One simulated system under one scheme."""
 
-    def __init__(
-        self,
-        config: Optional[MachineConfig] = None,
-        builder: Optional[MachineBuilder] = None,
-    ) -> None:
-        # All wiring decisions live in the builder (and the SchemeSpec
-        # behind it); __init__ only orchestrates component order — the
-        # order stats bundles register in, which the golden digests pin.
-        if builder is None:
-            builder = MachineBuilder.for_config(
-                config if config is not None else MachineConfig()
-            )
-        elif config is not None and config != builder.config:
-            raise ValueError("pass either config or a builder, not conflicting both")
-        self.config = builder.config
-        self.scheme_spec = builder.spec
-        self.registry = StatsRegistry()
+    def __init__(self, config: Optional[MachineConfig] = None) -> None:
+        # Stats bundles register in creation order — nvm, [ott,]
+        # controller + metadata bundles, hierarchy, tlb/mmu, [mmio,] fs,
+        # [page_cache, sw_overlay,] [wpq,] [anubis] — which the golden
+        # digests pin, so the parts below are built in exactly that order.
+        self.config = config = config if config is not None else MachineConfig()
+        scheme = config.scheme
+        registry = self.registry = StatsRegistry()
         self.clock_ns = 0.0
 
-        self.layout = MetadataLayout(data_bytes=self.config.total_memory_bytes)
-        device = builder.build_device(self)
-        self.controller = builder.build_controller(self, device)
-        self.hierarchy = builder.build_hierarchy(self)
+        self.layout = MetadataLayout(data_bytes=config.total_memory_bytes)
+        device = NVMDevice(timing=config.nvm_timing, stats=registry.create("nvm"))
+        self.controller = self._build_controller(device)
+        self.hierarchy = CacheHierarchy(config.hierarchy, registry=registry)
         # One address space per machine: its MMU (page table + TLB) and
         # mapped regions.
         self.mmu = MMU(
-            tlb=TLB(stats=self.registry.create("tlb")),
-            stats=self.registry.create("mmu"),
+            tlb=TLB(stats=registry.create("tlb")),
+            stats=registry.create("mmu"),
         )
         self.mmu.set_fault_handler(self._handle_fault)
         self._regions: List[MappedRegion] = []
@@ -107,9 +106,33 @@ class Machine:
 
         self.users = UserDatabase()
         self.keyring = Keyring()
-        self.mmio = builder.build_mmio(self)
-        self.fs = builder.build_filesystem(self)
-        self.overlay = builder.build_overlay(self, device)
+        # FsEncr exposes the kernel-facing MMIO management channel.
+        self.mmio = (
+            MMIORegisters(target=self.controller, stats=registry.create("mmio"))
+            if scheme is Scheme.FSENCR
+            else None
+        )
+        self.fs = DaxFilesystem(
+            pmem_base=config.pmem_base,
+            pmem_bytes=config.pmem_bytes,
+            users=self.users,
+            keyring=self.keyring,
+            mmio=self.mmio,
+            costs=config.software_costs,
+            stats=registry.create("fs"),
+        )
+        self.overlay: Optional[SoftwareEncryptionOverlay] = None
+        if scheme.uses_page_cache:
+            self.overlay = SoftwareEncryptionOverlay(
+                device=device,
+                costs=config.software_costs,
+                page_cache=PageCache(
+                    PageCacheConfig(config.page_cache_pages),
+                    stats=registry.create("page_cache"),
+                ),
+                stats=registry.create("sw_overlay"),
+                encrypted=scheme.has_file_encryption,
+            )
 
         # Measurement window: the paper fast-forwards workloads to the
         # post-file-creation point; mark_measurement_start() is that
@@ -129,22 +152,71 @@ class Machine:
         self.stream_id = 0
 
         # Persist-path model: fixed ADR constant or an explicit WPQ.
-        self.wpq = builder.build_wpq(self)
+        self.wpq = (
+            WritePendingQueue(config.wpq, stats=registry.create("wpq"))
+            if config.model_wpq
+            else None
+        )
 
         # Page-cache shadow copies live in non-PMEM physical pages
         # below the PMEM region.
         self._next_shadow_pfn = 0x100
-        self._shadow_limit_pfn = self.config.pmem_base // PAGE_SIZE
+        self._shadow_limit_pfn = config.pmem_base // PAGE_SIZE
         self._shadow_pfns: Dict[Tuple[int, int], int] = {}
 
-        # Crash lifecycle wiring (CrashDomain staging, Anubis shadow).
+        # Crash lifecycle: in functional mode the secure controller
+        # stages every line write through a CrashDomain sized like the
+        # WPQ, so crash() can tear or drop exactly the at-risk tail.
         self._crashed = False
         self.last_crash_report = None
         self.last_recovery_report = None
-        builder.attach_crash_support(self, device)
+        controller = self.controller
+        if config.functional and hasattr(controller, "crash_domain"):
+            controller.crash_domain = CrashDomain(depth=config.wpq.entries)
+        if config.anubis_recovery and hasattr(controller, "anubis_shadow"):
+            # The Anubis shadow table mirrors the metadata cache's dirty
+            # counter lines into its NVM region.  Its writes are posted
+            # like Osiris write-throughs: they consume device bandwidth
+            # but never stall the triggering store.
+            controller.anubis_shadow = config.build_anubis_shadow(
+                write_hook=device.write, stats=registry.create("anubis")
+            )
 
-    def controller_config(self):
-        return self.config.controller_config()
+    def _build_controller(self, device: NVMDevice) -> MemoryControllerBase:
+        """The scheme's memory controller, with the secure controllers'
+        sub-component counters surfaced in the registry (metadata cache
+        hit rates etc. feed the analyses)."""
+        config = self.config
+        registry = self.registry
+        if config.scheme is Scheme.FSENCR:
+            # OTT geometry is a config knob (§III-E ablation axis).
+            ott = OpenTunnelTable(
+                banks=config.ott_banks,
+                entries_per_bank=config.ott_entries_per_bank,
+                stats=registry.create("ott"),
+            )
+            controller = FsEncrController(
+                layout=self.layout,
+                config=config.controller_config(),
+                device=device,
+                stats=registry.create("controller"),
+                ott=ott,
+            )
+        elif config.scheme is Scheme.BASELINE_SECURE:
+            controller = BaselineSecureController(
+                layout=self.layout,
+                config=config.controller_config(),
+                device=device,
+                stats=registry.create("controller"),
+            )
+        else:
+            return PlainMemoryController(device=device, stats=registry.create("controller"))
+        registry.register(controller.metadata_cache.stats)
+        registry.register(controller.merkle.stats)
+        registry.register(controller.osiris.stats)
+        if isinstance(controller, FsEncrController):
+            registry.register(controller.ott_region.stats)
+        return controller
 
     @property
     def device(self) -> NVMDevice:
@@ -214,7 +286,7 @@ class Machine:
             raise PageFault(vpn, is_write)
 
         file_page = region.file_page(vpn)
-        if self.scheme_spec.uses_page_cache:
+        if self.overlay is not None:
             # Non-DAX: the mapping points at the page-cache shadow copy;
             # residency (and its cost) is charged per access.
             key = (region.handle.inode.i_ino, file_page)

@@ -98,7 +98,16 @@ class Comparison:
             raise ValueError(
                 f"comparing different workloads: {run.workload} vs {baseline.workload}"
             )
+        if not baseline.elapsed_ns > 0:
+            # A baseline that took no time normalises nothing: its
+            # "slowdown" would be 0.0 or inf whatever the scheme did.
+            raise ValueError(
+                f"baseline {baseline.scheme} ran {baseline.workload} in "
+                f"{baseline.elapsed_ns} ns; slowdown needs elapsed time"
+            )
 
+        # Read-only micro-benchmarks write nothing under either scheme,
+        # so 0/0 traffic ratios read as 0.0.
         def ratio(a: float, b: float) -> float:
             if b == 0:
                 return 0.0 if a == 0 else float("inf")

@@ -5,24 +5,26 @@ The paper's figures compare *schemes* — named machine configurations
 crash-matrix variants).  Historically each consumer re-hardcoded its
 scheme tuples; this module makes the column set declarative instead:
 
-* a :class:`SchemeSpec` is a frozen value object carrying everything
-  construction and presentation need — which controller family to
-  build, whether the machine gets a page-cache overlay or an MMIO
-  channel, pinned persist-path/recovery wiring, a display label, and
-  where (if anywhere) the scheme sits in the crash-sweep matrix;
+* a :class:`SchemeSpec` is a frozen value object naming a base
+  :class:`Scheme` plus the config knobs the column pins (persist path,
+  recovery wiring, cache partitioning), a display label, and where (if
+  anywhere) the scheme sits in the crash-sweep matrix;
 * the registry maps canonical names ("fsencr", "fsencr+anubis", ...)
   to specs.  Figure drivers, ``sweep_matrix``, ``exec.CellSpec``, and
   the CLI all resolve scheme *names* here, so adding a column is one
   ``register_scheme`` call in this file — no five-layer grep-and-edit.
 
-Construction itself lives in :mod:`repro.sim.build` (the
-``builder-owns-wiring`` lint contract); a spec only *describes*.
+A spec only *describes*: ``configure`` turns it into a
+:class:`MachineConfig`, and :class:`~repro.sim.machine.Machine` builds
+its parts from that config alone (the ``builder-owns-wiring`` lint
+contract).
 
 Variant semantics: ``model_wpq`` is pinned both ways when set (the
 "+wpq" column *is* the explicit persist-path model; ``None`` inherits
 the base config's knob).  ``anubis_recovery`` is part of a column's
 identity and always pinned — the plain "fsencr" column means
-Osiris-only recovery even on an Anubis-enabled base config.
+Osiris-only recovery even on an Anubis-enabled base config, and an
+Anubis column sizes its shadow table to the metadata cache.
 ``partitioned_metadata_cache`` is a cache-geometry opt-in: a variant
 can turn it on, but base specs inherit whatever geometry the config
 carries (so a partitioned Figure-15 cell compares both schemes under
@@ -30,14 +32,14 @@ the same cache organisation).
 
 Candidate future columns from related work (PAPERS.md): FOX's hardware
 file-auditing engine and KucoFS's kernel/user collaborative protection
-path — each would be one ``register_scheme`` call plus a controller
-factory in ``build.py``.
+path — each would need a new :class:`Scheme` member and its parts in
+``Machine.__init__``, plus one ``register_scheme`` call here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .config import MachineConfig, Scheme
 
@@ -55,9 +57,6 @@ __all__ = [
     "spec_for_config",
 ]
 
-#: Controller families ``MachineBuilder`` knows how to construct.
-CONTROLLER_KINDS = ("plain", "baseline-secure", "fsencr")
-
 #: Anything the registry can resolve: a canonical name, a base
 #: :class:`Scheme` member, or a :class:`SchemeSpec` itself.
 SchemeRef = Union[str, Scheme, "SchemeSpec"]
@@ -68,20 +67,13 @@ class SchemeSpec:
     """One comparison column, by value.
 
     ``configure`` projects the spec onto a base :class:`MachineConfig`;
-    structural traits (``controller``/``mmio``/``overlay_encrypted`` and
-    the :class:`Scheme` trio of DAX/page-cache/file-encryption
-    properties) drive :class:`~repro.sim.build.MachineBuilder`.
+    the machine's structure follows from ``scheme`` alone.
     """
 
     name: str                       # canonical registry key
     scheme: Scheme                  # base enum (config identity, run labels)
     label: str                      # human-readable column label
-    controller: str                 # factory family: plain | baseline-secure | fsencr
     description: str = ""
-    #: FsEncr exposes the kernel-facing MMIO management channel.
-    mmio: bool = False
-    #: Page-cache schemes only: does the overlay actually encrypt?
-    overlay_encrypted: bool = False
     #: None inherits the base config's WPQ model; True/False pins it.
     model_wpq: Optional[bool] = None
     #: Anubis shadow-table recovery wiring (always pinned — identity).
@@ -93,29 +85,6 @@ class SchemeSpec:
     #: Figure-default role: "baseline" | "contribution" |
     #: "plain-reference" | "software-reference".
     role: Optional[str] = None
-    #: Final config hook (e.g. size the Anubis shadow to the cache).
-    config_transform: Optional[Callable[[MachineConfig], MachineConfig]] = None
-
-    def __post_init__(self) -> None:
-        if self.controller not in CONTROLLER_KINDS:
-            raise ValueError(
-                f"unknown controller kind {self.controller!r} "
-                f"(one of {', '.join(CONTROLLER_KINDS)})"
-            )
-
-    # Structural traits delegate to the enum so config-derived and
-    # spec-derived answers can never disagree.
-    @property
-    def uses_dax(self) -> bool:
-        return self.scheme.uses_dax
-
-    @property
-    def uses_page_cache(self) -> bool:
-        return self.scheme.uses_page_cache
-
-    @property
-    def has_file_encryption(self) -> bool:
-        return self.scheme.has_file_encryption
 
     def configure(self, base: Optional[MachineConfig] = None) -> MachineConfig:
         """Project this column onto ``base`` (default machine if None)."""
@@ -128,8 +97,11 @@ class SchemeSpec:
             config = config._replace(
                 metadata_cache=replace(config.metadata_cache, partitioned=True)
             )
-        if self.config_transform is not None:
-            config = self.config_transform(config)
+        if self.anubis_recovery:
+            # One shadow slot per metadata-cache line: the shadow can
+            # never overflow while mirroring the cache's dirty set.
+            cache = config.metadata_cache
+            config = config._replace(anubis_shadow_lines=max(1, cache.size_bytes // cache.line_size))
         return config
 
 
@@ -211,9 +183,9 @@ def spec_for_config(config: MachineConfig) -> SchemeSpec:
     """The registered spec that best describes ``config``.
 
     Exact variant match when one exists (so labels stay honest), the
-    scheme's base spec otherwise.  Builder structure only depends on
-    traits every variant of a scheme shares; wiring knobs (WPQ, Anubis,
-    partitioning) are read off the config itself.
+    scheme's base spec otherwise.  A machine's structure only depends on
+    its :class:`Scheme`; wiring knobs (WPQ, Anubis, partitioning) are
+    read off the config itself.
     """
     candidates = [
         spec
@@ -246,7 +218,6 @@ register_scheme(
         name="conventional",
         scheme=Scheme.CONVENTIONAL,
         label="Conventional FS (page cache)",
-        controller="plain",
         description="Figure 1(a)'s pre-DAX background: page cache, no encryption.",
     )
 )
@@ -256,7 +227,6 @@ register_scheme(
         name="ext4dax_plain",
         scheme=Scheme.EXT4DAX_PLAIN,
         label="ext4-dax (no encryption)",
-        controller="plain",
         role="plain-reference",
         description="Figure 3's reference: direct access, no encryption anywhere.",
     )
@@ -267,8 +237,6 @@ register_scheme(
         name="software_encryption",
         scheme=Scheme.SOFTWARE_ENCRYPTION,
         label="eCryptfs software encryption",
-        controller="plain",
-        overlay_encrypted=True,
         role="software-reference",
         description="Figure 3's loser: software crypto through the page cache, DAX off.",
     )
@@ -279,7 +247,6 @@ register_scheme(
         name="baseline_secure",
         scheme=Scheme.BASELINE_SECURE,
         label="Baseline Security",
-        controller="baseline-secure",
         role="baseline",
         crash_matrix_order=1,
         description="Counter-mode memory encryption + BMT, no file layer.",
@@ -291,8 +258,6 @@ register_scheme(
         name="fsencr",
         scheme=Scheme.FSENCR,
         label="FsEncr",
-        controller="fsencr",
-        mmio=True,
         role="contribution",
         crash_matrix_order=0,
         description="The contribution: baseline + hardware filesystem encryption.",
@@ -304,8 +269,6 @@ register_scheme(
         name="fsencr+wpq",
         scheme=Scheme.FSENCR,
         label="FsEncr + WPQ persist model",
-        controller="fsencr",
-        mmio=True,
         model_wpq=True,
         crash_matrix_order=2,
         description="FsEncr with the explicit Write Pending Queue persist path.",
@@ -313,25 +276,13 @@ register_scheme(
 )
 
 
-def _sized_anubis_shadow(config: MachineConfig) -> MachineConfig:
-    """Anubis sizing rule: one shadow slot per metadata-cache line, so
-    the shadow can never overflow while mirroring the cache's dirty set."""
-    cache = config.metadata_cache
-    return config._replace(
-        anubis_shadow_lines=max(1, cache.size_bytes // cache.line_size)
-    )
-
-
 register_scheme(
     SchemeSpec(
         name="fsencr+anubis",
         scheme=Scheme.FSENCR,
         label="FsEncr + Anubis shadow recovery",
-        controller="fsencr",
-        mmio=True,
         anubis_recovery=True,
         crash_matrix_order=3,
-        config_transform=_sized_anubis_shadow,
         description=(
             "FsEncr with Anubis shadow-table recovery: extra shadow-region "
             "writes at runtime buy recovery proportional to the metadata "
@@ -345,8 +296,6 @@ register_scheme(
         name="fsencr+partitioned",
         scheme=Scheme.FSENCR,
         label="FsEncr + partitioned metadata cache",
-        controller="fsencr",
-        mmio=True,
         partitioned_metadata_cache=True,
         description=(
             "FsEncr with the metadata cache statically partitioned per "

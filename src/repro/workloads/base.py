@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..sim.config import MachineConfig, Scheme
+from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.results import Comparison, ResultTable, RunResult
 from ..sim.schemes import SchemeRef, canonical_scheme_name, get_scheme
@@ -60,14 +60,6 @@ class Workload(ABC):
     @abstractmethod
     def run(self, machine: Machine) -> None:
         """Execute the workload's operations against the machine."""
-
-    def wants_encryption(self, scheme: Scheme) -> bool:
-        """Whether files are created encrypted under this scheme.
-
-        Encrypted under FsEncr and the software scheme; plain ext4-dax
-        and the memory-encryption-only baseline have no file keys.
-        """
-        return scheme.has_file_encryption
 
 
 def run_workload(config: MachineConfig, workload: Workload) -> RunResult:

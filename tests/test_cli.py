@@ -67,13 +67,26 @@ def test_flags_from_other_commands_do_not_pass_silently():
         ["fig15", "--scheme", "nonsense"],
         ["fig12", "--iter", "10"],  # no abbreviations of long flags
         ["cache", "stats"],  # the result cache and its command are gone
+        # Sizes, repetitions, windows and loads are positive and stream
+        # names resolve: never a traceback from inside a cell or a table
+        # of zero slowdowns.
+        ["fig3", "--ops", "-1"],
+        ["fig12", "--iters", "0"],
+        ["batchcheck", "--reps", "0"],
+        ["loadcurve", "--loads", "0"],
+        ["loadcurve", "--loads", "abc"],
+        ["loadcurve", "--window", "0"],
+        ["loadcurve", "--streams", "3xNope"],
     ],
     ids=" ".join,
 )
-def test_invalid_values_are_usage_errors(argv):
+def test_invalid_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
+        main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 def test_jobs_zero_means_one_worker_per_cpu():

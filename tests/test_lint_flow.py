@@ -36,7 +36,10 @@ from repro.lint.cli import main as lint_main
 from repro.lint.config import DEFAULTS
 from repro.lint.engine import SourceFile, lint_sources
 from repro.mem.stats import StatCounters
-from repro.sim.build import MachineBuilder, build_machine
+from repro.sim import machine as machine_module
+from repro.sim.config import MachineConfig
+from repro.sim.machine import Machine
+from repro.sim.schemes import get_scheme
 
 
 def lint_tree(tmp_path: Path, files: dict, rule: str = None):
@@ -376,16 +379,15 @@ class Widget:
 
 def _build_with_widget(monkeypatch, registered: bool):
     """Build an fsencr machine whose hierarchy step also builds a Widget."""
-    real = MachineBuilder.build_hierarchy
+    real = machine_module.CacheHierarchy
 
-    def build_hierarchy(self, machine):
-        stats = machine.registry.create("widget") if registered else None
-        machine.widget = Widget(stats=stats)
-        machine.widget.poke()
-        return real(self, machine)
+    def build_hierarchy(config, registry):
+        stats = registry.create("widget") if registered else None
+        Widget(stats=stats).poke()
+        return real(config, registry=registry)
 
-    monkeypatch.setattr(MachineBuilder, "build_hierarchy", build_hierarchy)
-    return build_machine("fsencr")
+    monkeypatch.setattr(machine_module, "CacheHierarchy", build_hierarchy)
+    return Machine(get_scheme("fsencr").configure(MachineConfig()))
 
 
 def test_stats_flow_flags_unregistered_bundle(monkeypatch, orphan_bundles):
@@ -412,7 +414,7 @@ def test_stats_flow_suppressed_at_add_site(orphan_bundles):
     # The metadata cache's structural caches are private on purpose (their
     # construction sites carry the stats-registered suppression): a
     # partitioned build constructs them, and the runtime check exempts them.
-    machine = build_machine("fsencr+partitioned")
+    machine = Machine(get_scheme("fsencr+partitioned").configure(MachineConfig()))
     private = {cache.stats.name for cache in machine.controller.metadata_cache._caches.values()}
     assert len(private) > 1 and not private & set(machine.registry.names)
     assert orphan_bundles(machine) == []

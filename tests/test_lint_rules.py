@@ -869,8 +869,8 @@ def test_builder_owns_wiring_quiet_in_builder_tests_and_devices(tmp_path):
     findings, _ = lint_tree(
         tmp_path,
         {
-            # The builder module is the one sanctioned construction site.
-            "src/repro/sim/build.py": """
+            # The machine module is the sanctioned construction site.
+            "src/repro/sim/machine.py": """
                 from ..core.fsencr import FsEncrController
                 from ..fs.dax import DaxFilesystem
                 def build_controller(layout):

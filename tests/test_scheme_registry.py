@@ -1,9 +1,9 @@
-"""Scheme registry + MachineBuilder: declarative columns, bit-identical machines.
+"""Scheme registry: declarative columns, bit-identical machines.
 
 Three contracts in one module:
 
-1. **Bit-identity.**  The builder refactor must be invisible in the
-   numbers: machines built through the registry produce results
+1. **Bit-identity.**  How a machine is wired must be invisible in the
+   numbers: machines built from registry configs produce results
    byte-for-byte equal to the seed implementation's, pinned here as
    sha256 digests of canonical result JSON.
 2. **Cell identity.**  ``CellSpec`` canonicalises scheme spellings and
@@ -23,11 +23,9 @@ import pytest
 from repro.exec.spec import CellSpec, canonical_json
 from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import matrix_configs
-from repro.sim.build import MachineBuilder, build_machine
 from repro.sim.config import MachineConfig, Scheme
 from repro.sim.machine import Machine
 from repro.sim.schemes import (
-    SchemeSpec,
     all_specs,
     canonical_scheme_name,
     comparison_pair,
@@ -44,7 +42,7 @@ LINE = 64
 
 #: sha256 of the canonical result JSON of ``run_workload`` with
 #: Hashmap/ops=300 on each legacy scheme's default config — captured on
-#: the seed implementation.  The builder must never move these.
+#: the seed implementation.  Machine wiring must never move these.
 GOLDEN_RUN_DIGESTS = {
     "conventional": "d6dd478e445a7e5a7ede87b21d432ff62b1dbf35c32ec7c242c8dfb960f47836",
     "ext4dax_plain": "4fced5c7f693d00c019f98d90510d1903f8a30b2df39089d351170a670dce13f",
@@ -98,7 +96,7 @@ class TestRegistry:
         assert wpq.model_wpq and wpq.scheme is Scheme.FSENCR
         anubis = get_scheme("fsencr+anubis").configure(base)
         assert anubis.anubis_recovery
-        # The transform sizes the shadow to mirror the metadata cache.
+        # Anubis columns size the shadow to mirror the metadata cache.
         cache = anubis.metadata_cache
         assert anubis.anubis_shadow_lines == cache.size_bytes // cache.line_size
         part = get_scheme("fsencr+partitioned").configure(base)
@@ -111,29 +109,20 @@ class TestRegistry:
         assert spec_for_config(get_scheme("fsencr+anubis").configure(None)).name == "fsencr+anubis"
         assert spec_for_config(MachineConfig(scheme=Scheme.CONVENTIONAL)).name == "conventional"
 
-    def test_controller_kind_is_validated(self):
-        with pytest.raises(ValueError, match="controller kind"):
-            SchemeSpec(name="x", scheme=Scheme.FSENCR, label="x", controller="quantum")
-
 
 class TestBuilder:
     def test_every_registered_scheme_builds_and_runs(self):
         for spec in all_specs():
-            machine = build_machine(spec.name, MachineConfig(functional=True))
-            assert machine.scheme_spec.name == spec.name
+            machine = Machine(spec.configure(MachineConfig(functional=True)))
+            assert spec_for_config(machine.config).name == spec.name
             machine.add_user(uid=1000, gid=100, passphrase="pw")
             handle = machine.create_file(
-                "/pmem/f", uid=1000, encrypted=spec.has_file_encryption
+                "/pmem/f", uid=1000, encrypted=spec.scheme.has_file_encryption
             )
             base = machine.mmap(handle, pages=1)
             machine.store_bytes(base, b"\xab" * LINE)
             machine.persist(base, LINE)
             assert machine.load_bytes(base, LINE) == b"\xab" * LINE
-
-    def test_machine_rejects_conflicting_config_and_builder(self):
-        builder = MachineBuilder(get_scheme("fsencr"))
-        with pytest.raises(ValueError, match="conflicting"):
-            Machine(MachineConfig(scheme=Scheme.CONVENTIONAL), builder=builder)
 
     @pytest.mark.parametrize("scheme_name", sorted(GOLDEN_RUN_DIGESTS))
     def test_builder_machines_bit_identical_to_seed(self, scheme_name):
@@ -174,7 +163,7 @@ def _staged_machine(scheme_name: str, stores: int = 41):
     persist the final update and retire every Anubis shadow entry —
     leaving nothing for recovery to prove anything about.
     """
-    machine = build_machine(scheme_name, MachineConfig(functional=True))
+    machine = Machine(get_scheme(scheme_name).configure(MachineConfig(functional=True)))
     machine.add_user(uid=1000, gid=100, passphrase="pw")
     handle = machine.create_file("/pmem/f", uid=1000, encrypted=True)
     base = machine.mmap(handle, pages=1)
@@ -193,7 +182,7 @@ class TestAnubisColumn:
         assert shadow.occupancy > 0
         assert shadow.stats.stat("shadow_writes") > 0
         # Plain fsencr keeps the shadow entirely out of the machine.
-        plain = build_machine("fsencr", MachineConfig(functional=True))
+        plain = Machine(get_scheme("fsencr").configure(MachineConfig(functional=True)))
         assert plain.controller.anubis_shadow is None
 
     def test_clean_drain_recovery_restores_from_shadow(self):

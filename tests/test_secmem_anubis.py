@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.secmem.anubis import AnubisRecovery, ShadowTable
+from repro.secmem.anubis import ShadowTable
 
 
 class TestShadowTable:
@@ -53,34 +53,9 @@ class TestShadowTable:
             ShadowTable(capacity_lines=0, base_addr=0)
 
 
-class TestAnubisRecovery:
-    def test_recovers_exactly_tracked_lines(self):
-        shadow = ShadowTable(capacity_lines=8, base_addr=0x100000)
-        for addr in (0x4000, 0x4040, 0x9000):
-            shadow.note_insert(addr)
-        shadow.note_evict(0x4040)  # clean again
-
-        restored = []
-        result = AnubisRecovery().recover(shadow, restored.append)
-        assert sorted(restored) == [0x4000, 0x9000]
-        assert result.recovered_lines == 2
-        assert result.shadow_reads == 2
-
-    def test_recovery_work_bounded_by_cache_not_memory(self):
-        """The headline: a long run over a huge footprint still leaves
-        at most capacity_lines to recover."""
-        capacity = 16
-        shadow = ShadowTable(capacity_lines=capacity, base_addr=0x100000)
-        # Simulate a long run: lines churn through the 16-slot cache.
-        resident = []
-        for i in range(10_000):
-            addr = 0x4000 + i * 64
-            if len(resident) == capacity:
-                shadow.note_evict(resident.pop(0))
-            shadow.note_insert(addr)
-            resident.append(addr)
-        result = AnubisRecovery().recover(shadow, lambda addr: None)
-        assert result.recovered_lines <= capacity
+class TestShadowRecovery:
+    """Reboot restores exactly ``shadow.tracked_lines()``; these pin what
+    that set costs against Osiris's recovery work."""
 
     def test_osiris_vs_anubis_recovery_work(self):
         """Osiris recovery scales with the written footprint (every
@@ -110,10 +85,10 @@ class TestAnubisRecovery:
                 shadow.note_evict(resident.pop(0))
             shadow.note_insert(addr)
             resident.append(addr)
-        anubis = AnubisRecovery().recover(shadow, lambda addr: None)
+        anubis_lines = len(shadow.tracked_lines())
 
-        assert anubis.recovered_lines < osiris_trials
-        assert anubis.recovered_lines <= cache_lines
+        assert anubis_lines < osiris_trials
+        assert anubis_lines <= cache_lines
 
     def test_runtime_cost_is_the_other_side(self):
         """Anubis pays shadow writes at runtime; Osiris does not."""

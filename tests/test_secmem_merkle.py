@@ -235,6 +235,7 @@ _STEP = st.one_of(
     st.tuples(st.just("verify"), st.sampled_from(_LEAVES)),
     st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 255)),
     st.tuples(st.just("rebuild")),
+    st.tuples(st.just("reseed")),
     st.tuples(st.just("poison")),
 )
 
@@ -251,7 +252,8 @@ def _outcome(call):
 def test_matches_reference_recompute(steps):
     """The preimage tree and the recompute-every-level tree agree after
     every step: root, stored digests, poisoned lists and the first
-    IntegrityError's message."""
+    IntegrityError's message; and a fresh tree rebuilt in one pass over
+    the touched leaves equals one updated leaf by leaf."""
     layout = _LAYOUT
     leaves = {}
 
@@ -276,6 +278,17 @@ def test_matches_reference_recompute(steps):
             ref.flip_node_bit(*node, step[2])
         elif op == "rebuild":
             assert tree.rebuild_root() == ref.rebuild_root()
+        elif op == "reseed":
+            # The reboot path: a fresh tree seeded with the touched leaves
+            # and rebuilt in one pass equals one built leaf by leaf.
+            seeded = BonsaiMerkleTree(layout, leaf_reader=reader, touched=ref.touched)
+            per_leaf = BonsaiMerkleTree(layout, leaf_reader=reader)
+            for index in sorted(ref.touched):
+                per_leaf.update_leaf(layout.mecb_base + index * LINE_SIZE)
+            assert seeded.rebuild_root() == per_leaf.root
+            assert {n: seeded._node_digest(*n) for n in seeded.stored_nodes()} == {
+                n: per_leaf._node_digest(*n) for n in per_leaf.stored_nodes()
+            }
         elif op == "poison":
             assert tree.flag_poisoned_nodes() == ref.flag_poisoned_nodes()
         assert tree.root == ref.root

@@ -14,10 +14,10 @@ from repro.sim.config import SCALE_FACTOR, scaled_hierarchy
 
 class TestScheme:
     def test_dax_usage(self):
-        assert Scheme.FSENCR.uses_dax
-        assert Scheme.EXT4DAX_PLAIN.uses_dax
-        assert Scheme.BASELINE_SECURE.uses_dax
-        assert not Scheme.SOFTWARE_ENCRYPTION.uses_dax
+        assert not Scheme.FSENCR.uses_page_cache
+        assert not Scheme.EXT4DAX_PLAIN.uses_page_cache
+        assert not Scheme.BASELINE_SECURE.uses_page_cache
+        assert Scheme.SOFTWARE_ENCRYPTION.uses_page_cache
 
     def test_file_encryption_flag(self):
         assert Scheme.FSENCR.has_file_encryption
@@ -121,6 +121,9 @@ class TestComparison:
         assert c.normalized_writes == float("inf")
         c2 = Comparison.of(run(writes=0), run(scheme="b", writes=0))
         assert c2.normalized_writes == 0.0
+        # Time is different: a baseline that took none normalises nothing.
+        with pytest.raises(ValueError, match="slowdown needs elapsed time"):
+            Comparison.of(run(ns=0), run(scheme="b", ns=0))
 
     def test_workload_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ def make_machine(scheme=Scheme.CONVENTIONAL):
 
 class TestSchemeProperties:
     def test_no_dax_no_encryption(self):
-        assert not Scheme.CONVENTIONAL.uses_dax
         assert Scheme.CONVENTIONAL.uses_page_cache
         assert not Scheme.CONVENTIONAL.has_file_encryption
 

@@ -16,14 +16,14 @@ import pytest
 from repro.faults import FaultPlan
 from repro.mem.address import LINE_SIZE
 from repro.sim import MachineConfig
-from repro.sim.build import build_machine
+from repro.sim.machine import Machine
 from repro.sim.schemes import crash_matrix_names, get_scheme, scheme_names
 
 
 @pytest.mark.parametrize("functional", [False, True], ids=["timing", "functional"])
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_every_bundle_built_is_registered(scheme, functional, orphan_bundles):
-    machine = build_machine(scheme, MachineConfig(functional=functional))
+    machine = Machine(get_scheme(scheme).configure(MachineConfig(functional=functional)))
     assert orphan_bundles(machine) == []
 
 
@@ -35,7 +35,7 @@ CRASH_SCHEMES = sorted(
 
 @pytest.mark.parametrize("scheme", CRASH_SCHEMES)
 def test_recovery_bundles_are_registered(scheme, orphan_bundles):
-    machine = build_machine(scheme, MachineConfig(functional=True))
+    machine = Machine(get_scheme(scheme).configure(MachineConfig(functional=True)))
     machine.add_user(uid=1000, gid=100, passphrase="pw")
     handle = machine.create_file("/pmem/f", uid=1000, encrypted=True)
     base = machine.mmap(handle, pages=1)
