@@ -6,10 +6,11 @@ the schemes it compares, and returns a :class:`~repro.sim.results
 wraps these functions with pytest-benchmark; EXPERIMENTS.md records
 their output against the paper's reported numbers.
 
-Every figure is a grid of independent cells, so each driver builds
-:class:`~repro.exec.CellSpec` lists and executes them through an
-:class:`~repro.exec.ExperimentRunner` — pass a ``runner`` built with
-``jobs=N`` to fan the grid out over worker processes (docs/RUNNER.md).
+Every figure is a grid of independent cells, so each driver builds one
+:class:`~repro.exec.Cell` per workload — a :func:`compare_schemes` call
+— and executes them through an :class:`~repro.exec.ExperimentRunner`:
+pass a ``runner`` built with ``jobs=N`` to fan the grid out over worker
+processes (docs/RUNNER.md).
 The default is the serial in-process path, bit-identical to any
 ``jobs`` setting.
 
@@ -20,18 +21,19 @@ fidelity at the price of wall-clock time.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..exec import CellSpec, ExperimentRunner, payload_to_runs
+from ..exec import Cell, ExperimentRunner, resolve_workload
 from ..sim.config import MachineConfig
-from ..sim.results import Comparison, ResultTable
+from ..sim.results import ResultTable
 from ..sim.schemes import (
     SchemeRef,
     canonical_scheme_name,
     comparison_pair,
     motivation_pair,
 )
-from ..workloads.base import WorkloadComparison
+from ..workloads.base import compare_schemes
 from ..workloads.dax_micro import DAX_MICRO_BENCHMARKS
 from ..workloads.pmemkv import PMEMKV_BENCHMARKS
 from ..workloads.whisper import WHISPER_BENCHMARKS
@@ -52,32 +54,35 @@ DEFAULT_WHISPER_OPS = 1500
 DEFAULT_MICRO_ITERS = 8000
 
 
+def _compare_cell(
+    name: str,
+    config: MachineConfig,
+    schemes: Tuple[str, ...],
+    ops: int = 0,
+    iterations: int = 0,
+) -> Cell:
+    """One workload under every scheme column (registry names)."""
+    factory = resolve_workload(name, ops=ops, iterations=iterations)
+    return Cell(
+        f"{name}({'/'.join(schemes)})", partial(compare_schemes, factory, config, schemes)
+    )
+
+
 def _comparison_cells(
     benchmarks: Sequence[str],
     config: Optional[MachineConfig],
     schemes: Tuple[str, ...],
     ops: int = 0,
     iterations: int = 0,
-) -> List[CellSpec]:
-    """One compare cell per benchmark; schemes are registry names
-    (``CellSpec`` canonicalises and validates them)."""
+) -> List[Cell]:
+    """One compare cell per benchmark."""
     base = config or MachineConfig()
-    return [
-        CellSpec(
-            kind="compare",
-            workload=name,
-            config=base,
-            ops=ops,
-            iterations=iterations,
-            schemes=tuple(schemes),
-        )
-        for name in benchmarks
-    ]
+    return [_compare_cell(name, base, schemes, ops, iterations) for name in benchmarks]
 
 
 def _comparison_table(
     title: str,
-    cells: Sequence[CellSpec],
+    cells: Sequence[Cell],
     baseline: str,
     scheme: str,
     runner: Optional[ExperimentRunner],
@@ -85,10 +90,7 @@ def _comparison_table(
     """Run the cells (serially when no runner is given, so importing a
     figure function never forks workers) and tabulate the pair."""
     table = ResultTable(title)
-    for result in (runner or ExperimentRunner(jobs=1)).run(cells):
-        comparison = WorkloadComparison(
-            workload=result.payload["workload"], runs=payload_to_runs(result.payload)
-        )
+    for comparison in (runner or ExperimentRunner(jobs=1)).run(cells):
         table.add(comparison.against(baseline, scheme))
     return table
 
@@ -248,7 +250,7 @@ def figure15_cache_sensitivity(
     measured = canonical_scheme_name(scheme) if scheme is not None else contribution
     schemes = (baseline, measured)
 
-    def cell_for(name: str, size: int) -> CellSpec:
+    def cell_for(name: str, size: int) -> Cell:
         ops = 0
         iterations = 0
         if name == "Fillrandom-L":
@@ -259,14 +261,8 @@ def figure15_cache_sensitivity(
             iterations = micro_iters
         else:
             raise KeyError(name)
-        return CellSpec(
-            kind="compare",
-            workload=name,
-            config=base_config.with_metadata_cache(size),
-            ops=ops,
-            iterations=iterations,
-            schemes=schemes,
-        )
+        config = base_config.with_metadata_cache(size)
+        return _compare_cell(name, config, schemes, ops, iterations)
 
     grid = [(name, size) for name in names for size in sizes]
     results = (runner or ExperimentRunner(jobs=1)).run(
@@ -274,10 +270,8 @@ def figure15_cache_sensitivity(
     )
 
     curves: Dict[str, Dict[int, float]] = {name: {} for name in names}
-    for (name, size), result in zip(grid, results):
-        runs = payload_to_runs(result.payload)
-        row = Comparison.of(runs[measured], runs[baseline])
-        curves[name][size] = row.overhead_percent
+    for (name, size), comparison in zip(grid, results):
+        curves[name][size] = comparison.against(baseline, measured).overhead_percent
     return curves
 
 

@@ -55,10 +55,10 @@ from .analysis import (
     render_sensitivity,
     render_table1,
 )
-from .exec import ExperimentRunner, resolve_workload
+from .exec import Cell, ExperimentRunner, resolve_workload
 from .faults.plan import FAULT_PROFILES, FaultPlan
 from .sim.results import ResultTable, run_provenance
-from .sim.schemes import crash_matrix_names, get_scheme, scheme_names
+from .sim.schemes import canonical_scheme_name, crash_matrix_names, get_scheme, scheme_names
 
 __all__ = ["build_parser", "main"]
 
@@ -155,7 +155,10 @@ def _run_table1(args) -> None:
 def _run_report(args) -> None:
     from .analysis import aggregate_report
 
-    print(aggregate_report(Path(args.results)))
+    results = Path(args.results)
+    if not results.is_dir():
+        raise UsageError(f"{results} is not a directory")
+    print(aggregate_report(results))
 
 
 def _run_quick(args) -> None:
@@ -409,28 +412,26 @@ def _run_loadcurve(args) -> int:
     non-decreasing in load — loud, because a non-monotone curve means
     the sweep is under-sampled for the mix.
     """
-    from .analysis.tails import p99_monotone, render_load_curve
-    from .exec.spec import CellSpec, payload_to_curves
+    from .analysis.tails import load_curve, p99_monotone, render_load_curve
     from .sim.config import MachineConfig
 
     loads = args.loads
-    schemes = [part.strip() for part in args.schemes.split(",") if part.strip()]
     runner = _make_runner(args)
-    specs = [
-        CellSpec(
-            kind="loadcurve",
-            workload=args.streams,
-            config=MachineConfig(),
-            ops=args.ops or 0,
-            schemes=(scheme,),
-            loads=loads,
-            mlp_window=args.window,
+    cells = [
+        Cell(
+            f"{args.streams}[loadcurve {scheme}]",
+            partial(
+                load_curve,
+                get_scheme(scheme).configure(MachineConfig()),
+                args.streams,
+                loads,
+                window=args.window,
+                ops=args.ops or 0,
+            ),
         )
-        for scheme in schemes
+        for scheme in args.schemes
     ]
-    curves = {}
-    for result in runner.run(specs):
-        curves.update(payload_to_curves(result.payload))
+    curves = dict(zip(args.schemes, runner.run(cells)))
 
     monotone = {scheme: p99_monotone(curve["points"]) for scheme, curve in curves.items()}
     _show(render_load_curve(curves), runner)
@@ -476,6 +477,20 @@ def _positive_floats(text: str) -> Tuple[float, ...]:
     if not all(0.0 < value < math.inf for value in values):
         raise argparse.ArgumentTypeError(f"every value must be a finite number > 0: {text!r}")
     return values
+
+
+def _scheme_columns(text: str) -> Tuple[str, ...]:
+    """A comma-separated list of distinct registered scheme names, in
+    canonical spelling."""
+    try:
+        columns = tuple(canonical_scheme_name(part) for part in text.split(",") if part.strip())
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+    if not columns:
+        raise argparse.ArgumentTypeError(f"no scheme named: {text!r}")
+    if len(set(columns)) < len(columns):
+        raise argparse.ArgumentTypeError(f"a scheme column repeats: {text!r}")
+    return columns
 
 
 def _stream_mix(text: str) -> str:
@@ -624,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     curve.add_argument(
         "--schemes",
-        type=str,
+        type=_scheme_columns,
         default="baseline_secure,fsencr",
         help="comma-separated scheme columns (default: baseline_secure,fsencr)",
     )

@@ -1,13 +1,17 @@
 """The parallel experiment runner.
 
-``ExperimentRunner.run`` takes a list of :class:`CellSpec` and returns
-their payloads in spec order, fanning the cells out over a
-``ProcessPoolExecutor``.  The contract that makes this safe:
+A grid is a list of :class:`Cell`: a label plus a zero-argument call,
+a ``functools.partial`` over the module-level function that does the
+work (``compare_schemes``, ``sweep_workload``, ``load_curve``).
+``ExperimentRunner.run`` returns what the calls return, in cell order,
+fanning the cells out over a ``ProcessPoolExecutor``.  The contract
+that makes this safe:
 
-* cells are *pure functions* of their spec (``execute_cell``) — so
-  running them in any process, in any order, yields the same bytes;
+* a cell's call is a *pure function* of its bound arguments — so
+  running it in any process, in any order, yields the same result;
 * ``jobs=1`` executes in-process with no pool at all — the exact serial
-  path, used by tests to prove the parallel path changes nothing.
+  path, used by tests to prove the parallel path changes nothing.  Only
+  the pool pickles a cell.
 
 Failure semantics follow from purity: a retry cannot turn a failure
 into a pass, so the first failed cell raises :class:`CellExecutionError`
@@ -16,7 +20,7 @@ outstanding cell per worker; when the pool dies, the outstanding cells
 are exactly the ones in flight, and the error names them — never a cell
 that was still queued.
 
-Observability: every ``run`` records per-cell wall-seconds and
+Observability: every ``run`` records its wall and cell seconds and
 throughput into :class:`RunnerStats` (``runner.last_stats``, with a
 lifetime accumulation in ``runner.lifetime``); consumers persist it
 into their results JSON so a figure's provenance records how it was
@@ -32,26 +36,25 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from .spec import CellSpec, execute_cell
+__all__ = ["Cell", "CellExecutionError", "RunnerStats", "ExperimentRunner"]
 
-__all__ = ["CellExecutionError", "CellResult", "RunnerStats", "ExperimentRunner"]
+
+class Cell(NamedTuple):
+    """One grid cell: the label logs and errors name it by, and the
+    zero-argument call that computes it.  The call must pickle (a
+    ``functools.partial`` over a module-level function with picklable
+    arguments) for the cell to run on a worker."""
+
+    label: str
+    call: Callable[[], Any]
 
 
 class CellExecutionError(RuntimeError):
     """A cell failed, or the worker pool died.  The grid run raises —
     it never returns a silent partial grid — and the message names the
     failed cell (or, for a pool death, the cells that were in flight)."""
-
-
-@dataclass
-class CellResult:
-    """One executed cell."""
-
-    spec: CellSpec
-    payload: Dict
-    wall_seconds: float
 
 
 @dataclass
@@ -103,12 +106,12 @@ class RunnerStats:
         }
 
 
-def _execute_timed(spec: CellSpec):
+def _execute_timed(cell: Cell):
     """Run one cell, time it.  Wall time is measured *around* the pure
     simulation, never fed into it."""
     start = time.perf_counter()
-    payload = execute_cell(spec)
-    return payload, time.perf_counter() - start
+    result = cell.call()
+    return result, time.perf_counter() - start
 
 
 def _format_error(exc: BaseException) -> str:
@@ -124,26 +127,26 @@ def _format_error(exc: BaseException) -> str:
     return text
 
 
-def _cell_failed(spec: CellSpec, exc: BaseException) -> CellExecutionError:
-    return CellExecutionError(f"cell {spec.label} failed: {_format_error(exc)}")
+def _cell_failed(cell: Cell, exc: BaseException) -> CellExecutionError:
+    return CellExecutionError(f"cell {cell.label} failed: {_format_error(exc)}")
 
 
 def _run_pool(
-    specs: Sequence[CellSpec],
+    cells: Sequence[Cell],
     workers: int,
-    store: Callable[[int, Dict, float], None],
+    store: Callable[[int, Any, float], None],
 ) -> None:
-    """Execute ``specs`` over ``workers`` processes, fail fast.
+    """Execute ``cells`` over ``workers`` processes, fail fast.
 
     At most one future per worker is outstanding, so every outstanding
     future is a cell a worker holds: a pool death is blamed on exactly
     those cells.
     """
-    queue = deque(range(len(specs)))
+    queue = deque(range(len(cells)))
     outstanding: Dict[Future, int] = {}
 
     def pool_died() -> CellExecutionError:
-        labels = ", ".join(specs[i].label for i in sorted(outstanding.values()))
+        labels = ", ".join(cells[i].label for i in sorted(outstanding.values()))
         return CellExecutionError(
             f"worker pool died (BrokenProcessPoolError) with {len(outstanding)} "
             f"cell(s) in flight: {labels}"
@@ -155,7 +158,7 @@ def _run_pool(
             while queue and len(outstanding) < workers:
                 index = queue.popleft()
                 try:
-                    outstanding[pool.submit(_execute_timed, specs[index])] = index
+                    outstanding[pool.submit(_execute_timed, cells[index])] = index
                 except BrokenProcessPool:
                     raise pool_died() from None
             done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
@@ -170,7 +173,7 @@ def _run_pool(
                     failed[index] = future.exception()
             if failed:
                 index = min(failed)
-                raise _cell_failed(specs[index], failed[index])
+                raise _cell_failed(cells[index], failed[index])
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -189,39 +192,37 @@ class ExperimentRunner:
         self.last_stats = RunnerStats(jobs=self.jobs)
         self.lifetime = RunnerStats(jobs=self.jobs)
 
-    def run(self, specs: Sequence[CellSpec]) -> List[CellResult]:
-        """Execute a grid; results come back in spec order.
+    def run(self, cells: Sequence[Cell]) -> List[Any]:
+        """Execute a grid; the calls' results come back in cell order.
 
         The first failed cell raises :class:`CellExecutionError` — never
         a silent partial grid.
         """
         start = time.perf_counter()
-        results: List[Optional[CellResult]] = [None] * len(specs)
+        results: List[Any] = [None] * len(cells)
+        seconds: List[float] = []
 
-        def store(index: int, payload: Dict, seconds: float) -> None:
-            results[index] = CellResult(specs[index], payload, seconds)
+        def store(index: int, result: Any, cell_seconds: float) -> None:
+            results[index] = result
+            seconds.append(cell_seconds)
 
         try:
-            if self.jobs == 1 or len(specs) <= 1:
-                for index, spec in enumerate(specs):
+            if self.jobs == 1 or len(cells) <= 1:
+                for index, cell in enumerate(cells):
                     try:
-                        payload, seconds = _execute_timed(spec)
+                        result, cell_seconds = _execute_timed(cell)
                     except Exception as exc:
-                        raise _cell_failed(spec, exc) from exc
-                    store(index, payload, seconds)
+                        raise _cell_failed(cell, exc) from exc
+                    store(index, result, cell_seconds)
             else:
-                _run_pool(specs, min(self.jobs, len(specs)), store)
+                _run_pool(cells, min(self.jobs, len(cells)), store)
         finally:
-            done = [r for r in results if r is not None]
             stats = RunnerStats(
-                cells_total=len(specs),
+                cells_total=len(cells),
                 wall_seconds=time.perf_counter() - start,
-                cell_seconds=sum(r.wall_seconds for r in done),
+                cell_seconds=sum(seconds),
                 jobs=self.jobs,
             )
             self.last_stats = stats
             self.lifetime.merge(stats)
         return results
-
-    def run_one(self, spec: CellSpec) -> CellResult:
-        return self.run([spec])[0]

@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ott import KeyUnavailableError
+from ..exec import Cell, ExperimentRunner, resolve_workload
 from ..mem.address import LINE_SIZE
 from ..secmem.ecc import check_line
 from ..secmem.merkle import IntegrityError
@@ -102,19 +104,6 @@ class CrashPointResult:
             "recovered_keys": self.recovered_keys,
         }
 
-    @classmethod
-    def from_dict(cls, raw: Dict) -> "CrashPointResult":
-        return cls(
-            op_index=raw["op_index"],
-            plan_seed=raw["plan_seed"],
-            dispositions=dict(raw["dispositions"]),
-            outcomes=dict(raw["outcomes"]),
-            silent_lines=tuple(raw["silent_lines"]),
-            trials=raw["trials"],
-            recovery_ns=raw["recovery_ns"],
-            recovered_keys=raw["recovered_keys"],
-        )
-
 
 @dataclass
 class SweepResult:
@@ -157,7 +146,7 @@ class SweepResult:
             )
 
     def to_dict(self) -> Dict:
-        """JSON-safe record (the exec runner's worker payload)."""
+        """JSON-safe record: the form result digests are taken over."""
         return {
             "workload": self.workload,
             "scheme": self.scheme,
@@ -165,16 +154,6 @@ class SweepResult:
             "boundaries_total": self.boundaries_total,
             "points": [point.to_dict() for point in self.points],
         }
-
-    @classmethod
-    def from_dict(cls, raw: Dict) -> "SweepResult":
-        return cls(
-            workload=raw["workload"],
-            scheme=raw["scheme"],
-            seed=raw["seed"],
-            boundaries_total=raw["boundaries_total"],
-            points=[CrashPointResult.from_dict(p) for p in raw["points"]],
-        )
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +405,7 @@ def sweep_matrix(
     name: str = "",
     ops: int = 0,
     iterations: int = 0,
-    runner=None,
+    runner: Optional[ExperimentRunner] = None,
 ) -> MatrixResult:
     """Run the full (scheme x fault-profile) crash-sweep matrix.
 
@@ -436,71 +415,38 @@ def sweep_matrix(
     own boundary indices, while the whole matrix stays a pure function
     of (workload, base config, seed).
 
-    ``factory`` is either a zero-argument callable (the historical
-    in-process path) or a workload *name* string.  Passing a name makes
-    the matrix runnable on a :class:`~repro.exec.ExperimentRunner`
-    (``runner=``): each cell becomes a picklable
-    :class:`~repro.exec.CellSpec`, so the grid fans out over worker
-    processes, bit-identical to the serial path.  A callable factory
-    cannot cross a process boundary, so combining one with ``runner``
-    raises.
+    ``factory`` is a zero-argument callable or a workload *name*, which
+    :func:`~repro.exec.resolve_workload` turns into one (``ops`` and
+    ``iterations`` size it).  The cells run on ``runner`` (default: the
+    serial in-process path); a pool runner needs a picklable factory,
+    which every resolved name is.
     """
+    if max_points < 1:
+        raise ValueError(f"max_points must be >= 1, got {max_points}")
     profiles = profiles if profiles is not None else dict(FAULT_PROFILES)
     schemes = schemes if schemes is not None else matrix_configs(base_config)
-    result = MatrixResult(workload=name or "matrix", seed=seed)
+    label = name or (factory if isinstance(factory, str) else "matrix")
+    if isinstance(factory, str):
+        factory = resolve_workload(factory, ops=ops, iterations=iterations)
 
-    grid = [
-        (scheme_label, config, profile_name, profile)
-        for scheme_label, config in schemes
-        for profile_name, profile in sorted(profiles.items())
-    ]
-
-    if runner is not None:
-        from ..exec import CellSpec, payload_to_sweep
-
-        if not isinstance(factory, str):
-            raise TypeError(
-                "sweep_matrix(runner=...) needs a workload name, not a "
-                "callable — a factory function cannot cross the worker "
-                "process boundary"
-            )
-        cells = [
-            CellSpec(
-                kind="sweep",
-                workload=factory,
-                config=config,
-                ops=ops,
-                iterations=iterations,
+    keys, cells = [], []
+    for scheme_label, config in schemes:
+        for profile_name, profile in sorted(profiles.items()):
+            keys.append((scheme_label, profile_name))
+            call = partial(
+                sweep_workload,
+                factory,
+                config,
                 plan=profile.with_seed(seed),
                 max_points=max_points,
-                sweep_seed=seed,
+                seed=seed,
                 name=name,
             )
-            for scheme_label, config, profile_name, profile in grid
-        ]
-        for (scheme_label, _config, profile_name, _profile), cell_result in zip(
-            grid, runner.run(cells)
-        ):
-            cell = payload_to_sweep(cell_result.payload)
-            result.cells[(scheme_label, profile_name)] = cell
-            if not result.workload or result.workload == "matrix":
-                result.workload = cell.workload
-        return result
+            cells.append(Cell(f"{label}[sweep {scheme_label}/{profile_name}]", call))
 
-    if isinstance(factory, str):
-        from ..exec import resolve_workload
-
-        factory = resolve_workload(factory, ops=ops, iterations=iterations)
-    for scheme_label, config, profile_name, profile in grid:
-        cell = sweep_workload(
-            factory,
-            config,
-            plan=profile.with_seed(seed),
-            max_points=max_points,
-            seed=seed,
-            name=name,
-        )
-        result.cells[(scheme_label, profile_name)] = cell
-        if not result.workload or result.workload == "matrix":
+    result = MatrixResult(workload=name or "matrix", seed=seed)
+    for key, cell in zip(keys, (runner or ExperimentRunner(jobs=1)).run(cells)):
+        result.cells[key] = cell
+        if result.workload == "matrix":
             result.workload = cell.workload
     return result

@@ -16,8 +16,8 @@ DEFAULTS: Dict[str, object] = {
     # skipped).
     "paths": ["src", "benchmarks"],
     # Layers whose timing/crypto state must be a pure function of the
-    # seed (no-wallclock-or-unseeded-rng): every module a worker's
-    # execute_cell reaches, so a cell result is a function of its spec.
+    # seed (no-wallclock-or-unseeded-rng): every module a worker's cell
+    # call reaches, so a cell result is a function of its arguments.
     "deterministic-paths": [
         "repro/sim/",
         "repro/secmem/",
@@ -31,7 +31,8 @@ DEFAULTS: Dict[str, object] = {
         "repro/analysis/",
     ],
     # Worker-executed runner code: wall-timing is fine here, but seeds
-    # must come from the cell spec (no-worker-seed-entropy's per-file check).
+    # must come from the cell's arguments (no-worker-seed-entropy's
+    # per-file check).
     "worker-paths": ["repro/exec/"],
     # Layers that handle key material (key-hygiene's repr/log/weak-hash
     # checks).

@@ -5,8 +5,8 @@ function of (MachineConfig, workload, seed): the clock is the simulated
 ``clock_ns``, never the host's, and all randomness flows from seeded
 ``random.Random`` instances (DESIGN.md determinism contract;
 ``MachineConfig.seed``).  The experiment runner extends the contract to
-cells: a cell result is a pure function of its spec, so ``--jobs N`` is
-bit-identical to ``--jobs 1`` (docs/RUNNER.md).
+cells: a cell result is a pure function of its call's arguments, so
+``--jobs N`` is bit-identical to ``--jobs 1`` (docs/RUNNER.md).
 
 Both rules share one vocabulary, :func:`host_input`: host clock reads
 (``time.time`` and friends, ``datetime.now/utcnow/today``), process
@@ -97,8 +97,8 @@ def _host_call(node: ast.AST, origins: Dict[str, str]) -> Optional[Tuple[str, st
 @register
 class NoWallclockOrUnseededRng(Rule):
     """no-wallclock-or-unseeded-rng — within ``deterministic-paths`` (the
-    model layers plus everything else a worker's ``execute_cell``
-    reaches: workloads, filesystem, kernel, analyses), no call may read
+    model layers plus everything else a worker's cell call reaches:
+    workloads, filesystem, kernel, analyses), no call may read
     host input of any kind, reachable or not."""
 
     name = "no-wallclock-or-unseeded-rng"
@@ -165,7 +165,7 @@ class NoWorkerSeedEntropy(Rule):
                             src,
                             sub,
                             f"seed derived from {hit[0]}() ({hit[1]}); workers must "
-                            f"take seeds from the cell spec, never invent them",
+                            f"take seeds from the cell's arguments, never invent them",
                         )
                         break
 

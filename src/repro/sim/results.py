@@ -66,17 +66,6 @@ class RunResult:
             "stats": self.stats,
         }
 
-    @classmethod
-    def from_dict(cls, raw: Dict) -> "RunResult":
-        return cls(
-            workload=raw["workload"],
-            scheme=raw["scheme"],
-            elapsed_ns=raw["elapsed_ns"],
-            nvm_reads=raw["nvm_reads"],
-            nvm_writes=raw["nvm_writes"],
-            stats=dict(raw.get("stats", {})),
-        )
-
 
 @dataclass(frozen=True)
 class Comparison:

@@ -10,7 +10,7 @@ scheme tuples; this module makes the column set declarative instead:
   recovery wiring, cache partitioning), a display label, and where (if
   anywhere) the scheme sits in the crash-sweep matrix;
 * the registry maps canonical names ("fsencr", "fsencr+anubis", ...)
-  to specs.  Figure drivers, ``sweep_matrix``, ``exec.CellSpec``, and
+  to specs.  Figure drivers, ``compare_schemes``, ``sweep_matrix`` and
   the CLI all resolve scheme *names* here, so adding a column is one
   ``register_scheme`` call in this file — no five-layer grep-and-edit.
 
@@ -123,8 +123,9 @@ def register_scheme(spec: SchemeSpec) -> SchemeSpec:
 def canonical_scheme_name(scheme) -> str:
     """The registry key for a name, :class:`Scheme`, or spec.
 
-    String names are the canonical currency (CellSpec schemes tuples,
-    payload keys, CLI arguments); enums map to their base column.
+    String names are the canonical currency (compare-cell scheme tuples,
+    ``WorkloadComparison.runs`` keys, CLI arguments); enums map to their
+    base column.
     """
     if isinstance(scheme, SchemeSpec):
         return scheme.name

@@ -17,6 +17,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..exec.spec import resolve_workload
+from ..sim.batch import BatchRunner
 from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.results import Comparison, ResultTable, RunResult
@@ -67,7 +69,7 @@ def run_workload(config: MachineConfig, workload: Workload) -> RunResult:
 
     This is the per-access reference path.  The compiled-trace executor
     (:class:`repro.sim.batch.BatchRunner`) produces bit-identical
-    results, and the exec runner's compare cells go through it.
+    results, and :func:`compare_schemes` goes through it.
     """
     machine = Machine(config)
     workload.setup(machine)
@@ -91,11 +93,11 @@ _MIX_PART = re.compile(r"(?:(\d+)[x×])?(.+)")
 class StreamSpec:
     """``count`` concurrent streams of one named workload.
 
-    ``workload`` is a benchmark name the experiment layer resolves
-    (``"Fillseq-S"``, ``"Hashmap"``, ``"DAX-2"``, ``"ManyFiles@10"``,
-    ...); ``ops``/``iterations``/``seed`` override factory defaults the
-    same way :class:`~repro.exec.spec.CellSpec` fields do (0 / ``None``
-    = default).
+    ``workload`` is a benchmark name :func:`~repro.exec.spec.resolve_workload`
+    resolves (``"Fillseq-S"``, ``"Hashmap"``, ``"DAX-2"``,
+    ``"ManyFiles@10"``, ...); ``ops``/``iterations``/``seed`` override
+    factory defaults the same way its arguments do (0 / ``None`` =
+    default).
     """
 
     workload: str
@@ -145,10 +147,6 @@ def stream_factories(
     keeps the factory seed exactly, so a 1-stream mix reproduces the
     classic single-stream workload bit-for-bit.
     """
-    # Resolution lives in the experiment layer; imported lazily because
-    # exec.spec imports this module's run_workload at execution time.
-    from ..exec.spec import resolve_workload
-
     if isinstance(mix, str):
         mix = parse_stream_mix(mix)
     factories: List[Callable[[], Workload]] = []
@@ -203,8 +201,16 @@ def compare_schemes(
     ``workload_factory()`` must return a *fresh* workload each call —
     workloads may hold per-run state (allocator cursors, in-memory
     indices), so sharing an instance across schemes would skew replays.
+
+    Every column runs on one :class:`~repro.sim.batch.BatchRunner`: one
+    captured trace sweeps every column of an encryption class, so the
+    workload's own Python runs once per class instead of once per
+    column.  Results are bit-identical to :func:`run_workload`, and the
+    runner falls back to direct execution outside the interpreter's
+    envelope.
     """
     base_config = config or MachineConfig()
+    batch_runner = BatchRunner()
     runs: Dict[str, RunResult] = {}
     name = None
     for scheme in schemes:
@@ -212,6 +218,6 @@ def compare_schemes(
         workload = workload_factory()
         name = workload.name
         run_config = get_scheme(scheme_name).configure(base_config)
-        runs[scheme_name] = run_workload(run_config, workload)
+        runs[scheme_name] = batch_runner.run(run_config, workload)
     assert name is not None, "schemes iterable was empty"
     return WorkloadComparison(workload=name, runs=runs)

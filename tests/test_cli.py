@@ -77,6 +77,10 @@ def test_flags_from_other_commands_do_not_pass_silently():
         ["loadcurve", "--loads", "abc"],
         ["loadcurve", "--window", "0"],
         ["loadcurve", "--streams", "3xNope"],
+        # Scheme columns are registered, present and distinct.
+        ["loadcurve", "--schemes", "nope"],
+        ["loadcurve", "--schemes", ","],
+        ["loadcurve", "--schemes", "fsencr,FSENCR"],
     ],
     ids=" ".join,
 )
@@ -140,6 +144,24 @@ def test_report_reads_a_positional_directory():
     parser = build_parser()
     assert parser.parse_args(["report"]).results == "benchmarks/results"
     assert parser.parse_args(["report", "out"]).results == "out"
+
+
+def test_loadcurve_schemes_are_canonical_columns():
+    args = build_parser().parse_args(["loadcurve", "--schemes", " FSENCR ,baseline_secure"])
+    assert args.schemes == ("fsencr", "baseline_secure")
+
+
+@pytest.mark.parametrize("name", ["nonexistent", "file.json"])
+def test_report_needs_a_results_directory(tmp_path, name, capsys):
+    path = tmp_path / name
+    if name == "file.json":
+        path.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{path} is not a directory" in captured.err
+    assert captured.out == ""
 
 
 #: ``python -m repro <cmd> ...`` and ``python -m repro.lint ...``.

@@ -1,8 +1,8 @@
-"""repro.exec: spec identity, parallel/serial equivalence, failures.
+"""repro.exec: canonical identity, parallel/serial equivalence, failures.
 
 The runner's contract has two legs, and each gets direct coverage:
 
-* ``jobs=2`` produces payloads bit-identical to ``jobs=1`` (parallelism
+* ``jobs=2`` produces results bit-identical to ``jobs=1`` (parallelism
   is an implementation detail, never an input to the simulation);
 * a failing cell raises :class:`CellExecutionError` naming the cell —
   a grid run never silently returns partial results.
@@ -10,62 +10,55 @@ The runner's contract has two legs, and each gets direct coverage:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
+from functools import partial
 
 import pytest
 
+from repro.analysis.experiments import _compare_cell
 from repro.exec import runner as runner_module
 from repro.exec import (
+    Cell,
     CellExecutionError,
-    CellSpec,
     ExperimentRunner,
     canonical_json,
+    resolve_workload,
 )
-from repro.faults.plan import FaultPlan
-from repro.sim.config import MachineConfig, Scheme
+from repro.faults.sweep import sweep_matrix
+from repro.sim.config import MachineConfig
 
 
-def spec_for(workload="Fillseq-S", ops=12, config=None, schemes=None):
-    return CellSpec(
-        kind="compare",
-        workload=workload,
-        config=config or MachineConfig(),
-        ops=ops,
-        schemes=schemes or (Scheme.BASELINE_SECURE.value, Scheme.FSENCR.value),
-    )
+def cell_for(workload="Fillseq-S", ops=12, config=None, schemes=("baseline_secure", "fsencr")):
+    """A figure driver's compare cell."""
+    return _compare_cell(workload, config or MachineConfig(), schemes, ops=ops)
 
 
-# -- spec identity -------------------------------------------------------
+# -- identity ------------------------------------------------------------
 
 
 def test_canonical_json_is_deterministic_and_config_sensitive():
-    a = spec_for()
-    b = spec_for()
-    assert canonical_json(a) == canonical_json(b)
-    c = spec_for(config=MachineConfig().with_metadata_cache(2048))
+    a = MachineConfig()
+    assert canonical_json(a) == canonical_json(MachineConfig())
+    c = MachineConfig().with_metadata_cache(2048)
     assert canonical_json(a) != canonical_json(c)
 
 
-def test_compare_spec_requires_schemes_and_known_kind():
-    with pytest.raises(ValueError):
-        CellSpec(kind="compare", workload="X", config=MachineConfig())
-    with pytest.raises(ValueError):
-        CellSpec(kind="nope", workload="X", config=MachineConfig(), schemes=("fsencr",))
-    with pytest.raises(ValueError):
-        CellSpec(kind="sweep", workload="X", config=MachineConfig())
+@pytest.mark.parametrize("name", ["DAX-2", "Hashmap", "Fillseq-S", "ManyFiles@10"])
+def test_resolved_factories_pickle(name):
+    """Every workload family's factory crosses a process boundary."""
+    factory = resolve_workload(name, ops=8, iterations=8, seed=3)
+    clone = pickle.loads(pickle.dumps(factory))
+    original, copy = factory(), clone()
+    assert type(copy) is type(original)
+    assert (copy.name, copy.seed) == (original.name, original.seed) == (original.name, 3)
 
 
 @pytest.mark.parametrize("max_points", [0, -2])
 def test_sweep_spec_requires_a_crash_point(max_points):
+    """The matrix rejects a bad point count before any cell runs."""
     with pytest.raises(ValueError, match="max_points must be >= 1"):
-        CellSpec(
-            kind="sweep",
-            workload="Fillseq-S",
-            config=MachineConfig(),
-            plan=FaultPlan(),
-            max_points=max_points,
-        )
+        sweep_matrix("Fillseq-S", max_points=max_points)
 
 
 # -- no memo -------------------------------------------------------------
@@ -76,10 +69,10 @@ def test_no_cache_never_reads_or_writes(tmp_path, monkeypatch):
     its working directory."""
     monkeypatch.chdir(tmp_path)
     runner = ExperimentRunner(jobs=1)
-    first = runner.run([spec_for()])[0]
-    second = runner.run([spec_for()])[0]
-    assert second.payload == first.payload
-    assert second.wall_seconds > 0
+    first = runner.run([cell_for()])[0]
+    second = runner.run([cell_for()])[0]
+    assert second == first
+    assert runner.last_stats.cell_seconds > 0
     assert runner.lifetime.cells_total == 2
     assert list(tmp_path.iterdir()) == []
 
@@ -89,20 +82,21 @@ def test_no_cache_never_reads_or_writes(tmp_path, monkeypatch):
 
 def test_jobs2_matches_jobs1_bit_identical():
     grid = [
-        spec_for("Fillseq-S", ops=10),
-        spec_for("DAX-1", ops=0),
-        spec_for("Fillseq-S", ops=10, config=MachineConfig().with_metadata_cache(2048)),
+        cell_for("Fillseq-S", ops=10),
+        cell_for("DAX-1", ops=0),
+        cell_for("Fillseq-S", ops=10, config=MachineConfig().with_metadata_cache(2048)),
     ]
     serial = ExperimentRunner(jobs=1).run(grid)
     parallel = ExperimentRunner(jobs=2).run(grid)
-    assert [r.payload for r in serial] == [r.payload for r in parallel]
-    # Order is spec order, not completion order.
-    assert [r.spec.label for r in parallel] == [s.label for s in grid]
+    assert serial == parallel
+    # Order is cell order, not completion order.
+    assert [c.workload for c in parallel] == ["Fillseq-S", "DAX-1", "Fillseq-S"]
+    assert parallel[0] != parallel[2]
 
 
 def test_stats_observability_fields():
     runner = ExperimentRunner(jobs=1)
-    runner.run([spec_for(), spec_for(ops=11)])
+    runner.run([cell_for(), cell_for(ops=11)])
     stats = runner.last_stats
     assert stats.cells_total == 2
     assert stats.wall_seconds > 0
@@ -112,7 +106,7 @@ def test_stats_observability_fields():
     assert summary.startswith("exec: 2 cells in ") and "jobs=1" in summary
     assert stats.to_dict()["cells_total"] == 2
     # lifetime accumulates across run() calls
-    runner.run([spec_for()])
+    runner.run([cell_for()])
     assert runner.lifetime.cells_total == 3
 
 
@@ -122,14 +116,14 @@ def test_stats_observability_fields():
 def test_failing_cell_raises_serial():
     runner = ExperimentRunner(jobs=1)
     with pytest.raises(CellExecutionError, match="No-Such-Workload"):
-        runner.run([spec_for("No-Such-Workload")])
+        runner.run([cell_for("No-Such-Workload")])
 
 
 def test_fail_fast_attaches_the_grid_report():
     """With no audit object left, the error message is the report: it
     names the failed cell and carries the worker's traceback."""
     runner = ExperimentRunner(jobs=2)
-    grid = [spec_for(ops=8), spec_for("No-Such-Workload")]
+    grid = [cell_for(ops=8), cell_for("No-Such-Workload")]
     with pytest.raises(CellExecutionError) as err:
         runner.run(grid)
     message = str(err.value)
@@ -140,39 +134,32 @@ def test_fail_fast_attaches_the_grid_report():
 
 def test_failing_cell_raises_in_pool_never_partial():
     runner = ExperimentRunner(jobs=2)
-    grid = [spec_for("Fillseq-S", ops=10), spec_for("No-Such-Workload")]
+    grid = [cell_for("Fillseq-S", ops=10), cell_for("No-Such-Workload")]
     with pytest.raises(CellExecutionError, match="No-Such-Workload"):
         runner.run(grid)
 
 
-def _fail_on(monkeypatch, failing, fail=None):
-    """Make ``execute_cell`` fail for the cells ``failing(spec)`` picks.
-    Fork-started pool workers inherit the patch."""
-    real = runner_module.execute_cell
+def _fail_on(monkeypatch, failing):
+    """Make the serial runner fail the cells whose label ``failing(label)``
+    picks."""
+    real = runner_module._execute_timed
 
-    def execute_cell(spec):
-        if failing(spec):
-            if fail is not None:
-                fail()
-            raise RuntimeError(f"injected failure in {spec.label}")
-        return real(spec)
+    def execute_timed(cell):
+        if failing(cell.label):
+            raise RuntimeError(f"injected failure in {cell.label}")
+        return real(cell)
 
-    monkeypatch.setattr(runner_module, "execute_cell", execute_cell)
+    monkeypatch.setattr(runner_module, "_execute_timed", execute_timed)
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched execute_cell reaches workers only through fork",
-)
-def test_pool_death_is_blamed_on_the_in_flight_cell(monkeypatch):
+def test_pool_death_is_blamed_on_the_in_flight_cell():
     """A dead pool names the cells in flight, never a queued one: with
     two workers, DAX-1 and Fillrandom-S are outstanding and Fillseq-S
     waits for a free worker."""
-    _fail_on(monkeypatch, lambda spec: spec.workload == "DAX-1", fail=lambda: os._exit(13))
     grid = [
-        spec_for("DAX-1", ops=0),
-        spec_for("Fillrandom-S", ops=800),
-        spec_for("Fillseq-S", ops=8),
+        Cell("DAX-1(killed)", partial(os._exit, 13)),
+        cell_for("Fillrandom-S", ops=800),
+        cell_for("Fillseq-S", ops=8),
     ]
     with pytest.raises(CellExecutionError) as err:
         ExperimentRunner(jobs=2).run(grid)
@@ -187,7 +174,7 @@ def test_failed_figure_cell_writes_no_json(tmp_path, monkeypatch):
     saves a table with that row missing."""
     from repro.cli import main
 
-    _fail_on(monkeypatch, lambda spec: spec.workload == "DAX-2")
+    _fail_on(monkeypatch, lambda label: label.startswith("DAX-2("))
     out = tmp_path / "fig12.json"
     with pytest.raises(CellExecutionError, match="DAX-2"):
         main(["fig12", "--iters", "30", "--json", str(out)])
@@ -197,14 +184,14 @@ def test_failed_figure_cell_writes_no_json(tmp_path, monkeypatch):
 def test_failed_loadcurve_cell_raises_cell_error(monkeypatch):
     from repro.cli import main
 
-    _fail_on(monkeypatch, lambda spec: spec.kind == "loadcurve")
+    _fail_on(monkeypatch, lambda label: "[loadcurve " in label)
     with pytest.raises(CellExecutionError, match=r"3xFillseq-S\[loadcurve baseline_secure\]"):
         main(["loadcurve"])
 
 
 def test_runner_stats_strict_lookup():
     runner = ExperimentRunner(jobs=1)
-    runner.run([spec_for()])
+    runner.run([cell_for()])
     stats = runner.last_stats
     assert stats.stat("cells_total") == 1
     assert stats.stat("jobs") == 1

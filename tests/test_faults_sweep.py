@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec import resolve_workload
+from repro.exec import CellExecutionError, ExperimentRunner, resolve_workload
 from repro.faults import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import (
     MATRIX_SCHEME_LABELS,
@@ -21,6 +21,7 @@ from repro.faults.sweep import (
     OUTCOME_SILENT,
     SweepResult,
     CrashPointResult,
+    matrix_configs,
     sweep_matrix,
     sweep_workload,
 )
@@ -104,6 +105,31 @@ def matrix() -> MatrixResult:
         seed=0xFA11,
         name="Fillseq-S",
     )
+
+
+class TestMatrixOnRunner:
+    def test_factory_on_pool_runner_equals_serial(self, matrix):
+        # A resolved factory pickles, so a callable (not only a name)
+        # fans out over worker processes.
+        parallel = sweep_matrix(
+            resolve_workload("Fillseq-S", ops=12),
+            MachineConfig(),
+            max_points=2,
+            seed=0xFA11,
+            name="Fillseq-S",
+            runner=ExperimentRunner(jobs=2),
+        )
+        assert parallel == matrix
+
+    def test_failing_cell_names_its_matrix_column(self):
+        # The four FsEncr columns share Scheme.FSENCR; the error must
+        # name the column, not the base scheme.
+        with pytest.raises(CellExecutionError, match=r"\[sweep fsencr\+anubis/clean\] failed"):
+            sweep_matrix(
+                "No-Such-Workload",
+                schemes=matrix_configs(names=("fsencr+anubis",)),
+                profiles={"clean": FaultPlan()},
+            )
 
 
 class TestSchemeMatrix:

@@ -342,7 +342,7 @@ def test_determinism_allows_seeded_rng_and_other_layers(tmp_path):
 
 @pytest.mark.parametrize("layer", ["workloads", "fs", "kernel", "analysis"])
 def test_determinism_covers_every_layer_a_cell_reaches(tmp_path, layer):
-    # execute_cell reaches workloads, the filesystem, the kernel model and
+    # A cell call reaches workloads, the filesystem, the kernel model and
     # the analyses too: a clock read there is flagged per file, whether
     # or not any call path reaches it.
     findings = lint_snippet(

@@ -6,8 +6,8 @@ Three contracts in one module:
    numbers: machines built from registry configs produce results
    byte-for-byte equal to the seed implementation's, pinned here as
    sha256 digests of canonical result JSON.
-2. **Cell identity.**  ``CellSpec`` canonicalises scheme spellings and
-   rejects unregistered columns.
+2. **Column identity.**  ``compare_schemes`` canonicalises scheme
+   spellings and rejects unregistered columns.
 3. **Extension.**  ``fsencr+anubis`` and ``fsencr+partitioned`` exist
    purely as registry entries — these tests prove the declared columns
    build, run, crash, and recover end-to-end.
@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.exec.spec import CellSpec, canonical_json
+from repro.exec.spec import resolve_workload
 from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import matrix_configs
 from repro.sim.config import MachineConfig, Scheme
@@ -36,7 +36,7 @@ from repro.sim.schemes import (
     spec_for_config,
 )
 from repro.workloads import make_whisper_workload
-from repro.workloads.base import run_workload
+from repro.workloads.base import compare_schemes, run_workload
 
 LINE = 64
 
@@ -129,31 +129,17 @@ class TestBuilder:
         assert result_digest(scheme_name) == GOLDEN_RUN_DIGESTS[scheme_name]
 
 
-class TestCellSpecSchemes:
-    def test_cellspec_canonicalises_scheme_spellings(self):
-        by_enum = CellSpec(
-            kind="compare",
-            workload="Hashmap",
-            config=MachineConfig(),
-            schemes=(Scheme.BASELINE_SECURE, "  FSENCR "),
-        )
-        by_name = CellSpec(
-            kind="compare",
-            workload="Hashmap",
-            config=MachineConfig(),
-            schemes=("baseline_secure", "fsencr"),
-        )
-        assert by_enum.schemes == ("baseline_secure", "fsencr")
-        assert canonical_json(by_enum) == canonical_json(by_name)
+class TestCompareSchemesColumns:
+    def test_compare_schemes_canonicalises_scheme_spellings(self):
+        factory = resolve_workload("Hashmap", ops=20)
+        by_enum = compare_schemes(factory, schemes=(Scheme.BASELINE_SECURE, "  FSENCR "))
+        by_name = compare_schemes(factory, schemes=("baseline_secure", "fsencr"))
+        assert list(by_enum.runs) == ["baseline_secure", "fsencr"]
+        assert by_enum == by_name
 
-    def test_cellspec_rejects_unregistered_scheme(self):
+    def test_compare_schemes_rejects_unregistered_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            CellSpec(
-                kind="compare",
-                workload="Hashmap",
-                config=MachineConfig(),
-                schemes=("fsencr+vapourware",),
-            )
+            compare_schemes(resolve_workload("Hashmap", ops=20), schemes=("fsencr+vapourware",))
 
 
 def _staged_machine(scheme_name: str, stores: int = 41):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.exec.spec import CellSpec, canonical_json, execute_cell, resolve_workload
+from repro.exec.spec import resolve_workload
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
 from repro.secmem.metadata_cache import MetadataCacheConfig
@@ -29,7 +29,7 @@ from repro.sim.batch import _supports_fast_path
 from repro.sim.config import MachineConfig, Scheme
 from repro.sim.trace import TraceOp
 from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
-from repro.workloads.base import Workload, run_workload
+from repro.workloads.base import Workload, compare_schemes, run_workload
 
 _FACTORIES = {
     "DAX-1": lambda: make_dax_micro("DAX-1", iterations=120, seed=7),
@@ -292,25 +292,13 @@ class TestFastPathGate:
         assert replayed_hist.as_dict() == direct_hist.as_dict()
 
 
-class TestCellSpecBatch:
-    _CELL = dict(
-        kind="compare",
-        workload="Fillseq-S",
-        config=MachineConfig(),
-        ops=24,
-        schemes=("baseline_secure", "fsencr"),
-    )
-
-    def test_batch_cell_payload_identical(self):
-        """Compare cells always execute through BatchRunner; their
-        payload must equal per-access runs of every column."""
-        payload = execute_cell(CellSpec(**self._CELL))
-        for scheme_name in self._CELL["schemes"]:
+class TestCompareSchemesBatch:
+    def test_compare_schemes_identical_to_per_access(self):
+        """compare_schemes runs every column through one BatchRunner;
+        its results must equal per-access runs of every column."""
+        schemes = ("baseline_secure", "fsencr")
+        comparison = compare_schemes(resolve_workload("Fillseq-S", ops=24), schemes=schemes)
+        for scheme_name in schemes:
             config = get_scheme(scheme_name).configure(MachineConfig())
             direct = run_workload(config, resolve_workload("Fillseq-S", ops=24)())
-            assert payload["runs"][scheme_name] == direct.to_dict()
-
-    def test_default_stays_out_of_cell_key(self):
-        """Execution strategy is not part of a cell's identity: nothing
-        about batching appears in a compare cell's canonical form."""
-        assert "batch" not in canonical_json(CellSpec(**self._CELL))
+            assert comparison.runs[scheme_name] == direct

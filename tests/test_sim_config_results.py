@@ -1,6 +1,7 @@
 """Machine configuration and result/record arithmetic."""
 
 import json
+import pickle
 
 import pytest
 
@@ -164,6 +165,8 @@ class TestResultTable:
 
 class TestRunResultSerde:
     def test_roundtrip(self):
+        # A pool worker hands its results back by pickle.
         r = run()
         r.stats["nvm.reads"] = 20
-        assert RunResult.from_dict(r.to_dict()) == r
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert json.loads(json.dumps(r.to_dict()))["stats"] == r.stats

@@ -10,6 +10,8 @@ samples, and queue stats across runs and across worker-process counts.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.tails import (
@@ -19,8 +21,8 @@ from repro.analysis.tails import (
     render_load_curve,
     strict_percentile,
 )
-from repro.exec import ExperimentRunner
-from repro.exec.spec import CellSpec, canonical_json, execute_cell, payload_to_curves
+from repro.exec import Cell, ExperimentRunner
+from repro.exec.spec import canonical_json
 from repro.mem.controller import MemoryControllerQueue, ServiceQueue
 from repro.sim.batch import _supports_fast_path, capture_workload
 from repro.sim.config import MachineConfig
@@ -105,16 +107,14 @@ def test_open_loop_arrivals_deterministic_per_seed():
 
 
 def test_loadcurve_cell_identical_under_jobs_2():
-    spec = CellSpec(
-        kind="loadcurve",
-        workload="2xFillseq-S",
-        config=MachineConfig(),
-        ops=40,
-        schemes=("fsencr",),
-        loads=(0.5, 1.0),
-    )
-    serial = ExperimentRunner(1).run([spec])[0].payload
-    parallel = ExperimentRunner(2).run([spec])[0].payload
+    # Two cells, so the pool really runs them.
+    config = get_scheme("fsencr").configure(MachineConfig())
+    cells = [
+        Cell(f"{mix}[loadcurve fsencr]", partial(load_curve, config, mix, (0.5, 1.0), ops=40))
+        for mix in ("2xFillseq-S", "3xFillseq-S")
+    ]
+    serial = ExperimentRunner(1).run(cells)
+    parallel = ExperimentRunner(2).run(cells)
     assert canonical_json(serial) == canonical_json(parallel)
 
 
@@ -358,39 +358,26 @@ def test_many_files_churn_validation():
 
 
 # ----------------------------------------------------------------------
-# Cell-spec validation
+# Load-curve cell validation
 # ----------------------------------------------------------------------
 
 
 def test_loadcurve_cell_validation():
-    with pytest.raises(ValueError, match="at least one scheme"):
-        CellSpec(kind="loadcurve", workload="Fillseq-S", config=MachineConfig(),
-                 loads=(0.5,))
+    config = MachineConfig()
     with pytest.raises(ValueError, match="at least one load"):
-        CellSpec(kind="loadcurve", workload="Fillseq-S", config=MachineConfig(),
-                 schemes=("fsencr",))
+        load_curve(config, "Fillseq-S", ())
     with pytest.raises(ValueError, match="positive"):
-        CellSpec(kind="loadcurve", workload="Fillseq-S", config=MachineConfig(),
-                 schemes=("fsencr",), loads=(0.0,))
+        load_curve(config, "Fillseq-S", (0.0,))
 
 
 def test_execute_loadcurve_cell_payload_shape():
-    spec = CellSpec(
-        kind="loadcurve",
-        workload="2xFillseq-S",
-        config=MachineConfig(),
-        ops=40,
-        schemes=("fsencr",),
-        loads=(0.5,),
-    )
-    payload = execute_cell(spec)
-    curves = payload_to_curves(payload)
-    assert set(curves) == {"fsencr"}
-    point = curves["fsencr"]["points"][0]
+    config = get_scheme("fsencr").configure(MachineConfig())
+    curve = load_curve(config, "2xFillseq-S", (0.5,), ops=40)
+    point = curve["points"][0]
     assert point["load"] == 0.5
     assert point["mc_queue"]["requests"] > 0
     assert "p99_ns" in point and "p99.9_ns" in point
-    assert curves["fsencr"]["streams"] == 2
+    assert curve["streams"] == 2
 
 
 # ----------------------------------------------------------------------
