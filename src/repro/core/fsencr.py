@@ -376,7 +376,8 @@ class FsEncrController(BaselineSecureController):
             major=major,
             minor=minor,
         )
-        assert self._file_engine is not None
+        if self._file_engine is None:
+            raise RuntimeError("file pads exist only in functional mode")
         self._file_engine.rekey(key)
         file_pad = self._file_engine.pad_for(iv)
         return xor_bytes(memory_pad, file_pad)

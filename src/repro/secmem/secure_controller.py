@@ -367,7 +367,8 @@ class BaselineSecureController(MemoryControllerBase):
             major=major % (1 << 64),
             minor=minor,
         )
-        assert self._memory_engine is not None
+        if self._memory_engine is None:
+            raise RuntimeError("memory pads exist only in functional mode")
         return self._memory_engine.pad_for(iv)
 
     # ------------------------------------------------------------------

@@ -12,9 +12,10 @@ boundaries and allocates request/outcome objects.  This module keeps the
    beyond the traceable API (functional byte access, crash lifecycle,
    filesystem management) are detected and fall back to direct
    execution.
-2. **Compile** — :func:`compile_trace` expands the trace into three
-   parallel lists (op kind, line vaddr, compute ns), split into chunks
-   at the rare structural ops (create/open/mmap/mark).
+2. **Compile** — :func:`compile_trace` expands the trace into two
+   parallel lists (op kind; line vaddr or compute ns), plus a per-op
+   index: where each trace op's micro-ops end, its op code, and the
+   rare structural ops (create/open/mmap/mark) by op index.
 3. **Execute** — :func:`execute_compiled` sweeps the lists in one
    interpreter loop.  Only the measured-hot hit probes are inlined as
    direct ``OrderedDict`` probes: TLB hit, L1/L2/L3 hits,
@@ -30,9 +31,13 @@ boundaries and allocates request/outcome objects.  This module keeps the
    buffer stays inline on a row miss too: about 30% of NVM accesses
    miss the row, and calling ``NVMDevice`` for them measured slower in
    every run (docs/BATCH.md).  Machines the
-   interpreter does not model (functional mode, histograms, service
-   queues, crash domains, Anubis) replay the trace through
+   interpreter does not model (functional mode, histograms, crash
+   domains, Anubis) replay the trace through
    :func:`~repro.sim.trace.replay` instead.
+4. **Step** — :func:`step_workload` runs the same loop one trace op per
+   ``next()`` for the service scheduler (:mod:`repro.sim.service`);
+   shared service queues are charged at the interpreter's controller
+   sites through ``ServiceQueues.charge``, the reference path's rule.
 
 Bit-identity is the hard pin: the inline probes replicate the reference
 path's exact float-addition order (latencies accumulate into the clock
@@ -48,7 +53,8 @@ and digests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.fsencr import FsEncrController
 from ..mem.controller import MemoryRequest, PlainMemoryController
@@ -73,11 +79,13 @@ from .trace import (
 )
 
 __all__ = [
+    "OP_NAMES",
     "BatchRunner",
     "CompiledTrace",
     "capture_workload",
     "compile_trace",
     "execute_compiled",
+    "step_workload",
 ]
 
 # Micro-op kinds (the ``kinds`` column of the compiled trace).
@@ -86,6 +94,13 @@ _ACC_WRITE = 1
 _FLUSH = 2
 _FENCE = 3
 _COMPUTE = 4
+
+#: Trace-op codes (the ``codes`` column), measured ops first: a code
+#: ``<= _PERSIST_OP`` is a load, store or persist.
+OP_NAMES = (LOAD, STORE, PERSIST, COMPUTE, CREATE, OPEN, MMAP, MARK)
+_OP_CODES = {name: code for code, name in enumerate(OP_NAMES)}
+_LOAD_OP, _PERSIST_OP, _COMPUTE_OP = (
+    _OP_CODES[LOAD], _OP_CODES[PERSIST], _OP_CODES[COMPUTE])
 
 _MINOR_LIMIT = 1 << MINOR_BITS
 
@@ -129,27 +144,30 @@ _NOT_MAPPED = object()  # overlay region-memo sentinel
 
 
 class CompiledTrace:
-    """A trace lowered to flat micro-op lists plus its rare-op schedule.
+    """A trace lowered to flat micro-op lists plus a per-op index.
 
-    ``kinds``/``addrs``/``ns`` are parallel lists, one row per
-    micro-op: cache-line accesses, line flushes, fences, and compute
-    delays.  ``chunks`` lists ``(lo, hi)`` windows between structural
-    ops; ``rares[i]`` executes after ``chunks[i]``.
+    ``kinds``/``addrs`` are parallel lists, one row per micro-op:
+    cache-line accesses and line flushes (``addrs`` holds the line
+    vaddr), fences (0), and compute delays (``addrs`` holds the delay
+    in ns, since no compute has an address).  Per trace op ``i``, ``ends[i]`` is where its micro-ops end
+    and ``codes[i]`` indexes its mnemonic in :data:`OP_NAMES`.  The
+    structural ops (create/open/mmap/mark) lower to no micro-ops;
+    ``rares`` maps each one's op index to its :class:`TraceOp`.
     """
 
-    __slots__ = ("_trace", "_name", "_raw", "kinds", "addrs", "ns",
-                 "chunks", "rares")
+    __slots__ = ("_trace", "_name", "_raw", "kinds", "addrs",
+                 "ends", "codes", "rares")
 
-    def __init__(self, trace: Optional[Trace], kinds, addrs, ns,
-                 chunks: List[Tuple[int, int]], rares: List[TraceOp],
-                 name: str = "", raw: Optional[list] = None) -> None:
+    def __init__(self, trace: Optional[Trace], kinds, addrs, ends, codes,
+                 rares: Dict[int, TraceOp], name: str = "",
+                 raw: Optional[list] = None) -> None:
         self._trace = trace
         self._name = name
         self._raw = raw
         self.kinds = kinds
         self.addrs = addrs
-        self.ns = ns
-        self.chunks = chunks
+        self.ends = ends
+        self.codes = codes
         self.rares = rares
 
     @property
@@ -174,51 +192,49 @@ class CompiledTrace:
 
 def _lower(records):
     """Lower raw op records — ``(op, addr, size, path, flag, ns, uid)``
-    tuples in TraceOp field order — to the flat micro-op arrays."""
+    tuples in TraceOp field order — to the flat micro-op arrays and the
+    per-op ``ends``/``codes``/``rares`` index."""
     kinds: List[int] = []
     addrs: List[int] = []
-    ns: List[float] = []
-    chunks: List[Tuple[int, int]] = []
-    rares: List[TraceOp] = []
-    lo = 0
+    ends: List[int] = []
+    codes: List[int] = []
+    rares: Dict[int, TraceOp] = {}
+    add_kind, add_addr = kinds.append, addrs.append
+    add_end, add_code = ends.append, codes.append
+    code_of = _OP_CODES.get
     for rec in records:
-        mnemonic = rec[0]
-        if mnemonic == LOAD or mnemonic == STORE or mnemonic == PERSIST:
+        code = code_of(rec[0])
+        if code is None:
+            raise ValueError(f"unknown trace op {rec[0]!r}")
+        if code <= _PERSIST_OP:
             addr = rec[1]
             size = rec[2]
             if size <= 0:
                 raise ValueError("size must be positive")
             first = addr & ~63
             last = (addr + size - 1) & ~63
-            kind = _ACC_READ if mnemonic == LOAD else _ACC_WRITE
+            kind = _ACC_READ if code == _LOAD_OP else _ACC_WRITE
             line = first
             while line <= last:
-                kinds.append(kind)
-                addrs.append(line)
-                ns.append(0.0)
+                add_kind(kind)
+                add_addr(line)
                 line += 64
-            if mnemonic == PERSIST:
+            if code == _PERSIST_OP:
                 line = first
                 while line <= last:
-                    kinds.append(_FLUSH)
-                    addrs.append(line)
-                    ns.append(0.0)
+                    add_kind(_FLUSH)
+                    add_addr(line)
                     line += 64
-                kinds.append(_FENCE)
-                addrs.append(0)
-                ns.append(0.0)
-        elif mnemonic == COMPUTE:
-            kinds.append(_COMPUTE)
-            addrs.append(0)
-            ns.append(rec[5])
-        elif mnemonic in (CREATE, OPEN, MMAP, MARK):
-            chunks.append((lo, len(kinds)))
-            rares.append(TraceOp(*rec))
-            lo = len(kinds)
+                add_kind(_FENCE)
+                add_addr(0)
+        elif code == _COMPUTE_OP:
+            add_kind(_COMPUTE)
+            add_addr(rec[5])
         else:
-            raise ValueError(f"unknown trace op {mnemonic!r}")
-    chunks.append((lo, len(kinds)))
-    return kinds, addrs, ns, chunks, rares
+            rares[len(codes)] = TraceOp(*rec)
+        add_end(len(kinds))
+        add_code(code)
+    return kinds, addrs, array("I", ends), bytes(codes), rares
 
 
 def compile_trace(trace: Trace) -> CompiledTrace:
@@ -230,19 +246,16 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     rejected here (the per-access path raises the same ``ValueError``,
     just lazily at the offending op).
     """
-    kinds, addrs, ns, chunks, rares = _lower(
+    return CompiledTrace(trace, *_lower(
         (op.op, op.addr, op.size, op.path, op.flag, op.ns, op.uid)
         for op in trace.ops
-    )
-    return CompiledTrace(trace, kinds, addrs, ns, chunks, rares)
+    ))
 
 
 def _compile_raw(name: str, raw: list) -> CompiledTrace:
     """Compile straight from capture's raw tuples; the Trace object is
     only materialized if the replay fallback (or a save) needs it."""
-    kinds, addrs, ns, chunks, rares = _lower(raw)
-    return CompiledTrace(None, kinds, addrs, ns, chunks, rares,
-                         name=name, raw=raw)
+    return CompiledTrace(None, *_lower(raw), name=name, raw=raw)
 
 
 # ----------------------------------------------------------------------
@@ -358,15 +371,15 @@ def capture_workload(machine: Machine, workload) -> Optional[Trace]:
 
 
 def _supports_fast_path(machine: Machine) -> bool:
-    """Whether the inline interpreter models this machine exactly."""
+    """Whether the inline interpreter models this machine exactly.
+
+    Service queues are inside the envelope: the interpreter charges
+    them at its three controller sites through the same
+    ``ServiceQueues.charge`` rule as ``Machine._controller_access``.
+    """
     if machine.config.functional or machine._crashed:
         return False
     if machine.latency_histogram is not None:
-        return False
-    if machine.service_queues is not None:
-        # Service-model streams charge queueing delay per controller
-        # access; the inline interpreter knows nothing about it, so a
-        # stream machine always takes the reference path.
         return False
     controller = machine.controller
     kind = type(controller)
@@ -385,13 +398,43 @@ def execute_compiled(compiled: CompiledTrace, machine: Machine) -> None:
     """Run a compiled trace on a machine, bit-identically.
 
     Machines outside the interpreter's envelope (functional mode,
-    histograms attached, service queues, crash/Anubis wiring, custom
-    controllers) replay the original trace through the reference path.
+    histograms attached, crash/Anubis wiring, custom controllers)
+    replay the original trace through the reference path.
     """
     if _supports_fast_path(machine):
-        _interpret(compiled, machine)
+        for _ in _interpret(compiled, machine):
+            pass
     else:
         replay(compiled.trace, machine)
+
+
+def _replay_steps(trace: Trace, machine: Machine) -> Iterator[None]:
+    """Reference-path stepping: one ``TraceCursor.apply`` per ``next()``."""
+    cursor = TraceCursor(machine)
+    for op in trace.ops:
+        cursor.apply(op)
+        yield
+
+
+def step_workload(machine: Machine, workload) -> Optional[Tuple[str, bytes, Iterator[None]]]:
+    """Capture a workload for one-op-at-a-time execution on ``machine``.
+
+    Returns ``(name, codes, steps)``: ``codes[i]`` indexes trace op
+    ``i``'s mnemonic in :data:`OP_NAMES`, and each ``next(steps)`` runs
+    the next op to completion on the machine's clock (which the caller
+    may advance between steps).  Machines inside the envelope step the
+    compiled interpreter; the rest step ``TraceCursor``.  Close
+    ``steps`` after the last op: that flushes the interpreter's pending
+    stats.  None when the workload is not capturable.
+    """
+    stub = _capture_raw(machine, workload)
+    if stub is None:
+        return None
+    if _supports_fast_path(machine):
+        compiled = CompiledTrace(None, *_lower(stub.raw), name=stub.name)
+        return stub.name, compiled.codes, _interpret(compiled, machine, stepping=True)
+    compiled = _compile_raw(stub.name, stub.raw)
+    return stub.name, compiled.codes, _replay_steps(compiled.trace, machine)
 
 
 def _workload_trace_key(config, workload) -> tuple:
@@ -447,7 +490,8 @@ class BatchRunner:
         return machine.result(workload.name)
 
 
-def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
+def _interpret(compiled: CompiledTrace, machine: Machine,
+               stepping: bool = False) -> Iterator[None]:
     """The inline interpreter.  One big function on purpose: every
     measured-hot hit path is flattened into locals and closures so a
     line access costs dict probes, not call stacks.  Each inline probe
@@ -455,6 +499,12 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
     miss, dirty victim and overflow calls that method instead of a
     copy.  A behavioural change to a mirrored hit path must be mirrored
     here — the golden-digest and batch-equivalence suites enforce it.
+
+    A generator: batch mode runs chunk by chunk (the micro-ops between
+    structural ops) and never yields.  With ``stepping`` every trace op
+    is its own chunk and the loop yields after it, with the clock
+    stored on the machine; it reloads the clock on resume, so a
+    scheduler may advance it in between.
     """
     config = machine.config
     controller = machine.controller
@@ -872,6 +922,32 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                 pend_nvm[_N_PERSIST] += 1
             return latency + wlat
 
+    # -- service queues (Machine._controller_access) -------------------
+    queues = machine.service_queues
+    if queues is not None:
+        charge = queues.charge
+        ott_counts = controller.ott.stats.counters if is_fsencr else {}
+        port_ns = controller.ott.lookup_latency_ns if is_fsencr else 0.0
+
+        def queued(arrival: float, addr: int, is_write: bool, persist: bool,
+                   factor: float, ctrl_read=ctrl_read,
+                   ctrl_write=ctrl_write) -> float:
+            """One controller access charged through the shared queues;
+            returns the clock after it.  OTT lookups count pending hits
+            too, so the count does not depend on when stats flush.
+            (The controller closures are bound as defaults so they stay
+            plain locals of the loop.)"""
+            before = (pend_ott[0] + ott_counts.get("hits", 0)
+                      + ott_counts.get("misses", 0))
+            if is_write:
+                charged = ctrl_write(addr, persist) * factor
+            else:
+                charged = ctrl_read(addr) * factor
+            lookups = (pend_ott[0] + ott_counts.get("hits", 0)
+                       + ott_counts.get("misses", 0) - before)
+            return arrival + (
+                charge(arrival, charged, lookups, port_ns * factor) + charged)
+
     # -- MMU / TLB ------------------------------------------------------
     tlb_entries = tlb._entries
     tlb_move = tlb_entries.move_to_end
@@ -887,17 +963,20 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
 
     kinds = compiled.kinds
     addrs = compiled.addrs
-    ns_col = compiled.ns
-    chunks = compiled.chunks
-    rares = compiled.rares
+    if stepping:
+        bounds, rares = compiled.ends, compiled.rares
+    else:
+        bounds = [compiled.ends[index] for index in compiled.rares]
+        bounds.append(len(kinds))
+        rares = dict(enumerate(compiled.rares.values()))
 
     cursor = TraceCursor(machine)
     tlb_get = tlb_entries.get
     clock = machine.clock_ns
+    lo = 0
     try:
-        for chunk_index, (lo, hi) in enumerate(chunks):
-            for kind, addr, delay in zip(kinds[lo:hi], addrs[lo:hi],
-                                         ns_col[lo:hi]):
+        for chunk_index, hi in enumerate(bounds):
+            for kind, addr in zip(kinds[lo:hi], addrs[lo:hi]):
                 if kind <= _ACC_WRITE:
                     # ---- Machine._access_line --------------------------
                     is_write = kind == _ACC_WRITE
@@ -1019,9 +1098,15 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                                         wb_line = victim_line
                                 entries3[line] = False
                     if miss:
-                        clock += ctrl_read(paddr)
-                        if wb_line >= 0:
-                            clock += ctrl_write(wb_line << 6, False) * wcf
+                        if queues is None:
+                            clock += ctrl_read(paddr)
+                            if wb_line >= 0:
+                                clock += ctrl_write(wb_line << 6, False) * wcf
+                        else:
+                            clock = queued(clock, paddr, False, False, 1.0)
+                            if wb_line >= 0:
+                                clock = queued(clock, wb_line << 6, True,
+                                               False, wcf)
 
                 elif kind == _FLUSH:
                     # ---- Machine._flush_line ---------------------------
@@ -1053,21 +1138,30 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                             clock += wpq_accept(clock)
                         else:
                             clock += _ADR_DRAIN_NS
-                        clock += ctrl_write(paddr, True) * wcf
+                        if queues is None:
+                            clock += ctrl_write(paddr, True) * wcf
+                        else:
+                            clock = queued(clock, paddr, True, True, wcf)
 
                 elif kind == _FENCE:
                     clock += _FENCE_NS
-                else:  # _COMPUTE
-                    clock += delay
+                else:  # _COMPUTE: the delay sits in the address column
+                    clock += addr
 
-            # ---- rare structural op between chunks ---------------------
-            flush_stats()
-            machine.clock_ns = clock
-            if chunk_index < len(rares):
-                cursor.apply(rares[chunk_index])
+            lo = hi
+            # ---- rare structural op after the chunk --------------------
+            rare = rares.get(chunk_index)
+            if rare is not None:
+                flush_stats()
+                machine.clock_ns = clock
+                cursor.apply(rare)
                 clock = machine.clock_ns
                 if overlay is not None:
                     region_memo.clear()
+            if stepping:
+                machine.clock_ns = clock
+                yield
+                clock = machine.clock_ns
     finally:
         flush_stats()
         machine.clock_ns = clock

@@ -392,13 +392,9 @@ class Machine:
 
         Without service queues this is exactly ``clock += access() *
         factor`` — the seed path.  With queues attached, the access
-        additionally waits for the shared memory-controller queue (held
-        for precisely the latency charged here) and for the OTT port
-        (held for the lookup time of each OTT probe the access made,
-        capped at the access's own charge so the port is never busier
-        than the access).  Waits accumulate onto the clock; the busy
-        windows end at or before the stream's post-access clock, so a
-        stream never queues behind itself.
+        additionally waits for the shared queues by the one rule in
+        :meth:`~repro.sim.service.ServiceQueues.charge`, given the
+        charged latency and the OTT lookups the access made.
         """
         queues = self.service_queues
         if queues is None:
@@ -407,19 +403,9 @@ class Machine:
         arrival = self.clock_ns
         lookups_before = self._ott_lookup_count()
         charged = self.controller.access(request) * factor
-        wait = queues.mc.serve(arrival, charged)
         lookups = self._ott_lookup_count() - lookups_before
-        if lookups:
-            lookup_ns = self.controller.ott.lookup_latency_ns * factor
-            port_budget = charged
-            port_arrival = arrival + wait
-            for _ in range(lookups):
-                service = lookup_ns if lookup_ns <= port_budget else port_budget
-                port_wait = queues.ott.serve(port_arrival, service)
-                wait += port_wait
-                port_arrival += port_wait + service
-                port_budget -= service
-        self.clock_ns += wait + charged
+        lookup_ns = self.controller.ott.lookup_latency_ns * factor if lookups else 0.0
+        self.clock_ns += queues.charge(arrival, charged, lookups, lookup_ns) + charged
 
     def _access_line(self, line_vaddr: int, is_write: bool) -> None:
         access_start_ns = self.clock_ns

@@ -18,8 +18,10 @@ points:
 The scheduler is event-driven over virtual time: at each step the
 stream with the earliest ready time runs its next trace op to
 completion (ties broken by stream id, so interleavings are total-order
-deterministic).  Two arrival policies gate *when* a measured op is
-ready:
+deterministic).  A stream's ops run on the compiled-trace interpreter
+in its stepping mode (:func:`~repro.sim.batch.step_workload`), or on
+``TraceCursor`` for machines outside the interpreter's envelope.  Two
+arrival policies gate *when* a measured op is ready:
 
 * :class:`ClosedLoop` — a per-stream MLP window of ``window``
   outstanding requests: op ``i`` issues when op ``i - window``
@@ -40,10 +42,13 @@ golden digests reproduce bit-for-bit.  See ``docs/SERVICE.md``.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..core.ott import OTTPortQueue
 from ..mem.controller import MemoryControllerQueue
@@ -52,7 +57,7 @@ from .config import MachineConfig
 from .histograms import LatencyHistogram
 from .machine import Machine
 from .results import RunResult
-from .trace import LOAD, MARK, PERSIST, STORE, Trace, TraceCursor
+from .trace import MARK, PERSIST
 
 __all__ = [
     "ClosedLoop",
@@ -62,9 +67,6 @@ __all__ = [
     "ServiceResult",
     "run_service",
 ]
-
-#: Ops whose response times are sampled (once measurement has started).
-_MEASURED_OPS = frozenset((LOAD, STORE, PERSIST))
 
 
 @dataclass(frozen=True)
@@ -138,75 +140,78 @@ class ServiceQueues:
         self.mc = MemoryControllerQueue(stats=self.registry.create("mc_queue"))
         self.ott = OTTPortQueue(stats=self.registry.create("ott_queue"))
 
+    def charge(self, arrival: float, charged: float, lookups: int,
+               lookup_ns: float) -> float:
+        """Queueing delay of one controller access; the caller adds it
+        (plus ``charged``) to its clock.
+
+        The access holds the memory-controller queue for exactly its
+        ``charged`` latency, from ``arrival``.  Each of its ``lookups``
+        OTT probes then holds the OTT port for ``lookup_ns``, capped at
+        what is left of ``charged``, so the port is never busier than
+        the access that used it.  Every busy window ends at or before
+        the clock the stream leaves the access with, so a stream never
+        queues behind itself.
+        """
+        wait = self.mc.serve(arrival, charged)
+        if lookups:
+            port_budget = charged
+            port_arrival = arrival + wait
+            for _ in range(lookups):
+                service = lookup_ns if lookup_ns <= port_budget else port_budget
+                port_wait = self.ott.serve(port_arrival, service)
+                wait += port_wait
+                port_arrival += port_wait + service
+                port_budget -= service
+        return wait
+
 
 class _Stream:
-    """One stream's scheduling state."""
+    """One stream's scheduling state between its turns."""
 
     __slots__ = (
-        "sid", "workload_name", "ops", "index", "machine", "cursor",
+        "sid", "workload_name", "codes", "steps", "index", "machine",
         "measuring", "samples", "histogram", "stats", "completions",
-        "rng", "next_arrival_ns", "mark_ns", "end_ns",
+        "next_gap", "next_arrival_ns", "issue_ns", "mark_ns", "end_ns",
     )
 
     def __init__(
         self,
         sid: int,
-        trace: Trace,
+        name: str,
+        codes: bytes,
+        steps: Iterator[None],
         machine: Machine,
         policy: ArrivalPolicy,
         registry: StatsRegistry,
     ) -> None:
         self.sid = sid
-        self.workload_name = trace.name
-        self.ops = trace.ops
+        self.workload_name = name
+        self.codes = codes
+        self.steps = steps
         self.index = 0
         self.machine = machine
-        self.cursor = TraceCursor(machine)
         self.measuring = False
         self.samples: List[float] = []
         self.histogram = LatencyHistogram(name=f"stream{sid}")
         self.stats = registry.create(f"stream{sid}")
+        # Closed loop: the last ``window`` completions.  Open loop: the
+        # next inter-arrival gap, one call per arrival.
+        self.completions: Optional[deque] = None
+        self.next_gap: Optional[Callable[[], float]] = None
         if isinstance(policy, ClosedLoop):
-            self.completions: Optional[deque] = deque(maxlen=policy.window)
-            self.rng: Optional[random.Random] = None
+            self.completions = deque(maxlen=policy.window)
+        elif policy.distribution == "fixed":
+            self.next_gap = itertools.repeat(policy.interarrival_ns).__next__
         else:
-            self.completions = None
-            self.rng = random.Random(policy.seed * 1000003 + sid)
+            rng = random.Random(policy.seed * 1000003 + sid)
+            self.next_gap = partial(rng.expovariate, 1.0 / policy.interarrival_ns)
         self.next_arrival_ns = 0.0
+        # When op ``index`` may issue: the clock, or for a measured op
+        # its arrival (open loop) or window slot (closed loop).
+        self.issue_ns = machine.clock_ns
         self.mark_ns = 0.0
         self.end_ns = 0.0
-
-    def done(self) -> bool:
-        return self.index >= len(self.ops)
-
-    def _gap_ns(self, policy: OpenLoop) -> float:
-        if policy.distribution == "fixed":
-            return policy.interarrival_ns
-        assert self.rng is not None
-        return self.rng.expovariate(1.0 / policy.interarrival_ns)
-
-    def issue_ns(self) -> float:
-        """When the next op may issue (its arrival, for measured ops).
-
-        Unmeasured ops (setup preamble, compute think time, file
-        management) issue as soon as the stream's clock reaches them.
-        """
-        clock = self.machine.clock_ns
-        op = self.ops[self.index]
-        if not self.measuring or op.op not in _MEASURED_OPS:
-            return clock
-        if self.completions is not None:  # closed loop
-            if len(self.completions) == self.completions.maxlen:
-                # The window slot opened when op (i - window) completed;
-                # that completion is the op's logical arrival time.
-                return self.completions[0]
-            return clock
-        return self.next_arrival_ns  # open loop: may trail the clock
-
-    def ready_ns(self) -> float:
-        issue = self.issue_ns()
-        clock = self.machine.clock_ns
-        return issue if issue > clock else clock
 
 
 @dataclass
@@ -304,7 +309,7 @@ def run_service(
     returned per-stream :class:`RunResult` for a 1-stream closed-loop
     run is bit-identical to ``run_workload`` under the same config.
     """
-    from .batch import capture_workload
+    from .batch import OP_NAMES, step_workload
 
     queues = ServiceQueues(registry=registry)
     streams: List[_Stream] = []
@@ -312,63 +317,89 @@ def run_service(
         machine = Machine(config)
         machine.attach_service_queues(queues, stream_id=sid)
         workload.setup(machine)
-        trace = capture_workload(machine, workload)
-        if trace is None:
+        stepped = step_workload(machine, workload)
+        if stepped is None:
             raise ValueError(
                 f"workload {workload.name!r} is not capturable; the service "
                 "model only runs trace-expressible streams"
             )
-        streams.append(_Stream(sid, trace, machine, policy, queues.registry))
+        streams.append(_Stream(sid, *stepped, machine, policy, queues.registry))
 
+    last_measured = OP_NAMES.index(PERSIST)  # codes <= this are measured
+    mark = OP_NAMES.index(MARK)
+    window = policy.window if isinstance(policy, ClosedLoop) else 0
     digest = hashlib.sha256()
-    open_policy = policy if isinstance(policy, OpenLoop) else None
+    update = digest.update
 
-    while True:
-        best: Optional[_Stream] = None
-        best_key = None
-        for stream in streams:
-            if stream.done():
-                continue
-            key = (stream.ready_ns(), stream.sid)
-            if best_key is None or key < best_key:
-                best, best_key = stream, key
-        if best is None:
-            break
-
-        op = best.ops[best.index]
-        machine = best.machine
-        measured = best.measuring and op.op in _MEASURED_OPS
-        issue = best.issue_ns() if measured else machine.clock_ns
-        if issue > machine.clock_ns:
-            # The stream is idle until its request arrives (open loop)
-            # or its window opens (closed loop).
-            machine.clock_ns = issue
-        start = issue if issue < machine.clock_ns else machine.clock_ns
-
-        best.cursor.apply(op)
-        completion = machine.clock_ns
-        best.stats.add("ops")
-        digest.update(
-            f"{best.sid}:{best.index}:{op.op}:{completion!r};".encode()
-        )
-        best.index += 1
-
-        if measured:
-            sample = completion - start
-            best.samples.append(sample)
-            best.histogram.record(sample)
-            best.stats.add("measured_ops")
-            best.end_ns = completion
-            if best.completions is not None:
-                best.completions.append(completion)
-            elif open_policy is not None:
-                best.next_arrival_ns = start + best._gap_ns(open_policy)
-        elif op.op == MARK:
-            best.measuring = True
-            best.mark_ns = completion
-            best.end_ns = completion
-            if open_policy is not None:
-                best.next_arrival_ns = completion + best._gap_ns(open_policy)
+    # Cached (ready_ns, sid) keys of the streams not running; only the
+    # stream that runs changes its key.  A stream keeps the turn while
+    # its key stays below every other stream's.
+    heap = [(stream.machine.clock_ns, stream.sid) for stream in streams
+            if stream.codes]
+    heapq.heapify(heap)
+    while heap:
+        sid = heapq.heappop(heap)[1]
+        rival = heap[0] if heap else None
+        stream = streams[sid]
+        machine = stream.machine
+        codes = stream.codes
+        last = len(codes) - 1
+        step = stream.steps.__next__
+        completions = stream.completions
+        next_gap = stream.next_gap
+        index = stream.index
+        issue = stream.issue_ns
+        measuring = stream.measuring
+        while True:
+            code = codes[index]
+            if issue > machine.clock_ns:
+                # The stream is idle until its request arrives (open
+                # loop) or its window opens (closed loop).
+                machine.clock_ns = issue
+            step()
+            completion = machine.clock_ns
+            update(f"{sid}:{index}:{OP_NAMES[code]}:{completion!r};".encode())
+            if measuring and code <= last_measured:
+                sample = completion - issue
+                stream.samples.append(sample)
+                stream.histogram.record(sample)
+                stream.end_ns = completion
+                if completions is not None:
+                    completions.append(completion)
+                else:
+                    stream.next_arrival_ns = issue + next_gap()
+            elif code == mark:
+                measuring = True
+                stream.mark_ns = stream.end_ns = completion
+                if next_gap is not None:
+                    stream.next_arrival_ns = completion + next_gap()
+            if index == last:
+                stream.steps.close()  # flushes the interpreter's stats
+                stream.stats.add("ops", len(codes))
+                if stream.samples:
+                    stream.stats.add("measured_ops", len(stream.samples))
+                break
+            index += 1
+            # When the next op may issue: unmeasured ops (setup
+            # preamble, compute think time, file management) as soon as
+            # the clock reaches them.
+            if not measuring or codes[index] > last_measured:
+                issue = completion
+            elif completions is None:
+                issue = stream.next_arrival_ns  # may trail the clock
+            elif len(completions) == window:
+                # The window slot opened when op (i - window) completed;
+                # that completion is the op's logical arrival time.
+                issue = completions[0]
+            else:
+                issue = completion
+            key = (issue if issue > completion else completion, sid)
+            if rival is not None and key > rival:
+                stream.index = index
+                stream.issue_ns = issue
+                stream.measuring = measuring
+                heapq.heappush(heap, key)
+                break
 
     results = [
         StreamServiceResult(
@@ -377,7 +408,7 @@ def run_service(
             run=stream.machine.result(stream.workload_name),
             samples=stream.samples,
             histogram=stream.histogram,
-            measured_ops=stream.stats.get("measured_ops"),
+            measured_ops=len(stream.samples),
             mark_ns=stream.mark_ns,
             end_ns=stream.end_ns,
         )

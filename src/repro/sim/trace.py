@@ -137,9 +137,11 @@ class TraceCursor:
     ops reference between calls.
 
     :func:`replay` drives a cursor straight through a trace; the
-    service model (:mod:`repro.sim.service`) drives one cursor per
-    stream, one op at a time, in virtual-time order.  Sharing the op
-    switch here is what guarantees the two paths execute identically.
+    compiled interpreter runs its structural ops through one, and the
+    service model (:mod:`repro.sim.service`) steps one per stream, one
+    op at a time, for machines outside the interpreter's envelope.
+    Sharing the op switch here is what guarantees the paths execute
+    identically.
     """
 
     def __init__(self, machine: Machine) -> None:

@@ -127,7 +127,8 @@ def parse_stream_mix(mix: str) -> Tuple[StreamSpec, ...]:
         if not part:
             raise ValueError(f"empty stream spec in mix {mix!r}")
         match = _MIX_PART.fullmatch(part)
-        assert match is not None  # (.+) matches any non-empty part
+        if match is None:
+            raise ValueError(f"bad stream spec {part!r} in mix {mix!r}")
         count = int(match.group(1)) if match.group(1) else 1
         specs.append(StreamSpec(workload=match.group(2), count=count))
     if not specs:
@@ -219,5 +220,6 @@ def compare_schemes(
         name = workload.name
         run_config = get_scheme(scheme_name).configure(base_config)
         runs[scheme_name] = batch_runner.run(run_config, workload)
-    assert name is not None, "schemes iterable was empty"
+    if name is None:
+        raise ValueError("schemes iterable was empty")
     return WorkloadComparison(workload=name, runs=runs)

@@ -100,7 +100,8 @@ class PersistentCritbitTree:
             return
 
         nearest = self._descend_to_leaf(key)
-        assert nearest is not None
+        if nearest is None:
+            raise RuntimeError(f"non-empty tree has no leaf for key {key}")
         if nearest.key == key:
             # Update payload in place.
             self.machine.persist(nearest.addr + _KEY_BYTES, self.data_size)

@@ -146,8 +146,8 @@ class Readrandom(PmemkvWorkload):
 
     def measured_phase(self, machine: Machine, tree: PersistentBTree) -> None:
         for key in self._keys(shuffled=True):
-            found = tree.get(key)
-            assert found is not None, f"pre-filled key {key} missing"
+            if tree.get(key) is None:
+                raise RuntimeError(f"pre-filled key {key} missing")
 
 
 class Readseq(PmemkvWorkload):
@@ -158,8 +158,8 @@ class Readseq(PmemkvWorkload):
 
     def measured_phase(self, machine: Machine, tree: PersistentBTree) -> None:
         for key in tree.keys_inorder():
-            found = tree.get(key)
-            assert found is not None
+            if tree.get(key) is None:
+                raise RuntimeError(f"in-order key {key} missing")
 
 
 class Readmissing(PmemkvWorkload):
@@ -175,8 +175,9 @@ class Readmissing(PmemkvWorkload):
 
     def measured_phase(self, machine: Machine, tree: PersistentBTree) -> None:
         for key in self._keys(shuffled=True):
-            found = tree.get(key + self.ops * 10)  # disjoint key space
-            assert found is None
+            missing = key + self.ops * 10  # disjoint key space
+            if tree.get(missing) is not None:
+                raise RuntimeError(f"never-inserted key {missing} found")
 
 
 class Deleterandom(PmemkvWorkload):
@@ -192,8 +193,8 @@ class Deleterandom(PmemkvWorkload):
 
     def measured_phase(self, machine: Machine, tree: PersistentBTree) -> None:
         for key in self._keys(shuffled=True):
-            removed = tree.delete(key)
-            assert removed, f"pre-filled key {key} missing at delete"
+            if not tree.delete(key):
+                raise RuntimeError(f"pre-filled key {key} missing at delete")
 
 
 #: Figure 8-10's x-axis, in paper order.

@@ -8,6 +8,7 @@ it ever reaches CI.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -31,3 +32,15 @@ def test_rule_catalogue_matches_registry():
     text = (REPO_ROOT / "docs" / "LINT.md").read_text(encoding="utf-8")
     headings = re.findall(r"^### `([^`]+)`\s*$", text, flags=re.MULTILINE)
     assert sorted(headings) == sorted(RULES)
+
+
+def test_no_contract_in_an_assert():
+    # ``python -O`` strips assert statements, so a check written as one
+    # silently stops checking; src/ raises ValueError/RuntimeError.
+    asserts = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, "assert statements in src/repro: " + ", ".join(asserts)

@@ -192,6 +192,22 @@ def test_service_queue_fifo_wait_accounting():
     assert summary["busy_ns"] == 25.0
 
 
+def test_service_queues_charge_caps_port_time_at_the_access():
+    queues = ServiceQueues()
+    queues.ott.serve(0.0, 130.0)  # an earlier holder keeps the port until 130
+    # Arrives at 100, charged 50, three 20 ns lookups: the MC queue is
+    # idle; the first lookup waits 30 for the port, and the third gets
+    # only the 10 ns left of the access's 50.
+    assert queues.charge(100.0, 50.0, 3, 20.0) == 30.0
+    assert queues.mc.busy_until_ns == 150.0
+    assert queues.ott.stats.get("requests") == 4
+    assert queues.ott.total_service_ns == 130.0 + 20.0 + 20.0 + 10.0
+    assert queues.ott.busy_until_ns == 180.0
+    # No lookups: only the MC queue is charged.
+    assert queues.charge(120.0, 10.0, 0, 20.0) == 30.0
+    assert queues.ott.stats.get("requests") == 4
+
+
 def test_service_queue_rejects_negative_inputs():
     queue = MemoryControllerQueue()
     with pytest.raises(ValueError):
@@ -221,13 +237,13 @@ def test_service_queue_classes_covered_by_stats_registered_lint():
 # ----------------------------------------------------------------------
 
 
-def test_service_machine_outside_batch_fast_path():
+def test_service_machine_inside_batch_fast_path():
     config = get_scheme("fsencr").configure(MachineConfig())
     machine = Machine(config)
     assert _supports_fast_path(machine)
     machine.attach_service_queues(ServiceQueues(), stream_id=3)
     assert machine.stream_id == 3
-    assert not _supports_fast_path(machine)
+    assert _supports_fast_path(machine)
 
 
 def test_uncapturable_stream_raises():

@@ -112,5 +112,5 @@ class TestCompareSchemes:
         assert row.normalized_writes >= 1.0
 
     def test_empty_schemes_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="empty"):
             compare_schemes(lambda: make_whisper_workload("Hashmap", ops=10), schemes=())
