@@ -27,7 +27,6 @@ def hammer(model_overflow: bool):
     # White-box ablation: hammers one counter line against a bare
     # controller (no machine, no results registry) to isolate the
     # overflow path's cost; stats are read off the controller bundle.
-    # repro-lint: disable=config-not-component,stats-registered,builder-owns-wiring
     controller = BaselineSecureController(
         layout=LAYOUT,
         config=SecureControllerConfig(model_counter_overflow=model_overflow),

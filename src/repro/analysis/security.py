@@ -74,7 +74,6 @@ class SystemDesign:
         self.name = name
         # Standalone functional image for the attack analysis; no
         # results registry exists and no machine is being wired.
-        # repro-lint: disable=stats-registered,builder-owns-wiring
         self.controller = FsEncrController(
             layout=_LAYOUT, config=SecureControllerConfig(functional=True)
         )
@@ -99,7 +98,7 @@ class SystemDesign:
     def dimm_residue(self, file_id: int) -> bytes:
         """What a pulled DIMM shows for the file's line."""
         # Deliberate raw ciphertext read: this *is* the attacker's view.
-        return self.controller.store.read_line(dfbit.strip(self.addr_of_file[file_id]))  # repro-lint: disable=persist-through-wpq
+        return self.controller.store.read_line(dfbit.strip(self.addr_of_file[file_id]))
 
 
 def attacker_decrypt(system: SystemDesign, scenario: Scenario, file_id: int) -> bool:

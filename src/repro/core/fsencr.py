@@ -71,8 +71,8 @@ class FsEncrController(BaselineSecureController):
         # __len__); compare against None explicitly.  Machine injects a
         # registered table; the region's bundle is registered
         # post-construction.
-        self.ott = ott if ott is not None else OpenTunnelTable()  # repro-lint: disable=stats-registered,builder-owns-wiring
-        self.ott_region = EncryptedOTTRegion(  # repro-lint: disable=stats-registered
+        self.ott = ott if ott is not None else OpenTunnelTable()
+        self.ott_region = EncryptedOTTRegion(
             slots=self.layout.ott_slots, ott_key=self.keys.ott_key
         )
         self.fecb = FECBStore()

@@ -55,8 +55,7 @@ class OTTEntry:
 
     ``key`` is a :class:`~repro.crypto.keys.SecretKey`, which redacts
     itself anyway; it is also kept out of the auto-repr, since entries
-    surface in tracebacks and debug dumps (§III-E — key-hygiene lint
-    rule).
+    surface in tracebacks and debug dumps (§III-E key hygiene).
     """
 
     group_id: int
@@ -145,11 +144,16 @@ class OTTPortQueue(ServiceQueue):
 
     §III-E sizes the table for capacity, not bandwidth: all eight banks
     are searched in parallel but there is *one* 20-cycle lookup port in
-    front of them.  One stream never notices; N streams resolving file
-    keys concurrently serialise here.  The service model counts the OTT
-    lookups each controller access performs and holds this queue for
-    their port time (capped at the access's own charged latency, so the
-    port is never modelled busier than the access that used it)."""
+    front of them.  The service model counts the OTT lookups each
+    controller access performs and holds this queue for their port time
+    (capped at the access's own charged latency, so the port is never
+    modelled busier than the access that used it).  Under
+    :meth:`~repro.sim.service.ServiceQueues.charge` those windows nest
+    inside the access's memory-controller window, so the MC queue
+    already serialises concurrent streams and this port never adds a
+    wait of its own; it records lookups and busy time.  Making the
+    port a contention point in its own right needs it modelled outside
+    the MC critical section (open work)."""
 
     def __init__(self, stats: Optional[StatCounters] = None) -> None:
         super().__init__(name="ott_queue", stats=stats)

@@ -138,7 +138,6 @@ def import_machine(
 
     # Throwaway functional controller for the receiving machine; no
     # results registry exists here and no machine is being wired.
-    # repro-lint: disable=stats-registered,builder-owns-wiring
     controller = FsEncrController(
         layout=layout,
         keys=keys,

@@ -17,10 +17,9 @@ value in the spirit of a kernel keyring payload: it redacts itself in
 show no key bytes) and refuses every implicit conversion to bytes
 (``bytes(k)``, ``b"" + k``, ``hashlib.sha256(k)``, a stats counter, a
 canonical-JSON cache key all raise ``TypeError``).  The raw bytes come
-out only through :meth:`SecretKey.reveal`, and the ``key-hygiene`` lint
-rule allows that call only in the modules listed under
-``key-reveal-paths``: this package (the AES key schedule and key
-wrapping), the OTT spill region's sealing (``core/ott.py``) and the
+out only through :meth:`SecretKey.reveal`, which ``tests/test_contracts.py``
+allows only in this package (the AES key schedule and key wrapping),
+the OTT spill region's sealing (``core/ott.py``) and the
 machine-transport package (``core/transport.py``).
 """
 

@@ -52,7 +52,6 @@ class SoftwareEncryptionOverlay:
         self.costs = costs or SoftwareCosts()
         # Standalone fallback; Machine injects a cache with a registered
         # bundle, and the overlay owns its internal cache either way.
-        # repro-lint: disable=stats-registered,builder-owns-wiring
         self.page_cache = page_cache or PageCache(PageCacheConfig())
         self.stats = stats or StatCounters("sw_encryption")
         self.encrypted = encrypted
@@ -106,7 +105,7 @@ class SoftwareEncryptionOverlay:
             # The software-encryption scheme has no secure controller:
             # the kernel's write-back path talks to the plain device
             # directly, exactly as the pre-DAX stack does (Figure 1(a)).
-            latency += self.device.write(base + line * 64)  # repro-lint: disable=persist-through-wpq
+            latency += self.device.write(base + line * 64)
         self.stats.add("page_writebacks")
         if self.encrypted:
             self.stats.add("page_encryptions")

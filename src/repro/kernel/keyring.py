@@ -36,7 +36,7 @@ class SessionKeyring:
 
     uid: int
     # repr=False: the derived FEKEK is key material; session objects show
-    # up in debug output and must not render it (key-hygiene lint rule).
+    # up in debug output and must not render it (§III-E key hygiene).
     fekek: SecretKey = field(repr=False)
 
     def wrap(self, fek: SecretKey) -> WrappedKey:

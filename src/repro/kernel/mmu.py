@@ -49,7 +49,6 @@ class MMU:
     ) -> None:
         self.page_table = page_table or PageTable()
         # Standalone fallback; Machine injects a TLB with a registered bundle.
-        # repro-lint: disable=stats-registered
         self.tlb = tlb or TLB()
         self.stats = stats or StatCounters("mmu")
         self._fault_handler: Optional[Callable[[int, bool], float]] = None

@@ -52,7 +52,6 @@ class ServiceQueue:
 
     def __init__(self, name: str = "queue", stats: Optional[StatCounters] = None) -> None:
         # Standalone fallback; the service model injects a registered bundle.
-        # repro-lint: disable=stats-registered
         self.stats = stats or StatCounters(name)
         self.busy_until_ns = 0.0
         self.total_wait_ns = 0.0
@@ -157,7 +156,6 @@ class MemoryControllerBase:
         stats: Optional[StatCounters] = None,
     ) -> None:
         # Standalone fallback; Machine injects a device with a registered bundle.
-        # repro-lint: disable=stats-registered
         self.device = device or NVMDevice()
         self.store = store or NVMStore()
         self.stats = stats or StatCounters(self.__class__.__name__.lower())

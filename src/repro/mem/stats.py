@@ -104,9 +104,20 @@ class StatsRegistry:
             bundle.reset()
 
     def snapshot(self) -> Dict[str, int]:
+        """Every counter, flat.  Raises ``TypeError`` on a value that is
+        not an ``int``: the figures normalise exact event counts, and a
+        float counter compounds rounding error.  Checked here, once per
+        result, rather than on every ``add`` (the interpreter also
+        flushes into ``counters`` directly)."""
         merged: Dict[str, int] = {}
         for bundle in self._bundles.values():
             merged.update(bundle.as_dict())
+        for key, value in merged.items():
+            if type(value) is not int:
+                raise TypeError(
+                    f"counter {key!r} holds {type(value).__name__} {value!r}; "
+                    f"counters are exact ints"
+                )
         return merged
 
     @staticmethod

@@ -91,8 +91,8 @@ class CounterBlock:
 
         This is the one sanctioned write path besides :meth:`bump` —
         restore sites must not poke ``major``/``minors`` directly, so
-        width validation stays in one place (repro-lint enforces this via
-        the counter-overflow-handled rule).
+        width validation stays in one place (``tests/test_contracts.py``
+        checks that no other module assigns either field).
         """
         minors = list(minors)
         if not 0 <= major < self.major_limit:

@@ -72,7 +72,6 @@ class MetadataCache:
             # Internal structural caches: hits/misses/evictions are
             # accounted per-kind on this MetadataCache's own bundle.
             self._caches: Dict[str, SetAssociativeCache] = {
-                # repro-lint: disable=stats-registered
                 kind: SetAssociativeCache(
                     CacheConfig(
                         name=f"metadata_{kind}",
@@ -86,7 +85,6 @@ class MetadataCache:
             }
         else:
             # Internal structural cache — same accounting as above.
-            # repro-lint: disable=stats-registered
             shared = SetAssociativeCache(
                 CacheConfig(
                     name="metadata_shared",

@@ -82,12 +82,11 @@ class BaselineSecureController(MemoryControllerBase):
         self.keys = keys or KeyHierarchy.from_seed(b"default-machine")
         self.config = config or SecureControllerConfig()
         # These bundles are registered post-construction by Machine
-        # (registry.register(controller.<x>.stats)); the AST rule cannot
-        # see that wiring.
-        self.metadata_cache = MetadataCache(self.config.metadata_cache)  # repro-lint: disable=stats-registered
+        # (registry.register(controller.<x>.stats)).
+        self.metadata_cache = MetadataCache(self.config.metadata_cache)
         self.mecb = CounterStore()
-        self.merkle = BonsaiMerkleTree(self.layout, leaf_reader=self._merkle_leaf_bytes)  # repro-lint: disable=stats-registered
-        self.osiris = OsirisTracker(stop_loss=self.config.stop_loss)  # repro-lint: disable=stats-registered
+        self.merkle = BonsaiMerkleTree(self.layout, leaf_reader=self._merkle_leaf_bytes)
+        self.osiris = OsirisTracker(stop_loss=self.config.stop_loss)
         self._memory_engine = (
             OTPEngine(self.keys.memory_key) if self.config.functional else None
         )

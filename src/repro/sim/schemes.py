@@ -16,8 +16,8 @@ scheme tuples; this module makes the column set declarative instead:
 
 A spec only *describes*: ``configure`` turns it into a
 :class:`MachineConfig`, and :class:`~repro.sim.machine.Machine` builds
-its parts from that config alone (the ``builder-owns-wiring`` lint
-contract).
+its parts from that config alone (``tests/test_contracts.py`` lists
+every wired component built anywhere else).
 
 Variant semantics: ``model_wpq`` is pinned both ways when set (the
 "+wpq" column *is* the explicit persist-path model; ``None`` inherits

@@ -73,8 +73,7 @@ def functional_machine() -> Machine:
 
 #: Bundles deliberately left out of the registry: the metadata cache's
 #: internal structural caches, whose hits and misses the MetadataCache
-#: accounts per kind on its own registered bundle (the stats-registered
-#: suppressions in secmem/metadata_cache.py).
+#: accounts per kind on its own registered bundle (secmem/metadata_cache.py).
 PRIVATE_BUNDLES = frozenset(
     {"metadata_shared"} | {f"metadata_{kind}" for kind in MetadataKind.ALL}
 )
@@ -84,9 +83,10 @@ PRIVATE_BUNDLES = frozenset(
 def orphan_bundles(monkeypatch):
     """Record every StatCounters constructed from here on.
 
-    Returns ``orphans(machine)``: the names of the recorded bundles that
-    are not the machine registry's bundle of that name, i.e. counters no
-    ``RunResult`` will ever show (:data:`PRIVATE_BUNDLES` excepted).
+    Returns ``orphans(owner)``: the names of the recorded bundles that
+    are not ``owner.registry``'s bundle of that name (a machine's, or a
+    service run's ``ServiceQueues``), i.e. counters no result will ever
+    show (:data:`PRIVATE_BUNDLES` excepted).
     """
     built = []
     real_init = StatCounters.__init__
@@ -97,9 +97,9 @@ def orphan_bundles(monkeypatch):
 
     monkeypatch.setattr(StatCounters, "__init__", recording_init)
 
-    def orphans(machine: Machine):
+    def orphans(owner):
         assert built, "no StatCounters constructed: the recorder saw nothing"
-        registered = {name: machine.registry.bundle(name) for name in machine.registry.names}
+        registered = {name: owner.registry.bundle(name) for name in owner.registry.names}
         return [
             bundle.name
             for bundle in built

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _make_runner, build_parser, main
-from repro.lint.cli import build_parser as build_lint_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -164,21 +163,16 @@ def test_report_needs_a_results_directory(tmp_path, name, capsys):
     assert captured.out == ""
 
 
-#: ``python -m repro <cmd> ...`` and ``python -m repro.lint ...``.
-_REPRO_COMMAND = r"python -m repro +([^`\n]*)"
-_LINT_COMMAND = r"python -m repro\.lint\b([^`\n]*)"
-
-
-def _documented_commands(pattern=_REPRO_COMMAND):
-    """Every invocation matching ``pattern`` in the README, docs/ and
-    the CI workflow, backslash continuations joined, shell comments and
-    anything after a shell operator dropped."""
+def _documented_commands():
+    """Every ``python -m repro <cmd> ...`` invocation in the README,
+    docs/ and the CI workflow, backslash continuations joined, shell
+    comments and anything after a shell operator dropped."""
     paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
     paths.append(ROOT / ".github" / "workflows" / "ci.yml")
     commands = []
     for path in paths:
         text = re.sub(r"\\\n\s*", " ", path.read_text(encoding="utf-8"))
-        for match in re.finditer(pattern, text):
+        for match in re.finditer(r"python -m repro +([^`\n]*)", text):
             argv = []
             for token in shlex.split(match.group(1), comments=True):
                 if token in {"|", "||", "&&", ";", ">", ">>"}:
@@ -196,17 +190,6 @@ def test_the_docs_have_commands():
 def test_documented_command_parses(argv):
     args = build_parser().parse_args(argv)
     assert callable(args.func)
-
-
-def test_the_docs_have_lint_commands():
-    assert len(_documented_commands(_LINT_COMMAND)) >= 5
-
-
-@pytest.mark.parametrize("argv", _documented_commands(_LINT_COMMAND))
-def test_documented_lint_command_parses(argv):
-    # A doc still showing a removed linter flag (--strict, --changed,
-    # --baseline, --format sarif, ...) makes argparse exit 2 here.
-    build_lint_parser().parse_args(argv)
 
 
 def _documented_py_paths():

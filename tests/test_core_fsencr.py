@@ -1,11 +1,17 @@
 """FsEncr controller: recognition, dual OTP, key life-cycle, crash paths."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import FsEncrController, KeyUnavailableError, set_df
 from repro.crypto import SecretKey
 from repro.mem import MemoryRequest
+from repro.mem.address import LINE_SIZE
 from repro.secmem import IntegrityError, MetadataLayout, SecureControllerConfig
+from repro.secmem.counters import MINOR_BITS
+from repro.sim import BatchRunner, Machine, MachineConfig, get_scheme
+from repro.workloads.base import Workload, run_workload
 
 
 def functional_controller():
@@ -221,3 +227,49 @@ class TestCrashRecovery:
         for _ in range(4):
             ctl.access(MemoryRequest(addr=addr, is_write=True))
         assert ctl.stats.get("osiris_fecb_persists") == 2
+
+
+HOT_WRITES = (1 << MINOR_BITS) + 2  # line 0's 7-bit FECB minor overflows once
+
+
+class _HotLine(Workload):
+    """Writes line 1 of an encrypted DAX page once, then line 0
+    ``HOT_WRITES`` times: persisted stores on a timing machine, real
+    bytes (value ``i`` on the i-th write) on a functional one."""
+
+    name = "HotLine"
+
+    def run(self, machine):
+        handle = machine.create_file("/pmem/hot", uid=self.uid, encrypted=True)
+        self.base = machine.mmap(handle, pages=1)
+        machine.mark_measurement_start()
+        for i, line in enumerate([1] + [0] * HOT_WRITES):
+            addr = self.base + line * LINE_SIZE
+            if machine.config.functional:
+                machine.store_bytes(addr, bytes([0xA5 if line else i]) * LINE_SIZE)
+            else:
+                machine.persist(addr, LINE_SIZE)
+
+
+def test_fecb_overflow_reencrypts_reads_back_and_executors_agree():
+    config = get_scheme("fsencr").configure(MachineConfig())
+    reference = run_workload(config, _HotLine())
+    # One re-encryption for the MECB's overflow, one for the FECB's.
+    assert reference.stat("controller.fecb_minor_overflows") == 1
+    assert reference.stat("controller.overflow_fecb_persists") == 1
+    assert reference.stat("controller.page_reencryptions") == 2
+
+    # The interpreter runs the trace and hands the overflow to the
+    # reference write path (FsEncrController._extra_write_path).
+    runner = BatchRunner()
+    batched = runner.run(config, _HotLine())
+    assert None not in runner._compiled.values()
+    assert batched.to_dict() == reference.to_dict()
+
+    machine, workload = Machine(replace(config, functional=True)), _HotLine()
+    workload.setup(machine)
+    workload.run(machine)
+    assert machine.result("HotLine").stat("controller.fecb_minor_overflows") == 1
+    assert machine.load_bytes(workload.base, 2 * LINE_SIZE) == (
+        bytes([HOT_WRITES]) * LINE_SIZE + bytes([0xA5]) * LINE_SIZE
+    )

@@ -216,20 +216,12 @@ def test_service_queue_rejects_negative_inputs():
         queue.serve(0.0, float("nan"))
 
 
-def test_service_queue_classes_covered_by_stats_registered_lint():
-    # The lint engine auto-discovers any class with an injectable
-    # ``stats`` parameter; the queue components must be in that set so
-    # bare construction (an orphan bundle) is a lint error.
-    from pathlib import Path
-
-    from repro.lint.engine import Project, SourceFile, collect_files
-
-    root = Path(__file__).resolve().parent.parent
-    files = collect_files([root / "src"], root)
-    project = Project(root=root, files=[SourceFile.parse(p, root) for p in files])
-    project.index()
-    for name in ("ServiceQueue", "MemoryControllerQueue", "OTTPortQueue"):
-        assert name in project.stats_classes
+def test_service_queue_bundles_are_registered(orphan_bundles):
+    # Every StatCounters that ServiceQueues builds is its registry's
+    # bundle of that name, so queue counters reach the run's service_stats.
+    queues = ServiceQueues()
+    assert sorted(queues.registry.names) == ["mc_queue", "ott_queue"]
+    assert orphan_bundles(queues) == []
 
 
 # ----------------------------------------------------------------------
