@@ -277,6 +277,7 @@ def _run_crashsweep(args) -> int:
                 {
                     "scheme": scheme_label,
                     "profile": profile_name,
+                    "seed": cell.seed,
                     "boundaries_total": cell.boundaries_total,
                     "silent_corruptions": cell.silent_corruptions,
                     "outcomes": cell.outcome_totals(),

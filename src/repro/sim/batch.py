@@ -6,17 +6,19 @@ faithful but slow: every simulated line access crosses five Python call
 boundaries and allocates request/outcome objects.  This module keeps the
 *model* identical while removing the dispatch:
 
-1. **Capture** — the workload runs once against a recording stub
-   (:func:`capture_workload`), producing a :class:`~repro.sim.trace.Trace`
-   without touching the machine's timing state.  Workloads that reach
-   beyond the traceable API (functional byte access, crash lifecycle,
-   filesystem management) are detected and fall back to direct
-   execution.
-2. **Compile** — :func:`compile_trace` expands the trace into two
-   parallel lists (op kind; line vaddr or compute ns), plus a per-op
-   index: where each trace op's micro-ops end, its op code, and the
-   rare structural ops (create/open/mmap/mark) by op index.
-3. **Execute** — :func:`execute_compiled` sweeps the lists in one
+1. **Capture** — the workload runs once against a recording stub that
+   logs its op stream as plain tuples (:func:`capture_workload` wraps
+   them in a Trace) without touching the machine's timing state.
+   Workloads that reach beyond the traceable API (functional byte
+   access, crash lifecycle, filesystem management) are detected and
+   fall back to direct execution.
+2. **Compile** — the op stream lowers to two parallel columns, 9 B a
+   micro-op: ``kinds`` (bytes) and ``addrs`` (int64: the line vaddr,
+   or an index into the trace's table of distinct compute delays),
+   plus a per-op index: where each trace op's micro-ops end, its op
+   code, and the rare structural ops (create/open/mmap/mark) by op
+   index.  A trace compiled from a capture keeps no source.
+3. **Execute** — :func:`execute_compiled` sweeps the columns in one
    interpreter loop.  Only the measured-hot hit probes are inlined as
    direct ``OrderedDict`` probes: TLB hit, L1/L2/L3 hits,
    MECB/FECB/Merkle-first-node hits, OTT hit, and the NVM row buffer.
@@ -32,8 +34,8 @@ boundaries and allocates request/outcome objects.  This module keeps the
    miss the row, and calling ``NVMDevice`` for them measured slower in
    every run (docs/BATCH.md).  Machines the
    interpreter does not model (functional mode, histograms, crash
-   domains, Anubis) replay the trace through
-   :func:`~repro.sim.trace.replay` instead.
+   domains, Anubis) run the workload directly under
+   :class:`BatchRunner`, or replay a :func:`compile_trace` source.
 4. **Step** — :func:`step_workload` runs the same loop one trace op per
    ``next()`` for the service scheduler (:mod:`repro.sim.service`);
    shared service queues are charged at the interpreter's controller
@@ -54,6 +56,7 @@ and digests.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.fsencr import FsEncrController
@@ -62,7 +65,7 @@ from ..mem.dfbit import DF_MASK
 from ..secmem.counters import MINOR_BITS
 from ..secmem.metadata_cache import MetadataKind
 from ..secmem.secure_controller import BaselineSecureController
-from .machine import _ADR_DRAIN_NS, _FENCE_NS, Machine
+from .machine import _ADR_DRAIN_NS, _FENCE_NS, Machine, _check_delay
 from .trace import (
     COMPUTE,
     CREATE,
@@ -143,65 +146,47 @@ _OSIRIS_KEYS = ("updates", "forced_persists")
 _NOT_MAPPED = object()  # overlay region-memo sentinel
 
 
+@dataclass(eq=False)
 class CompiledTrace:
-    """A trace lowered to flat micro-op lists plus a per-op index.
+    """A trace lowered to flat micro-op columns plus a per-op index.
 
-    ``kinds``/``addrs`` are parallel lists, one row per micro-op:
-    cache-line accesses and line flushes (``addrs`` holds the line
-    vaddr), fences (0), and compute delays (``addrs`` holds the delay
-    in ns, since no compute has an address).  Per trace op ``i``, ``ends[i]`` is where its micro-ops end
-    and ``codes[i]`` indexes its mnemonic in :data:`OP_NAMES`.  The
-    structural ops (create/open/mmap/mark) lower to no micro-ops;
-    ``rares`` maps each one's op index to its :class:`TraceOp`.
+    ``kinds`` (``bytes``) and ``addrs`` (``array('q')``) are parallel
+    columns, one row per micro-op: cache-line accesses and line flushes
+    (``addrs`` holds the line vaddr), fences (0), and compute delays
+    (``addrs`` indexes the delay in ``delays``, the trace's distinct
+    delay floats), 9 B a row.  Per trace op ``i``, ``ends[i]`` is where
+    its micro-ops end and ``codes[i]`` indexes its mnemonic in
+    :data:`OP_NAMES`.  The structural ops (create/open/mmap/mark) lower
+    to no micro-ops; ``rares`` maps each one's op index to its
+    :class:`TraceOp`.  ``trace`` is the source :func:`compile_trace`
+    was given, for the replay fallback; a captured trace keeps none.
     """
 
-    __slots__ = ("_trace", "_name", "_raw", "kinds", "addrs",
-                 "ends", "codes", "rares")
-
-    def __init__(self, trace: Optional[Trace], kinds, addrs, ends, codes,
-                 rares: Dict[int, TraceOp], name: str = "",
-                 raw: Optional[list] = None) -> None:
-        self._trace = trace
-        self._name = name
-        self._raw = raw
-        self.kinds = kinds
-        self.addrs = addrs
-        self.ends = ends
-        self.codes = codes
-        self.rares = rares
-
-    @property
-    def trace(self) -> Trace:
-        """The source trace; captured traces materialize it on demand.
-
-        Capture records plain tuples because TraceOp construction
-        dominates capture time; only the replay fallback (and explicit
-        save/export) needs real TraceOps, so they are built here.
-        """
-        if self._trace is None:
-            self._trace = Trace(
-                name=self._name,
-                ops=[TraceOp(*rec) for rec in self._raw],
-            )
-            self._raw = None
-        return self._trace
+    kinds: bytes
+    addrs: array
+    delays: Tuple[float, ...]
+    ends: array
+    codes: bytes
+    rares: Dict[int, TraceOp]
+    trace: Optional[Trace] = None
 
     def __len__(self) -> int:
         return len(self.kinds)
 
 
-def _lower(records):
+def _lower(records) -> tuple:
     """Lower raw op records — ``(op, addr, size, path, flag, ns, uid)``
-    tuples in TraceOp field order — to the flat micro-op arrays and the
-    per-op ``ends``/``codes``/``rares`` index."""
-    kinds: List[int] = []
+    tuples in TraceOp field order — to the micro-op columns, the
+    delay table and the per-op ``ends``/``codes``/``rares`` index."""
+    kinds = bytearray()
     addrs: List[int] = []
     ends: List[int] = []
-    codes: List[int] = []
+    codes = bytearray()
+    delays: Dict[float, int] = {}
     rares: Dict[int, TraceOp] = {}
     add_kind, add_addr = kinds.append, addrs.append
     add_end, add_code = ends.append, codes.append
-    code_of = _OP_CODES.get
+    code_of, delay_index = _OP_CODES.get, delays.setdefault
     for rec in records:
         code = code_of(rec[0])
         if code is None:
@@ -229,33 +214,31 @@ def _lower(records):
                 add_addr(0)
         elif code == _COMPUTE_OP:
             add_kind(_COMPUTE)
-            add_addr(rec[5])
+            add_addr(delay_index(rec[5], len(delays)))
         else:
             rares[len(codes)] = TraceOp(*rec)
         add_end(len(kinds))
         add_code(code)
-    return kinds, addrs, array("I", ends), bytes(codes), rares
+    for ns in delays:
+        _check_delay(ns)
+    return (bytes(kinds), array("q", addrs), tuple(delays),
+            array("I", ends), bytes(codes), rares)
 
 
 def compile_trace(trace: Trace) -> CompiledTrace:
-    """Lower a trace to micro-op arrays.
+    """Lower a trace to micro-op columns.
 
     Loads/stores expand to one access per covered cache line; a persist
     becomes its write accesses, then one flush per line, then a fence —
-    exactly the sequence ``Machine.persist`` issues.  Invalid sizes are
-    rejected here (the per-access path raises the same ``ValueError``,
-    just lazily at the offending op).
+    exactly the sequence ``Machine.persist`` issues.  Invalid sizes and
+    compute delays are rejected here (the per-access path raises the
+    same ``ValueError``, just lazily at the offending op).  The result
+    keeps ``trace`` for the replay fallback of :func:`execute_compiled`.
     """
-    return CompiledTrace(trace, *_lower(
+    return CompiledTrace(*_lower(
         (op.op, op.addr, op.size, op.path, op.flag, op.ns, op.uid)
         for op in trace.ops
-    ))
-
-
-def _compile_raw(name: str, raw: list) -> CompiledTrace:
-    """Compile straight from capture's raw tuples; the Trace object is
-    only materialized if the replay fallback (or a save) needs it."""
-    return CompiledTrace(None, *_lower(raw), name=name, raw=raw)
+    ), trace=trace)
 
 
 # ----------------------------------------------------------------------
@@ -336,10 +319,16 @@ class _CaptureMachine:
         self._rec((PERSIST, vaddr, size, "", False, 0.0, 0))
 
     def compute(self, ns: float) -> None:
-        self._rec((COMPUTE, 0, 0, "", False, float(ns), 0))
+        ns = float(ns)
+        _check_delay(ns)
+        self._rec((COMPUTE, 0, 0, "", False, ns, 0))
 
     def mark_measurement_start(self) -> None:
         self._rec((MARK, 0, 0, "", False, 0.0, 0))
+
+    def trace(self) -> Trace:
+        """The recording as a :class:`Trace` of real TraceOps."""
+        return Trace(name=self.name, ops=[TraceOp(*rec) for rec in self.raw])
 
 
 def _capture_raw(machine: Machine, workload) -> Optional[_CaptureMachine]:
@@ -360,9 +349,7 @@ def _capture_raw(machine: Machine, workload) -> Optional[_CaptureMachine]:
 def capture_workload(machine: Machine, workload) -> Optional[Trace]:
     """Record a workload into a :class:`Trace` (None if uncapturable)."""
     stub = _capture_raw(machine, workload)
-    if stub is None:
-        return None
-    return Trace(name=stub.name, ops=[TraceOp(*rec) for rec in stub.raw])
+    return None if stub is None else stub.trace()
 
 
 # ----------------------------------------------------------------------
@@ -399,11 +386,16 @@ def execute_compiled(compiled: CompiledTrace, machine: Machine) -> None:
 
     Machines outside the interpreter's envelope (functional mode,
     histograms attached, crash/Anubis wiring, custom controllers)
-    replay the original trace through the reference path.
+    replay the source trace through the reference path, so they need a
+    trace from :func:`compile_trace`; a captured one keeps no source.
     """
     if _supports_fast_path(machine):
         for _ in _interpret(compiled, machine):
             pass
+    elif compiled.trace is None:
+        raise ValueError(
+            "this machine needs the replay fallback, and a captured trace "
+            "keeps no source to replay: run the workload directly")
     else:
         replay(compiled.trace, machine)
 
@@ -423,18 +415,20 @@ def step_workload(machine: Machine, workload) -> Optional[Tuple[str, bytes, Iter
     ``i``'s mnemonic in :data:`OP_NAMES`, and each ``next(steps)`` runs
     the next op to completion on the machine's clock (which the caller
     may advance between steps).  Machines inside the envelope step the
-    compiled interpreter; the rest step ``TraceCursor``.  Close
-    ``steps`` after the last op: that flushes the interpreter's pending
-    stats.  None when the workload is not capturable.
+    compiled interpreter; the rest step ``TraceCursor`` over a
+    :class:`Trace` built from the capture.  Close ``steps`` after the
+    last op: that flushes the interpreter's pending stats.  None when
+    the workload is not capturable.
     """
     stub = _capture_raw(machine, workload)
     if stub is None:
         return None
+    compiled = CompiledTrace(*_lower(stub.raw))
     if _supports_fast_path(machine):
-        compiled = CompiledTrace(None, *_lower(stub.raw), name=stub.name)
-        return stub.name, compiled.codes, _interpret(compiled, machine, stepping=True)
-    compiled = _compile_raw(stub.name, stub.raw)
-    return stub.name, compiled.codes, _replay_steps(compiled.trace, machine)
+        steps = _interpret(compiled, machine, stepping=True)
+    else:
+        steps = _replay_steps(stub.trace(), machine)
+    return stub.name, compiled.codes, steps
 
 
 def _workload_trace_key(config, workload) -> tuple:
@@ -475,14 +469,18 @@ class BatchRunner:
     def run(self, config, workload):
         machine = Machine(config)
         workload.setup(machine)
-        key = _workload_trace_key(config, workload)
-        if key in self._compiled:
-            compiled = self._compiled[key]
-        else:
-            stub = _capture_raw(machine, workload)
-            compiled = (_compile_raw(stub.name, stub.raw)
-                        if stub is not None else None)
-            self._compiled[key] = compiled
+        compiled = None
+        # Outside the envelope execute_compiled would replay, which is
+        # bit-identical to running the workload directly: no capture.
+        if _supports_fast_path(machine):
+            key = _workload_trace_key(config, workload)
+            if key in self._compiled:
+                compiled = self._compiled[key]
+            else:
+                stub = _capture_raw(machine, workload)
+                if stub is not None:
+                    compiled = CompiledTrace(*_lower(stub.raw))
+                self._compiled[key] = compiled
         if compiled is None:
             workload.run(machine)
         else:
@@ -963,6 +961,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
 
     kinds = compiled.kinds
     addrs = compiled.addrs
+    delays = compiled.delays
     if stepping:
         bounds, rares = compiled.ends, compiled.rares
     else:
@@ -1145,8 +1144,8 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
 
                 elif kind == _FENCE:
                     clock += _FENCE_NS
-                else:  # _COMPUTE: the delay sits in the address column
-                    clock += addr
+                else:  # _COMPUTE: the address column indexes the delay
+                    clock += delays[addr]
 
             lo = hi
             # ---- rare structural op after the chunk --------------------

@@ -28,6 +28,7 @@ Timing accounting (1 GHz: cycles == ns):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -59,6 +60,13 @@ __all__ = ["Machine", "MappedRegion"]
 
 _FENCE_NS = 10.0  # sfence drain
 _ADR_DRAIN_NS = 60.0  # clwb completion into the ADR persistence domain
+
+
+def _check_delay(ns: float) -> None:
+    """Reject a compute delay the clock cannot take: NaN, infinite or
+    negative."""
+    if not 0.0 <= ns < math.inf:
+        raise ValueError(f"compute delay must be finite and >= 0, got {ns!r}")
 
 
 @dataclass
@@ -313,6 +321,7 @@ class Machine:
 
     def compute(self, ns: float) -> None:
         """Model CPU work between memory operations."""
+        _check_delay(ns)
         self.clock_ns += ns
 
     def fence(self) -> None:

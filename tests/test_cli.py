@@ -3,6 +3,7 @@ the flags its handler reads, and every documented invocation parsing."""
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
@@ -117,6 +118,16 @@ def test_crashsweep_without_persist_boundaries_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert "'DAX-1' has no persist boundary" in captured.err
     assert "OK:" not in captured.out
+
+
+def test_crashsweep_json_records_each_cell_seed(tmp_path):
+    # A worker that swept under another seed must change the payload.
+    path = tmp_path / "sweep.json"
+    assert main(["crashsweep", "--workload", "Fillseq-S", "--ops", "12", "--points", "1",
+                 "--seed", "11", "--scheme", "fsencr", "--json", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    assert len(payload["cells"]) == 3  # one per fault profile
+    assert {cell["seed"] for cell in payload["cells"]} == {payload["seed"]} == {11}
 
 
 @pytest.mark.parametrize("points", ["0", "-2"])

@@ -6,9 +6,13 @@ fast-path interpreted, replay-fallback, or capture-fallback — must be
 bit-identical to per-access dispatch, across every registered scheme.
 """
 
+import math
+from array import array
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.exec.spec import resolve_workload
 from repro.mem.cache import CacheConfig
@@ -83,6 +87,34 @@ class _RedoTransfers(Workload):
                     machine.persist(data + account * 8, 8)
             machine.persist(log, 16)  # invalidate marker
             machine.compute(200.0)
+
+
+class _Fenced(Workload):
+    """Stores then an explicit ``fence()``: API the capture stub does
+    not model in any mode, so every config falls back to a direct run."""
+
+    name = "Fenced"
+
+    def run(self, machine):
+        handle = machine.create_file("/pmem/fenced", uid=self.uid)
+        base = machine.mmap(handle, pages=1)
+        machine.mark_measurement_start()
+        for line in range(4):
+            machine.store(base + line * 64, 8)
+        machine.fence()
+
+
+class _Compute(Workload):
+    """One compute op of a given delay."""
+
+    name = "Compute"
+
+    def __init__(self, delay: float):
+        super().__init__()
+        self.delay = delay
+
+    def run(self, machine):
+        machine.compute(self.delay)
 
 
 # Direct-mapped two-line L1 and L2: an L2 fill can then evict a line an
@@ -198,14 +230,36 @@ class TestBatchRunner:
         assert len(runner._compiled) == 2
 
     def test_uncapturable_workload_memoised_as_none(self):
-        config = replace(
-            get_scheme("fsencr").configure(MachineConfig()), functional=True
-        )
+        config = get_scheme("fsencr").configure(MachineConfig())
         runner = BatchRunner()
         for _ in range(2):
-            runner.run(config, _RedoTransfers(transfers=5))
-        key = next(iter(runner._compiled))
-        assert runner._compiled[key] is None
+            result = runner.run(config, _Fenced())
+        assert list(runner._compiled.values()) == [None]
+        assert result.to_dict() == run_workload(config, _Fenced()).to_dict()
+
+    def test_cached_trace_is_compact_and_keeps_no_source(self):
+        runner = BatchRunner()
+        runner.run(get_scheme("fsencr").configure(MachineConfig()),
+                   _FACTORIES["Hashmap"]())
+        (compiled,) = runner._compiled.values()
+        assert compiled.trace is None
+        assert not hasattr(compiled, "_raw")
+        assert type(compiled.kinds) is bytes
+        assert type(compiled.addrs) is array and compiled.addrs.typecode == "q"
+        assert len(compiled.addrs) == len(compiled.kinds)
+        assert type(compiled.delays) is tuple and compiled.delays
+        assert len(set(compiled.delays)) == len(compiled.delays)
+
+    @pytest.mark.parametrize("functional", [False, True], ids=["anubis", "functional"])
+    def test_out_of_envelope_config_runs_directly_and_caches_nothing(self, functional):
+        scheme = "fsencr" if functional else "fsencr+anubis"
+        config = replace(get_scheme(scheme).configure(MachineConfig()),
+                         functional=functional)
+        assert not _supports_fast_path(Machine(config))
+        runner = BatchRunner()
+        result = runner.run(config, _FACTORIES["Hashmap"]())
+        assert runner._compiled == {}
+        assert result.to_dict() == run_workload(config, _FACTORIES["Hashmap"]()).to_dict()
 
 
 class TestCompile:
@@ -223,12 +277,30 @@ class TestCompile:
         return recorder.trace
 
     def test_micro_op_expansion(self):
-        compiled = compile_trace(self._recorded_trace())
+        trace = self._recorded_trace()
+        compiled = compile_trace(trace)
         # store(128B)=2 writes; persist(8B)=1 write + 1 flush + 1 fence;
         # compute=1.  Structural ops split chunks, not micro-ops.
         assert len(compiled) == 6
         assert len(compiled.rares) == 3  # create, mmap, mark
-        assert compiled.trace.ops[0].op == "create"
+        assert compiled.trace is trace
+        # The compute row indexes the trace's delay table.
+        assert compiled.kinds[-1] == 4 and compiled.addrs[-1] == 0
+        assert compiled.delays == (12.5,)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+    def test_bad_compute_delay_rejected_by_both_executors(self, delay):
+        machine = Machine(MachineConfig())
+        with pytest.raises(ValueError, match="compute delay"):
+            machine.compute(delay)
+        assert machine.clock_ns == 0.0
+        with pytest.raises(ValueError, match="compute delay"):
+            compile_trace(Trace(name="bad", ops=[TraceOp(op="compute", ns=delay)]))
+        config = MachineConfig()
+        with pytest.raises(ValueError, match="compute delay"):
+            run_workload(config, _Compute(delay))
+        with pytest.raises(ValueError, match="compute delay"):
+            BatchRunner().run(config, _Compute(delay))
 
     def test_invalid_size_rejected_eagerly(self):
         trace = Trace(name="bad", ops=[TraceOp(op="load", addr=0, size=0)])
@@ -252,6 +324,63 @@ class TestCompile:
         reference.add_user(uid=1000, gid=100, passphrase="pw")
         replay(trace, reference)
         assert fresh.result("t").to_dict() == reference.result("t").to_dict()
+
+
+_PAGES = 2
+_DELAYS = (0.0, 12.5, 40.0, 0.1, 7.25)
+_ACCESS = st.tuples(
+    st.sampled_from(("load", "store", "persist")),
+    st.integers(0, 1),                    # file
+    st.integers(0, _PAGES * 64 - 3),      # first line
+    st.integers(0, 63),                   # byte offset in that line
+    st.integers(1, 192),                  # size, clipped to 3 lines
+)
+_OP = st.one_of(_ACCESS, st.sampled_from(_DELAYS).map(lambda ns: ("compute", ns)))
+
+
+def _generated_trace(config, files, ops) -> Trace:
+    """A trace over ``files`` mmapped files: the preamble is recorded on
+    a real machine (for the mmap bases), the generated ops appended."""
+    machine = Machine(config)
+    machine.add_user(uid=1000, gid=100, passphrase="pw")
+    recorder = TraceRecorder(machine, name="generated")
+    encrypted = config.scheme.has_file_encryption
+    bases = [
+        recorder.mmap(recorder.create_file(f"/pmem/g{index}", uid=1000,
+                                           encrypted=encrypted), pages=_PAGES)
+        for index in range(files)
+    ]
+    recorder.mark_measurement_start()
+    trace = recorder.trace
+    for op in ops:
+        if op[0] == "compute":
+            trace.append(TraceOp(op="compute", ns=op[1]))
+        else:
+            name, file, line, offset, size = op
+            trace.append(TraceOp(op=name, addr=bases[file % files] + line * 64 + offset,
+                                 size=min(size, 192 - offset)))
+    return trace
+
+
+@seed(20221)
+@settings(max_examples=25, deadline=None)
+@given(files=st.integers(1, 2), ops=st.lists(_OP, min_size=1, max_size=40))
+def test_compiled_equals_replay_on_generated_traces(files, ops):
+    """The interpreter and the reference path agree on generated
+    traces, not just on the pinned grid: multi-line accesses over one
+    or two files and repeated, non-integral compute delays."""
+    for scheme_name in ("ext4dax_plain", "baseline_secure", "fsencr"):
+        config = get_scheme(scheme_name).configure(MachineConfig())
+        trace = _generated_trace(config, files, ops)
+        results = []
+        for run in (lambda m: execute_compiled(compile_trace(trace), m),
+                    lambda m: replay(trace, m)):
+            machine = Machine(config)
+            machine.add_user(uid=1000, gid=100, passphrase="pw")
+            assert _supports_fast_path(machine)
+            run(machine)
+            results.append(machine.result("generated").to_dict())
+        assert results[0] == results[1], scheme_name
 
 
 class TestFastPathGate:
