@@ -11,7 +11,7 @@ almost no metadata reuse for any cache to capture.
 import json
 
 from repro.analysis import figure15_cache_sensitivity
-from repro.analysis.experiments import render_sensitivity
+from repro.analysis.experiments import render_sensitivity, sensitivity_payload
 
 
 def test_fig15_metadata_cache_sensitivity(benchmark, results_dir):
@@ -23,9 +23,7 @@ def test_fig15_metadata_cache_sensitivity(benchmark, results_dir):
     )
     print()
     print(render_sensitivity(curves))
-    (results_dir / "fig15.json").write_text(
-        json.dumps({k: {str(s): v for s, v in c.items()} for k, c in curves.items()}, indent=2)
-    )
+    (results_dir / "fig15.json").write_text(json.dumps(sensitivity_payload(curves), indent=2))
 
     for name, curve in curves.items():
         sizes = sorted(curve)

@@ -12,6 +12,7 @@ from .experiments import (
     figure12_to_14_micro,
     figure15_cache_sensitivity,
     render_sensitivity,
+    sensitivity_payload,
 )
 from .report import aggregate_report, bar_chart
 from .tails import (
@@ -39,6 +40,7 @@ __all__ = [
     "figure12_to_14_micro",
     "figure15_cache_sensitivity",
     "render_sensitivity",
+    "sensitivity_payload",
     "FIG15_CACHE_SIZES",
     "FIG15_WORKLOADS",
     "DEFAULT_PMEMKV_OPS",

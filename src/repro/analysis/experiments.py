@@ -275,6 +275,15 @@ def figure15_cache_sensitivity(
     return curves
 
 
+def sensitivity_payload(curves: Dict[str, Dict[int, float]]) -> Dict[str, Dict]:
+    """The Figure 15 JSON payload, one shape for every writer:
+    ``{"curves": {workload: {str(cache bytes): slowdown %}}}``."""
+    return {
+        "curves": {name: {str(size): v for size, v in curve.items()}
+                   for name, curve in curves.items()}
+    }
+
+
 def render_sensitivity(curves: Dict[str, Dict[int, float]]) -> str:
     """Text rendering of the Figure 15 curves."""
     sizes = sorted({size for curve in curves.values() for size in curve})

@@ -93,7 +93,7 @@ def aggregate_report(results_dir: Path) -> str:
 
     fig15 = results_dir / "fig15.json"
     if fig15.exists():
-        curves = json.loads(fig15.read_text())
+        curves = json.loads(fig15.read_text())["curves"]
         sections.append("Figure 15 — slowdown (%) vs metadata cache size")
         for name, curve in curves.items():
             ordered = {f"{int(size) // 1024}KB": value for size, value in sorted(

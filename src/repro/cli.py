@@ -54,6 +54,7 @@ from .analysis import (
     figure15_cache_sensitivity,
     render_sensitivity,
     render_table1,
+    sensitivity_payload,
 )
 from .exec import Cell, ExperimentRunner, resolve_workload
 from .faults.plan import FAULT_PROFILES, FaultPlan
@@ -136,8 +137,7 @@ def _fig15(args, runner: ExperimentRunner, scheme: Optional[str], json_path: Opt
         runner=runner,
     )
     _show(render_sensitivity(curves), runner)
-    curves_json = {key: {str(size): v for size, v in c.items()} for key, c in curves.items()}
-    _save(json_path, {"curves": curves_json}, runner)
+    _save(json_path, sensitivity_payload(curves), runner)
 
 
 def _run_figure(name: str, args) -> None:
@@ -494,16 +494,26 @@ def _scheme_columns(text: str) -> Tuple[str, ...]:
     return columns
 
 
-def _stream_mix(text: str) -> str:
-    """A stream mix whose every workload name resolves, checked before
-    any cell runs; the mix stays text because cells carry it by name."""
-    from .workloads.base import stream_factories
-
+def _resolves(build: Callable[[str], object], text: str) -> str:
+    """``text`` if ``build`` can make its workloads, checked before any
+    cell runs; it stays text because cells carry workloads by name."""
     try:
-        stream_factories(text)
+        build(text)
     except (KeyError, ValueError) as err:
         raise argparse.ArgumentTypeError(str(err.args[0]))
     return text
+
+
+def _stream_mix(text: str) -> str:
+    """A stream mix whose every workload name resolves."""
+    from .workloads.base import stream_factories
+
+    return _resolves(stream_factories, text)
+
+
+def _workload_name(text: str) -> str:
+    """One workload name that resolves."""
+    return _resolves(lambda name: resolve_workload(name)(), text)
 
 
 def _parent() -> argparse.ArgumentParser:
@@ -577,7 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
         "systematic crash/recovery audit (exit status = silent corruptions)",
         [runner, ops, iters, output],
     )
-    sweep.add_argument("--workload", type=str, default="DAX-3", help="workload to crash-sweep")
+    sweep.add_argument(
+        "--workload", type=_workload_name, default="DAX-3", help="workload to crash-sweep"
+    )
     sweep.add_argument(
         "--points", type=_positive_int, default=8, help="max crash points to sample (>= 1)"
     )

@@ -40,10 +40,6 @@ class FECBlock:
         """Whether this page currently belongs to an encrypted file."""
         return self.file_id != 0 or self.group_id != 0
 
-    @property
-    def ident(self) -> Tuple[int, int]:
-        return (self.group_id, self.file_id)
-
     def stamp(self, group_id: int, file_id: int) -> bool:
         """Bind the page to a file.  Returns True if counters were reset
         (page recycled from a different file — fresh counters both for
@@ -52,7 +48,7 @@ class FECBlock:
             raise ValueError(f"group_id {group_id} exceeds {GROUP_ID_BITS} bits")
         if not 0 <= file_id < (1 << FILE_ID_BITS):
             raise ValueError(f"file_id {file_id} exceeds {FILE_ID_BITS} bits")
-        reset = self.stamped and (group_id, file_id) != self.ident
+        reset = self.stamped and (group_id, file_id) != (self.group_id, self.file_id)
         if reset:
             self.counters.reset()
         self.group_id = group_id
@@ -93,11 +89,11 @@ class FECBStore:
         return self._blocks.get(page)
 
     def stamped_pages(self, group_id: int, file_id: int) -> "list[int]":
-        """Every page currently bound to a file (delete/re-key walks)."""
+        """Every page currently bound to a file (the delete walk)."""
         return [
             page
             for page, blk in self._blocks.items()
-            if blk.ident == (group_id, file_id) and blk.stamped
+            if (blk.group_id, blk.file_id) == (group_id, file_id) and blk.stamped
         ]
 
     def snapshot(self) -> Dict[int, Tuple[int, int, int, Tuple[int, ...]]]:

@@ -13,9 +13,9 @@ BMT) with the per-file layer:
   (Figure 7); non-DAX lines use OTP_mem alone, unchanged.
 * **Integrity** — FECBs and the OTT region are additional Merkle leaves.
 * **Management** — MMIO verbs from the kernel (install/revoke/stamp/
-  admin-login), counter-overflow re-keying, secure deletion, and OTT
-  crash logging (§III-H option 1: every OTT update is logged through to
-  the encrypted region immediately, so the on-chip table is recoverable).
+  admin-login), secure deletion, and OTT crash logging (§III-H option 1:
+  every OTT update is logged through to the encrypted region
+  immediately, so the on-chip table is recoverable).
 
 Timing: for a DAX read the two pads are generated in parallel, so the
 added cost over the baseline is the *file-metadata path* — FECB fetch
@@ -26,8 +26,7 @@ sensitivity when it does not.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..crypto.iv import FILE_DOMAIN, CounterIV
 from ..crypto.keys import KeyHierarchy, SecretKey
@@ -390,53 +389,6 @@ class FsEncrController(BaselineSecureController):
         if self.config.functional and block is not None and block.stamped:
             self.merkle.verify_leaf(self.layout.fecb_addr(page))
         return super().read_data(addr)
-
-    # ==================================================================
-    # Re-keying and counter hygiene (§VI)
-    # ==================================================================
-
-    def rekey_file(self, group_id: int, file_id: int) -> SecretKey:
-        """Rotate a file's key (FECB major-counter saturation response).
-
-        The paper's lazy scheme keeps both keys and re-encrypts on
-        access; the model takes the simple eager route — re-seal every
-        stamped page under the new key — because the *state transition*
-        (new key, reset counters, old pads dead) is what tests need to
-        observe, and eagerness does not change it.
-        """
-        old_entry = self.ott.lookup(group_id, file_id)
-        if old_entry is None:
-            found, _ = self.ott_region.fetch(group_id, file_id)
-            if found is None:
-                raise KeyUnavailableError(f"no key for group={group_id} file={file_id}")
-            old_entry = found
-        new_key = self.keys.rotated_file_key(old_entry.key)
-        pages = self.fecb.stamped_pages(group_id, file_id)
-        # Decrypt every line under the old state *before* switching.
-        plaintexts = {}
-        if self.config.functional:
-            for page in pages:
-                for line_index in range(64):
-                    addr = page * 4096 + line_index * LINE_SIZE
-                    if addr in self.store:
-                        plaintexts[addr] = self.read_data(addr)
-        if self.crash_domain is not None:
-            # Eager re-keying rewrites every stamped line synchronously;
-            # like page re-encryption, model it as draining the ADR
-            # domain so staged pre-rekey pairs do not go stale.
-            self.crash_domain.drain_all()
-        self.install_file_key(group_id, file_id, new_key)
-        for page in pages:
-            self.fecb.block(page).counters.reset()
-            if self.config.functional:
-                self.merkle.update_leaf(self.layout.fecb_addr(page))
-            self._journal_protected_persist(self.layout.fecb_addr(page))
-        if self.config.functional:
-            for addr, plaintext in plaintexts.items():
-                self.store.write_line(addr, self._seal(addr, plaintext))
-                self.merkle.update_leaf(self.layout.mecb_addr(page_number(addr)))
-        self.stats.add("rekeys")
-        return new_key
 
     # ==================================================================
     # Crash consistency for the OTT (§III-H)

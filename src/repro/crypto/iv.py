@@ -111,14 +111,3 @@ class CounterIV:
         # Left-align within the 128-bit block.
         packed <<= 128 - layout.total_bits
         return packed.to_bytes(16, "big")
-
-    def bumped(self, *, major: int | None = None, minor: int | None = None) -> "CounterIV":
-        """Return a copy with updated counter values (location unchanged)."""
-        return CounterIV(
-            domain=self.domain,
-            page_id=self.page_id,
-            page_offset=self.page_offset,
-            major=self.major if major is None else major,
-            minor=self.minor if minor is None else minor,
-            layout=self.layout,
-        )

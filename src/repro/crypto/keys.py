@@ -190,16 +190,3 @@ class KeyHierarchy:
     @property
     def ott_key(self) -> SecretKey:
         return self._ott_key
-
-    def derive_file_key(self, file_id: int, group_id: int, entropy: bytes) -> SecretKey:
-        """Generate a fresh FEK bound to nothing but fresh entropy.
-
-        File ID and group ID are mixed in only to diversify the
-        deterministic test path; uniqueness comes from the entropy.
-        """
-        material = entropy + file_id.to_bytes(8, "big") + group_id.to_bytes(8, "big")
-        return generate_fek(material)
-
-    def rotated_file_key(self, old_key: SecretKey) -> SecretKey:
-        """Derive a replacement FEK for the counter-overflow re-key path."""
-        return SecretKey(hashlib.sha256(b"fsencr-rekey" + old_key.reveal()).digest()[:KEY_SIZE])

@@ -92,7 +92,7 @@ class OTPEngine:
         return apply_pad(ciphertext, self.pad_for(iv))
 
     def rekey(self, key: "SecretKey") -> None:
-        """Install a new key (used by the re-key-on-overflow path).
+        """Install a new key.
 
         Re-installing the current key keeps the cached key schedule.  The
         functional path re-keys before every file pad, almost always with

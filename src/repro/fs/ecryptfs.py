@@ -110,11 +110,3 @@ class SoftwareEncryptionOverlay:
         if self.encrypted:
             self.stats.add("page_encryptions")
         return latency
-
-    def sync_file(self, file_id: int) -> float:
-        """fsync: write back every dirty page of the file."""
-        latency = self.costs.syscall_ns
-        for page in self.page_cache.invalidate_file(file_id):
-            latency += self._write_back(page.file_id, page.page_index)
-        self.stats.add("syncs")
-        return latency

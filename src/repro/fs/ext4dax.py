@@ -110,10 +110,6 @@ class DaxFilesystem:
     def _release_page(self, pfn: int) -> None:
         self._free_pages.append(pfn)
 
-    @property
-    def free_bytes(self) -> int:
-        return len(self._free_pages) * PAGE_SIZE
-
     # ------------------------------------------------------------------
     # Namespace operations
     # ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..crypto.keys import WrappedKey
-from ..mem.address import PAGE_SIZE
 
 __all__ = ["EncryptionContext", "Inode"]
 
@@ -59,20 +58,6 @@ class Inode:
         """Allocated page count (not the same as size for sparse files)."""
         return len(self.extents)
 
-    def page_for_offset(self, offset: int) -> Optional[int]:
-        """Physical page number backing a byte offset, if allocated."""
-        if offset < 0:
-            raise ValueError(f"negative offset {offset}")
-        return self.extents.get(offset // PAGE_SIZE)
-
     def ensure_size(self, offset_end: int) -> None:
         if offset_end > self.size:
             self.size = offset_end
-
-    def file_pages_for_range(self, offset: int, length: int) -> range:
-        """File page indices touched by [offset, offset+length)."""
-        if length <= 0:
-            return range(0)
-        first = offset // PAGE_SIZE
-        last = (offset + length - 1) // PAGE_SIZE
-        return range(first, last + 1)

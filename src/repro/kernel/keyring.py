@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..crypto.keys import (
     KeyWrapError,
@@ -60,7 +60,6 @@ class Keyring:
 
     salt: bytes = b"fsencr-system-salt"
     _sessions: Dict[int, SessionKeyring] = field(default_factory=dict)
-    _admin_digest: Optional[bytes] = None
 
     def login(self, uid: int, passphrase: str) -> SessionKeyring:
         """Derive and install the user's FEKEK for this session."""
@@ -68,28 +67,13 @@ class Keyring:
         self._sessions[uid] = session
         return session
 
-    def logout(self, uid: int) -> None:
-        self._sessions.pop(uid, None)
-
     def session(self, uid: int) -> SessionKeyring:
         session = self._sessions.get(uid)
         if session is None:
             raise KeyringError(f"uid {uid} has no logged-in session")
         return session
 
-    def has_session(self, uid: int) -> bool:
-        return uid in self._sessions
-
     # -- admin credential -----------------------------------------------------
-
-    def set_admin_passphrase(self, passphrase: str) -> None:
-        self._admin_digest = self.credential_digest(passphrase)
 
     def credential_digest(self, passphrase: str) -> bytes:
         return hashlib.sha256(b"fsencr-admin" + passphrase.encode("utf-8")).digest()
-
-    @property
-    def admin_digest(self) -> bytes:
-        if self._admin_digest is None:
-            raise KeyringError("no admin passphrase configured")
-        return self._admin_digest

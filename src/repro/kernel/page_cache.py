@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..mem.address import PAGE_SIZE
 from ..mem.stats import StatCounters
 
 __all__ = ["PageCacheConfig", "CachedPage", "PageCache"]
@@ -85,23 +84,6 @@ class PageCache:
         if page is not None:
             page.dirty = True
 
-    def invalidate_file(self, file_id: int) -> List[CachedPage]:
-        """Drop every page of a file (close/delete); returns dirty ones."""
-        dirty: List[CachedPage] = []
-        for key in [k for k in self._pages if k[0] == file_id]:
-            page = self._pages.pop(key)
-            if page.dirty:
-                dirty.append(page)
-        return dirty
-
-    def sync(self) -> List[CachedPage]:
-        """Write back every dirty page (fsync); pages stay resident."""
-        dirty = [p for p in self._pages.values() if p.dirty]
-        for page in dirty:
-            page.dirty = False
-        self.stats.add("syncs")
-        return dirty
-
     def drop_all(self) -> int:
         """Crash: DRAM-resident pages vanish, dirty or not.
 
@@ -111,11 +93,3 @@ class PageCache:
         lost = len(self._pages)
         self._pages.clear()
         return lost
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._pages)
-
-    @staticmethod
-    def bytes_per_page() -> int:
-        return PAGE_SIZE

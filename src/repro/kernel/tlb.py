@@ -55,7 +55,3 @@ class TLB:
         """Full flush (power loss drops every cached translation)."""
         self._entries.clear()
         self.stats.add("flushes")
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)

@@ -67,11 +67,6 @@ class BankAddress:
     row: int
     column: int
 
-    @property
-    def bank_key(self) -> tuple:
-        """Hashable identity of the physical bank (channel, rank, bank)."""
-        return (self.channel, self.rank, self.bank)
-
 
 class AddressMap:
     """RoRaBaChCo interleaving of line addresses onto device coordinates.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .stats import StatCounters
 
@@ -183,21 +183,3 @@ class SetAssociativeCache:
                     victims.append(Eviction(line * self._line_size, True))
             entries.clear()
         return victims
-
-    def contents(self) -> Dict[int, bool]:
-        """Snapshot {line_addr: dirty} — used by crash-consistency tests."""
-        snapshot: Dict[int, bool] = {}
-        for entries in self._sets:
-            for line, dirty in entries.items():
-                snapshot[line * self._line_size] = dirty
-        return snapshot
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(entries) for entries in self._sets)
-
-    @property
-    def hit_rate(self) -> float:
-        hits = self.stats.get("hits")
-        total = hits + self.stats.get("misses")
-        return hits / total if total else 0.0

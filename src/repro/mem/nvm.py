@@ -83,17 +83,11 @@ class NVMDevice:
         address_map: Optional[AddressMap] = None,
         timing: Optional[NVMTiming] = None,
         stats: Optional[StatCounters] = None,
-        track_wear: bool = True,
     ) -> None:
         self.address_map = address_map or AddressMap()
         self.timing = timing or NVMTiming()
         self.stats = stats or StatCounters("nvm")
         self._banks: Dict[tuple, _BankState] = {}
-        # PCM endurance bookkeeping (§VI touches write endurance twice:
-        # secure deletion and counter overflow).  Per-line write counts
-        # let ablations and users audit wear hot spots.
-        self._track_wear = track_wear
-        self._wear: Dict[int, int] = {}
         # Every read and write runs through _locate and _access, so the
         # geometry and latencies they need are plain attributes.
         amap = self.address_map
@@ -218,9 +212,6 @@ class NVMDevice:
         write-intensive persistent workloads hurt most in the paper.
         """
         self._counters["writes"] += 1
-        if self._track_wear:
-            line = line_address(addr)
-            self._wear[line] = self._wear.get(line, 0) + 1
         bank, row = self._locate(addr)
         latency = self._access(bank, row, True)
         if persist:
@@ -236,21 +227,6 @@ class NVMDevice:
     @property
     def write_count(self) -> int:
         return self.stats.get("writes")
-
-    # -- endurance auditing ------------------------------------------------
-
-    def wear_of(self, addr: int) -> int:
-        """Array-write count of one line (0 if wear tracking is off)."""
-        return self._wear.get(line_address(addr), 0)
-
-    @property
-    def max_wear(self) -> int:
-        """The hottest line's write count — the endurance-limiting spot."""
-        return max(self._wear.values(), default=0)
-
-    def wear_hotspots(self, top: int = 10) -> "list[tuple[int, int]]":
-        """The ``top`` most-written lines as (addr, writes), hottest first."""
-        return sorted(self._wear.items(), key=lambda kv: -kv[1])[:top]
 
 
 class NVMStore:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 __all__ = ["StatCounters", "StatsRegistry"]
 
@@ -119,11 +119,3 @@ class StatsRegistry:
                     f"counters are exact ints"
                 )
         return merged
-
-    @staticmethod
-    def normalize(run: Mapping[str, float], baseline: Mapping[str, float], key: str) -> float:
-        """Return run[key]/baseline[key], tolerating a zero baseline."""
-        denominator = baseline.get(key, 0)
-        if not denominator:
-            return 0.0 if not run.get(key, 0) else float("inf")
-        return run.get(key, 0) / denominator

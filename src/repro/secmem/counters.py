@@ -68,8 +68,9 @@ class CounterBlock:
 
         Returns True when the minor overflowed — the major was bumped,
         all minors reset, and the whole page must be re-encrypted.
-        Raises :class:`OverflowError` if the *major* overflows; callers
-        handle that with the re-key path (§VI), never by wrapping.
+        Raises :class:`OverflowError` if the *major* overflows, never
+        wraps: the paper's answer is re-keying the file (§VI), which the
+        model does not implement.
         """
         new_minor = self.minors[line_index] + 1
         if new_minor < self.minor_limit:
@@ -82,7 +83,7 @@ class CounterBlock:
         return True
 
     def reset(self) -> None:
-        """Zero everything (file deletion / re-key re-initialises FECBs)."""
+        """Zero everything (file deletion or page recycling re-initialises FECBs)."""
         self.major = 0
         self.minors = [0] * len(self.minors)
 
@@ -109,10 +110,6 @@ class CounterBlock:
             packed = (packed << self.minor_bits) | minor
         total_bits = self.major_bits + self.minor_bits * len(self.minors)
         return packed.to_bytes((total_bits + 7) // 8, "big")
-
-    def copy_from(self, other: "CounterBlock") -> None:
-        self.major = other.major
-        self.minors = list(other.minors)
 
 
 @dataclass

@@ -142,8 +142,3 @@ class MetadataCache:
     @property
     def hit_latency(self) -> float:
         return self.config.hit_latency
-
-    def hit_rate(self, kind: str) -> float:
-        hits = self.stats.get(f"{kind}_hits")
-        total = hits + self.stats.get(f"{kind}_misses")
-        return hits / total if total else 0.0

@@ -72,10 +72,6 @@ class OsirisTracker:
     def distance(self, line_addr: int) -> int:
         return self._distance.get(line_addr, 0)
 
-    def pending_lines(self) -> Dict[int, int]:
-        """Lines with un-persisted updates — what a crash would lose."""
-        return {addr: d for addr, d in self._distance.items() if d > 0}
-
     def reset(self) -> None:
         """Post-recovery: every counter line just got re-persisted."""
         self._distance.clear()

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..crypto.iv import MEMORY_DOMAIN, CounterIV
 from ..crypto.keys import KeyHierarchy
-from ..crypto.otp import OTPEngine, compose_pads, xor_bytes
+from ..crypto.otp import OTPEngine, xor_bytes
 from ..mem import dfbit
 from ..mem.address import LINE_SIZE, LINES_PER_PAGE, page_number, page_offset_lines
 from ..mem.controller import MemoryControllerBase, MemoryRequest
@@ -459,20 +459,6 @@ class BaselineSecureController(MemoryControllerBase):
     # ------------------------------------------------------------------
     # Crash / shutdown support
     # ------------------------------------------------------------------
-
-    def drain_metadata(self) -> int:
-        """Clean shutdown: persist every dirty metadata line.
-
-        Returns the number of NVM writes issued.
-        """
-        victims = self.metadata_cache.flush_all()
-        for victim in victims:
-            self.device.write(victim.addr)
-            self.osiris.note_persisted(victim.addr)
-            self._journal_counter_persist(victim.addr)
-            self._anubis_forget(victim.addr)
-        self.stats.add("drain_writes", len(victims))
-        return len(victims)
 
     def _integrity_leaf_addrs(self):
         """Metadata addresses whose leaves carry state worth rehashing

@@ -439,14 +439,14 @@ def _workload_trace_key(config, workload) -> tuple:
     scheme encrypts files (it decides the ``encrypted`` flag on
     create).  Everything else about the scheme changes how ops *cost*,
     not which ops occur, so one compiled trace serves every scheme in
-    the same encryption class.
+    the same encryption class.  The parameters are the instance's whole
+    field set (a flat dict of hashables: ``seed``, ``ops``,
+    ``num_files``, ``workers``, ``mix``, ...), so two instances share a
+    trace only when every field agrees.
     """
     return (
         type(workload).__name__,
-        getattr(workload, "name", ""),
-        getattr(workload, "ops", None),
-        getattr(workload, "iterations", None),
-        getattr(workload, "seed", None),
+        tuple(sorted(vars(workload).items())),
         bool(config.scheme.has_file_encryption),
     )
 
@@ -568,8 +568,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
     DIRTY_EVICT = timing.dirty_evict_ns
     ADAPT = device.ADAPT_THRESHOLD
     locate = device._locate
-    track_wear = device._track_wear
-    wear = device._wear
     bank_memo: Dict[int, tuple] = {}
 
     def dev_bank(addr: int) -> tuple:
@@ -627,9 +625,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
 
     def dev_write(addr: int, persist: bool = False) -> float:
         pend_nvm[_N_WRITES] += 1
-        if track_wear:
-            line = addr & ~63
-            wear[line] = wear.get(line, 0) + 1
         bank, row = dev_bank(addr)
         if bank.open_row == row:
             bank.consecutive_misses = 0
@@ -900,9 +895,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
             latency += AES_XOR
             # NVMDevice.write, row-hit inline
             pend_nvm[_N_WRITES] += 1
-            if track_wear:
-                wline = raw & ~63
-                wear[wline] = wear.get(wline, 0) + 1
             entry = bank_memo.get(raw)
             if entry is None:
                 entry = dev_bank(raw)

@@ -27,7 +27,8 @@ __all__ = ["Scheme", "MachineConfig", "scaled_hierarchy", "SCALE_FACTOR"]
 #: Python-scale runs shrink workload footprints ~16x versus the paper's
 #: Gem5 runs; caches shrink by the same factor so that the working-set /
 #: cache-capacity *ratios* — which drive every figure's shape — match.
-#: ``MachineConfig.paper_scale()`` restores the full Table III geometry.
+#: The unscaled Table III geometry is the defaults of ``HierarchyConfig``
+#: and ``MetadataCacheConfig``.
 SCALE_FACTOR = 16
 
 
@@ -162,18 +163,6 @@ class MachineConfig:
             write_hook=write_hook,
             stats=stats,
         )
-
-    @classmethod
-    def paper_scale(cls, **overrides) -> "MachineConfig":
-        """The unscaled Table III machine (32 KB/512 KB/4 MB caches,
-        512 KB metadata cache) — for users replaying full-size traces."""
-        defaults = dict(
-            hierarchy=HierarchyConfig(),
-            metadata_cache=MetadataCacheConfig(),
-            page_cache_pages=1024,
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
 
     def with_scheme(self, scheme: Scheme) -> "MachineConfig":
         """The same machine under a different scheme — the comparison

@@ -13,7 +13,7 @@ attached (off by default — recording is cheap, but nothing is free).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = ["LatencyHistogram"]
 
@@ -77,15 +77,6 @@ class LatencyHistogram:
                 return self.max_ns
         return self.max_ns
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        if other.edges != self.edges:
-            raise ValueError("cannot merge histograms with different edges")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.total += other.total
-        self.sum_ns += other.sum_ns
-        self.max_ns = max(self.max_ns, other.max_ns)
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "total": self.total,
@@ -95,17 +86,3 @@ class LatencyHistogram:
             "p99_ns": self.percentile(99),
             "max_ns": self.max_ns,
         }
-
-    def render(self, width: int = 40) -> str:
-        """ASCII rendering, one row per bucket."""
-        lines = [f"{self.name}: n={self.total} mean={self.mean_ns:.1f}ns "
-                 f"p99={self.percentile(99):.0f}ns max={self.max_ns:.0f}ns"]
-        peak = max(self.counts) or 1
-        lower = 0.0
-        for index, count in enumerate(self.counts):
-            upper = self.edges[index] if index < len(self.edges) else float("inf")
-            bar = "#" * round(count / peak * width)
-            label = f"{lower:>7.0f}-{upper:<7.0f}" if upper != float("inf") else f"{lower:>7.0f}+       "
-            lines.append(f"{label} {bar} {count}")
-            lower = upper
-        return "\n".join(lines)

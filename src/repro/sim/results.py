@@ -121,16 +121,6 @@ class ResultTable:
     def add(self, comparison: Comparison) -> None:
         self.rows.append(comparison)
 
-    def geometric_mean(self, attr: str = "slowdown") -> float:
-        values = [getattr(row, attr) for row in self.rows]
-        finite = [v for v in values if v > 0 and v != float("inf")]
-        if not finite:
-            return 0.0
-        product = 1.0
-        for value in finite:
-            product *= value
-        return product ** (1.0 / len(finite))
-
     def mean(self, attr: str = "slowdown") -> float:
         values = [getattr(row, attr) for row in self.rows]
         return sum(values) / len(values) if values else 0.0

@@ -30,10 +30,7 @@ from .palloc import PersistentAllocator, PoolExhausted
 from .pmemkv import (
     LARGE_VALUE,
     PMEMKV_BENCHMARKS,
-    PMEMKV_EXTENSIONS,
     SMALL_VALUE,
-    Deleterandom,
-    Readmissing,
     Fillrandom,
     Fillseq,
     Overwrite,
@@ -71,9 +68,6 @@ __all__ = [
     "Readrandom",
     "Readseq",
     "PMEMKV_BENCHMARKS",
-    "PMEMKV_EXTENSIONS",
-    "Readmissing",
-    "Deleterandom",
     "SMALL_VALUE",
     "LARGE_VALUE",
     "make_pmemkv_workload",

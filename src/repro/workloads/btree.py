@@ -133,32 +133,6 @@ class PersistentBTree:
         self.machine.load(addr, size)
         return size
 
-    def delete(self, key: int) -> bool:
-        """Remove ``key``; returns True if it existed.
-
-        Deletion is *lazy* (no leaf merging), the common KV-engine
-        choice: the entry and its blob are freed and the remaining leaf
-        entries shift left — persistent traffic mirrors the insert
-        shift.  Underfull leaves are tolerated; they refill on later
-        inserts or die with the tree.
-        """
-        self.machine.compute(_OP_OVERHEAD_NS)
-        leaf, _ = self._descend(key)
-        slot = self._leaf_slot(leaf, key)
-        if slot is None:
-            return False
-        addr, size = leaf.values[slot]
-        self.allocator.free(addr, size)
-        leaf.keys.pop(slot)
-        leaf.values.pop(slot)
-        # Shift the tail left: key+pointer persists per moved slot.
-        for index in range(slot, len(leaf.keys)):
-            self.machine.persist(leaf.key_slot_addr(index), _KEY_BYTES)
-            self.machine.persist(leaf.ptr_slot_addr(index), _PTR_BYTES)
-        self.machine.persist(leaf.addr, _HEADER_BYTES)
-        self.size -= 1
-        return True
-
     def keys_inorder(self) -> List[int]:
         """All keys, ascending (drives readseq without machine traffic)."""
         out: List[int] = []

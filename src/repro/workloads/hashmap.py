@@ -91,23 +91,3 @@ class PersistentHashmap:
             return False
         self.machine.load(node_addr + _KEY_BYTES, self.data_size)
         return True
-
-    def remove(self, key: int) -> bool:
-        """Unlink and free an entry."""
-        self.machine.compute(_OP_OVERHEAD_NS)
-        bucket = self._bucket(key)
-        chain = self._chains.get(bucket, [])
-        node_addr = self._walk_chain(bucket, key)
-        if node_addr is None:
-            return False
-        index = next(i for i, (k, _) in enumerate(chain) if k == key)
-        # Persist the predecessor's next pointer (or the bucket head).
-        if index == 0:
-            self.machine.persist(self._bucket_addr(bucket), _PTR_BYTES)
-        else:
-            prev_addr = chain[index - 1][1]
-            self.machine.persist(prev_addr + _KEY_BYTES + self.data_size, _PTR_BYTES)
-        chain.pop(index)
-        self.allocator.free(node_addr, self.entry_size)
-        self.size -= 1
-        return True

@@ -81,11 +81,3 @@ class PersistentAllocator:
         self.machine.persist(addr, _HEADER_BYTES)  # state = free
         self._free.setdefault(size_class, []).append(addr)
         self._allocated -= 1
-
-    @property
-    def live_objects(self) -> int:
-        return self._allocated
-
-    @property
-    def bytes_used(self) -> int:
-        return self._cursor - self.base

@@ -162,41 +162,6 @@ class Readseq(PmemkvWorkload):
                 raise RuntimeError(f"in-order key {key} missing")
 
 
-class Readmissing(PmemkvWorkload):
-    """readmissing: probes keys that were never inserted.
-
-    Not in the paper's figures — a PMEMKV-suite member included as an
-    extension.  Misses walk the full tree but read no blob, so the
-    FsEncr overhead profile is pure index traversal.
-    """
-
-    pattern = "Readmissing"
-    prefill = True
-
-    def measured_phase(self, machine: Machine, tree: PersistentBTree) -> None:
-        for key in self._keys(shuffled=True):
-            missing = key + self.ops * 10  # disjoint key space
-            if tree.get(missing) is not None:
-                raise RuntimeError(f"never-inserted key {missing} found")
-
-
-class Deleterandom(PmemkvWorkload):
-    """deleterandom: removes every key of a pre-filled store, random order.
-
-    Extension benchmark: exercises the delete path (blob free + leaf
-    shift) and, under FsEncr, the interplay of frees with per-file
-    counters (freed space stays sealed until reallocated).
-    """
-
-    pattern = "Deleterandom"
-    prefill = True
-
-    def measured_phase(self, machine: Machine, tree: PersistentBTree) -> None:
-        for key in self._keys(shuffled=True):
-            if not tree.delete(key):
-                raise RuntimeError(f"pre-filled key {key} missing at delete")
-
-
 #: Figure 8-10's x-axis, in paper order.
 PMEMKV_BENCHMARKS = [
     ("Fillrandom-S", Fillrandom, SMALL_VALUE),
@@ -211,16 +176,10 @@ PMEMKV_BENCHMARKS = [
     ("Readseq-L", Readseq, LARGE_VALUE),
 ]
 
-#: PMEMKV-suite extensions beyond the paper's figures.
-PMEMKV_EXTENSIONS = [
-    ("Readmissing-S", Readmissing, SMALL_VALUE),
-    ("Deleterandom-S", Deleterandom, SMALL_VALUE),
-]
-
 
 def make_pmemkv_workload(name: str, ops: int = 0, seed: int = 1234) -> PmemkvWorkload:
-    """Factory by paper name ("Fillrandom-L", ...) or extension name."""
-    for bench_name, cls, value_size in PMEMKV_BENCHMARKS + PMEMKV_EXTENSIONS:
+    """Factory by paper name ("Fillrandom-L", ...)."""
+    for bench_name, cls, value_size in PMEMKV_BENCHMARKS:
         if bench_name == name:
             return cls(value_size=value_size, ops=ops, seed=seed)
     raise KeyError(f"unknown PMEMKV benchmark {name!r}")

@@ -77,6 +77,10 @@ def test_flags_from_other_commands_do_not_pass_silently():
         ["loadcurve", "--loads", "abc"],
         ["loadcurve", "--window", "0"],
         ["loadcurve", "--streams", "3xNope"],
+        ["crashsweep", "--workload", "Bogus"],
+        ["crashsweep", "--workload", "DAX-9"],
+        ["crashsweep", "--workload", "ManyFiles@abc"],
+        ["crashsweep", "--workload", "Deleterandom-S"],  # a removed workload
         # Scheme columns are registered, present and distinct.
         ["loadcurve", "--schemes", "nope"],
         ["loadcurve", "--schemes", ","],

@@ -13,7 +13,7 @@ class TestFECBlock:
         blk = FECBlock()
         reset = blk.stamp(group_id=5, file_id=42)
         assert not reset  # fresh block, nothing to reset
-        assert blk.stamped and blk.ident == (5, 42)
+        assert blk.stamped and (blk.group_id, blk.file_id) == (5, 42)
 
     def test_restamp_same_file_keeps_counters(self):
         blk = FECBlock()

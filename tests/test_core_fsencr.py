@@ -134,21 +134,8 @@ class TestKeyLifecycle:
         ctl.install_file_key(5, 43, SecretKey(bytes([9]) * 16))
         ctl.update_fecb(page=3, group_id=5, file_id=43)
         assert ctl.stats.get("fecb_recycles") == 1
-        assert ctl.fecb.block(3).ident == (5, 43)
-
-    def test_rekey_preserves_data_under_new_key(self):
-        ctl = functional_controller()
-        open_file(ctl)
-        addr = set_df(3 * 4096)
-        ctl.write_data(addr, b"\x13" * 64)
-        new_key = ctl.rekey_file(5, 42)
-        assert new_key != SecretKey(bytes([0x77]) * 16)
-        assert ctl.read_data(addr) == b"\x13" * 64
-        assert ctl.ott.lookup(5, 42).key == new_key
-
-    def test_rekey_unknown_file_raises(self):
-        with pytest.raises(KeyUnavailableError):
-            functional_controller().rekey_file(1, 1)
+        blk = ctl.fecb.block(3)
+        assert (blk.group_id, blk.file_id) == (5, 43)
 
 
 class TestAdminLock:

@@ -81,19 +81,3 @@ class TestPacking:
         )
         if minor != (minor + 1) % 128:
             assert iv.pack() != tweaked.pack()
-
-
-class TestBumped:
-    def test_bumped_minor_only(self):
-        iv = make_iv(minor=5)
-        bumped = iv.bumped(minor=6)
-        assert bumped.minor == 6
-        assert bumped.major == iv.major
-        assert bumped.page_id == iv.page_id
-
-    def test_bumped_major(self):
-        assert make_iv(major=1).bumped(major=2).major == 2
-
-    def test_bumped_validates(self):
-        with pytest.raises(ValueError):
-            make_iv().bumped(minor=128)

@@ -120,25 +120,6 @@ class TestKeyHierarchy:
         with pytest.raises(TypeError):
             KeyHierarchy(SecretKey(bytes(16)), bytes(16))
 
-    def test_derive_file_key_unique_per_entropy(self):
-        h = KeyHierarchy.from_seed(b"x")
-        assert h.derive_file_key(1, 1, b"a") != h.derive_file_key(1, 1, b"b")
-
-    def test_rotated_key_differs(self):
-        h = KeyHierarchy.from_seed(b"x")
-        old = h.derive_file_key(1, 1, b"a")
-        new = h.rotated_file_key(old)
-        assert new != old and isinstance(new, SecretKey)
-
-    def test_rotation_chain_no_short_cycles(self):
-        h = KeyHierarchy.from_seed(b"x")
-        key = h.derive_file_key(1, 1, b"a")
-        seen = {key}
-        for _ in range(16):
-            key = h.rotated_file_key(key)
-            assert key not in seen
-            seen.add(key)
-
 
 # -- SecretKey: every key source's output neither renders nor converts ----
 
@@ -149,10 +130,6 @@ KEY_SOURCES = {
     "generate_fek": lambda: generate_fek(b"entropy"),
     "derive_fekek": lambda: derive_fekek("pw", b"salt"),
     "unwrap_key": lambda: unwrap_key(wrap_key(generate_fek(b"e"), _FEKEK), _FEKEK),
-    "derive_file_key": lambda: _HIERARCHY.derive_file_key(1, 2, b"e"),
-    "rotated_file_key": lambda: _HIERARCHY.rotated_file_key(
-        _HIERARCHY.derive_file_key(1, 2, b"e")
-    ),
     "memory_key": lambda: _HIERARCHY.memory_key,
     "ott_key": lambda: _HIERARCHY.ott_key,
 }

@@ -1,129 +1,4 @@
-"""Wear tracking, B+Tree deletion, extension benchmarks, report module."""
-
-import random
-
-import pytest
-
-from repro.mem import NVMDevice
-from repro.sim import Machine, MachineConfig, Scheme
-from repro.workloads import (
-    PMEMKV_EXTENSIONS,
-    PersistentAllocator,
-    PersistentBTree,
-    make_pmemkv_workload,
-    run_workload,
-)
-
-
-class TestWearTracking:
-    def test_writes_counted_per_line(self):
-        dev = NVMDevice()
-        dev.write(0)
-        dev.write(0)
-        dev.write(64)
-        assert dev.wear_of(0) == 2
-        assert dev.wear_of(63) == 2  # same line
-        assert dev.wear_of(64) == 1
-        assert dev.max_wear == 2
-
-    def test_reads_do_not_wear(self):
-        dev = NVMDevice()
-        dev.read(0)
-        assert dev.wear_of(0) == 0
-
-    def test_hotspots_ordered(self):
-        dev = NVMDevice()
-        for _ in range(5):
-            dev.write(128)
-        dev.write(0)
-        hotspots = dev.wear_hotspots(top=2)
-        assert hotspots[0] == (128, 5)
-        assert hotspots[1] == (0, 1)
-
-    def test_tracking_can_be_disabled(self):
-        dev = NVMDevice(track_wear=False)
-        dev.write(0)
-        assert dev.wear_of(0) == 0
-        assert dev.max_wear == 0
-
-    def test_counter_lines_are_the_wear_hotspot(self):
-        """Security metadata concentrates writes — the §VI endurance
-        concern, observable: the hottest lines under a write-heavy run
-        are counter lines, not data."""
-        machine = Machine(MachineConfig(scheme=Scheme.FSENCR))
-        machine.add_user(uid=1000, gid=100, passphrase="pw")
-        workload = make_pmemkv_workload("Overwrite-S", ops=200)
-        workload.setup = lambda m: None  # user already added
-        workload.run(machine)
-        hottest_addr, hottest_count = machine.device.wear_hotspots(top=1)[0]
-        assert hottest_count > 1
-        assert hottest_addr >= machine.layout.mecb_base  # metadata region
-
-
-class TestBTreeDelete:
-    def _tree(self):
-        machine = Machine(MachineConfig(scheme=Scheme.BASELINE_SECURE))
-        machine.add_user(uid=1000, gid=100, passphrase="pw")
-        handle = machine.create_file("/pmem/t", uid=1000)
-        base = machine.mmap(handle, pages=1024)
-        return PersistentBTree(machine, PersistentAllocator(machine, base, 1024 * 4096))
-
-    def test_delete_existing(self):
-        tree = self._tree()
-        tree.put(5, 64)
-        assert tree.delete(5) is True
-        assert tree.get(5) is None
-        assert tree.size == 0
-
-    def test_delete_missing(self):
-        tree = self._tree()
-        assert tree.delete(5) is False
-
-    def test_delete_frees_blob_for_reuse(self):
-        tree = self._tree()
-        tree.put(5, 64)
-        live_before = tree.allocator.live_objects
-        tree.delete(5)
-        assert tree.allocator.live_objects == live_before - 1
-
-    def test_delete_random_subset_preserves_rest(self):
-        tree = self._tree()
-        keys = list(range(120))
-        rng = random.Random(9)
-        rng.shuffle(keys)
-        for k in keys:
-            tree.put(k, 64)
-        doomed = set(keys[:60])
-        for k in doomed:
-            assert tree.delete(k)
-        for k in keys:
-            expected = None if k in doomed else 64
-            assert tree.get(k) == expected
-        assert tree.keys_inorder() == sorted(set(keys) - doomed)
-
-    def test_reinsert_after_delete(self):
-        tree = self._tree()
-        tree.put(5, 64)
-        tree.delete(5)
-        tree.put(5, 128)
-        assert tree.get(5) == 128
-
-
-class TestExtensionBenchmarks:
-    def test_extension_names_resolve(self):
-        for name, _cls, _size in PMEMKV_EXTENSIONS:
-            assert make_pmemkv_workload(name, ops=10).name == name
-
-    @pytest.mark.parametrize("name", [n for n, _, _ in PMEMKV_EXTENSIONS])
-    def test_extensions_run(self, name):
-        cfg = MachineConfig(scheme=Scheme.FSENCR)
-        result = run_workload(cfg, make_pmemkv_workload(name, ops=60))
-        assert result.elapsed_ns > 0
-
-    def test_deleterandom_empties_store(self):
-        cfg = MachineConfig(scheme=Scheme.FSENCR)
-        # Success of every delete is asserted inside the workload.
-        run_workload(cfg, make_pmemkv_workload("Deleterandom-S", ops=80))
+"""The report module: bar charts, aggregate reports and the report CLI."""
 
 
 class TestReport:
@@ -163,3 +38,16 @@ class TestReport:
 
         assert main(["report", str(tmp_path)]) == 0
         assert "aggregate results" in capsys.readouterr().out
+
+    def test_report_reads_the_cli_json_output(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["fig15", "--ops", "20", "--iters", "20",
+                     "--json", str(tmp_path / "fig15.json")]) == 0
+        assert main(["fig12", "--iters", "40",
+                     "--json", str(tmp_path / "fig12_13_14.json")]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 15" in out and "Fillrandom-L" in out and "32KB" in out
+        assert "Figures 12-14" in out and "DAX-4" in out

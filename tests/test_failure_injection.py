@@ -123,7 +123,7 @@ class TestPartialStateLoss:
         )
         for i in range(64):
             ctl.access(MemoryRequest(addr=0x6000 + (i % 8) * 64, is_write=True))
-        for distance in ctl.osiris.pending_lines().values():
+        for distance in ctl.osiris._distance.values():
             assert distance < 4
 
     def test_locked_engine_blocks_even_after_cache_flush(self):

@@ -28,7 +28,7 @@ from repro.faults.sweep import (
 from repro.sim import Machine, MachineConfig, Scheme
 from repro.sim.batch import capture_workload
 from repro.sim.trace import TraceRecorder
-from repro.workloads.pmemkv import PMEMKV_BENCHMARKS, PMEMKV_EXTENSIONS
+from repro.workloads.pmemkv import PMEMKV_BENCHMARKS
 
 PLAN = FaultPlan(seed=0xFA11, drain_fraction=0.5, torn_probability=0.5, bit_flips=1)
 
@@ -202,10 +202,9 @@ class TestAssertInvariantMechanism:
             result.assert_invariant()
 
 
-#: The PMEMKV patterns (paper set and extensions) and the four DAX
-#: micro-benchmarks.
+#: The PMEMKV patterns and the four DAX micro-benchmarks.
 _SWEEP_REACHABLE = (
-    [name for name, *_ in PMEMKV_BENCHMARKS + PMEMKV_EXTENSIONS]
+    [name for name, *_ in PMEMKV_BENCHMARKS]
     + [f"DAX-{i}" for i in range(1, 5)]
 )
 

@@ -69,22 +69,6 @@ class TestWriteBack:
 
 
 class TestSync:
-    def test_sync_file_writes_back_dirty_pages(self):
-        ov, device = overlay(capacity=8)
-        ov.access_page(1, 0, 0x10000, is_write=True)
-        ov.access_page(1, 1, 0x11000, is_write=True)
-        ov.access_page(2, 0, 0x20000, is_write=True)
-        latency = ov.sync_file(1)
-        assert latency > 0
-        assert ov.stats.get("page_writebacks") == 2  # file 2 untouched
-
-    def test_sync_evicts_residency(self):
-        ov, _ = overlay(capacity=8)
-        ov.access_page(1, 0, 0x10000, is_write=True)
-        ov.sync_file(1)
-        # Next access faults again.
-        assert ov.access_page(1, 0, 0x10000, False) > 0
-
     def test_thrash_costs_scale(self):
         """A working set over capacity pays per-access fault costs —
         the paper's 'small decrypted buffer' failure mode."""

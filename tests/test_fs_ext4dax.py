@@ -203,16 +203,9 @@ class TestAllocation:
         fs.fault_in(handle2, 0)
         fs.fault_in(handle2, 1)  # space reclaimed
 
-    def test_free_bytes(self):
-        fs, _ = make_fs(pmem_pages=4)
-        assert fs.free_bytes == 4 * PAGE_SIZE
-        handle, _ = fs.create("/f", uid=1000)
-        fs.fault_in(handle, 0)
-        assert fs.free_bytes == 3 * PAGE_SIZE
-
     def test_free_bytes_restored_after_churn(self):
         fs, _ = make_fs(pmem_pages=64)
-        free_before = fs.free_bytes
+        free_before = len(fs._free_pages)
         for i in range(12):
             handle, _ = fs.create(f"/f{i}", uid=1000, encrypted=(i % 2 == 0))
             for page in range(i % 4 + 1):
@@ -222,7 +215,7 @@ class TestAllocation:
         for i in range(12):
             if i % 3:
                 fs.unlink(f"/f{i}", uid=1000)
-        assert fs.free_bytes == free_before
+        assert len(fs._free_pages) == free_before
 
     def test_misaligned_region_rejected(self):
         with pytest.raises(ValueError):

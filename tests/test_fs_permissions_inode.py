@@ -13,7 +13,6 @@ from repro.fs import (
     can_write,
     check_access,
 )
-from repro.mem import PAGE_SIZE
 
 
 def user(uid=1000, gid=100, groups=frozenset()):
@@ -83,30 +82,11 @@ class TestInode:
     def test_not_encrypted_by_default(self):
         assert not self.make().encrypted
 
-    def test_page_for_offset(self):
-        inode = self.make()
-        inode.extents[0] = 500
-        inode.extents[2] = 700
-        assert inode.page_for_offset(100) == 500
-        assert inode.page_for_offset(2 * PAGE_SIZE) == 700
-        assert inode.page_for_offset(PAGE_SIZE) is None
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            self.make().page_for_offset(-1)
-
     def test_ensure_size_grows_only(self):
         inode = self.make()
         inode.ensure_size(100)
         inode.ensure_size(50)
         assert inode.size == 100
-
-    def test_file_pages_for_range(self):
-        inode = self.make()
-        assert list(inode.file_pages_for_range(0, 1)) == [0]
-        assert list(inode.file_pages_for_range(PAGE_SIZE - 1, 2)) == [0, 1]
-        assert list(inode.file_pages_for_range(0, 2 * PAGE_SIZE)) == [0, 1]
-        assert list(inode.file_pages_for_range(0, 0)) == []
 
     def test_pages_counts_extents(self):
         inode = self.make()

@@ -92,27 +92,12 @@ class TestKeyring:
     def test_same_passphrase_same_fekek(self):
         ring = Keyring()
         a = ring.login(1000, "pw")
-        ring.logout(1000)
         b = ring.login(1000, "pw")
         assert a.fekek == b.fekek
 
     def test_no_session_raises(self):
         with pytest.raises(KeyringError):
             Keyring().session(1000)
-
-    def test_logout(self):
-        ring = Keyring()
-        ring.login(1000, "pw")
-        ring.logout(1000)
-        assert not ring.has_session(1000)
-
-    def test_admin_digest(self):
-        ring = Keyring()
-        with pytest.raises(KeyringError):
-            _ = ring.admin_digest
-        ring.set_admin_passphrase("root-pw")
-        assert ring.admin_digest == ring.credential_digest("root-pw")
-        assert ring.admin_digest != ring.credential_digest("other")
 
 
 class TestPageCache:
@@ -142,24 +127,6 @@ class TestPageCache:
         pc.mark_dirty(1, 0)
         evicted = pc.insert(1, 1) or pc.insert(1, 2)
         assert evicted.dirty
-
-    def test_invalidate_file_returns_dirty_only(self):
-        pc = PageCache(PageCacheConfig(capacity_pages=8))
-        pc.insert(1, 0, dirty=True)
-        pc.insert(1, 1, dirty=False)
-        pc.insert(2, 0, dirty=True)
-        dirty = pc.invalidate_file(1)
-        assert [(p.file_id, p.page_index) for p in dirty] == [(1, 0)]
-        assert pc.lookup(1, 1) is None
-        assert pc.lookup(2, 0) is not None
-
-    def test_sync_cleans_in_place(self):
-        pc = PageCache(PageCacheConfig(capacity_pages=8))
-        pc.insert(1, 0, dirty=True)
-        dirty = pc.sync()
-        assert len(dirty) == 1
-        assert pc.sync() == []
-        assert pc.resident_pages == 1
 
 
 class TestSoftwareCosts:

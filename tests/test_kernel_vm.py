@@ -71,7 +71,7 @@ class TestTLB:
         tlb = TLB(entries=4)
         tlb.fill(7, PageTableEntry(pfn=1))
         tlb.flush()
-        assert tlb.occupancy == 0
+        assert tlb.lookup(7) is None
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -58,16 +58,16 @@ class TestAddressMap:
         first = amap.decompose(0)
         second = amap.decompose(64)
         assert first.row == second.row
-        assert first.bank_key == second.bank_key
+        assert (first.channel, first.rank, first.bank) == (second.channel, second.rank, second.bank)
         assert second.column == first.column + 1
 
     def test_row_crossing_changes_coordinates(self):
         amap = AddressMap()
         last_in_row = amap.decompose(1024 - 64)
         next_line = amap.decompose(1024)
-        assert (last_in_row.row, last_in_row.bank_key) != (next_line.row, next_line.bank_key) or (
-            next_line.column == 0
-        )
+        before = (last_in_row.row, last_in_row.channel, last_in_row.rank, last_in_row.bank)
+        after = (next_line.row, next_line.channel, next_line.rank, next_line.bank)
+        assert before != after or next_line.column == 0
 
     def test_bank_interleave_above_column_bits(self):
         """RoRaBaChCo: the bank changes once the row-buffer span is crossed."""

@@ -115,7 +115,7 @@ def test_locate_agrees_with_decompose(channels, ranks, banks, row_bits, addrs):
         coord = amap.decompose(addr)
         state, row = dev._locate(addr)
         assert row == coord.row
-        assert state is dev._bank(coord.bank_key)
+        assert state is dev._bank((coord.channel, coord.rank, coord.bank))
 
 
 def test_locate_rejects_negative_addresses():
@@ -186,8 +186,11 @@ def test_read_run_rejects_negative_arguments(addr, lines):
 #: sha256 of the latencies and final counters of the seeded stream in
 #: ``_seeded_stream_digest``, taken from the device model that located
 #: banks through ``AddressMap.decompose``: locating them by integer
-#: arithmetic must not move a single latency or counter.
-STREAM_DIGEST = "ae0a8f935adccb164bc5ab36bcaf7e9685979abedec909adf9df8f2d9a8ac1ac"
+#: arithmetic must not move a single latency or counter.  When the
+#: per-line wear count was dropped from the record, the digest was
+#: re-taken on the last model that still had it and still matched the
+#: old digest, so latencies and counters are pinned as before.
+STREAM_DIGEST = "ec648ea10299ee099f62111b9c189110abfe4f71b0e8fe071cbb4410df7ecc1b"
 
 
 def _seeded_stream_digest() -> str:
@@ -213,7 +216,6 @@ def _seeded_stream_digest() -> str:
         record.append({
             "latencies": latencies,
             "stats": dict(sorted(dev.stats.counters.items())),
-            "max_wear": dev.max_wear,
         })
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -61,11 +61,6 @@ class TestStatsRegistry:
         reg.reset()
         assert reg.snapshot() == {}
 
-    def test_normalize(self):
-        assert StatsRegistry.normalize({"k": 10}, {"k": 5}, "k") == 2.0
-        assert StatsRegistry.normalize({"k": 0}, {"k": 0}, "k") == 0.0
-        assert StatsRegistry.normalize({"k": 3}, {"k": 0}, "k") == float("inf")
-
 
 class TestDfBit:
     def test_position_matches_paper(self):

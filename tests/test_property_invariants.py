@@ -162,4 +162,4 @@ class TestAllocatorSoundness:
                 addr, size = next(iter(live.items()))
                 alloc.free(addr, size)
                 del live[addr]
-        assert alloc.live_objects == len(live)
+        assert alloc._allocated == len(live)

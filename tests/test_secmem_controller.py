@@ -95,13 +95,6 @@ class TestMetadataTraffic:
             ctl.access(MemoryRequest(addr=i * 4096 * 2, is_write=True))
         assert ctl.stats.get("metadata_writebacks") >= 1
 
-    def test_drain_metadata_flushes_dirty_lines(self):
-        ctl = controller()
-        ctl.access(MemoryRequest(addr=0x1000, is_write=True))
-        written = ctl.drain_metadata()
-        assert written >= 1
-        assert ctl.osiris.pending_lines() == {}
-
 
 class TestFunctional:
     def test_roundtrip(self):

@@ -68,15 +68,6 @@ class TestCounterBlock:
         expected_bits = 64 + 64 * MINOR_BITS
         assert len(blk.serialize()) == (expected_bits + 7) // 8
 
-    def test_copy_from(self):
-        a, b = CounterBlock(), CounterBlock()
-        a.bump(7)
-        a.major = 3
-        b.copy_from(a)
-        assert b.major == 3 and b.value_for(7) == (3, 1)
-        a.bump(7)
-        assert b.value_for(7) == (3, 1)  # deep copy of minors
-
     @given(bumps=st.lists(st.integers(0, 63), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_version_monotonicity_property(self, bumps):

@@ -128,13 +128,6 @@ class TestOsirisTracker:
         assert tracker.distance(0) == 0
         assert tracker.note_update(0) is False
 
-    def test_pending_lines(self):
-        tracker = OsirisTracker(stop_loss=4)
-        tracker.note_update(0)
-        tracker.note_update(64)
-        tracker.note_persisted(64)
-        assert tracker.pending_lines() == {0: 1}
-
     def test_stop_loss_validation(self):
         with pytest.raises(ValueError):
             OsirisTracker(stop_loss=0)

@@ -32,13 +32,6 @@ class TestBasics:
         assert cache.stats.get("fecb_misses") == 1
         assert cache.stats.get("fecb_writes") == 1
 
-    def test_hit_rate(self):
-        cache = tiny()
-        cache.access(0, MetadataKind.MECB, False)
-        cache.access(0, MetadataKind.MECB, False)
-        assert cache.hit_rate(MetadataKind.MECB) == pytest.approx(0.5)
-        assert cache.hit_rate(MetadataKind.OTT) == 0.0
-
 
 class TestEvictions:
     def test_dirty_eviction_returned(self):

@@ -32,7 +32,12 @@ from repro.sim import (
 from repro.sim.batch import _supports_fast_path
 from repro.sim.config import MachineConfig, Scheme
 from repro.sim.trace import TraceOp
-from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
+from repro.workloads import (
+    ManyFilesWorkload,
+    make_dax_micro,
+    make_pmemkv_workload,
+    make_whisper_workload,
+)
 from repro.workloads.base import Workload, compare_schemes, run_workload
 
 _FACTORIES = {
@@ -227,6 +232,18 @@ class TestBatchRunner:
                    _FACTORIES["DAX-1"]())
         runner.run(get_scheme("fsencr").configure(MachineConfig()),
                    _FACTORIES["DAX-1"]())
+        assert len(runner._compiled) == 2
+
+    def test_workloads_differing_in_any_field_do_not_share_a_trace(self):
+        """Two ManyFiles sizes on one runner: same type, name, ops and
+        seed, different ``num_files``.  Each cell must equal its direct
+        run, so each size needs its own trace."""
+        runner = BatchRunner()
+        config = get_scheme("fsencr").configure(MachineConfig())
+        for num_files in (4, 8):
+            batched = runner.run(config, ManyFilesWorkload(num_files=num_files))
+            direct = run_workload(config, ManyFilesWorkload(num_files=num_files))
+            assert batched.to_dict() == direct.to_dict()
         assert len(runner._compiled) == 2
 
     def test_uncapturable_workload_memoised_as_none(self):

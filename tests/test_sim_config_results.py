@@ -33,12 +33,6 @@ class TestMachineConfig:
         assert cfg.hierarchy.l3.size_bytes == 4 * 1024 * 1024 // SCALE_FACTOR
         assert cfg.metadata_cache.size_bytes == 512 * 1024 // SCALE_FACTOR
 
-    def test_paper_scale_restores_table3(self):
-        cfg = MachineConfig.paper_scale()
-        assert cfg.hierarchy.l1.size_bytes == 32 * 1024
-        assert cfg.hierarchy.l3.size_bytes == 4 * 1024 * 1024
-        assert cfg.metadata_cache.size_bytes == 512 * 1024
-
     def test_with_scheme_preserves_rest(self):
         cfg = MachineConfig(aes_latency_ns=55.0)
         other = cfg.with_scheme(Scheme.BASELINE_SECURE)
@@ -141,10 +135,6 @@ class TestResultTable:
     def test_mean(self):
         assert self.make_table().mean("slowdown") == pytest.approx((1.1 + 1.5) / 2)
 
-    def test_geometric_mean(self):
-        gm = self.make_table().geometric_mean("slowdown")
-        assert gm == pytest.approx((1.1 * 1.5) ** 0.5)
-
     def test_render_contains_rows_and_average(self):
         text = self.make_table().render()
         assert "w2" in text and "average" in text and "1.500" in text
@@ -160,7 +150,6 @@ class TestResultTable:
     def test_empty_table_means(self):
         table = ResultTable("empty")
         assert table.mean() == 0.0
-        assert table.geometric_mean() == 0.0
 
 
 class TestRunResultSerde:

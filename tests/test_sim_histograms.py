@@ -61,26 +61,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             LatencyHistogram(edges=[])
 
-    def test_merge(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(5.0)
-        b.record(500.0)
-        a.merge(b)
-        assert a.total == 2
-        assert a.max_ns == 500.0
-
-    def test_merge_mismatched_edges_rejected(self):
-        a = LatencyHistogram(edges=[10.0])
-        b = LatencyHistogram(edges=[20.0])
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_render(self):
-        hist = LatencyHistogram(name="t")
-        hist.record(7.0)
-        text = hist.render()
-        assert "t:" in text and "#" in text
-
     def test_as_dict_keys(self):
         hist = LatencyHistogram()
         hist.record(50.0)

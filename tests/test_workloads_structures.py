@@ -44,14 +44,6 @@ class TestAllocator:
         big = alloc.alloc(400)  # different class: no reuse
         assert big != a
 
-    def test_live_object_accounting(self):
-        _, alloc = machine_and_pool()
-        a = alloc.alloc(10)
-        alloc.alloc(10)
-        assert alloc.live_objects == 2
-        alloc.free(a, 10)
-        assert alloc.live_objects == 1
-
     def test_exhaustion(self):
         _, alloc = machine_and_pool(pages=1)
         with pytest.raises(PoolExhausted):
@@ -124,15 +116,12 @@ class TestBTree:
 
 
 class TestHashmap:
-    def test_put_get_remove(self):
+    def test_put_get(self):
         machine, alloc = machine_and_pool()
         hm = PersistentHashmap(machine, alloc, buckets=16)
         hm.put(5)
         assert hm.get(5) is True
         assert hm.get(6) is False
-        assert hm.remove(5) is True
-        assert hm.get(5) is False
-        assert hm.remove(5) is False
 
     def test_chaining_under_collisions(self):
         machine, alloc = machine_and_pool()
@@ -149,14 +138,6 @@ class TestHashmap:
         hm.put(5)
         hm.put(5)
         assert hm.size == 1
-
-    def test_remove_middle_of_chain(self):
-        machine, alloc = machine_and_pool()
-        hm = PersistentHashmap(machine, alloc, buckets=1)
-        for k in (1, 2, 3):
-            hm.put(k)
-        assert hm.remove(2)
-        assert hm.get(1) and hm.get(3) and not hm.get(2)
 
     def test_bucket_validation(self):
         machine, alloc = machine_and_pool()
