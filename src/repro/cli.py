@@ -59,7 +59,13 @@ from .analysis import (
 from .exec import Cell, ExperimentRunner, resolve_workload
 from .faults.plan import FAULT_PROFILES, FaultPlan
 from .sim.results import ResultTable, run_provenance
-from .sim.schemes import canonical_scheme_name, crash_matrix_names, get_scheme, scheme_names
+from .sim.schemes import (
+    canonical_scheme_name,
+    crash_matrix_names,
+    get_scheme,
+    scheme_names,
+    secure_scheme_names,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -83,15 +89,18 @@ def _show(text: str, runner: ExperimentRunner) -> None:
 
 
 def _save(json_path: Optional[str], payload, runner: Optional[ExperimentRunner] = None) -> None:
-    """Write a command's ``--json`` output.  Grid commands pass their
-    runner, whose provenance block rides under the ``"runner"`` key."""
+    """Write a command's ``--json`` output, creating missing parent
+    directories.  Grid commands pass their runner, whose provenance
+    block rides under the ``"runner"`` key."""
     if not json_path:
         return
+    path = Path(json_path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     extra = run_provenance(runner) if runner is not None else {}
     if isinstance(payload, ResultTable):
-        payload.save_json(Path(json_path), extra=extra)
+        payload.save_json(path, extra=extra)
     else:
-        Path(json_path).write_text(json.dumps({**payload, **extra}, indent=2))
+        path.write_text(json.dumps({**payload, **extra}, indent=2))
     print(f"saved: {json_path}")
 
 
@@ -203,11 +212,11 @@ def _run_crashsweep(args) -> int:
     """Crash-sweep the (scheme x fault-profile) matrix, audit every line.
 
     ``--scheme all`` runs every registry matrix column; any other
-    registered scheme name runs as that one column, matrix member or not
-    (so new registry entries are sweepable before they earn a matrix
-    seat).  ``--profile all`` runs every named fault profile;
-    ``--profile custom`` builds one plan from the individual fault
-    flags.  Exit code is the total silent-corruption count.
+    registered scheme whose machine has a secure memory controller runs
+    as that one column, matrix member or not (so new registry entries
+    are sweepable before they earn a matrix seat).  ``--profile all``
+    runs every named fault profile; ``--profile custom`` builds one plan
+    from the individual fault flags.  Exit code is the total silent-corruption count.
     """
     from .faults.sweep import matrix_configs, sweep_matrix
 
@@ -595,13 +604,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seed", type=int, default=0xC0FFEE, help="sweep / fault-plan seed")
     matrix = ", ".join(crash_matrix_names())
+    secure = secure_scheme_names()
     sweep.add_argument(
         "--scheme",
-        choices=["all", *scheme_names()],
+        choices=["all", *secure],
         default="all",
         metavar="SCHEME",
-        help=f"all (the matrix columns: {matrix}) or any registered scheme as a "
-        f"single column ({', '.join(scheme_names())}; default: all)",
+        help=f"all (the matrix columns: {matrix}) or any scheme with a secure "
+        f"memory controller as a single column ({', '.join(secure)}; default: all)",
     )
     sweep.add_argument(
         "--profile",

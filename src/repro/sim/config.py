@@ -73,6 +73,12 @@ class Scheme(Enum):
     def has_file_encryption(self) -> bool:
         return self in (Scheme.FSENCR, Scheme.SOFTWARE_ENCRYPTION)
 
+    @property
+    def has_secure_controller(self) -> bool:
+        """Counter-mode memory encryption, a BMT and Osiris recovery in
+        the memory controller: what a crash sweep audits."""
+        return self in (Scheme.BASELINE_SECURE, Scheme.FSENCR)
+
 
 @dataclass(frozen=True)
 class MachineConfig:

@@ -52,6 +52,7 @@ __all__ = [
     "scheme_names",
     "all_specs",
     "crash_matrix_names",
+    "secure_scheme_names",
     "comparison_pair",
     "motivation_pair",
     "spec_for_config",
@@ -161,6 +162,14 @@ def crash_matrix_names() -> Tuple[str, ...]:
         if spec.crash_matrix_order is not None
     )
     return tuple(name for _order, name in ordered)
+
+
+def secure_scheme_names() -> Tuple[str, ...]:
+    """Every column whose machine has a secure memory controller, sorted:
+    the ones a crash sweep can run."""
+    return tuple(
+        name for name in sorted(_REGISTRY) if _REGISTRY[name].scheme.has_secure_controller
+    )
 
 
 def _role(role: str) -> str:

@@ -18,10 +18,14 @@ points:
 The scheduler is event-driven over virtual time: at each step the
 stream with the earliest ready time runs its next trace op to
 completion (ties broken by stream id, so interleavings are total-order
-deterministic).  A stream's ops run on the compiled-trace interpreter
-in its stepping mode (:func:`~repro.sim.batch.step_workload`), or on
-``TraceCursor`` for machines outside the interpreter's envelope.  Two
-arrival policies gate *when* a measured op is ready:
+deterministic).  The run's ``interleave_digest`` is one SHA-256 fed
+once per scheduler turn (:func:`_hash_turn`): the stream id and the
+turn's op count, then its completions as little-endian binary64, and
+after a stream's last turn its op-code column.  A stream's ops run on
+the compiled-trace interpreter in its stepping mode
+(:func:`~repro.sim.batch.step_workload`), or on ``TraceCursor`` for
+machines outside the interpreter's envelope.  Two arrival policies
+gate *when* a measured op is ready:
 
 * :class:`ClosedLoop` — a per-stream MLP window of ``window``
   outstanding requests: op ``i`` issues when op ``i - window``
@@ -45,6 +49,9 @@ import hashlib
 import heapq
 import itertools
 import random
+import struct
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -67,6 +74,26 @@ __all__ = [
     "ServiceResult",
     "run_service",
 ]
+
+#: A scheduler turn's header in the interleave digest: the stream id
+#: and the turn's op count, little-endian unsigned 32-bit.
+_TURN_HEADER = struct.Struct("<II")
+
+
+def _hash_turn(update: Callable[[bytes], None], sid: int, completions: array,
+               codes: bytes = b"") -> None:
+    """Feed one scheduler turn to the interleave digest's ``update``.
+
+    The turn's header, then its ops' completion times as little-endian
+    IEEE-754 binary64 (``completions`` is an ``array('d')``, byteswapped
+    in place on a big-endian host), then ``codes``: the stream's op-code
+    column when this turn ends the stream, nothing otherwise.
+    """
+    update(_TURN_HEADER.pack(sid, len(completions)))
+    if sys.byteorder == "big":
+        completions.byteswap()
+    update(completions)
+    update(codes)
 
 
 @dataclass(frozen=True)
@@ -315,6 +342,13 @@ def run_service(
     is captured, then its ops replayed on the stream's machine).  The
     returned per-stream :class:`RunResult` for a 1-stream closed-loop
     run is bit-identical to ``run_workload`` under the same config.
+
+    A turn is a maximal run of one stream's consecutive ops.  Each turn
+    feeds the ``interleave_digest`` ``_TURN_HEADER`` (stream id, op
+    count), then the ops' completion times as little-endian IEEE-754
+    binary64; the turn that ends a stream then feeds the stream's
+    op-code column (``codes``, one :data:`~repro.sim.batch.OP_NAMES`
+    index per op).
     """
     from .batch import OP_NAMES, step_workload
 
@@ -352,11 +386,14 @@ def run_service(
         codes = stream.codes
         last = len(codes) - 1
         step = stream.steps.__next__
+        samples = stream.samples
         completions = stream.completions
         next_gap = stream.next_gap
         index = stream.index
         issue = stream.issue_ns
         measuring = stream.measuring
+        turn = array("d")
+        append_turn = turn.append
         while True:
             code = codes[index]
             if issue > machine.clock_ns:
@@ -365,11 +402,9 @@ def run_service(
                 machine.clock_ns = issue
             step()
             completion = machine.clock_ns
-            update(f"{sid}:{index}:{OP_NAMES[code]}:{completion!r};".encode())
+            append_turn(completion)
             if measuring and code <= last_measured:
-                sample = completion - issue
-                stream.samples.append(sample)
-                stream.histogram.record(sample)
+                samples.append(completion - issue)
                 stream.end_ns = completion
                 if completions is not None:
                     completions.append(completion)
@@ -381,10 +416,12 @@ def run_service(
                 if next_gap is not None:
                     stream.next_arrival_ns = completion + next_gap()
             if index == last:
+                _hash_turn(update, sid, turn, codes)
                 stream.steps.close()  # flushes the interpreter's stats
                 stream.stats.add("ops", len(codes))
-                if stream.samples:
-                    stream.stats.add("measured_ops", len(stream.samples))
+                if samples:
+                    stream.stats.add("measured_ops", len(samples))
+                stream.histogram.record_many(samples)
                 break
             index += 1
             # When the next op may issue: unmeasured ops (setup
@@ -402,6 +439,7 @@ def run_service(
                 issue = completion
             key = (issue if issue > completion else completion, sid)
             if rival is not None and key > rival:
+                _hash_turn(update, sid, turn)
                 stream.index = index
                 stream.issue_ns = issue
                 stream.measuring = measuring

@@ -64,6 +64,11 @@ def test_flags_from_other_commands_do_not_pass_silently():
         ["fig12", "--jobs", "-1"],
         ["crashsweep", "--profile", "nonsense"],
         ["crashsweep", "--scheme", "nonsense"],
+        # A crash sweep audits a secure controller's recovery; these
+        # machines have none.
+        ["crashsweep", "--scheme", "conventional"],
+        ["crashsweep", "--scheme", "ext4dax_plain"],
+        ["crashsweep", "--scheme", "software_encryption"],
         ["fig15", "--scheme", "nonsense"],
         ["fig12", "--iter", "10"],  # no abbreviations of long flags
         ["cache", "stats"],  # the result cache and its command are gone
@@ -132,6 +137,21 @@ def test_crashsweep_json_records_each_cell_seed(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload["cells"]) == 3  # one per fault profile
     assert {cell["seed"] for cell in payload["cells"]} == {payload["seed"]} == {11}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig12", "--iters", "20"],  # a result table
+        ["crashsweep", "--workload", "Fillseq-S", "--ops", "12", "--points", "1",
+         "--scheme", "fsencr", "--profile", "mixed"],  # a plain payload
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_creates_missing_parent_directories(argv, tmp_path):
+    path = tmp_path / "a" / "b" / "x.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    assert json.loads(path.read_text())
 
 
 @pytest.mark.parametrize("points", ["0", "-2"])

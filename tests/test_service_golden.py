@@ -4,9 +4,10 @@ A service run interleaves several streams through the shared
 memory-controller and OTT-port queues (``repro.sim.service``).  Its
 whole record -- every stream's ``RunResult``, response-time histograms,
 both queues' delay stats and the interleave digest -- is a pure
-function of (config, workloads, policy).  These digests were captured
-on the per-access reference path; any executor of service streams must
-reproduce them bit-for-bit.
+function of (config, workloads, policy).  Every case runs twice: with
+streams on the compiled interpreter, and with them forced onto the
+reference path (``TraceCursor`` replay); both must reproduce the digest
+bit-for-bit.
 
 The cases cover both secure schemes under both closed-loop window
 depths and both open-loop gap distributions, the OTT-port-heavy
@@ -23,6 +24,7 @@ import hashlib
 import pytest
 
 from repro.exec.spec import canonical_json
+from repro.sim import batch
 from repro.sim.config import MachineConfig
 from repro.sim.schemes import get_scheme
 from repro.sim.service import ClosedLoop, OpenLoop, run_service
@@ -51,34 +53,34 @@ def _many_files_mix():
 #: mc_queue requests, ott_queue requests).
 GOLDEN = {
     ("3xFillseq-S", "baseline_secure", "closed1"): (
-        "702ec15bcfee750d32b2aa45c0e9f9c1d6fde2e2d4341efec549762c40f2b70f",
+        "d3e5a2badd3be1c00d447a42fef70546722ba57db4927c46aa277bfc94a48437",
         2505, 0),
     ("3xFillseq-S", "baseline_secure", "closed4"): (
-        "d2b01e35903ea43f72b253eea98ade777c323b5173f1989c75ddc2bb34e4d329",
+        "c8df01d2b1e43de8024a0e81ebdc18995274185f0bfd79882bd264e64f1b798a",
         2505, 0),
     ("3xFillseq-S", "baseline_secure", "open-exp"): (
-        "7ea28714f88aac284042e2fb1461453de249c7268d9035312d73a39c751bc801",
+        "ca0c8f7f3dc24c4acf07f3d8a68c45884a58a3749bc216a3ec5bbd2d46c2fb2b",
         2505, 0),
     ("3xFillseq-S", "baseline_secure", "open-fixed"): (
-        "5819f43077bfd1571d5558bfeae004525e47cc17824454c4c955c77c99fea50d",
+        "94ddcde079e01773e6cb7ffcaab685118c81354e3b71cdaa035e1ec5a4c67f80",
         2505, 0),
     ("3xFillseq-S", "fsencr", "closed1"): (
-        "ed0d548945e474de14e0192f9deac6d09a01b8a99d00b29103aa125e9f390ce5",
+        "675f7c85df1c9028a6b44ff2be19b558347baa11d15a3fa5fc758f7de796f7a5",
         2505, 0),
     ("3xFillseq-S", "fsencr", "closed4"): (
-        "d87501eae9b09f318221f75a97ffdcb2ee9ea76488224d4c60198ffab737819c",
+        "f87cae3079c67144142066e2d14fc1271033e31338bb3867f1b1fce281455939",
         2505, 0),
     ("3xFillseq-S", "fsencr", "open-exp"): (
-        "57d3e20177399b5a084e63a2829a5ab7a358aff4b5f3a71ac6b95467d3f3bf0f",
+        "693333fa71652b9d68c78d2f355aef8444f9904f2b96a20010b1356b0502f5ad",
         2505, 0),
     ("3xFillseq-S", "fsencr", "open-fixed"): (
-        "df31b9e29e15c6e65596379816f4132311cdab52b73883ccca71901b1c27eb4d",
+        "8593568eeeadf4197e937c1acacdd09bc8808c19925e3e801db1961de6a62902",
         2505, 0),
     ("3xManyFiles@96", "fsencr+partitioned", "closed1"): (
-        "b51edb15075332c8e6e341f36a93c00234ec0d9be0db0d15da4b45f0809603e5",
+        "d55c50af2933ada27e5be873a55671e887df7543398cf180a9dd7ab9e5318389",
         2238, 817),
     ("3xFillseq-S", "fsencr+anubis", "closed1"): (
-        "7ef11669f8fc15368f203b193e860469b52c5ac2f04733ab8aba0953afa7a85d",
+        "977efd32de61ffd141e22af2a3436abcae7791d45ea868f2cf3e14c894837eb7",
         2505, 0),
 }
 
@@ -92,8 +94,18 @@ def _service_digest(mix: str, scheme: str, policy: str):
     return hashlib.sha256(blob.encode()).hexdigest(), result
 
 
-@pytest.mark.parametrize("mix,scheme,policy", sorted(GOLDEN))
-def test_service_run_bit_identical(mix, scheme, policy):
+def _executor_cases():
+    # The compiled cases keep the bare (mix, scheme, policy) id.
+    for key in sorted(GOLDEN):
+        label = "-".join(key)
+        yield pytest.param(*key, "compiled", id=label)
+        yield pytest.param(*key, "reference", id=f"{label}-reference")
+
+
+@pytest.mark.parametrize("mix,scheme,policy,executor", _executor_cases())
+def test_service_run_bit_identical(mix, scheme, policy, executor, monkeypatch):
+    if executor == "reference":
+        monkeypatch.setattr(batch, "_supports_fast_path", lambda machine: False)
     digest, result = _service_digest(mix, scheme, policy)
     want_digest, want_mc, want_ott = GOLDEN[(mix, scheme, policy)]
     label = f"{mix}/{scheme}/{policy}"

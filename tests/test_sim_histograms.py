@@ -1,5 +1,7 @@
 """Latency histograms and the tail-latency analysis they support."""
 
+import random
+
 import pytest
 
 from repro.sim import LatencyHistogram, Machine, MachineConfig, Scheme
@@ -66,6 +68,36 @@ class TestHistogram:
         hist.record(50.0)
         d = hist.as_dict()
         assert set(d) == {"total", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"}
+
+    def test_record_many_equals_record_per_sample(self):
+        rng = random.Random(7)
+        samples = [rng.expovariate(1 / 300.0) for _ in range(2000)]
+        samples += [0.0, 5.0, 10.0, 10240.0, 1e6]  # edges and overflow
+        rng.shuffle(samples)
+        # A naive left-to-right sum drops these ones; a compensated or
+        # reordered sum would not.
+        samples += [1e16, 1.0, 1.0, 1.0]
+        one, bulk = LatencyHistogram(), LatencyHistogram()
+        one.record(42.0)
+        bulk.record(42.0)
+        for sample in samples:
+            one.record(sample)
+        bulk.record_many(samples)
+        assert bulk.counts == one.counts
+        assert (bulk.total, bulk.sum_ns, bulk.max_ns) == (one.total, one.sum_ns, one.max_ns)
+        assert bulk.as_dict() == one.as_dict()
+
+    def test_record_many_of_nothing_changes_nothing(self):
+        hist = LatencyHistogram()
+        hist.record_many([])
+        assert hist.as_dict() == LatencyHistogram().as_dict()
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_record_many_rejects_before_counting(self, bad):
+        hist = LatencyHistogram()
+        with pytest.raises(ValueError, match="non-negative"):
+            hist.record_many([3.0, bad, 5.0])
+        assert hist.total == 0 and not any(hist.counts)
 
 
 class TestMachineIntegration:

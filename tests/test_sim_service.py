@@ -10,6 +10,10 @@ samples, and queue stats across runs and across worker-process counts.
 
 from __future__ import annotations
 
+import hashlib
+import math
+import struct
+from array import array
 from functools import partial
 
 import pytest
@@ -24,11 +28,11 @@ from repro.analysis.tails import (
 from repro.exec import Cell, ExperimentRunner
 from repro.exec.spec import canonical_json
 from repro.mem.controller import MemoryControllerQueue, ServiceQueue
-from repro.sim.batch import _supports_fast_path, capture_workload
+from repro.sim.batch import _supports_fast_path, capture_workload, step_workload
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.schemes import get_scheme, scheme_names
-from repro.sim.service import ClosedLoop, OpenLoop, ServiceQueues, run_service
+from repro.sim.service import ClosedLoop, OpenLoop, ServiceQueues, _hash_turn, run_service
 from repro.workloads import ManyFilesWorkload
 from repro.workloads.base import (
     StreamSpec,
@@ -116,6 +120,64 @@ def test_loadcurve_cell_identical_under_jobs_2():
     serial = ExperimentRunner(1).run(cells)
     parallel = ExperimentRunner(2).run(cells)
     assert canonical_json(serial) == canonical_json(parallel)
+
+
+# ----------------------------------------------------------------------
+# The interleave digest
+# ----------------------------------------------------------------------
+
+
+def test_interleave_digest_layout_of_a_lone_stream():
+    # A lone closed-loop stream runs in one turn: its header (sid, op
+    # count), every completion as little-endian binary64, then its
+    # op-code column.
+    config = get_scheme("fsencr").configure(MachineConfig())
+    machine = Machine(config)
+    workload = Fillseq(ops=60)
+    workload.setup(machine)
+    _name, codes, steps = step_workload(machine, workload)
+    completions = []
+    for _ in codes:
+        next(steps)
+        completions.append(machine.clock_ns)
+    blob = (struct.pack("<II", 0, len(codes))
+            + struct.pack(f"<{len(codes)}d", *completions) + codes)
+    service = run_service(config, [Fillseq(ops=60)], ClosedLoop())
+    assert service.interleave_digest == hashlib.sha256(blob).hexdigest()
+
+
+#: Two streams with equal completions and op codes, two turns each:
+#: (sid, completions, op codes fed when the turn ends the stream).
+_TURNS = [
+    (0, (10.0, 25.5), b""),
+    (1, (10.0, 25.5), b""),
+    (0, (41.0,), b"\x04\x00\x07"),
+    (1, (41.0,), b"\x04\x00\x07"),
+]
+
+
+def _turns_digest(turns):
+    digest = hashlib.sha256()
+    for sid, completions, codes in turns:
+        _hash_turn(digest.update, sid, array("d", completions), codes)
+    return digest.hexdigest()
+
+
+def test_interleave_digest_pins_every_completion_bit():
+    moved = list(_TURNS)
+    moved[1] = (1, (10.0, math.nextafter(25.5, math.inf)), b"")
+    assert _turns_digest(moved) != _turns_digest(_TURNS)
+
+
+def test_interleave_digest_pins_which_stream_ran_each_turn():
+    swapped = [_TURNS[1], _TURNS[0], *_TURNS[2:]]
+    assert _turns_digest(swapped) != _turns_digest(_TURNS)
+
+
+def test_interleave_digest_pins_the_op_codes():
+    recoded = list(_TURNS)
+    recoded[3] = (1, (41.0,), b"\x04\x01\x07")
+    assert _turns_digest(recoded) != _turns_digest(_TURNS)
 
 
 # ----------------------------------------------------------------------
