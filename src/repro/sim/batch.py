@@ -17,25 +17,26 @@ boundaries and allocates request/outcome objects.  This module keeps the
    or an index into the trace's table of distinct compute delays),
    plus a per-op index: where each trace op's micro-ops end, its op
    code, and the rare structural ops (create/open/mmap/mark) by op
-   index.  A trace compiled from a capture keeps no source.
+   index.  A compiled trace keeps no source.
 3. **Execute** — :func:`execute_compiled` sweeps the columns in one
    interpreter loop.  Only the measured-hot hit probes are inlined as
    direct ``OrderedDict`` probes: TLB hit, L1/L2/L3 hits,
-   MECB/FECB/Merkle-first-node hits, OTT hit, and the NVM row buffer.
+   MECB/FECB/Merkle-first-node hits, and the NVM row buffer.
    Stats are accumulated in flat pend arrays and flushed per chunk.
    Every miss and rare path calls the *real* component method: TLB
    miss and page fault, L1/L2 dirty victims
    (``CacheHierarchy._push_down``), MECB/FECB misses with their Merkle
-   verification (``_fetch_metadata_line``), Merkle first-node misses
-   (``_update_merkle_path``), counter overflow, OTT refill, and
-   page-cache faults.  Each miss rule therefore exists once, and every
-   golden digest is bit-identical to per-access dispatch.  The NVM row
-   buffer stays inline on a row miss too: about 30% of NVM accesses
-   miss the row, and calling ``NVMDevice`` for them measured slower in
-   every run (docs/BATCH.md).  Machines the
-   interpreter does not model (functional mode, histograms, crash
-   domains, Anubis) run the workload directly under
-   :class:`BatchRunner`, or replay a :func:`compile_trace` source.
+   verification (``_fetch_metadata_line``) and OTT key lookup
+   (``_lookup_key``), Merkle first-node misses
+   (``_update_merkle_path``), counter overflow, and page-cache faults.
+   Each miss rule therefore exists once, and every golden digest is
+   bit-identical to per-access dispatch.  The NVM row buffer stays
+   inline on a row miss too: about 30% of NVM accesses miss the row,
+   and calling ``NVMDevice`` for them measured slower in every run
+   (docs/BATCH.md).  Machines the interpreter does not model
+   (functional mode, histograms, crash domains, Anubis) run the
+   workload directly under :class:`BatchRunner`;
+   :func:`execute_compiled` rejects them.
 4. **Step** — :func:`step_workload` runs the same loop one trace op per
    ``next()`` for the service scheduler (:mod:`repro.sim.service`);
    shared service queues are charged at the interpreter's controller
@@ -78,7 +79,6 @@ from .trace import (
     Trace,
     TraceCursor,
     TraceOp,
-    replay,
 )
 
 __all__ = [
@@ -158,8 +158,7 @@ class CompiledTrace:
     its micro-ops end and ``codes[i]`` indexes its mnemonic in
     :data:`OP_NAMES`.  The structural ops (create/open/mmap/mark) lower
     to no micro-ops; ``rares`` maps each one's op index to its
-    :class:`TraceOp`.  ``trace`` is the source :func:`compile_trace`
-    was given, for the replay fallback; a captured trace keeps none.
+    :class:`TraceOp`.  It keeps no source trace.
     """
 
     kinds: bytes
@@ -168,7 +167,6 @@ class CompiledTrace:
     ends: array
     codes: bytes
     rares: Dict[int, TraceOp]
-    trace: Optional[Trace] = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -232,13 +230,12 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     becomes its write accesses, then one flush per line, then a fence —
     exactly the sequence ``Machine.persist`` issues.  Invalid sizes and
     compute delays are rejected here (the per-access path raises the
-    same ``ValueError``, just lazily at the offending op).  The result
-    keeps ``trace`` for the replay fallback of :func:`execute_compiled`.
+    same ``ValueError``, just lazily at the offending op).
     """
     return CompiledTrace(*_lower(
         (op.op, op.addr, op.size, op.path, op.flag, op.ns, op.uid)
         for op in trace.ops
-    ), trace=trace)
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -384,20 +381,17 @@ def _supports_fast_path(machine: Machine) -> bool:
 def execute_compiled(compiled: CompiledTrace, machine: Machine) -> None:
     """Run a compiled trace on a machine, bit-identically.
 
-    Machines outside the interpreter's envelope (functional mode,
-    histograms attached, crash/Anubis wiring, custom controllers)
-    replay the source trace through the reference path, so they need a
-    trace from :func:`compile_trace`; a captured one keeps no source.
+    Only machines inside the interpreter's envelope run compiled
+    traces.  The rest (functional mode, histograms attached, crash or
+    Anubis wiring, custom controllers) raise ``ValueError``: run the
+    workload directly, or :func:`~repro.sim.trace.replay` the trace.
     """
-    if _supports_fast_path(machine):
-        for _ in _interpret(compiled, machine):
-            pass
-    elif compiled.trace is None:
+    if not _supports_fast_path(machine):
         raise ValueError(
-            "this machine needs the replay fallback, and a captured trace "
-            "keeps no source to replay: run the workload directly")
-    else:
-        replay(compiled.trace, machine)
+            "this machine is outside the compiled interpreter's envelope: "
+            "run the workload directly or replay the trace")
+    for _ in _interpret(compiled, machine):
+        pass
 
 
 def _replay_steps(trace: Trace, machine: Machine) -> Iterator[None]:
@@ -470,8 +464,7 @@ class BatchRunner:
         machine = Machine(config)
         workload.setup(machine)
         compiled = None
-        # Outside the envelope execute_compiled would replay, which is
-        # bit-identical to running the workload directly: no capture.
+        # Outside the envelope the workload runs directly: no capture.
         if _supports_fast_path(machine):
             key = _workload_trace_key(config, workload)
             if key in self._compiled:
@@ -492,11 +485,19 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                stepping: bool = False) -> Iterator[None]:
     """The inline interpreter.  One big function on purpose: every
     measured-hot hit path is flattened into locals and closures so a
-    line access costs dict probes, not call stacks.  Each inline probe
-    mirrors a specific reference method (named in the comments); every
-    miss, dirty victim and overflow calls that method instead of a
-    copy.  A behavioural change to a mirrored hit path must be mirrored
-    here — the golden-digest and batch-equivalence suites enforce it.
+    line access costs dict probes, not call stacks.  Each rule it
+    mirrors appears once: ``dev_miss`` is ``NVMDevice._access``'s row
+    miss under ``dev_read``/``dev_write``'s inline row hit;
+    ``pad_fetch`` is ``_pad_fetch_latency`` (MECB, and FsEncr's DAX
+    arm), for reads and writes alike; ``osiris_update`` is
+    ``OsirisTracker.note_update`` with its persist branch, for MECB and
+    FECB lines; ``merkle_touch`` is ``_update_merkle_path``'s first
+    node; the TLB-hit probe of ``MMU.translate`` serves accesses and
+    flushes; and the cache walk fills each level once, as
+    ``CacheHierarchy.access`` does.  Every miss, dirty victim, overflow
+    and OTT lookup calls the reference method instead of a copy.  A
+    behavioural change to a mirrored hit path must be mirrored here —
+    the golden-digest and batch-equivalence suites enforce it.
 
     A generator: batch mode runs chunk by chunk (the micro-ops between
     structural ops) and never yields.  With ``stepping`` every trace op
@@ -526,7 +527,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
     pend_l3 = [0] * len(_CACHE_KEYS)
     pend_meta = [0] * len(_META_KEYS)
     pend_osiris = [0, 0]
-    pend_ott = [0]
     pend_pc = [0]
 
     mmu_obj = machine.mmu
@@ -548,8 +548,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
             (pend_meta, _META_KEYS, controller.metadata_cache.stats.counters)
         )
         flush_specs.append((pend_osiris, _OSIRIS_KEYS, controller.osiris.stats.counters))
-    if is_fsencr:
-        flush_specs.append((pend_ott, ("hits",), controller.ott.stats.counters))
     if overlay is not None:
         flush_specs.append((pend_pc, ("hits",), overlay.page_cache.stats.counters))
 
@@ -571,32 +569,12 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
     bank_memo: Dict[int, tuple] = {}
 
     def dev_bank(addr: int) -> tuple:
-        """NVMDevice._locate, memoized per address."""
-        entry = bank_memo.get(addr)
-        if entry is None:
-            entry = bank_memo[addr] = locate(addr)
+        """NVMDevice._locate on an address's first touch, memoized."""
+        entry = bank_memo[addr] = locate(addr)
         return entry
 
-    def dev_read_miss(bank, row: int) -> float:
-        """NVMDevice._access read-path row miss (adaptive row policy)."""
-        misses = bank.consecutive_misses + 1
-        pend_nvm[_N_ROW_MISSES] += 1
-        latency = ROW_MISS
-        if bank.open_row is not None and bank.dirty:
-            latency += DIRTY_EVICT
-            pend_nvm[_N_DIRTY_WB] += 1
-        bank.dirty = False
-        if misses >= ADAPT:
-            bank.open_row = None
-            bank.consecutive_misses = 0
-            pend_nvm[_N_ADAPTIVE] += 1
-        else:
-            bank.open_row = row
-            bank.consecutive_misses = misses
-        return latency
-
-    def dev_write_miss(bank, row: int) -> float:
-        """NVMDevice._access write-path row miss."""
+    def dev_miss(bank, row: int, is_write: bool) -> float:
+        """NVMDevice._access, row-miss arm (adaptive row policy)."""
         misses = bank.consecutive_misses + 1
         pend_nvm[_N_ROW_MISSES] += 1
         latency = ROW_MISS
@@ -611,28 +589,30 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
         else:
             bank.open_row = row
             bank.consecutive_misses = misses
-            bank.dirty = True
+            bank.dirty = is_write
         return latency
 
     def dev_read(addr: int) -> float:
+        """NVMDevice.read, row hit inline."""
         pend_nvm[_N_READS] += 1
-        bank, row = dev_bank(addr)
+        bank, row = bank_memo.get(addr) or dev_bank(addr)
         if bank.open_row == row:
             bank.consecutive_misses = 0
             pend_nvm[_N_ROW_HITS] += 1
             return ROW_HIT
-        return dev_read_miss(bank, row)
+        return dev_miss(bank, row, False)
 
     def dev_write(addr: int, persist: bool = False) -> float:
+        """NVMDevice.write, row hit inline."""
         pend_nvm[_N_WRITES] += 1
-        bank, row = dev_bank(addr)
+        bank, row = bank_memo.get(addr) or dev_bank(addr)
         if bank.open_row == row:
             bank.consecutive_misses = 0
             pend_nvm[_N_ROW_HITS] += 1
             latency = ROW_HIT
             bank.dirty = True
         else:
-            latency = dev_write_miss(bank, row)
+            latency = dev_miss(bank, row, True)
         if persist:
             latency += DIRTY_EVICT
             bank.dirty = False
@@ -686,9 +666,16 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
         first_node_memo: Dict[int, int] = {}
         osiris_distance = controller.osiris._distance
         stop_loss = controller.osiris.stop_loss
+        mecb_blocks = controller.mecb.blocks
         mecb_block = controller.mecb.block
         real_bump = controller._bump_counter
         persisted_mecb = controller._persisted_mecb
+        if is_fsencr:
+            lookup_key = controller._lookup_key
+            fecb_block = controller.fecb.block
+            fecb_blocks = controller.fecb._blocks
+            real_extra = controller._extra_write_path
+            persisted_fecb = controller._persisted_fecb
 
         def merkle_touch(addr: int) -> None:
             """_update_merkle_path: first-node hit inline, miss delegates."""
@@ -704,213 +691,127 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
             else:
                 update_merkle(addr)
 
-        mecb_blocks = controller.mecb.blocks
-        has_dax = is_fsencr
-        if is_fsencr:
-            ott = controller.ott
-            ott_entries = ott._entries
-            ott_get = ott_entries.get
-            ott_move = ott_entries.move_to_end
-            OTT_LAT = ott.lookup_latency_ns
-            real_lookup_key = controller._lookup_key
-            fecb_block = controller.fecb.block
-            fecb_blocks = controller.fecb._blocks
-            real_extra = controller._extra_write_path
-            persisted_fecb = controller._persisted_fecb
-
-        def ctrl_read(addr: int) -> float:
-            """BaselineSecureController._read / FsEncr read: data read,
-            then pad fetch (MECB, and FECB+OTT on DAX lines), max-combine."""
-            pend_ctrl[_C_READ_REQ] += 1
-            raw = addr & ~DF_MASK
-            # NVMDevice.read, row-hit inline
-            pend_nvm[_N_READS] += 1
-            entry = bank_memo.get(raw)
-            if entry is None:
-                entry = dev_bank(raw)
-            bank, row = entry
-            if bank.open_row == row:
-                bank.consecutive_misses = 0
-                pend_nvm[_N_ROW_HITS] += 1
-                data_latency = ROW_HIT
-            else:
-                data_latency = dev_read_miss(bank, row)
-            page = raw >> 12
+        def pad_fetch(addr: int, page: int, is_write: bool) -> float:
+            """_pad_fetch_latency: the MECB fetch, and on FsEncr's DAX
+            lines the FECB fetch plus OTT key lookup; the slower arm
+            bounds the pad.  Metadata hits inline, misses delegate."""
             if page >= num_pages:
                 layout.mecb_addr(page)  # raises the reference ValueError
-            # MECB pad fetch, hit inline
             counter_addr = mecb_base + (page << 6)
-            mline = counter_addr >> 6
-            mentries = mecb_sets[mline % mecb_nsets]
-            if mline in mentries:
-                mentries.move_to_end(mline)
+            line = counter_addr >> 6
+            entries = mecb_sets[line % mecb_nsets]
+            if line in entries:
+                entries.move_to_end(line)
                 pend_meta[_M_MECB_H] += 1
-                pad = META_HIT
+                if is_write:
+                    entries[line] = True
+                    pend_meta[_M_MECB_W] += 1
+                latency = META_HIT
             else:
-                pad = fetch_line(counter_addr, MECB, False)
-            if has_dax and addr & DF_MASK:
-                # FsEncr._pad_fetch_latency DAX arm: FECB + OTT
-                pend_ctrl[_C_DAX] += 1
-                fecb_addr = fecb_base + (page << 6)
-                fline = fecb_addr >> 6
-                fentries = fecb_sets[fline % fecb_nsets]
-                if fline in fentries:
-                    fentries.move_to_end(fline)  # lookup_only probe
-                    fentries.move_to_end(fline)  # fetch hit
-                    pend_meta[_M_FECB_H] += 1
-                    fpad = META_HIT
-                    was_cached = True
-                else:
-                    was_cached = False
-                    fpad = fetch_line(fecb_addr, FECB, False)
-                fblock = fecb_blocks.get(page)
-                if fblock is None:
-                    fblock = fecb_block(page)
-                if (fblock.file_id or fblock.group_id) and not was_cached:
-                    ident = (fblock.group_id, fblock.file_id)
-                    if ott_get(ident) is not None:
-                        ott_move(ident)
-                        pend_ott[0] += 1
-                        fpad += OTT_LAT
-                    else:
-                        _, key_latency = real_lookup_key(
-                            fblock.group_id, fblock.file_id)
-                        fpad += key_latency
-                if fpad > pad:
-                    pad = fpad
-            pad += AES
+                latency = fetch_line(counter_addr, MECB, is_write)
+            if not (is_fsencr and addr & DF_MASK):
+                return latency
+            pend_ctrl[_C_DAX] += 1
+            fecb_addr = fecb_base + (page << 6)
+            line = fecb_addr >> 6
+            entries = fecb_sets[line % fecb_nsets]
+            if line in entries:
+                # The lookup_only probe and the fetch hit both move the
+                # line to the end, and the OTT is not consulted.  A cached
+                # FECB line's block already exists: update_fecb and this
+                # miss arm create the block before caching the line.
+                entries.move_to_end(line)
+                pend_meta[_M_FECB_H] += 1
+                if is_write:
+                    entries[line] = True
+                    pend_meta[_M_FECB_W] += 1
+                fpad = META_HIT
+            else:
+                fpad = fetch_line(fecb_addr, FECB, is_write)
+                block = fecb_block(page)
+                if block.stamped:
+                    fpad += lookup_key(block.group_id, block.file_id)[1]
+            return latency if latency >= fpad else fpad
+
+        def osiris_update(line_addr: int) -> None:
+            """OsirisTracker.note_update on an MECB or FECB line, with the
+            caller's persist branch: a posted write-through, clean_line
+            and the journal entry."""
+            distance = osiris_distance.get(line_addr, 0) + 1
+            pend_osiris[0] += 1
+            if distance < stop_loss:
+                osiris_distance[line_addr] = distance
+                return
+            osiris_distance[line_addr] = 0
+            pend_osiris[1] += 1
+            dev_write(line_addr)
+            line = line_addr >> 6
+            # _kind_for, then _journal_counter_persist's entry
+            if line_addr < fecb_base:
+                pend_ctrl[_C_OSIRIS_CP] += 1
+                entries = mecb_sets[line % mecb_nsets]
+                page = (line_addr - mecb_base) >> 6
+                block = mecb_blocks[page]
+                persisted_mecb[page] = (block.major, tuple(block.minors))
+            else:
+                pend_ctrl[_C_OSIRIS_FP] += 1
+                entries = fecb_sets[line % fecb_nsets]
+                page = (line_addr - fecb_base) >> 6
+                block = fecb_blocks[page]
+                counters = block.counters
+                persisted_fecb[page] = (block.group_id, block.file_id,
+                                        counters.major, tuple(counters.minors))
+            if entries.get(line):
+                entries[line] = False
+
+        def ctrl_read(addr: int) -> float:
+            """BaselineSecureController._read: the data read overlaps the
+            pad fetch and AES; the XOR is serial."""
+            pend_ctrl[_C_READ_REQ] += 1
+            raw = addr & ~DF_MASK
+            data_latency = dev_read(raw)
+            pad = pad_fetch(addr, raw >> 12, False) + AES
             total = data_latency if data_latency >= pad else pad
             return total + XOR
 
         def ctrl_write(addr: int, persist: bool) -> float:
-            """BaselineSecureController._write / FsEncr write, with every
-            common-case probe (metadata hit, counter bump, merkle first
-            node hit, row hit) inlined; overflow/miss arms delegate."""
+            """BaselineSecureController._write: pad fetch, counter bump,
+            FsEncr's FECB bump on DAX lines, Merkle updates, data write.
+            The non-overflow bumps are inline; overflows delegate before
+            any mutation."""
             pend_ctrl[_C_WRITE_REQ] += 1
             raw = addr & ~DF_MASK
             page = raw >> 12
-            if page >= num_pages:
-                layout.mecb_addr(page)
-            counter_addr = mecb_base + (page << 6)
             line_index = (raw & 4095) >> 6
-            # MECB pad fetch (write), hit inline
-            mline = counter_addr >> 6
-            mentries = mecb_sets[mline % mecb_nsets]
-            if mline in mentries:
-                mentries.move_to_end(mline)
-                mentries[mline] = True
-                pend_meta[_M_MECB_W] += 1
-                pend_meta[_M_MECB_H] += 1
-                latency = META_HIT
-            else:
-                latency = fetch_line(counter_addr, MECB, True)
-            is_df = has_dax and addr & DF_MASK
-            if is_df:
-                # FsEncr._pad_fetch_latency DAX arm
-                pend_ctrl[_C_DAX] += 1
-                fecb_addr = fecb_base + (page << 6)
-                fline = fecb_addr >> 6
-                fentries = fecb_sets[fline % fecb_nsets]
-                if fline in fentries:
-                    fentries.move_to_end(fline)  # lookup_only probe
-                    fentries.move_to_end(fline)  # fetch hit
-                    fentries[fline] = True
-                    pend_meta[_M_FECB_W] += 1
-                    pend_meta[_M_FECB_H] += 1
-                    fpad = META_HIT
-                    was_cached = True
-                else:
-                    was_cached = False
-                    fpad = fetch_line(fecb_addr, FECB, True)
-                fblock = fecb_blocks.get(page)
-                if fblock is None:
-                    fblock = fecb_block(page)
-                if (fblock.file_id or fblock.group_id) and not was_cached:
-                    ident = (fblock.group_id, fblock.file_id)
-                    if ott_get(ident) is not None:
-                        ott_move(ident)
-                        pend_ott[0] += 1
-                        fpad += OTT_LAT
-                    else:
-                        _, key_latency = real_lookup_key(
-                            fblock.group_id, fblock.file_id)
-                        fpad += key_latency
-                if fpad > latency:
-                    latency = fpad
-            # _bump_counter, non-overflow inline (overflow delegates
-            # before any mutation)
+            latency = pad_fetch(addr, page, True)
+            counter_addr = mecb_base + (page << 6)
             block = mecb_blocks.get(page)
             if block is None:
                 block = mecb_block(page)
             minors = block.minors
             new_minor = minors[line_index] + 1
             if new_minor >= _MINOR_LIMIT:
-                bumped = real_bump(page, line_index, counter_addr)
-                if bumped:
-                    latency += bumped
+                latency += real_bump(page, line_index, counter_addr)
             else:
                 minors[line_index] = new_minor
-                # OsirisTracker.note_update + the persist branch
-                distance = osiris_distance.get(counter_addr, 0) + 1
-                pend_osiris[0] += 1
-                if distance >= stop_loss:
-                    osiris_distance[counter_addr] = 0
-                    pend_osiris[1] += 1
-                    dev_write(counter_addr)  # posted write-through
-                    pend_ctrl[_C_OSIRIS_CP] += 1
-                    if mentries.get(mline):
-                        mentries[mline] = False
-                    persisted_mecb[page] = (block.major, tuple(minors))
-                else:
-                    osiris_distance[counter_addr] = distance
-            # FsEncr._extra_write_path, non-overflow inline
-            if is_df and (fblock.file_id or fblock.group_id):
-                fcounters = fblock.counters
-                fminors = fcounters.minors
-                fnew = fminors[line_index] + 1
-                if fnew >= _MINOR_LIMIT:
-                    extra = real_extra(
-                        MemoryRequest(addr=addr, is_write=True), raw)
-                    if extra:
-                        latency += extra
-                else:
-                    fminors[line_index] = fnew
-                    fdist = osiris_distance.get(fecb_addr, 0) + 1
-                    pend_osiris[0] += 1
-                    if fdist >= stop_loss:
-                        osiris_distance[fecb_addr] = 0
-                        pend_osiris[1] += 1
-                        dev_write(fecb_addr)  # posted write-through
-                        pend_ctrl[_C_OSIRIS_FP] += 1
-                        if fentries.get(fline):
-                            fentries[fline] = False
-                        persisted_fecb[page] = (
-                            fblock.group_id, fblock.file_id,
-                            fcounters.major, tuple(fminors),
-                        )
+                osiris_update(counter_addr)
+            if is_fsencr and addr & DF_MASK:
+                # FsEncr._extra_write_path; pad_fetch made the block
+                fblock = fecb_blocks[page]
+                if fblock.file_id or fblock.group_id:
+                    fminors = fblock.counters.minors
+                    new_minor = fminors[line_index] + 1
+                    if new_minor >= _MINOR_LIMIT:
+                        latency += real_extra(
+                            MemoryRequest(addr=addr, is_write=True), raw)
                     else:
-                        osiris_distance[fecb_addr] = fdist
-                    merkle_touch(fecb_addr)  # merkle update over the FECB line
-            merkle_touch(counter_addr)  # merkle update over the counter line
+                        fminors[line_index] = new_minor
+                        fecb_addr = fecb_base + (page << 6)
+                        osiris_update(fecb_addr)
+                        merkle_touch(fecb_addr)
+            merkle_touch(counter_addr)
             latency += AES_XOR
-            # NVMDevice.write, row-hit inline
-            pend_nvm[_N_WRITES] += 1
-            entry = bank_memo.get(raw)
-            if entry is None:
-                entry = dev_bank(raw)
-            bank, row = entry
-            if bank.open_row == row:
-                bank.consecutive_misses = 0
-                pend_nvm[_N_ROW_HITS] += 1
-                wlat = ROW_HIT
-                bank.dirty = True
-            else:
-                wlat = dev_write_miss(bank, row)
-            if persist:
-                wlat += DIRTY_EVICT
-                bank.dirty = False
-                pend_nvm[_N_PERSIST] += 1
-            return latency + wlat
+            return latency + dev_write(raw, persist)
 
     # -- service queues (Machine._controller_access) -------------------
     queues = machine.service_queues
@@ -923,18 +824,15 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                    factor: float, ctrl_read=ctrl_read,
                    ctrl_write=ctrl_write) -> float:
             """One controller access charged through the shared queues;
-            returns the clock after it.  OTT lookups count pending hits
-            too, so the count does not depend on when stats flush.
-            (The controller closures are bound as defaults so they stay
-            plain locals of the loop.)"""
-            before = (pend_ott[0] + ott_counts.get("hits", 0)
-                      + ott_counts.get("misses", 0))
+            returns the clock after it.  (The controller closures are
+            bound as defaults so they stay plain locals of the loop.)"""
+            before = ott_counts.get("hits", 0) + ott_counts.get("misses", 0)
             if is_write:
                 charged = ctrl_write(addr, persist) * factor
             else:
                 charged = ctrl_read(addr) * factor
-            lookups = (pend_ott[0] + ott_counts.get("hits", 0)
-                       + ott_counts.get("misses", 0) - before)
+            lookups = (ott_counts.get("hits", 0) + ott_counts.get("misses", 0)
+                       - before)
             return arrival + (
                 charge(arrival, charged, lookups, port_ns * factor) + charged)
 
@@ -968,13 +866,13 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
     try:
         for chunk_index, hi in enumerate(bounds):
             for kind, addr in zip(kinds[lo:hi], addrs[lo:hi]):
-                if kind <= _ACC_WRITE:
-                    # ---- Machine._access_line --------------------------
+                if kind <= _FLUSH:
+                    # ---- MMU.translate: a flush translates as a read --
                     is_write = kind == _ACC_WRITE
                     vpn = addr >> 12
                     pte = tlb_get(vpn)
                     if pte is not None and (not is_write or pte.writable):
-                        # MMU.translate, TLB-hit path (latency 0).
+                        # TLB-hit path (latency 0).
                         tlb_move(vpn)
                         pend_tlb[0] += 1
                         pte.accessed = True
@@ -991,6 +889,28 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                         clock = machine.clock_ns + translation.latency_ns
                         paddr = translation.paddr
 
+                    if kind == _FLUSH:
+                        # ---- Machine._flush_line -----------------------
+                        line = paddr >> 6
+                        dirty = False
+                        for sets, nsets, pend in flush_levels:
+                            entries = sets[line % nsets]
+                            if entries.get(line):  # writeback_line
+                                entries[line] = False
+                                pend[_WRITEBACKS] += 1
+                                dirty = True
+                        if dirty:
+                            if wpq_accept is not None:
+                                clock += wpq_accept(clock)
+                            else:
+                                clock += _ADR_DRAIN_NS
+                            if queues is None:
+                                clock += ctrl_write(paddr, True) * wcf
+                            else:
+                                clock = queued(clock, paddr, True, True, wcf)
+                        continue
+
+                    # ---- Machine._access_line ------------------------
                     if overlay is not None:
                         mapped = region_memo.get(vpn, _NOT_MAPPED)
                         if mapped is _NOT_MAPPED:
@@ -1036,20 +956,13 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                         # other lines, so the line is still absent.
                         pend_l1[_MISSES] += 1
                         entries2 = s2[line % n2]
-                        if line in entries2:
+                        l2_hit = line in entries2
+                        if l2_hit:
                             pend_l2[_HITS] += 1
                             entries2.move_to_end(line)
                             if is_write:
                                 entries2[line] = True
                             clock += LAT12
-                            if len(entries) >= w1:  # fill L1
-                                victim_line, victim_dirty = entries.popitem(
-                                    last=False)
-                                pend_l1[_EVICTIONS] += 1
-                                if victim_dirty:
-                                    pend_l1[_DIRTY_EVICTIONS] += 1
-                                    push_down(l1, victim_line << 6)
-                            entries[line] = False
                         else:
                             pend_l2[_MISSES] += 1
                             entries3 = s3[line % n3]
@@ -1058,20 +971,23 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                                 entries3.move_to_end(line)
                                 if is_write:
                                     entries3[line] = True
-                                clock += LAT123
                             else:
                                 pend_l3[_MISSES] += 1
-                                clock += LAT123
                                 miss = True
-                            if len(entries) >= w1:  # fill L1
-                                victim_line, victim_dirty = entries.popitem(
-                                    last=False)
-                                pend_l1[_EVICTIONS] += 1
-                                if victim_dirty:
-                                    pend_l1[_DIRTY_EVICTIONS] += 1
-                                    push_down(l1, victim_line << 6)
-                            entries[line] = is_write if miss else False
-                            if len(entries2) >= w2:  # fill L2
+                            clock += LAT123
+                        # Fill every level above the hit, top down; a
+                        # full miss fills L3 too and installs L1 dirty on
+                        # a write.
+                        if len(entries) >= w1:
+                            victim_line, victim_dirty = entries.popitem(
+                                last=False)
+                            pend_l1[_EVICTIONS] += 1
+                            if victim_dirty:
+                                pend_l1[_DIRTY_EVICTIONS] += 1
+                                push_down(l1, victim_line << 6)
+                        entries[line] = miss and is_write
+                        if not l2_hit:
+                            if len(entries2) >= w2:
                                 victim_line, victim_dirty = entries2.popitem(
                                     last=False)
                                 pend_l2[_EVICTIONS] += 1
@@ -1079,15 +995,15 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                                     pend_l2[_DIRTY_EVICTIONS] += 1
                                     push_down(l2, victim_line << 6)
                             entries2[line] = False
-                            if miss:  # fill L3; dirty victim is written back
-                                if len(entries3) >= w3:
-                                    victim_line, victim_dirty = (
-                                        entries3.popitem(last=False))
-                                    pend_l3[_EVICTIONS] += 1
-                                    if victim_dirty:
-                                        pend_l3[_DIRTY_EVICTIONS] += 1
-                                        wb_line = victim_line
-                                entries3[line] = False
+                        if miss:  # L3's dirty victim is written back
+                            if len(entries3) >= w3:
+                                victim_line, victim_dirty = (
+                                    entries3.popitem(last=False))
+                                pend_l3[_EVICTIONS] += 1
+                                if victim_dirty:
+                                    pend_l3[_DIRTY_EVICTIONS] += 1
+                                    wb_line = victim_line
+                            entries3[line] = False
                     if miss:
                         if queues is None:
                             clock += ctrl_read(paddr)
@@ -1098,41 +1014,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                             if wb_line >= 0:
                                 clock = queued(clock, wb_line << 6, True,
                                                False, wcf)
-
-                elif kind == _FLUSH:
-                    # ---- Machine._flush_line ---------------------------
-                    vpn = addr >> 12
-                    pte = tlb_get(vpn)
-                    if pte is not None:
-                        tlb_move(vpn)
-                        pend_tlb[0] += 1
-                        pte.accessed = True
-                        pend_mmu[0] += 1
-                        paddr = (pte.pfn << 12) | (addr & 4095)
-                        if pte.df:
-                            paddr |= DF_MASK
-                    else:
-                        machine.clock_ns = clock
-                        translation = translate(addr, False)
-                        clock = machine.clock_ns + translation.latency_ns
-                        paddr = translation.paddr
-                    line = paddr >> 6
-                    dirty = False
-                    for sets, nsets, pend in flush_levels:
-                        entries = sets[line % nsets]
-                        if entries.get(line):  # writeback_line
-                            entries[line] = False
-                            pend[_WRITEBACKS] += 1
-                            dirty = True
-                    if dirty:
-                        if wpq_accept is not None:
-                            clock += wpq_accept(clock)
-                        else:
-                            clock += _ADR_DRAIN_NS
-                        if queues is None:
-                            clock += ctrl_write(paddr, True) * wcf
-                        else:
-                            clock = queued(clock, paddr, True, True, wcf)
 
                 elif kind == _FENCE:
                     clock += _FENCE_NS

@@ -2,7 +2,7 @@
 
 The contract under test is absolute: ``repro.sim.batch`` is an
 execution strategy, never a model change.  Every cell it produces —
-fast-path interpreted, replay-fallback, or capture-fallback — must be
+fast-path interpreted, or run directly outside the envelope — must be
 bit-identical to per-access dispatch, across every registered scheme.
 """
 
@@ -259,7 +259,7 @@ class TestBatchRunner:
         runner.run(get_scheme("fsencr").configure(MachineConfig()),
                    _FACTORIES["Hashmap"]())
         (compiled,) = runner._compiled.values()
-        assert compiled.trace is None
+        assert not hasattr(compiled, "trace")
         assert not hasattr(compiled, "_raw")
         assert type(compiled.kinds) is bytes
         assert type(compiled.addrs) is array and compiled.addrs.typecode == "q"
@@ -300,7 +300,6 @@ class TestCompile:
         # compute=1.  Structural ops split chunks, not micro-ops.
         assert len(compiled) == 6
         assert len(compiled.rares) == 3  # create, mmap, mark
-        assert compiled.trace is trace
         # The compute row indexes the trace's delay table.
         assert compiled.kinds[-1] == 4 and compiled.addrs[-1] == 0
         assert compiled.delays == (12.5,)
@@ -379,25 +378,47 @@ def _generated_trace(config, files, ops) -> Trace:
     return trace
 
 
-@seed(20221)
-@settings(max_examples=25, deadline=None)
-@given(files=st.integers(1, 2), ops=st.lists(_OP, min_size=1, max_size=40))
-def test_compiled_equals_replay_on_generated_traces(files, ops):
+_TINY_FSENCR = replace(
+    get_scheme("fsencr").configure(MachineConfig()).with_metadata_cache(512),
+    ott_banks=1, ott_entries_per_bank=1)
+
+
+def test_compiled_equals_replay_on_generated_traces():
     """The interpreter and the reference path agree on generated
     traces, not just on the pinned grid: multi-line accesses over one
-    or two files and repeated, non-integral compute delays."""
-    for scheme_name in ("ext4dax_plain", "baseline_secure", "fsencr"):
-        config = get_scheme(scheme_name).configure(MachineConfig())
-        trace = _generated_trace(config, files, ops)
-        results = []
-        for run in (lambda m: execute_compiled(compile_trace(trace), m),
-                    lambda m: replay(trace, m)):
-            machine = Machine(config)
-            machine.add_user(uid=1000, gid=100, passphrase="pw")
-            assert _supports_fast_path(machine)
-            run(machine)
-            results.append(machine.result("generated").to_dict())
-        assert results[0] == results[1], scheme_name
+    or two files and repeated, non-integral compute delays.  FsEncr
+    with a 512 B metadata cache and a one-slot OTT forces the delegated
+    arms: FECB misses, OTT refills and spills must all occur."""
+    configs = [get_scheme(name).configure(MachineConfig())
+               for name in ("ext4dax_plain", "baseline_secure", "fsencr")]
+    configs.append(_TINY_FSENCR)
+    tally = {"fecb_misses": 0, "ott_refills": 0, "ott_spills": 0}
+
+    @seed(20221)
+    @settings(max_examples=25, deadline=None)
+    @given(files=st.integers(1, 2), ops=st.lists(_OP, min_size=1, max_size=40))
+    def check(files, ops):
+        for config in configs:
+            trace = _generated_trace(config, files, ops)
+            machines = []
+            for run in (lambda m: execute_compiled(compile_trace(trace), m),
+                        lambda m: replay(trace, m)):
+                machine = Machine(config)
+                machine.add_user(uid=1000, gid=100, passphrase="pw")
+                assert _supports_fast_path(machine)
+                run(machine)
+                machines.append(machine)
+            compiled, reference = (m.result("generated").to_dict() for m in machines)
+            assert compiled == reference, config.scheme.value
+            if config is _TINY_FSENCR:
+                controller = machines[0].controller
+                tally["fecb_misses"] += (
+                    controller.metadata_cache.stats.counters["fecb_misses"])
+                tally["ott_refills"] += controller.stats.counters["ott_refills"]
+                tally["ott_spills"] += controller.stats.counters["ott_spills"]
+
+    check()
+    assert all(tally.values()), tally
 
 
 class TestFastPathGate:
@@ -413,9 +434,23 @@ class TestFastPathGate:
         )
         assert not _supports_fast_path(Machine(config))
 
+    @pytest.mark.parametrize("gate", ["histogram", "functional"])
+    def test_execute_compiled_rejects_machine_outside_envelope(self, gate):
+        """Outside the envelope there is no replay fallback: a compiled
+        trace keeps no source to replay."""
+        config = get_scheme("fsencr").configure(MachineConfig())
+        if gate == "functional":
+            config = replace(config, functional=True)
+        machine = Machine(config)
+        if gate == "histogram":
+            machine.attach_histogram()
+        trace = TestCompile._recorded_trace()
+        with pytest.raises(ValueError, match="envelope"):
+            execute_compiled(compile_trace(trace), machine)
+
     def test_histogram_cell_still_bit_identical(self):
         """Fallback cells are not second-class: a histogram-bearing
-        machine batches through replay and must agree with direct."""
+        machine replays the trace and must agree with direct."""
         def drive(machine):
             handle = machine.create_file("/pmem/f", uid=1000, encrypted=True)
             base = machine.mmap(handle, pages=2)
@@ -433,7 +468,7 @@ class TestFastPathGate:
         replayed = Machine(config)
         replayed.add_user(uid=1000, gid=100, passphrase="pw")
         replayed_hist = replayed.attach_histogram()
-        execute_compiled(compile_trace(recorder.trace), replayed)
+        replay(recorder.trace, replayed)
         assert replayed.result("t").to_dict() == direct.result("t").to_dict()
         assert replayed_hist.as_dict() == direct_hist.as_dict()
 
