@@ -17,7 +17,7 @@ from repro.exec import resolve_workload
 from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import sweep_workload
 from repro.sim import Machine, MachineConfig, Scheme
-from repro.sim.schemes import crash_matrix_names
+from repro.sim.schemes import CRASH_MATRIX
 
 STOP_LOSSES = (1, 2, 4, 8)
 ITERATIONS = 12
@@ -102,7 +102,7 @@ def run_matrix():
 
 def test_ablation_crash_sweep_scheme_matrix(benchmark, results_dir):
     """The universal claim: every (scheme, fault-profile) cell of the
-    matrix — every registered crash-matrix column (FsEncr, the secure
+    matrix — every crash-matrix column (FsEncr, the secure
     baseline, FsEncr with the explicit WPQ model, FsEncr with Anubis),
     each under every fault profile — recovers or detects every line,
     never silently corrupts."""
@@ -111,7 +111,7 @@ def test_ablation_crash_sweep_scheme_matrix(benchmark, results_dir):
     print()
     print(matrix.summary())
     matrix.assert_invariant()
-    assert len(matrix.cells) == len(crash_matrix_names()) * len(FAULT_PROFILES)
+    assert len(matrix.cells) == len(CRASH_MATRIX) * len(FAULT_PROFILES)
 
     # Each profile must have really exercised its fault type somewhere.
     torn_bursts = meta_flips = 0

@@ -25,13 +25,14 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exec import Cell, ExperimentRunner, resolve_workload
-from ..sim.config import MachineConfig
+from ..sim.config import MachineConfig, Scheme
 from ..sim.results import ResultTable
 from ..sim.schemes import (
+    COMPARISON_PAIR,
+    MOTIVATION_PAIR,
     SchemeRef,
     canonical_scheme_name,
-    comparison_pair,
-    motivation_pair,
+    get_scheme,
 )
 from ..workloads.base import compare_schemes
 from ..workloads.dax_micro import DAX_MICRO_BENCHMARKS
@@ -61,37 +62,30 @@ def _compare_cell(
     ops: int = 0,
     iterations: int = 0,
 ) -> Cell:
-    """One workload under every scheme column (registry names)."""
+    """One workload under every named scheme column."""
     factory = resolve_workload(name, ops=ops, iterations=iterations)
     return Cell(
         f"{name}({'/'.join(schemes)})", partial(compare_schemes, factory, config, schemes)
     )
 
 
-def _comparison_cells(
+def _pair_figure(
+    title: str,
     benchmarks: Sequence[str],
+    pair: Tuple[str, str],
     config: Optional[MachineConfig],
-    schemes: Tuple[str, ...],
+    runner: Optional[ExperimentRunner],
     ops: int = 0,
     iterations: int = 0,
-) -> List[Cell]:
-    """One compare cell per benchmark."""
-    base = config or MachineConfig()
-    return [_compare_cell(name, base, schemes, ops, iterations) for name in benchmarks]
-
-
-def _comparison_table(
-    title: str,
-    cells: Sequence[Cell],
-    baseline: str,
-    scheme: str,
-    runner: Optional[ExperimentRunner],
 ) -> ResultTable:
-    """Run the cells (serially when no runner is given, so importing a
-    figure function never forks workers) and tabulate the pair."""
+    """One compare cell per benchmark under ``pair`` = (reference,
+    measured), run (serially when no runner is given, so importing a
+    figure function never forks workers) and tabulated as the pair."""
+    base = config or MachineConfig()
+    cells = [_compare_cell(name, base, pair, ops, iterations) for name in benchmarks]
     table = ResultTable(title)
     for comparison in (runner or ExperimentRunner(jobs=1)).run(cells):
-        table.add(comparison.against(baseline, scheme))
+        table.add(comparison.against(*pair))
     return table
 
 
@@ -106,19 +100,13 @@ def figure3_software_encryption(
     Paper result: ~2.7x average slowdown over the three Whisper
     benchmarks, YCSB worst at ~5x.
     """
-    plain_ref, software_ref = motivation_pair()
-    cells = _comparison_cells(
-        [name for name, _cls in WHISPER_BENCHMARKS],
-        config,
-        (plain_ref, software_ref),
-        ops=ops,
-    )
-    return _comparison_table(
+    return _pair_figure(
         "Figure 3: software filesystem encryption overhead",
-        cells,
-        plain_ref,
-        software_ref,
+        [name for name, _cls in WHISPER_BENCHMARKS],
+        MOTIVATION_PAIR,
+        config,
         runner,
+        ops=ops,
     )
 
 
@@ -134,19 +122,13 @@ def figure8_to_10_pmemkv(
     are exactly the three figures.  Paper result: small slowdowns,
     write benchmarks > read benchmarks, -L > -S on metadata locality.
     """
-    baseline, contribution = comparison_pair()
-    cells = _comparison_cells(
-        [name for name, _cls, _size in PMEMKV_BENCHMARKS],
-        config,
-        (baseline, contribution),
-        ops=ops,
-    )
-    return _comparison_table(
+    return _pair_figure(
         "Figures 8-10: PMEMKV, FsEncr vs baseline security",
-        cells,
-        baseline,
-        contribution,
+        [name for name, _cls, _size in PMEMKV_BENCHMARKS],
+        COMPARISON_PAIR,
+        config,
         runner,
+        ops=ops,
     )
 
 
@@ -162,19 +144,13 @@ def figure11_whisper(
     YCSB slightly higher overhead than Hashmap/CTree due to file-access
     intensity; a 98.33% reduction versus software encryption.
     """
-    baseline, contribution = comparison_pair()
-    cells = _comparison_cells(
-        [name for name, _cls in WHISPER_BENCHMARKS],
-        config,
-        (baseline, contribution),
-        ops=ops,
-    )
-    return _comparison_table(
+    return _pair_figure(
         "Figure 11: Whisper, FsEncr vs baseline security",
-        cells,
-        baseline,
-        contribution,
+        [name for name, _cls in WHISPER_BENCHMARKS],
+        COMPARISON_PAIR,
+        config,
         runner,
+        ops=ops,
     )
 
 
@@ -190,19 +166,13 @@ def figure12_to_14_micro(
     amortisation at the larger stride); swap micros show elevated reads
     from random-placement metadata misses.
     """
-    baseline, contribution = comparison_pair()
-    cells = _comparison_cells(
-        [name for name, _cls in DAX_MICRO_BENCHMARKS],
-        config,
-        (baseline, contribution),
-        iterations=iterations,
-    )
-    return _comparison_table(
+    return _pair_figure(
         "Figures 12-14: DAX micro-benchmarks, FsEncr vs baseline",
-        cells,
-        baseline,
-        contribution,
+        [name for name, _cls in DAX_MICRO_BENCHMARKS],
+        COMPARISON_PAIR,
+        config,
         runner,
+        iterations=iterations,
     )
 
 
@@ -236,18 +206,21 @@ def figure15_cache_sensitivity(
     cache to capture).  The (workload x cache size) grid runs as one
     cell batch, so ``--jobs`` parallelises across both axes at once.
 
-    ``scheme`` selects the measured column (default: the registry's
-    contribution role, i.e. ``"fsencr"``); any registered FsEncr variant
-    works — ``"fsencr+partitioned"`` plots the same sweep with the
-    metadata cache statically partitioned per kind.  The baseline column
-    stays the registry's baseline role, so variant curves remain
-    comparable with the default ones.
+    ``scheme`` selects the measured column (default: ``"fsencr"``); any
+    FsEncr column works — ``"fsencr+partitioned"`` plots the same sweep
+    with the metadata cache statically partitioned per kind — and any
+    other column raises ``ValueError``: the sweep measures FsEncr's
+    metadata, which a baseline or page-cache machine lacks or does not
+    use.  The baseline column stays ``"baseline_secure"``, so variant
+    curves remain comparable with the default ones.
     """
     base_config = config or MachineConfig()
     sizes = cache_sizes or FIG15_CACHE_SIZES
     names = list(workloads) if workloads is not None else list(FIG15_WORKLOADS)
-    baseline, contribution = comparison_pair()
+    baseline, contribution = COMPARISON_PAIR
     measured = canonical_scheme_name(scheme) if scheme is not None else contribution
+    if get_scheme(measured).scheme is not Scheme.FSENCR:
+        raise ValueError(f"Figure 15 measures an FsEncr column, not {measured!r}")
     schemes = (baseline, measured)
 
     def cell_for(name: str, size: int) -> Cell:

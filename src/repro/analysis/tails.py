@@ -55,7 +55,7 @@ def tail_latency_comparison(
 ) -> Dict[str, Dict[str, float]]:
     """Per-scheme access-latency percentile summaries for one workload.
 
-    ``schemes`` entries are registry names (enums accepted); each name's
+    ``schemes`` entries are scheme names (enums accepted); each name's
     spec projects the shared base config onto its column.  Returns
     ``{scheme_name: {total, mean_ns, p50_ns, p90_ns, p99_ns, max_ns}}``.
     """

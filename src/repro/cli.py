@@ -58,10 +58,11 @@ from .analysis import (
 )
 from .exec import Cell, ExperimentRunner, resolve_workload
 from .faults.plan import FAULT_PROFILES, FaultPlan
+from .sim.config import Scheme
 from .sim.results import ResultTable, run_provenance
 from .sim.schemes import (
+    CRASH_MATRIX,
     canonical_scheme_name,
-    crash_matrix_names,
     get_scheme,
     scheme_names,
     secure_scheme_names,
@@ -110,29 +111,26 @@ class _Figure(NamedTuple):
     help: str
     aliases: Tuple[str, ...]
     flag: str  # the sizing flag: "ops", or "iters" (the driver's iterations=)
-    default: int
     driver: Callable[..., ResultTable]
 
 
 #: One run of fig8 produces all three PMEMKV series (Figures 8-10), one
 #: run of fig12 all three micro-benchmark series (Figures 12-14).
 _FIGURES = {
-    "fig3": _Figure("software-encryption motivation", (), "ops", 1500, figure3_software_encryption),
-    "fig8": _Figure(
-        "PMEMKV slowdown/writes/reads", ("fig9", "fig10"), "ops", 600, figure8_to_10_pmemkv
-    ),
-    "fig11": _Figure("Whisper slowdown/writes/reads", (), "ops", 1500, figure11_whisper),
+    "fig3": _Figure("software-encryption motivation", (), "ops", figure3_software_encryption),
+    "fig8": _Figure("PMEMKV slowdown/writes/reads", ("fig9", "fig10"), "ops", figure8_to_10_pmemkv),
+    "fig11": _Figure("Whisper slowdown/writes/reads", (), "ops", figure11_whisper),
     "fig12": _Figure(
-        "synthetic micro-benchmarks", ("fig13", "fig14"), "iters", 8000, figure12_to_14_micro
+        "synthetic micro-benchmarks", ("fig13", "fig14"), "iters", figure12_to_14_micro
     ),
 }
 
 
 def _figure(name: str, args, runner: ExperimentRunner, json_path: Optional[str]) -> None:
     figure = _FIGURES[name]
-    size = vars(args)[figure.flag] or figure.default
+    size = vars(args)[figure.flag]
     keyword = "iterations" if figure.flag == "iters" else "ops"
-    table = figure.driver(runner=runner, **{keyword: size})
+    table = figure.driver(runner=runner, **({} if size is None else {keyword: size}))
     _show(table.render(), runner)
     _save(json_path, table, runner)
 
@@ -211,12 +209,11 @@ _CUSTOM_PLAN = {
 def _run_crashsweep(args) -> int:
     """Crash-sweep the (scheme x fault-profile) matrix, audit every line.
 
-    ``--scheme all`` runs every registry matrix column; any other
-    registered scheme whose machine has a secure memory controller runs
-    as that one column, matrix member or not (so new registry entries
-    are sweepable before they earn a matrix seat).  ``--profile all``
-    runs every named fault profile; ``--profile custom`` builds one plan
-    from the individual fault flags.  Exit code is the total silent-corruption count.
+    ``--scheme all`` runs every matrix column; any other scheme whose
+    machine has a secure memory controller runs as that one column,
+    matrix member or not.  ``--profile all`` runs every named fault
+    profile; ``--profile custom`` builds one plan from the individual
+    fault flags.  Exit code is the total silent-corruption count.
     """
     from .faults.sweep import matrix_configs, sweep_matrix
 
@@ -490,7 +487,7 @@ def _positive_floats(text: str) -> Tuple[float, ...]:
 
 
 def _scheme_columns(text: str) -> Tuple[str, ...]:
-    """A comma-separated list of distinct registered scheme names, in
+    """A comma-separated list of distinct known scheme names, in
     canonical spelling."""
     try:
         columns = tuple(canonical_scheme_name(part) for part in text.split(",") if part.strip())
@@ -572,10 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig15.add_argument(
         "--scheme",
-        choices=scheme_names(),
+        choices=[name for name in scheme_names() if get_scheme(name).scheme is Scheme.FSENCR],
         default=None,
-        help="the measured column (default: fsencr; fsencr+partitioned plots "
-        "the partitioned-cache variant)",
+        help="the measured FsEncr column (default: fsencr; fsencr+partitioned "
+        "plots the partitioned-cache variant)",
     )
     command("table1", _run_table1, "executable vulnerability matrix")
     report = command("report", _run_report, "aggregate saved results into one report")
@@ -603,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--points", type=_positive_int, default=8, help="max crash points to sample (>= 1)"
     )
     sweep.add_argument("--seed", type=int, default=0xC0FFEE, help="sweep / fault-plan seed")
-    matrix = ", ".join(crash_matrix_names())
+    matrix = ", ".join(CRASH_MATRIX)
     secure = secure_scheme_names()
     sweep.add_argument(
         "--scheme",

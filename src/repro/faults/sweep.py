@@ -53,7 +53,7 @@ from ..sim import trace as trace_mod
 from ..sim.batch import capture_workload
 from ..sim.config import MachineConfig
 from ..sim.machine import Machine
-from ..sim.schemes import crash_matrix_names, get_scheme
+from ..sim.schemes import CRASH_MATRIX, get_scheme
 from ..sim.trace import TraceCursor
 from .lifecycle import CrashReport, RecoveryReport
 from .plan import FAULT_PROFILES, FaultPlan
@@ -321,29 +321,20 @@ def sweep_workload(
 # The (scheme x fault-profile) matrix
 # ----------------------------------------------------------------------
 
-#: Scheme columns of the matrix, straight from the registry (every
-#: SchemeSpec with a ``crash_matrix_order``).  The crash-consistency
-#: claim is universal over the *secure* configurations: FsEncr, the
-#: baseline it is measured against, FsEncr with the explicit WPQ model
-#: (whose burst-drain path exercises a different in-flight tail shape),
-#: and FsEncr with Anubis shadow recovery.  Registering a new scheme
-#: with a matrix order grows this tuple — no edit here.
-MATRIX_SCHEME_LABELS = crash_matrix_names()
-
 
 def matrix_configs(
     base: Optional[MachineConfig] = None, names: Optional[Sequence[str]] = None
 ) -> List[Tuple[str, MachineConfig]]:
-    """The matrix's scheme columns (or the registered ``names`` given)
-    derived from one base config.
+    """The matrix's scheme columns (:data:`~repro.sim.schemes.CRASH_MATRIX`,
+    or the ``names`` given) derived from one base config.
 
     The base's WPQ model is normalised off first so that only columns
     that *pin* it (e.g. ``fsencr+wpq``) run with it — column identity
-    comes from the registry, not from whatever base the caller held.
+    comes from the scheme table, not from whatever base the caller held.
     """
     base = (base or MachineConfig()).with_wpq(False)
     if names is None:
-        names = crash_matrix_names()
+        names = CRASH_MATRIX
     return [(name, get_scheme(name).configure(base)) for name in names]
 
 

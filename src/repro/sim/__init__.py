@@ -8,7 +8,6 @@ from .schemes import (
     SchemeSpec,
     canonical_scheme_name,
     get_scheme,
-    register_scheme,
     scheme_names,
 )
 from .batch import (
@@ -26,7 +25,6 @@ __all__ = [
     "SchemeSpec",
     "canonical_scheme_name",
     "get_scheme",
-    "register_scheme",
     "scheme_names",
     "Machine",
     "MappedRegion",

@@ -31,6 +31,10 @@ __all__ = ["Scheme", "MachineConfig", "scaled_hierarchy", "SCALE_FACTOR"]
 #: and ``MetadataCacheConfig``.
 SCALE_FACTOR = 16
 
+#: Base address of the dedicated NVM region the Anubis shadow writes
+#: land in.
+ANUBIS_SHADOW_BASE = 0x1000_0000
+
 
 def scaled_hierarchy() -> HierarchyConfig:
     """Table III's hierarchy divided by :data:`SCALE_FACTOR`."""
@@ -117,16 +121,13 @@ class MachineConfig:
     ott_entries_per_bank: int = OTT_ENTRIES_PER_BANK
     #: Anubis shadow-table sizing for the recovery-scheme comparison:
     #: the shadow mirrors the metadata cache's address stream, so its
-    #: capacity is "number of cached metadata lines" and its base names
-    #: the dedicated NVM region the shadow writes land in.
+    #: capacity is "number of cached metadata lines".
     anubis_shadow_lines: int = 64
-    anubis_shadow_base: int = 0x1000_0000
     #: Wire the Anubis shadow table into the controller's counter-update
     #: path (the "+anubis" recovery column): runtime shadow-region
     #: writes buy reboot recovery proportional to the metadata cache.
-    #: Scheme variants pin this via the registry (repro.sim.schemes).
+    #: Scheme variants pin this via the scheme table (repro.sim.schemes).
     anubis_recovery: bool = False
-    seed: int = 0x5EED
 
     def __post_init__(self) -> None:
         if self.pmem_base % 4096 or self.pmem_bytes % 4096:
@@ -165,7 +166,7 @@ class MachineConfig:
         """The Anubis shadow table sized by this config's knobs."""
         return ShadowTable(
             capacity_lines=self.anubis_shadow_lines,
-            base_addr=self.anubis_shadow_base,
+            base_addr=ANUBIS_SHADOW_BASE,
             write_hook=write_hook,
             stats=stats,
         )

@@ -178,7 +178,7 @@ class WorkloadComparison:
     runs: Dict[str, RunResult]
 
     def against(self, baseline_scheme: SchemeRef, scheme: SchemeRef) -> Comparison:
-        """Baseline-normalised row; schemes by registry name or enum."""
+        """Baseline-normalised row; schemes by name or enum."""
         return Comparison.of(
             self.runs[canonical_scheme_name(scheme)],
             self.runs[canonical_scheme_name(baseline_scheme)],
@@ -192,7 +192,7 @@ def compare_schemes(
 ) -> WorkloadComparison:
     """Run one workload under several schemes on otherwise-equal machines.
 
-    ``schemes`` entries are registry names (``"fsencr"``,
+    ``schemes`` entries are scheme names (``"fsencr"``,
     ``"fsencr+wpq"``, ...); :class:`~repro.sim.config.Scheme` members
     are accepted for compatibility.  Each name's
     :class:`~repro.sim.schemes.SchemeSpec` projects the shared base

@@ -62,6 +62,13 @@ class TestFigure15:
         for curve in curves.values():
             assert set(curve) == {2 * 1024, 8 * 1024}
 
+    @pytest.mark.parametrize("scheme", ["baseline_secure", "conventional", "ext4dax_plain"])
+    def test_non_fsencr_column_is_rejected(self, scheme):
+        # A machine without FsEncr's metadata has no curve to plot: no
+        # table of zeros or flat lines.
+        with pytest.raises(ValueError, match="FsEncr column"):
+            figure15_cache_sensitivity(scheme=scheme, workloads=["Hashmap"])
+
     def test_render(self):
         curves = {"Hashmap": {2048: 3.5, 8192: 2.1}}
         text = render_sensitivity(curves)

@@ -3,6 +3,7 @@ the flags its handler reads, and every documented invocation parsing."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -70,6 +71,10 @@ def test_flags_from_other_commands_do_not_pass_silently():
         ["crashsweep", "--scheme", "ext4dax_plain"],
         ["crashsweep", "--scheme", "software_encryption"],
         ["fig15", "--scheme", "nonsense"],
+        # Figure 15 measures FsEncr's metadata cache: other columns
+        # have no curve to plot.
+        ["fig15", "--scheme", "baseline_secure"],
+        ["fig15", "--scheme", "conventional"],
         ["fig12", "--iter", "10"],  # no abbreviations of long flags
         ["cache", "stats"],  # the result cache and its command are gone
         # Sizes, repetitions, windows and loads are positive and stream
@@ -228,30 +233,85 @@ def test_documented_command_parses(argv):
 
 
 def _documented_py_paths():
-    """Every backticked ``*.py`` path in DESIGN.md and docs/, any
-    ``::test`` or ``:NAME`` suffix dropped; globs and ``<name>``
-    placeholders skipped."""
+    """Every backticked ``*.py`` path in the README, EXPERIMENTS.md,
+    DESIGN.md and docs/ with the ``::name`` or ``:line`` suffixes cited
+    after it, plus every backticked dotted ``repro.*`` name; globs and
+    ``<name>`` placeholders skipped."""
     refs = {}
-    for path in [ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]:
+    docs = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md"]
+    for path in [*docs, *sorted((ROOT / "docs").glob("*.md"))]:
         text = path.read_text(encoding="utf-8")
-        for match in re.finditer(r"`([\w./<>*-]+\.py)(?::[^`]*)?`", text):
-            ref = match.group(1)
+        for match in re.finditer(r"`([\w./<>*-]+\.py)(?::([^`]*))?`", text):
+            ref, suffix = match.groups()
             if "*" not in ref and "<" not in ref:
-                refs.setdefault(f"{path.name}: {ref}", ref)
-    return [pytest.param(ref, id=key) for key, ref in refs.items()]
+                suffixes = refs.setdefault(f"{path.name}: {ref}", (ref, []))[1]
+                if suffix:
+                    suffixes.append(suffix)
+        for match in re.finditer(r"`(repro(?:\.\w+)+)", text):
+            refs.setdefault(f"{path.name}: {match.group(1)}", (match.group(1), []))
+    return [pytest.param(ref, suffixes, id=key) for key, (ref, suffixes) in refs.items()]
+
+
+def _defines(tree: ast.AST, chain) -> bool:
+    """Whether ``chain`` (``["Class", "method"]``) names a definition,
+    assignment or import in the parsed module ``tree``, one nesting
+    level per link."""
+    if not chain:
+        return True
+    for node in getattr(tree, "body", []):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        else:
+            continue
+        if chain[0] in names and _defines(node, chain[1:]):
+            return True
+    return False
+
+
+def _module_and_chain(dotted: str):
+    """The file of the longest module prefix of a dotted ``repro.*``
+    name, and the attribute chain left after it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        base = ROOT / "src" / Path(*parts[:cut])
+        for path in (base.with_suffix(".py"), base / "__init__.py"):
+            if path.is_file():
+                return path, parts[cut:]
+    raise AssertionError(f"no module for {dotted}")
 
 
 def test_the_docs_have_py_paths():
     assert len(_documented_py_paths()) >= 30
 
 
-@pytest.mark.parametrize("ref", _documented_py_paths())
-def test_documented_py_path_exists(ref):
-    """A deleted module must not linger in the docs.  Paths resolve
-    from the repo root, from ``src/`` (``repro/...``) or from
-    ``src/repro/`` (``sim/trace.py``)."""
-    bases = (ROOT, ROOT / "src", ROOT / "src" / "repro")
-    assert any((base / ref).is_file() for base in bases), ref
+@pytest.mark.parametrize("ref, suffixes", _documented_py_paths())
+def test_documented_py_path_exists(ref, suffixes):
+    """A deleted module or symbol must not linger in the docs.  Paths
+    resolve from the repo root, from ``src/`` (``repro/...``), from
+    ``src/repro/`` (``sim/trace.py``), or from ``benchmarks/`` and
+    ``examples/`` (bare script names); a ``::name`` suffix and a dotted
+    ``repro.*`` name resolve by an ``ast`` walk, and a ``:line``
+    citation must fall inside its file."""
+    if not ref.endswith(".py"):
+        module, chain = _module_and_chain(ref)
+        assert _defines(ast.parse(module.read_text(encoding="utf-8")), chain), ref
+        return
+    bases = (ROOT, ROOT / "src", ROOT / "src" / "repro", ROOT / "benchmarks", ROOT / "examples")
+    files = [base / ref for base in bases if (base / ref).is_file()]
+    assert files, ref
+    source = files[0].read_text(encoding="utf-8")
+    for suffix in suffixes:
+        if suffix.isdigit():
+            assert 1 <= int(suffix) <= len(source.splitlines()), f"{ref}:{suffix}"
+        else:
+            chain = suffix.lstrip(":").split("::")
+            assert _defines(ast.parse(source), chain), f"{ref}:{suffix}"
 
 
 def test_all_runs_every_grid_on_one_runner(capsys):

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cli import BATCHCHECK_WORKLOADS
 from repro.core import FsEncrController, KeyUnavailableError, set_df
 from repro.crypto import SecretKey
+from repro.exec import resolve_workload
 from repro.mem import MemoryRequest
 from repro.mem.address import LINE_SIZE
 from repro.secmem import IntegrityError, MetadataLayout, SecureControllerConfig
@@ -260,3 +262,15 @@ def test_fecb_overflow_reencrypts_reads_back_and_executors_agree():
     assert machine.load_bytes(workload.base, 2 * LINE_SIZE) == (
         bytes([HOT_WRITES]) * LINE_SIZE + bytes([0xA5]) * LINE_SIZE
     )
+
+
+@pytest.mark.parametrize("workload, stamps", [("DAX-1", 12), ("Fillseq-S", 51), ("Hashmap", 108)])
+def test_every_fecb_miss_on_the_pinned_grid_is_a_fault_time_stamp(workload, stamps):
+    """At ``batchcheck`` sizes the pad path never misses the FECB: every
+    FECB metadata-cache miss is ``update_fecb``'s write-allocate when a
+    DAX fault stamps a page."""
+    size, seed = BATCHCHECK_WORKLOADS[workload]
+    factory = resolve_workload(workload, ops=size, iterations=size, seed=seed)
+    result = run_workload(get_scheme("fsencr").configure(MachineConfig()), factory())
+    misses = result.stat("metadata_cache.fecb_misses")
+    assert misses == result.stat("controller.fecb_stamps") == stamps

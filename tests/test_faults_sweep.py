@@ -14,7 +14,6 @@ import pytest
 from repro.exec import CellExecutionError, ExperimentRunner, resolve_workload
 from repro.faults import FAULT_PROFILES, FaultPlan
 from repro.faults.sweep import (
-    MATRIX_SCHEME_LABELS,
     MatrixResult,
     OUTCOME_DETECTED,
     OUTCOME_RECOVERED_NEW,
@@ -27,6 +26,7 @@ from repro.faults.sweep import (
 )
 from repro.sim import Machine, MachineConfig, Scheme
 from repro.sim.batch import capture_workload
+from repro.sim.schemes import CRASH_MATRIX
 from repro.sim.trace import TraceRecorder
 from repro.workloads.pmemkv import PMEMKV_BENCHMARKS
 
@@ -134,10 +134,10 @@ class TestMatrixOnRunner:
 
 class TestSchemeMatrix:
     def test_covers_every_scheme_and_profile(self, matrix):
-        assert len(matrix.cells) == len(MATRIX_SCHEME_LABELS) * len(FAULT_PROFILES)
+        assert len(matrix.cells) == len(CRASH_MATRIX) * len(FAULT_PROFILES)
         schemes = {scheme for scheme, _ in matrix.cells}
         profiles = {profile for _, profile in matrix.cells}
-        assert schemes == set(MATRIX_SCHEME_LABELS)
+        assert schemes == set(CRASH_MATRIX)
         assert profiles == set(FAULT_PROFILES)
 
     def test_no_cell_has_silent_corruption(self, matrix):
@@ -156,7 +156,7 @@ class TestSchemeMatrix:
 
     def test_summary_names_every_cell(self, matrix):
         summary = matrix.summary()
-        for scheme in MATRIX_SCHEME_LABELS:
+        for scheme in CRASH_MATRIX:
             assert scheme in summary
         for profile in FAULT_PROFILES:
             assert profile in summary

@@ -1,16 +1,17 @@
-"""Scheme registry: declarative columns, bit-identical machines.
+"""Scheme table: declarative columns, bit-identical machines.
 
 Three contracts in one module:
 
 1. **Bit-identity.**  How a machine is wired must be invisible in the
-   numbers: machines built from registry configs produce results
+   numbers: machines built from the table's configs produce results
    byte-for-byte equal to the seed implementation's, pinned here as
    sha256 digests of canonical result JSON.
 2. **Column identity.**  ``compare_schemes`` canonicalises scheme
-   spellings and rejects unregistered columns.
-3. **Extension.**  ``fsencr+anubis`` and ``fsencr+partitioned`` exist
-   purely as registry entries — these tests prove the declared columns
-   build, run, crash, and recover end-to-end.
+   spellings and rejects unknown columns.
+3. **Variant columns.**  ``fsencr+anubis`` and ``fsencr+partitioned``
+   are table entries over the FsEncr machine, with no ``Scheme`` member
+   of their own — these tests prove they build, run, crash, and recover
+   end-to-end.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from repro.faults.sweep import matrix_configs
 from repro.sim.config import MachineConfig, Scheme
 from repro.sim.machine import Machine
 from repro.sim.schemes import (
-    all_specs,
+    COMPARISON_PAIR,
+    CRASH_MATRIX,
+    MOTIVATION_PAIR,
     canonical_scheme_name,
-    comparison_pair,
-    crash_matrix_names,
     get_scheme,
-    motivation_pair,
     scheme_names,
     spec_for_config,
 )
@@ -78,17 +78,17 @@ class TestRegistry:
             canonical_scheme_name("nvme-of")
 
     def test_roles_resolve_to_figure_pairs(self):
-        assert comparison_pair() == ("baseline_secure", "fsencr")
-        assert motivation_pair() == ("ext4dax_plain", "software_encryption")
+        assert COMPARISON_PAIR == ("baseline_secure", "fsencr")
+        assert MOTIVATION_PAIR == ("ext4dax_plain", "software_encryption")
 
     def test_crash_matrix_order_is_declared_not_hardcoded(self):
-        assert crash_matrix_names() == (
+        assert CRASH_MATRIX == (
             "fsencr",
             "baseline_secure",
             "fsencr+wpq",
             "fsencr+anubis",
         )
-        assert [name for name, _cfg in matrix_configs()] == list(crash_matrix_names())
+        assert [name for name, _cfg in matrix_configs()] == list(CRASH_MATRIX)
 
     def test_variant_pins_project_onto_base_config(self):
         base = MachineConfig()
@@ -112,7 +112,8 @@ class TestRegistry:
 
 class TestBuilder:
     def test_every_registered_scheme_builds_and_runs(self):
-        for spec in all_specs():
+        for name in scheme_names():
+            spec = get_scheme(name)
             machine = Machine(spec.configure(MachineConfig(functional=True)))
             assert spec_for_config(machine.config).name == spec.name
             machine.add_user(uid=1000, gid=100, passphrase="pw")

@@ -1,6 +1,6 @@
 """Every counter a machine produces reaches its StatsRegistry.
 
-Building each registered scheme records every ``StatCounters``
+Building each scheme column records every ``StatCounters``
 constructed, and each must *be* the registry's bundle of that name.
 Functional builds add the crash domain and, for Anubis columns, the
 shadow table; a crash/reboot cycle adds the recovery objects.  A
@@ -20,7 +20,7 @@ from repro.mem.stats import StatCounters
 from repro.sim import MachineConfig
 from repro.sim import machine as machine_module
 from repro.sim.machine import Machine
-from repro.sim.schemes import crash_matrix_names, get_scheme, scheme_names
+from repro.sim.schemes import CRASH_MATRIX, get_scheme, scheme_names
 
 
 @pytest.mark.parametrize("functional", [False, True], ids=["timing", "functional"])
@@ -31,7 +31,7 @@ def test_every_bundle_built_is_registered(scheme, functional, orphan_bundles):
 
 
 CRASH_SCHEMES = sorted(
-    set(crash_matrix_names())
+    set(CRASH_MATRIX)
     | {name for name in scheme_names() if get_scheme(name).configure().anubis_recovery}
 )
 
