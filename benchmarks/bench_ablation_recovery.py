@@ -15,7 +15,9 @@ on a large footprint, while its runtime write stream is the larger of
 the two — both papers' headline claims, reproduced side by side.
 """
 
-from repro.secmem import check_line, encode_line
+import hashlib
+
+from repro.secmem import encode_line, recover_line
 from repro.sim import MachineConfig
 
 FOOTPRINT_LINES = 2000  # written metadata lines at crash time
@@ -25,18 +27,22 @@ STOP_LOSS = 4
 CONFIG = MachineConfig(stop_loss=STOP_LOSS, anubis_shadow_lines=CACHE_LINES)
 
 
+def _pad(candidate: int) -> bytes:
+    """The stored line is the plaintext under counter STOP_LOSS's (zero)
+    pad; every other candidate's pad garbles it."""
+    if candidate == STOP_LOSS:
+        return bytes(64)
+    return hashlib.sha256(candidate.to_bytes(8, "big")).digest() * 2
+
+
 def run_osiris():
     plaintext = bytes(range(64))
     ecc = encode_line(plaintext)
-    recovery = CONFIG.build_osiris_recovery()
     # Worst case: every line's persisted counter is maximally stale.
-    for _ in range(FOOTPRINT_LINES):
-        recovery.recover_counter(
-            0,
-            lambda candidate: plaintext if candidate == STOP_LOSS else bytes(64),
-            lambda line: check_line(line, ecc),
-        )
-    return recovery.stats.stat("trials")
+    return sum(
+        recover_line(plaintext, ecc, [(0, _pad)], CONFIG.stop_loss).trials
+        for _ in range(FOOTPRINT_LINES)
+    )
 
 
 def run_anubis():

@@ -15,12 +15,7 @@ from repro.analysis.experiments import render_sensitivity, sensitivity_payload
 
 
 def test_fig15_metadata_cache_sensitivity(benchmark, results_dir):
-    curves = benchmark.pedantic(
-        figure15_cache_sensitivity,
-        kwargs=dict(pmemkv_ops=400, whisper_ops=1500, micro_iters=6000),
-        rounds=1,
-        iterations=1,
-    )
+    curves = benchmark.pedantic(figure15_cache_sensitivity, rounds=1, iterations=1)
     print()
     print(render_sensitivity(curves))
     (results_dir / "fig15.json").write_text(json.dumps(sensitivity_payload(curves), indent=2))

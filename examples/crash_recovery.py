@@ -17,8 +17,8 @@ Run:  python examples/crash_recovery.py
 """
 
 from repro import Machine, MachineConfig, Scheme
-from repro.crypto import MEMORY_DOMAIN, CounterIV, OTPEngine, xor_bytes
-from repro.secmem import OsirisRecovery, check_line, encode_line
+from repro.crypto import MEMORY_DOMAIN, CounterIV, OTPEngine
+from repro.secmem import encode_line, recover_line
 
 
 def banner(text: str) -> None:
@@ -49,21 +49,18 @@ def main() -> None:
     banner("Recovery 1: Osiris trial decryption against the ECC")
     engine = OTPEngine(controller.keys.memory_key)
 
-    def decrypt_with(candidate: int) -> bytes:
-        iv = CounterIV(
+    def pad_for(candidate: int) -> bytes:
+        return engine.pad_for(CounterIV(
             domain=MEMORY_DOMAIN, page_id=pfn, page_offset=0, major=0, minor=candidate
-        )
-        return xor_bytes(ciphertext, engine.pad_for(iv))
+        ))
 
-    recovery = OsirisRecovery(stop_loss=4)
-    result = recovery.recover_counter(
-        stale_minor, decrypt_with, lambda line: check_line(line, ecc)
-    )
-    print(f"recovered counter = {result.recovered_value} "
+    # One counter layer here: the line's MECB minor.  A file-stamped
+    # FsEncr line adds its FECB minor as a second layer.
+    result = recover_line(ciphertext, ecc, [(stale_minor, pad_for)], stop_loss=4)
+    print(f"recovered counter = {result.minors[0]} "
           f"after {result.trials} trial decryptions")
-    recovered_line = decrypt_with(result.recovered_value)
-    assert recovered_line == record
-    print(f"data intact: {recovered_line[:24].decode()!r}...")
+    assert result.plaintext == record
+    print(f"data intact: {result.plaintext[:24].decode()!r}...")
 
     banner("Recovery 2: rebuild the OTT from the encrypted region")
     for i in range(4):
@@ -80,17 +77,10 @@ def main() -> None:
     print(f"root regenerated: {root.hex()[:24]}...; leaf re-verified")
 
     banner("Negative check: a counter outside the stop-loss window fails")
-    from repro.secmem import CounterRecoveryError
-
-    try:
-        recovery.recover_counter(
-            max(0, true_minor - 9), decrypt_with, lambda line: check_line(line, ecc)
-        )
-        print("UNEXPECTED: recovered from beyond the window")
-    except CounterRecoveryError as exc:
-        print(f"correctly refused: {exc}")
-        print("(this is why the stop-loss write-through bound exists)")
-
+    beyond = recover_line(ciphertext, ecc, [(max(0, true_minor - 9), pad_for)], stop_loss=4)
+    assert beyond.minors is None, "recovered from beyond the window"
+    print(f"correctly refused after {beyond.trials} trials: no candidate fit the ECC")
+    print("(this is why the stop-loss write-through bound exists)")
 
 if __name__ == "__main__":
     main()

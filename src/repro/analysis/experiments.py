@@ -190,9 +190,9 @@ FIG15_WORKLOADS = ["Fillrandom-L", "Hashmap", "DAX-2"]
 def figure15_cache_sensitivity(
     config: Optional[MachineConfig] = None,
     cache_sizes: Optional[List[int]] = None,
-    pmemkv_ops: int = DEFAULT_PMEMKV_OPS,
-    whisper_ops: int = DEFAULT_WHISPER_OPS,
-    micro_iters: int = DEFAULT_MICRO_ITERS,
+    pmemkv_ops: int = 400,
+    whisper_ops: int = 1500,
+    micro_iters: int = 6000,
     *,
     scheme: Optional[SchemeRef] = None,
     workloads: Optional[Sequence[str]] = None,
@@ -205,6 +205,8 @@ def figure15_cache_sensitivity(
     synthetic DAX-2 improves only slightly (it has little reuse for any
     cache to capture).  The (workload x cache size) grid runs as one
     cell batch, so ``--jobs`` parallelises across both axes at once.
+    The default sizes are those of the committed figure
+    (``benchmarks/results/fig15.json``).
 
     ``scheme`` selects the measured column (default: ``"fsencr"``); any
     FsEncr column works — ``"fsencr+partitioned"`` plots the same sweep

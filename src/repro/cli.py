@@ -136,13 +136,12 @@ def _figure(name: str, args, runner: ExperimentRunner, json_path: Optional[str])
 
 
 def _fig15(args, runner: ExperimentRunner, scheme: Optional[str], json_path: Optional[str]) -> None:
-    curves = figure15_cache_sensitivity(
-        pmemkv_ops=args.ops or 400,
-        whisper_ops=(args.ops or 400) * 3,
-        micro_iters=args.iters or 6000,
-        scheme=scheme,
-        runner=runner,
-    )
+    sizes = {}
+    if args.ops is not None:
+        sizes.update(pmemkv_ops=args.ops, whisper_ops=args.ops * 3)
+    if args.iters is not None:
+        sizes.update(micro_iters=args.iters)
+    curves = figure15_cache_sensitivity(scheme=scheme, runner=runner, **sizes)
     _show(render_sensitivity(curves), runner)
     _save(json_path, sensitivity_payload(curves), runner)
 
@@ -231,7 +230,10 @@ def _run_crashsweep(args) -> int:
         # the named profiles instead would ignore what the user typed.
         profile = "custom"
     if profile == "custom":
-        profiles = {"custom": FaultPlan(**{**_CUSTOM_PLAN, **given})}
+        try:
+            profiles = {"custom": FaultPlan(**{**_CUSTOM_PLAN, **given})}
+        except ValueError as err:  # the plan's own range checks
+            raise UsageError(str(err)) from None
     elif given:
         raise UsageError(
             f"--profile {profile!r} is a named profile; plan flags like "
@@ -302,11 +304,11 @@ def _run_crashsweep(args) -> int:
 
 
 #: The batchcheck grid is pinned: these exact (workload, scheme) cells,
-#: at these sizes, are what the recorded speedup means.  The cells all
-#: sit inside the interpreter's fast-path envelope (DAX-capable
-#: schemes) because the check exists to gate that interpreter — the
-#: overlay schemes execute through the reference replay by design and
-#: are covered by the equality assertions in the test suite instead.
+#: at these sizes, are what the recorded speedup means.  The cells are
+#: the DAX-capable schemes the check exists to gate.  The overlay
+#: schemes (conventional, software_encryption) run on the plain
+#: controller, so they also take the interpreter's fast path; the
+#: equality assertions in the test suite cover them instead.
 BATCHCHECK_CELLS = [
     ("DAX-1", "ext4dax_plain"),
     ("DAX-1", "fsencr"),

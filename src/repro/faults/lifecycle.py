@@ -1,8 +1,12 @@
 """Machine-level crash, reboot, and recovery.
 
+Only a functional machine with a secure memory controller can crash
+(``Machine.crash`` checks it): the crash model audits counter-mode
+recovery, which the plain and page-cache machines do not have.
+
 ``crash_machine`` is the power-fail instant: every volatile structure
-(CPU caches, TLBs, the on-chip metadata cache, the OTT SRAM, the DRAM
-page cache, the plaintext shadow) loses its contents, and the in-flight
+(CPU caches, TLBs, the on-chip metadata cache, the OTT SRAM, the
+plaintext shadow) loses its contents, and the in-flight
 write tail staged in the :class:`~repro.faults.domain.CrashDomain` is
 resolved entry by entry according to the :class:`FaultPlan` — drained
 into the array, cleanly dropped (the NVM keeps the pre-write line), or
@@ -15,10 +19,11 @@ describes instead of restoring a golden snapshot:
 1. the on-chip OTT is rebuilt from the encrypted spill region
    (write-through logging, §III-H option 1);
 2. every line carrying plaintext ECC is trial-decrypted from the
-   *persisted* counter values upward (Osiris §II-D) — one-dimensional
-   over the MECB minor for plain-memory pages, two-dimensional over
-   (MECB minor, FECB minor) for file-stamped pages, since both layers'
-   counters ride the same stop-loss window;
+   *persisted* counter values upward (Osiris §II-D) by the one search,
+   :func:`~repro.secmem.osiris.recover_line` — over the MECB minor for
+   plain-memory pages, and over (MECB minor, FECB minor) for
+   file-stamped pages, since both layers' counters ride the same
+   stop-loss window;
 3. the recovered counters are installed and the Bonsai Merkle tree is
    rebuilt over them, so subsequent reads verify the recovered state.
 
@@ -35,11 +40,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.ott import KeyUnavailableError
 from ..crypto.iv import FILE_DOMAIN, MEMORY_DOMAIN, CounterIV
-from ..crypto.keys import SecretKey
 from ..mem.address import LINE_SIZE, LINES_PER_PAGE, page_number, page_offset_lines
 from ..secmem.counters import MINOR_BITS
-from ..secmem.ecc import check_line
-from ..secmem.osiris import CounterRecoveryError
+from ..secmem.osiris import recover_line
 from .domain import LineWrite
 from .plan import TEAR_BYTES, FaultPlan
 
@@ -59,7 +62,6 @@ DISPOSITION_DRAINED = "drained"
 DISPOSITION_DROPPED = "dropped"
 DISPOSITION_TORN = "torn"
 
-_MINOR_LIMIT = 1 << MINOR_BITS
 _WORDS_PER_LINE = LINE_SIZE // TEAR_BYTES
 
 
@@ -110,10 +112,9 @@ class CrashReport:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What reboot-time recovery did and what it cost."""
+    """What reboot-time recovery did and what it cost.  ``trials`` is
+    every Osiris trial decryption, plain and file-stamped lines alike."""
 
-    scheme: str
-    functional: bool
     trials: int
     lines_checked: int
     lines_recovered: int
@@ -161,46 +162,37 @@ def _tear_line(store, write: LineWrite, rng) -> None:
     store.write_ecc(write.addr, bytes(mixed_ecc))
 
 
+def _is_fsencr(machine) -> bool:
+    """The one scheme check: of the two machines that can crash, FsEncr
+    is the one whose controller adds the FECB and OTT layers."""
+    return machine.config.scheme.has_file_encryption
+
+
 def _drop_volatile_state(machine) -> None:
     """Power loss: everything DRAM/SRAM-resident vanishes."""
     machine.hierarchy.drain_dirty()  # discard — no write-back after power loss
     machine.mmu.tlb.flush()
     controller = machine.controller
-    cache = getattr(controller, "metadata_cache", None)
-    if cache is not None:
-        cache.flush_all()  # discard the victims: dirty metadata is lost
-    shadow = getattr(controller, "_plaintext_shadow", None)
-    if shadow is not None:
-        shadow.clear()
-    ott = getattr(controller, "ott", None)
-    if ott is not None:
-        ott.reset()
-    if machine.overlay is not None:
-        machine.overlay.page_cache.drop_all()
+    controller.metadata_cache.flush_all()  # discard the victims: dirty metadata is lost
+    controller._plaintext_shadow.clear()
+    if _is_fsencr(machine):
+        controller.ott.reset()
 
 
-def _metadata_flip_targets(controller) -> List[Tuple[str, object]]:
+def _metadata_flip_targets(machine) -> List[Tuple[str, object]]:
     """Every metadata location a ``counter_flips`` fault can land in.
 
     Deterministically ordered: persisted MECB pages, persisted FECB
-    pages (file schemes only), occupied OTT spill slots, stored Merkle
-    nodes.  Schemes without a layer simply expose no targets for it.
+    pages and occupied OTT spill slots (FsEncr only), stored Merkle
+    nodes, Anubis shadow entries.
     """
-    targets: List[Tuple[str, object]] = []
-    for page in sorted(getattr(controller, "_persisted_mecb", {})):
-        targets.append(("mecb", page))
-    for page in sorted(getattr(controller, "_persisted_fecb", {})):
-        targets.append(("fecb", page))
-    region = getattr(controller, "ott_region", None)
-    if region is not None:
-        for slot in region.occupied_slots():
-            targets.append(("ott", slot))
-    merkle = getattr(controller, "merkle", None)
-    if merkle is not None:
-        for node in merkle.stored_nodes():
-            targets.append(("merkle", node))
-    for addr in sorted(getattr(controller, "_anubis_counters", {})):
-        targets.append(("anubis", addr))
+    controller = machine.controller
+    targets: List[Tuple[str, object]] = [("mecb", page) for page in sorted(controller._persisted_mecb)]
+    if _is_fsencr(machine):
+        targets += [("fecb", page) for page in sorted(controller._persisted_fecb)]
+        targets += [("ott", slot) for slot in controller.ott_region.occupied_slots()]
+    targets += [("merkle", node) for node in controller.merkle.stored_nodes()]
+    targets += [("anubis", addr) for addr in sorted(controller._anubis_counters)]
     return targets
 
 
@@ -277,13 +269,13 @@ def crash_machine(machine, plan: FaultPlan) -> CrashReport:
     """Apply ``plan`` to ``machine`` at the current instant."""
     rng = plan.rng()
     controller = machine.controller
-    store = getattr(controller, "store", None)
-    domain = getattr(controller, "crash_domain", None)
+    store = controller.store
+    domain = controller.crash_domain
 
     fates: Dict[int, LineFate] = {}
     drained = dropped = torn = torn_bursts = 0
     burst_left = 0
-    entries = domain.inflight() if domain is not None else []
+    entries = domain.inflight()
     # The queue drains oldest-first; the ADR energy budget decides how
     # deep into the tail the drain gets before the rest is at risk.
     drain_upto = int(len(entries) * plan.drain_fraction)
@@ -318,11 +310,10 @@ def crash_machine(machine, plan: FaultPlan) -> CrashReport:
             old_plain=write.old_plain,
             new_plain=write.new_plain,
         )
-    if domain is not None:
-        domain.clear()
+    domain.clear()
 
     flips: List[Tuple[int, int]] = []
-    if plan.bit_flips and store is not None:
+    if plan.bit_flips:
         lines = sorted(store.scan())
         if lines:
             for _ in range(plan.bit_flips):
@@ -333,7 +324,7 @@ def crash_machine(machine, plan: FaultPlan) -> CrashReport:
 
     meta_flips: List[MetadataFlip] = []
     if plan.counter_flips:
-        targets = _metadata_flip_targets(controller)
+        targets = _metadata_flip_targets(machine)
         if targets:
             for _ in range(plan.counter_flips):
                 region, where = targets[rng.randrange(len(targets))]
@@ -363,136 +354,52 @@ def crash_machine(machine, plan: FaultPlan) -> CrashReport:
 # ======================================================================
 
 
-def _line_pad(engine, domain: int, page: int, line_index: int, major: int, minor: int) -> int:
-    """One layer's pad for one line, as a little-endian integer."""
-    iv = CounterIV(
+def _pad(engine, domain: int, page: int, line_index: int, major: int):
+    """One counter layer's pad for a candidate minor of one line."""
+    return lambda minor: engine.pad_for(CounterIV(
         domain=domain, page_id=page, page_offset=line_index, major=major, minor=minor
-    )
-    return int.from_bytes(engine.pad_for(iv), "little")
-
-
-def _memory_trial(controller, cipher: bytes, page: int, line_index: int, major: int, minor: int) -> bytes:
-    pad = _line_pad(
-        controller._memory_engine, MEMORY_DOMAIN, page, line_index, major % (1 << 64), minor
-    )
-    return (int.from_bytes(cipher, "little") ^ pad).to_bytes(LINE_SIZE, "little")
-
-
-def _recover_stamped_line(
-    controller,
-    key: SecretKey,
-    cipher: bytes,
-    ecc: bytes,
-    page: int,
-    line_index: int,
-    mem_major: int,
-    mem_minor: int,
-    file_major: int,
-    file_minor: int,
-    stop_loss: int,
-) -> Tuple[Optional[Tuple[int, int, bytes]], int]:
-    """2-D Osiris search over (MECB minor, FECB minor) lags.
-
-    Candidates are ordered by total lag — both counters bump together on
-    the write path, so the true pair is minimally ahead of the persisted
-    pair — and each layer's lag is independently bounded by its own
-    stop-loss window.
-
-    Each trial checks ``cipher ^ OTP_mem ^ OTP_file`` against the ECC.
-    A layer's pad depends only on its own candidate, so the window's at
-    most ``stop_loss + 1`` pads per layer are each computed once and
-    reused by every pair that shares them.
-    """
-    memory_engine = controller._memory_engine
-    file_engine = controller._file_engine
-    file_engine.rekey(key)
-    mem_major %= 1 << 64
-    cipher_int = int.from_bytes(cipher, "little")
-    mem_pads: Dict[int, int] = {}
-    file_pads: Dict[int, int] = {}
-    trials = 0
-    for total in range(2 * stop_loss + 1):
-        for mem_off in range(max(0, total - stop_loss), min(stop_loss, total) + 1):
-            file_off = total - mem_off
-            cand_mem = mem_minor + mem_off
-            cand_file = file_minor + file_off
-            if cand_mem >= _MINOR_LIMIT or cand_file >= _MINOR_LIMIT:
-                continue
-            trials += 1
-            mem_pad = mem_pads.get(cand_mem)
-            if mem_pad is None:
-                mem_pad = mem_pads[cand_mem] = _line_pad(
-                    memory_engine, MEMORY_DOMAIN, page, line_index, mem_major, cand_mem
-                )
-            file_pad = file_pads.get(cand_file)
-            if file_pad is None:
-                file_pad = file_pads[cand_file] = _line_pad(
-                    file_engine, FILE_DOMAIN, page, line_index, file_major, cand_file
-                )
-            plaintext = (cipher_int ^ mem_pad ^ file_pad).to_bytes(LINE_SIZE, "little")
-            if check_line(plaintext, ecc):
-                return (cand_mem, cand_file, plaintext), trials
-    return None, trials
+    ))
 
 
 def reboot_machine(machine) -> RecoveryReport:
     """Bring the crashed machine back up through the real recovery paths."""
     controller = machine.controller
-    scheme = machine.config.scheme.value
-    functional = machine.config.functional
+    fsencr = _is_fsencr(machine)
+    device = controller.device
+    layout = controller.layout
     recovery_ns = 0.0
     trials_total = 0
     lines_checked = 0
     lines_recovered = 0
     failed: List[int] = []
     ott_recovered = 0
-    leaves = 0
-    pages_restored = 0
-
-    if not hasattr(controller, "mecb"):
-        # Conventional-path machine: nothing encrypted to recover; the
-        # caches simply come up cold.
-        return RecoveryReport(
-            scheme=scheme, functional=functional, trials=0, lines_checked=0,
-            lines_recovered=0, failed_lines=(), pages_restored=0,
-            ott_keys_recovered=0, merkle_leaves_rebuilt=0, recovery_ns=0.0,
-        )
-
-    cconf = controller.config
-    journal_mecb = dict(getattr(controller, "_persisted_mecb", {}))
-    journal_fecb = dict(getattr(controller, "_persisted_fecb", {}))
 
     # -- 0. integrity scan of the stored Merkle nodes -------------------
     # Must run before any recovered state is installed: leaf content
     # still matches what the stored digests were computed over, so a
     # mismatch here is media damage, never a legitimate recovery delta.
-    nodes_poisoned = 0
-    merkle = getattr(controller, "merkle", None)
-    if merkle is not None:
-        for level, index in merkle.stored_nodes():
-            recovery_ns += controller.device.read(
-                controller.layout.merkle_node_addr(level, index)
-            )
-        poisoned = merkle.flag_poisoned_nodes()
-        nodes_poisoned = len(poisoned)
-        if nodes_poisoned:
-            controller.stats.add("merkle_poisoned_nodes", nodes_poisoned)
+    merkle = controller.merkle
+    for level, index in merkle.stored_nodes():
+        recovery_ns += device.read(layout.merkle_node_addr(level, index))
+    nodes_poisoned = len(merkle.flag_poisoned_nodes())
+    if nodes_poisoned:
+        controller.stats.add("merkle_poisoned_nodes", nodes_poisoned)
 
     # -- 1. OTT: scan the encrypted spill region (one sequential run) ---
-    if hasattr(controller, "recover_ott_after_crash"):
+    if fsencr:
         ott_recovered = controller.recover_ott_after_crash()
-        slots = controller.layout.ott_slots
+        slots = layout.ott_slots
         if slots:
-            controller.layout.ott_slot_addr(slots - 1)  # the run stays in the region
-            recovery_ns += controller.device.read_run(controller.layout.ott_slot_addr(0), slots)
+            layout.ott_slot_addr(slots - 1)  # the run stays in the region
+            recovery_ns += device.read_run(layout.ott_slot_addr(0), slots)
 
     # -- 2. counter recovery via ECC trial decryption -------------------
     final_mecb: Dict[int, Tuple[int, List[int]]] = {
-        page: (major, list(minors)) for page, (major, minors) in journal_mecb.items()
+        page: (major, list(minors)) for page, (major, minors) in controller._persisted_mecb.items()
     }
     final_fecb: Dict[int, Tuple[int, int, int, List[int]]] = {
         page: (gid, fid, major, list(minors))
-        for page, (gid, fid, major, minors) in journal_fecb.items()
+        for page, (gid, fid, major, minors) in (controller._persisted_fecb if fsencr else {}).items()
     }
     new_shadow: Dict[int, bytes] = {}
 
@@ -503,13 +410,12 @@ def reboot_machine(machine) -> RecoveryReport:
     # restored lines enter the trial loop at zero lag (the ECC check
     # still runs, so a flipped shadow entry fails explicitly).
     anubis_restored = 0
-    anubis_table = getattr(controller, "anubis_shadow", None)
+    anubis_table = controller.anubis_shadow
     if anubis_table is not None and anubis_table.occupancy:
-        anubis_snaps = dict(getattr(controller, "_anubis_counters", {}))
         tracked = sorted(anubis_table.tracked_lines())
         for addr in tracked:
-            recovery_ns += controller.device.read(anubis_table.slot_addr(addr))
-            snap = anubis_snaps.get(addr)
+            recovery_ns += device.read(anubis_table.slot_addr(addr))
+            snap = controller._anubis_counters.get(addr)
             if snap is None:
                 continue
             if snap[0] == "mecb":
@@ -520,104 +426,66 @@ def reboot_machine(machine) -> RecoveryReport:
                 final_fecb[page] = (gid, fid, major, list(minors))
         anubis_restored = len(tracked)
 
-    if functional:
-        osiris_recovery = machine.config.build_osiris_recovery(
-            stats=machine.registry.ensure("osiris_recovery")
-        )
-        ecc_map = controller.store.scan_ecc()
-        by_page: Dict[int, List[int]] = {}
-        for addr in sorted(ecc_map):
-            by_page.setdefault(page_number(addr), []).append(addr)
-
-        trial_cost_ns = cconf.aes_latency_ns + cconf.xor_latency_ns
-        for page, addrs in sorted(by_page.items()):
-            mem_major, mem_minors = final_mecb.setdefault(page, (0, [0] * LINES_PER_PAGE))
-            fecb_entry = final_fecb.get(page)
-            stamped = fecb_entry is not None and (fecb_entry[0] != 0 or fecb_entry[1] != 0)
-            key: Optional[SecretKey] = None
+    # -- 2b. every line with ECC: one Osiris search over its layers -----
+    ecc_map = controller.store.scan_ecc()
+    by_page: Dict[int, List[int]] = {}
+    for addr in sorted(ecc_map):
+        by_page.setdefault(page_number(addr), []).append(addr)
+    cconf = controller.config
+    trial_cost_ns = cconf.aes_latency_ns + cconf.xor_latency_ns
+    for page, addrs in sorted(by_page.items()):
+        mem_major, mem_minors = final_mecb.setdefault(page, (0, [0] * LINES_PER_PAGE))
+        fecb_entry = final_fecb.get(page)
+        stamped = fecb_entry is not None and (fecb_entry[0] != 0 or fecb_entry[1] != 0)
+        keyed = True
+        if stamped:
+            try:
+                key, _ = controller._lookup_key(fecb_entry[0], fecb_entry[1])
+            except KeyUnavailableError:
+                keyed = False  # key never logged: every page line is unrecoverable
+            else:
+                controller._file_engine.rekey(key)
+        for addr in addrs:
+            lines_checked += 1
+            recovery_ns += device.read(addr)
+            if not keyed:
+                failed.append(addr)
+                continue
+            line_index = page_offset_lines(addr)
+            layers = [(mem_minors[line_index], _pad(
+                controller._memory_engine, MEMORY_DOMAIN, page, line_index, mem_major % (1 << 64)
+            ))]
             if stamped:
-                try:
-                    key, _ = controller._lookup_key(fecb_entry[0], fecb_entry[1])
-                except KeyUnavailableError:
-                    key = None  # key never logged: every page line is unrecoverable
-            for addr in addrs:
-                lines_checked += 1
-                recovery_ns += controller.device.read(addr)
-                line_index = page_offset_lines(addr)
-                cipher = controller.store.read_line(addr)
-                ecc = ecc_map[addr]
-                if stamped:
-                    if key is None:
-                        failed.append(addr)
-                        continue
-                    found, trials = _recover_stamped_line(
-                        controller, key, cipher, ecc, page, line_index,
-                        mem_major, mem_minors[line_index],
-                        fecb_entry[2], fecb_entry[3][line_index],
-                        cconf.stop_loss,
-                    )
-                    trials_total += trials
-                    recovery_ns += trials * trial_cost_ns
-                    if found is None:
-                        failed.append(addr)
-                        continue
-                    mem_minors[line_index], fecb_entry[3][line_index] = found[0], found[1]
-                    new_shadow[addr] = found[2]
-                    lines_recovered += 1
-                else:
-                    plaintexts: Dict[int, bytes] = {}
-
-                    def decrypt(candidate: int) -> bytes:
-                        plaintext = plaintexts[candidate] = _memory_trial(
-                            controller, cipher, page, line_index, mem_major, candidate
-                        )
-                        return plaintext
-
-                    try:
-                        result = osiris_recovery.recover_counter(
-                            mem_minors[line_index],
-                            decrypt,
-                            lambda pt: check_line(pt, ecc),
-                            ceiling=_MINOR_LIMIT - 1,
-                        )
-                    except CounterRecoveryError:
-                        # Only in-range candidates were tried; a flipped
-                        # persisted minor near the top of the field leaves
-                        # a clipped (possibly empty) window.
-                        window = min(
-                            cconf.stop_loss + 1,
-                            max(0, _MINOR_LIMIT - mem_minors[line_index]),
-                        )
-                        trials_total += window
-                        recovery_ns += window * trial_cost_ns
-                        failed.append(addr)
-                        continue
-                    trials_total += result.trials
-                    recovery_ns += result.trials * trial_cost_ns
-                    mem_minors[line_index] = result.recovered_value
-                    new_shadow[addr] = plaintexts[result.recovered_value]
-                    lines_recovered += 1
+                layers.append((fecb_entry[3][line_index], _pad(
+                    controller._file_engine, FILE_DOMAIN, page, line_index, fecb_entry[2]
+                )))
+            found = recover_line(
+                controller.store.read_line(addr), ecc_map[addr], layers, cconf.stop_loss
+            )
+            trials_total += found.trials
+            recovery_ns += found.trials * trial_cost_ns
+            if found.minors is None:
+                failed.append(addr)
+                continue
+            mem_minors[line_index] = found.minors[0]
+            if stamped:
+                fecb_entry[3][line_index] = found.minors[1]
+            new_shadow[addr] = found.plaintext
+            lines_recovered += 1
 
     # -- 3. install the recovered state ---------------------------------
-    controller.mecb.restore(
-        {page: (major, tuple(minors)) for page, (major, minors) in final_mecb.items()}
-    )
-    controller._persisted_mecb = {
-        page: (major, tuple(minors)) for page, (major, minors) in final_mecb.items()
-    }
-    pages_restored = len(final_mecb)
-    if hasattr(controller, "fecb"):
-        controller.fecb.restore(
-            {
-                page: (gid, fid, major, tuple(minors))
-                for page, (gid, fid, major, minors) in final_fecb.items()
-            }
-        )
-        controller._persisted_fecb = {
+    mecb = {page: (major, tuple(minors)) for page, (major, minors) in final_mecb.items()}
+    controller.mecb.restore(mecb)
+    controller._persisted_mecb = mecb
+    pages_restored = len(mecb)
+    if fsencr:
+        fecb = {
             page: (gid, fid, major, tuple(minors))
             for page, (gid, fid, major, minors) in final_fecb.items()
         }
-        pages_restored += len(final_fecb)
+        controller.fecb.restore(fecb)
+        controller._persisted_fecb = fecb
+        pages_restored += len(fecb)
     controller._plaintext_shadow.update(new_shadow)
     controller.osiris.reset()
     if anubis_table is not None:
@@ -628,13 +496,11 @@ def reboot_machine(machine) -> RecoveryReport:
 
     # -- 4. rebuild the integrity tree over the recovered metadata ------
     for addr in controller._integrity_leaf_addrs():
-        recovery_ns += controller.device.read(addr)
+        recovery_ns += device.read(addr)
     leaves = controller.rebuild_integrity_tree()
 
     machine.clock_ns += recovery_ns
     return RecoveryReport(
-        scheme=scheme,
-        functional=functional,
         trials=trials_total,
         lines_checked=lines_checked,
         lines_recovered=lines_recovered,
@@ -644,6 +510,6 @@ def reboot_machine(machine) -> RecoveryReport:
         merkle_leaves_rebuilt=leaves,
         recovery_ns=recovery_ns,
         merkle_nodes_poisoned=nodes_poisoned,
-        ott_slots_rejected=getattr(controller, "ott_rejected_slots", 0),
+        ott_slots_rejected=controller.ott_rejected_slots if fsencr else 0,
         anubis_lines_restored=anubis_restored,
     )

@@ -48,7 +48,6 @@ from ..exec import Cell, ExperimentRunner, resolve_workload
 from ..mem.address import LINE_SIZE
 from ..secmem.ecc import check_line
 from ..secmem.merkle import IntegrityError
-from ..secmem.osiris import CounterRecoveryError
 from ..sim import trace as trace_mod
 from ..sim.batch import capture_workload
 from ..sim.config import MachineConfig
@@ -211,7 +210,7 @@ def _verify_line(
         return OUTCOME_DETECTED
     try:
         plaintext = controller.read_data(addr)
-    except (IntegrityError, KeyUnavailableError, CounterRecoveryError):
+    except (IntegrityError, KeyUnavailableError):
         return OUTCOME_DETECTED
     ecc = controller.store.read_ecc(addr)
     if ecc is None or not check_line(plaintext, ecc):

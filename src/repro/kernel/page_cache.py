@@ -83,13 +83,3 @@ class PageCache:
         page = self._pages.get((file_id, page_index))
         if page is not None:
             page.dirty = True
-
-    def drop_all(self) -> int:
-        """Crash: DRAM-resident pages vanish, dirty or not.
-
-        Returns how many pages were lost — callers deciding whether the
-        crash cost un-synced data want the count.
-        """
-        lost = len(self._pages)
-        self._pages.clear()
-        return lost

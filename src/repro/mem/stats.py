@@ -80,18 +80,6 @@ class StatsRegistry:
     def create(self, name: str) -> StatCounters:
         return self.register(StatCounters(name))
 
-    def ensure(self, name: str) -> StatCounters:
-        """The named bundle, created and registered on first use.
-
-        For components built lazily and possibly repeatedly per machine
-        (the crash-recovery objects): counters accumulate across reboots
-        of the same machine instead of tripping the duplicate check.
-        """
-        existing = self._bundles.get(name)
-        if existing is not None:
-            return existing
-        return self.create(name)
-
     def bundle(self, name: str) -> StatCounters:
         return self._bundles[name]
 

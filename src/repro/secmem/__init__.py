@@ -12,7 +12,7 @@ from .ecc import EccMismatch, check_line, check_word, encode_line, encode_word
 from .layout import MetadataLayout
 from .merkle import BonsaiMerkleTree, IntegrityError
 from .metadata_cache import MetadataCache, MetadataCacheConfig, MetadataKind
-from .osiris import CounterRecoveryError, OsirisRecovery, OsirisTracker, RecoveryResult
+from .osiris import LineRecovery, OsirisTracker, recover_line
 from .secure_controller import BaselineSecureController, SecureControllerConfig
 
 __all__ = [
@@ -34,9 +34,8 @@ __all__ = [
     "MetadataCacheConfig",
     "MetadataKind",
     "OsirisTracker",
-    "OsirisRecovery",
-    "RecoveryResult",
-    "CounterRecoveryError",
+    "LineRecovery",
+    "recover_line",
     "BaselineSecureController",
     "SecureControllerConfig",
 ]

@@ -11,30 +11,34 @@ a crash the persisted value is therefore within ``stop_loss`` increments
 of the true value, and the true value is found by trying each candidate
 and testing the decryption against the line's plaintext ECC.
 
-Two classes:
+Two halves:
 
 * :class:`OsirisTracker` — the run-time half: per-counter-line update
   distances, deciding when a counter write-through must be issued (the
   extra NVM writes the paper charges to both schemes).
-* :class:`OsirisRecovery` — the post-crash half: candidate enumeration +
-  ECC test, returning the recovered counter value and the number of
-  trials (the recovery-latency figure of merit in the Osiris paper).
+* :func:`recover_line` — the post-crash half: the one candidate search
+  over a line's counter layers (the MECB minor, plus the FECB minor on a
+  file-stamped FsEncr page) with the ECC test, returning the recovered
+  minors and the number of trials (the recovery-latency figure of merit
+  in the Osiris paper).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from functools import lru_cache
+from itertools import product
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..mem.stats import StatCounters
+from .counters import MINOR_BITS
+from .ecc import check_line
 
-__all__ = ["OsirisTracker", "OsirisRecovery", "RecoveryResult", "CounterRecoveryError"]
+__all__ = ["OsirisTracker", "CounterLayer", "LineRecovery", "recover_line"]
 
 DEFAULT_STOP_LOSS = 4
 
-
-class CounterRecoveryError(Exception):
-    """No candidate counter within the stop-loss window fit the ECC."""
+_MINOR_LIMIT = 1 << MINOR_BITS
 
 
 class OsirisTracker:
@@ -77,59 +81,63 @@ class OsirisTracker:
         self._distance.clear()
 
 
+#: One counter layer of a line: its persisted minor, and the layer's
+#: pad for a candidate minor.  A line's plaintext is its ciphertext
+#: XOR every layer's pad.
+CounterLayer = Tuple[int, Callable[[int], bytes]]
+
+
 @dataclass(frozen=True)
-class RecoveryResult:
-    """Outcome of recovering one counter after a crash."""
+class LineRecovery:
+    """Outcome of one line's Osiris search.
 
-    recovered_value: int
-    trials: int
-
-
-class OsirisRecovery:
-    """Post-crash counter recovery via ECC trial decryption.
-
-    ``decrypt_with(candidate) -> bytes`` and ``ecc_ok(plaintext) -> bool``
-    are supplied by the caller, keeping this class independent of the
-    encryption engine's wiring.  Candidates are tried from the persisted
-    value upward, matching Osiris's observation that the true counter is
-    *ahead of* (never behind) the persisted one.
+    ``minors`` (one per layer) and ``plaintext`` are ``None`` when no
+    candidate in the window fit the ECC: an exhausted window is reported,
+    never guessed.  ``trials`` counts the decryptions tried either way.
     """
 
-    def __init__(self, stop_loss: int = DEFAULT_STOP_LOSS, stats: Optional[StatCounters] = None) -> None:
-        self.stop_loss = stop_loss
-        self.stats = stats or StatCounters("osiris_recovery")
+    trials: int
+    minors: Optional[Tuple[int, ...]] = None
+    plaintext: Optional[bytes] = None
 
-    def recover_counter(
-        self,
-        persisted_value: int,
-        decrypt_with: Callable[[int], bytes],
-        ecc_ok: Callable[[bytes], bool],
-        ceiling: Optional[int] = None,
-    ) -> RecoveryResult:
-        """Find the true counter within [persisted, persisted + stop_loss].
 
-        ``ceiling`` clips the window to the counter field's width: a
-        candidate above it can never be a real counter value (the minor
-        would have overflowed and re-encrypted the page first), so the
-        search stops there.  This is what makes a *flipped* persisted
-        counter safe — a flip landing near the top of the field leaves
-        few (or zero) legal candidates, and an exhausted window is an
-        explicit :class:`CounterRecoveryError`, never a silent accept.
-        """
-        trials = 0
-        for offset in range(self.stop_loss + 1):
-            candidate = persisted_value + offset
-            if ceiling is not None and candidate > ceiling:
-                break
-            trials += 1
-            plaintext = decrypt_with(candidate)
-            self.stats.add("trials")
-            if ecc_ok(plaintext):
-                self.stats.add("recovered")
-                return RecoveryResult(recovered_value=candidate, trials=trials)
-        self.stats.add("failures")
-        raise CounterRecoveryError(
-            f"no counter in [{persisted_value}, {persisted_value + self.stop_loss}] "
-            f"{'(clipped to ' + str(ceiling) + ') ' if ceiling is not None else ''}"
-            "satisfied the ECC check"
-        )
+@lru_cache(maxsize=None)
+def _lag_order(layers: int, stop_loss: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every per-layer lag tuple in the window, by total lag then
+    lexicographically: all layers' counters bump together on the write
+    path, so the true minors are minimally ahead of the persisted ones."""
+    return tuple(sorted(product(range(stop_loss + 1), repeat=layers),
+                        key=lambda lags: (sum(lags), lags)))
+
+
+def recover_line(
+    cipher: bytes, ecc: bytes, layers: Sequence[CounterLayer], stop_loss: int
+) -> LineRecovery:
+    """Find the line's true minors within ``stop_loss`` of the persisted ones.
+
+    A candidate past the minor field (``MINOR_BITS``) is never a real
+    counter value — the minor would have overflowed and re-encrypted the
+    page first — so it is skipped, not tried.  That is what makes a
+    *flipped* persisted minor safe: near the top of the field few or no
+    legal candidates remain.  A layer's pad depends only on its own
+    candidate, so each is computed once and shared by every candidate
+    tuple that uses it.
+    """
+    cipher_int = int.from_bytes(cipher, "little")
+    pads: Tuple[Dict[int, int], ...] = tuple({} for _ in layers)
+    trials = 0
+    for lags in _lag_order(len(layers), stop_loss):
+        minors = tuple(persisted + lag for (persisted, _), lag in zip(layers, lags))
+        if max(minors) >= _MINOR_LIMIT:
+            continue
+        trials += 1
+        value = cipher_int
+        for (_, pad_for), cache, minor in zip(layers, pads, minors):
+            pad = cache.get(minor)
+            if pad is None:
+                pad = cache[minor] = int.from_bytes(pad_for(minor), "little")
+            value ^= pad
+        plaintext = value.to_bytes(len(cipher), "little")
+        if check_line(plaintext, ecc):
+            return LineRecovery(trials, minors, plaintext)
+    return LineRecovery(trials)

@@ -19,7 +19,6 @@ from ..mem.nvm import NVMTiming
 from ..mem.wpq import WPQConfig
 from ..secmem.anubis import ShadowTable
 from ..secmem.metadata_cache import MetadataCacheConfig
-from ..secmem.osiris import OsirisRecovery
 from ..secmem.secure_controller import SecureControllerConfig
 
 __all__ = ["Scheme", "MachineConfig", "scaled_hierarchy", "SCALE_FACTOR"]
@@ -154,13 +153,6 @@ class MachineConfig:
             functional=self.functional,
             metadata_cache=self.metadata_cache,
         )
-
-    # -- recovery objects ---------------------------------------------------
-
-    def build_osiris_recovery(self, stats=None) -> OsirisRecovery:
-        """The Osiris trial-decryption recoverer for this machine's
-        stop-loss window (used at reboot and by the recovery ablation)."""
-        return OsirisRecovery(stop_loss=self.stop_loss, stats=stats)
 
     def build_anubis_shadow(self, write_hook=None, stats=None) -> ShadowTable:
         """The Anubis shadow table sized by this config's knobs."""

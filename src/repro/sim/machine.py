@@ -179,9 +179,9 @@ class Machine:
         self.last_crash_report = None
         self.last_recovery_report = None
         controller = self.controller
-        if config.functional and hasattr(controller, "crash_domain"):
+        if config.functional and config.scheme.has_secure_controller:
             controller.crash_domain = CrashDomain(depth=config.wpq.entries)
-        if config.anubis_recovery and hasattr(controller, "anubis_shadow"):
+        if config.anubis_recovery and config.scheme.has_secure_controller:
             # The Anubis shadow table mirrors the metadata cache's dirty
             # counter lines into its NVM region.  Its writes are posted
             # like Osiris write-throughs: they consume device bandwidth
@@ -543,10 +543,22 @@ class Machine:
         """Power-fail now: volatile state is lost, the in-flight write
         tail is resolved per ``plan`` (drained / dropped / torn), media
         bit flips land.  Returns a
-        :class:`~repro.faults.lifecycle.CrashReport`."""
+        :class:`~repro.faults.lifecycle.CrashReport`.
+
+        Only a functional machine with a secure memory controller can
+        crash: the crash model audits counter-mode recovery against real
+        ciphertext, which no other machine has.  Any other raises
+        ``ValueError`` and stays up."""
         from ..faults.lifecycle import crash_machine
         from ..faults.plan import FaultPlan
 
+        config = self.config
+        if not (config.functional and config.scheme.has_secure_controller):
+            raise ValueError(
+                f"crash() needs a functional machine with a secure memory "
+                f"controller, not a {'functional' if config.functional else 'timing-mode'} "
+                f"{config.scheme.value!r} machine"
+            )
         if self._crashed:
             raise RuntimeError("machine already crashed; reboot() first")
         report = crash_machine(self, plan or FaultPlan())

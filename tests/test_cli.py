@@ -91,6 +91,12 @@ def test_flags_from_other_commands_do_not_pass_silently():
         ["crashsweep", "--workload", "DAX-9"],
         ["crashsweep", "--workload", "ManyFiles@abc"],
         ["crashsweep", "--workload", "Deleterandom-S"],  # a removed workload
+        # A custom fault plan's flags are range-checked by FaultPlan itself.
+        ["crashsweep", "--profile", "custom", "--drain-fraction", "1.5"],
+        ["crashsweep", "--profile", "custom", "--torn-prob", "nan"],
+        ["crashsweep", "--profile", "custom", "--torn-burst", "0"],
+        ["crashsweep", "--profile", "custom", "--bit-flips", "-3"],
+        ["crashsweep", "--profile", "custom", "--counter-flips", "-1"],
         # Scheme columns are registered, present and distinct.
         ["loadcurve", "--schemes", "nope"],
         ["loadcurve", "--schemes", ","],
@@ -105,6 +111,21 @@ def test_invalid_values_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+def test_fig15_passes_a_size_only_when_given(monkeypatch, capsys):
+    # Without --ops/--iters the driver's defaults (the committed
+    # figure's sizes) apply; with them, the flags pass through.
+    calls = []
+
+    def driver(**kwargs):
+        calls.append({k: v for k, v in kwargs.items() if k not in ("scheme", "runner")})
+        return {"Hashmap": {2048: 1.0}}
+
+    monkeypatch.setattr("repro.cli.figure15_cache_sensitivity", driver)
+    assert main(["fig15"]) == 0
+    assert main(["fig15", "--ops", "20", "--iters", "30"]) == 0
+    assert calls == [{}, {"pmemkv_ops": 20, "whisper_ops": 60, "micro_iters": 30}]
 
 
 def test_jobs_zero_means_one_worker_per_cpu():

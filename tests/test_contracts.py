@@ -206,7 +206,7 @@ WIRED_COMPONENTS = {
     "PlainMemoryController", "BaselineSecureController", "FsEncrController",
     "CacheHierarchy", "DaxFilesystem", "SoftwareEncryptionOverlay", "PageCache",
     "MMIORegisters", "WritePendingQueue", "OpenTunnelTable", "CrashDomain",
-    "OsirisRecovery", "ShadowTable",
+    "ShadowTable",
 }
 BUILDERS = {"sim/machine.py", "sim/config.py"}
 WIRING_EXCEPTIONS = {

@@ -20,8 +20,8 @@ from repro.crypto.iv import FILE_DOMAIN, MEMORY_DOMAIN, CounterIV
 from repro.crypto.keys import SecretKey
 from repro.crypto.otp import OTPEngine, xor_bytes
 from repro.faults import CrashDomain, FaultPlan, LineWrite, TEAR_BYTES
-from repro.faults.lifecycle import _MINOR_LIMIT, _recover_stamped_line
 from repro.secmem.ecc import check_line, encode_line
+from repro.secmem.osiris import _MINOR_LIMIT, recover_line
 from repro.sim import Machine, MachineConfig, Scheme
 
 LINE = 64
@@ -245,6 +245,25 @@ class TestLifecycleProtocol:
         with pytest.raises(RuntimeError, match="without a preceding crash"):
             machine.reboot()
 
+    @pytest.mark.parametrize("scheme, functional", [
+        (Scheme.FSENCR, False),  # timing mode: no ciphertext to audit
+        (Scheme.EXT4DAX_PLAIN, True),  # no secure controller to recover
+    ], ids=["timing-fsencr", "functional-ext4dax_plain"])
+    def test_only_functional_secure_machines_crash(self, scheme, functional):
+        machine = Machine(MachineConfig(scheme=scheme, functional=functional))
+        machine.add_user(uid=1000, gid=100, passphrase="pw")
+        handle = machine.create_file("/pmem/f", uid=1000)
+        base = machine.mmap(handle, pages=1)
+        machine.store(base, LINE)
+        machine.persist(base, LINE)
+        clock = machine.clock_ns
+        with pytest.raises(ValueError, match="secure memory controller"):
+            machine.crash(FaultPlan(drain_fraction=0.0))
+        assert machine.last_crash_report is None and machine.clock_ns == clock
+        machine.load(base, LINE)  # still up: no reboot needed
+        with pytest.raises(RuntimeError):
+            machine.reboot()
+
     def test_crash_twice_raises(self):
         machine = make_machine()
         stage_writes(machine, lines=1)
@@ -346,6 +365,25 @@ class _EngineHolder:
         self._file_engine = _CountingEngine(OTPEngine(file_key))
 
 
+def _two_layer_search(holder, cipher, ecc, page, line_index,
+                      mem_major, mem_minor, file_major, file_minor, stop_loss):
+    """The one Osiris search over (MECB, FECB) through the holder's
+    counting engines, in the naive reference's result shape."""
+    def layer(engine, domain, major, minor):
+        return minor, lambda candidate: engine.pad_for(CounterIV(
+            domain=domain, page_id=page, page_offset=line_index,
+            major=major, minor=candidate,
+        ))
+
+    found = recover_line(cipher, ecc, [
+        layer(holder._memory_engine, MEMORY_DOMAIN, mem_major, mem_minor),
+        layer(holder._file_engine, FILE_DOMAIN, file_major, file_minor),
+    ], stop_loss)
+    if found.minors is None:
+        return None, found.trials
+    return (*found.minors, found.plaintext), found.trials
+
+
 def _naive_stamped_search(mem_key, file_key, cipher, ecc, page, line_index,
                           mem_major, mem_minor, file_major, file_minor, stop_loss):
     """Reference 2-D search: every in-range (MECB, FECB) lag pair, ordered
@@ -415,7 +453,7 @@ class TestOsirisSearch:
         for case in _stamped_cases(seed):
             mem_key, file_key, *args = case
             holder = _EngineHolder(mem_key, file_key)
-            got = _recover_stamped_line(holder, file_key, *args)
+            got = _two_layer_search(holder, *args)
             want = _naive_stamped_search(mem_key, file_key, *args)
             assert got == want
             stop_loss = args[-1]

@@ -112,8 +112,8 @@ class TestCrashRecoveryStory:
     def test_counters_recoverable_within_stop_loss(self):
         """Osiris end-to-end: ECC trial decryption recovers the counter
         value lost from the metadata cache at crash."""
-        from repro.secmem import OsirisRecovery, encode_line, check_line
-        from repro.crypto import OTPEngine, CounterIV, MEMORY_DOMAIN, xor_bytes
+        from repro.secmem import encode_line, recover_line
+        from repro.crypto import OTPEngine, CounterIV, MEMORY_DOMAIN
 
         m = functional_machine()
         handle = m.create_file("/pmem/f", uid=1000, encrypted=False)
@@ -130,18 +130,15 @@ class TestCrashRecoveryStory:
 
         engine = OTPEngine(ctl.keys.memory_key)
 
-        def decrypt_with(candidate):
-            iv = CounterIV(
+        def pad_for(candidate):
+            return engine.pad_for(CounterIV(
                 domain=MEMORY_DOMAIN, page_id=pfn, page_offset=0,
                 major=0, minor=candidate,
-            )
-            return xor_bytes(ciphertext, engine.pad_for(iv))
+            ))
 
-        result = OsirisRecovery(stop_loss=4).recover_counter(
-            persisted_minor, decrypt_with, lambda line: check_line(line, ecc)
-        )
-        assert result.recovered_value == true_minor
-        assert decrypt_with(result.recovered_value) == plaintext
+        result = recover_line(ciphertext, ecc, [(persisted_minor, pad_for)], stop_loss=4)
+        assert result.minors == (true_minor,)
+        assert result.plaintext == plaintext
 
 
 class TestFileCopySemantics:

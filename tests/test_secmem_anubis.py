@@ -60,7 +60,7 @@ class TestShadowRecovery:
     def test_osiris_vs_anubis_recovery_work(self):
         """Osiris recovery scales with the written footprint (every
         written line gets trial decryptions); Anubis with the cache."""
-        from repro.secmem import OsirisRecovery, check_line, encode_line
+        from repro.secmem import encode_line, recover_line
 
         written_lines = 400
         cache_lines = 16
@@ -69,12 +69,10 @@ class TestShadowRecovery:
         # Osiris: every written line, up to stop_loss+1 trials each.
         plaintext = bytes(range(64))
         ecc = encode_line(plaintext)
-        recovery = OsirisRecovery(stop_loss=stop_loss)
-        for _ in range(written_lines):
-            recovery.recover_counter(
-                0, lambda candidate: plaintext, lambda line: check_line(line, ecc)
-            )
-        osiris_trials = recovery.stats.get("trials")
+        osiris_trials = sum(
+            recover_line(plaintext, ecc, [(0, lambda candidate: bytes(64))], stop_loss).trials
+            for _ in range(written_lines)
+        )
 
         # Anubis: only the tracked (cache-resident) lines.
         shadow = ShadowTable(capacity_lines=cache_lines, base_addr=0x100000)

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.secmem import (
-    CounterRecoveryError,
-    OsirisRecovery,
     OsirisTracker,
     check_line,
     check_word,
     encode_line,
     encode_word,
+    recover_line,
 )
 from repro.secmem.ecc import _hamming_ecc
 
@@ -139,52 +138,44 @@ class TestOsirisTracker:
 
 
 class TestOsirisRecovery:
+    """The one Osiris search (``recover_line``) over a single counter
+    layer: a toy counter-keyed cipher, XOR with a counter-derived pad."""
+
+    PLAINTEXT = bytes(range(64))
+
     @staticmethod
-    def _scheme(true_counter: int):
-        """A toy counter-keyed cipher: XOR with a counter-derived pad."""
-        import hashlib
+    def _pad(counter: int) -> bytes:
+        return hashlib.sha256(counter.to_bytes(8, "big")).digest() * 2
 
-        plaintext = bytes(range(64))
-        ecc = encode_line(plaintext)
-
-        def pad(counter: int) -> bytes:
-            return hashlib.sha256(counter.to_bytes(8, "big")).digest() * 2
-
-        ciphertext = bytes(a ^ b for a, b in zip(plaintext, pad(true_counter)))
-
-        def decrypt_with(candidate: int) -> bytes:
-            return bytes(a ^ b for a, b in zip(ciphertext, pad(candidate)))
-
-        def ecc_ok(line: bytes) -> bool:
-            return check_line(line, ecc)
-
-        return decrypt_with, ecc_ok
+    def _recover(self, true_counter: int, persisted: int, stop_loss: int = 4):
+        cipher = bytes(a ^ b for a, b in zip(self.PLAINTEXT, self._pad(true_counter)))
+        return recover_line(cipher, encode_line(self.PLAINTEXT), [(persisted, self._pad)], stop_loss)
 
     def test_recovers_exact_counter(self):
-        decrypt_with, ecc_ok = self._scheme(true_counter=7)
-        result = OsirisRecovery(stop_loss=4).recover_counter(7, decrypt_with, ecc_ok)
-        assert result.recovered_value == 7
+        result = self._recover(true_counter=7, persisted=7)
+        assert result.minors == (7,)
         assert result.trials == 1
+        assert result.plaintext == self.PLAINTEXT
 
     def test_recovers_ahead_of_persisted(self):
-        decrypt_with, ecc_ok = self._scheme(true_counter=10)
-        result = OsirisRecovery(stop_loss=4).recover_counter(7, decrypt_with, ecc_ok)
-        assert result.recovered_value == 10
+        result = self._recover(true_counter=10, persisted=7)
+        assert result.minors == (10,)
         assert result.trials == 4
 
     def test_recovery_at_stop_loss_boundary(self):
-        decrypt_with, ecc_ok = self._scheme(true_counter=11)
-        result = OsirisRecovery(stop_loss=4).recover_counter(7, decrypt_with, ecc_ok)
-        assert result.recovered_value == 11
+        result = self._recover(true_counter=11, persisted=7)
+        assert result.minors == (11,)
+        assert result.trials == 5
 
     def test_beyond_stop_loss_fails(self):
-        decrypt_with, ecc_ok = self._scheme(true_counter=12)
-        with pytest.raises(CounterRecoveryError):
-            OsirisRecovery(stop_loss=4).recover_counter(7, decrypt_with, ecc_ok)
+        # An exhausted window is reported, with every trial counted.
+        result = self._recover(true_counter=12, persisted=7)
+        assert result.minors is None and result.plaintext is None
+        assert result.trials == 5
 
-    def test_stats(self):
-        decrypt_with, ecc_ok = self._scheme(true_counter=9)
-        recovery = OsirisRecovery(stop_loss=4)
-        recovery.recover_counter(7, decrypt_with, ecc_ok)
-        assert recovery.stats.get("recovered") == 1
-        assert recovery.stats.get("trials") == 3
+    def test_candidates_past_the_minor_field_are_skipped(self):
+        # A 7-bit minor tops out at 127: from 125 only three candidates
+        # are real counter values.
+        assert self._recover(true_counter=127, persisted=125).minors == (127,)
+        beyond = self._recover(true_counter=128, persisted=125)
+        assert beyond.minors is None and beyond.trials == 3

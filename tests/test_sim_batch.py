@@ -351,7 +351,12 @@ _ACCESS = st.tuples(
     st.integers(0, 63),                   # byte offset in that line
     st.integers(1, 192),                  # size, clipped to 3 lines
 )
-_OP = st.one_of(_ACCESS, st.sampled_from(_DELAYS).map(lambda ns: ("compute", ns)))
+#: Persists of one line: past the 7-bit minor field, so the MECB (and,
+#: on an FsEncr file page, the FECB) minor overflows and the page is
+#: re-encrypted.
+_HAMMER_PERSISTS = 130
+_HAMMER = st.tuples(st.just("hammer"), st.integers(0, 1), st.integers(0, _PAGES * 64 - 1))
+_OP = st.one_of(_ACCESS, st.sampled_from(_DELAYS).map(lambda ns: ("compute", ns)), _HAMMER)
 
 
 def _generated_trace(config, files, ops) -> Trace:
@@ -371,6 +376,10 @@ def _generated_trace(config, files, ops) -> Trace:
     for op in ops:
         if op[0] == "compute":
             trace.append(TraceOp(op="compute", ns=op[1]))
+        elif op[0] == "hammer":
+            _, file, line = op
+            for _ in range(_HAMMER_PERSISTS):
+                trace.append(TraceOp(op="persist", addr=bases[file % files] + line * 64, size=64))
         else:
             name, file, line, offset, size = op
             trace.append(TraceOp(op=name, addr=bases[file % files] + line * 64 + offset,
@@ -386,13 +395,15 @@ _TINY_FSENCR = replace(
 def test_compiled_equals_replay_on_generated_traces():
     """The interpreter and the reference path agree on generated
     traces, not just on the pinned grid: multi-line accesses over one
-    or two files and repeated, non-integral compute delays.  FsEncr
-    with a 512 B metadata cache and a one-slot OTT forces the delegated
-    arms: FECB misses, OTT refills and spills must all occur."""
+    or two files, repeated, non-integral compute delays, and hammered
+    lines whose MECB and FECB minors overflow (page re-encryption).
+    FsEncr with a 512 B metadata cache and a one-slot OTT forces the
+    delegated arms: FECB misses, OTT refills and spills must all occur."""
     configs = [get_scheme(name).configure(MachineConfig())
                for name in ("ext4dax_plain", "baseline_secure", "fsencr")]
     configs.append(_TINY_FSENCR)
-    tally = {"fecb_misses": 0, "ott_refills": 0, "ott_spills": 0}
+    tally = {"fecb_misses": 0, "ott_refills": 0, "ott_spills": 0,
+             "minor_overflows": 0, "fecb_minor_overflows": 0}
 
     @seed(20221)
     @settings(max_examples=25, deadline=None)
@@ -410,8 +421,12 @@ def test_compiled_equals_replay_on_generated_traces():
                 machines.append(machine)
             compiled, reference = (m.result("generated").to_dict() for m in machines)
             assert compiled == reference, config.scheme.value
+            controller = machines[0].controller
+            if config.scheme.has_secure_controller:
+                tally["minor_overflows"] += controller.stats.counters["minor_overflows"]
+            if config.scheme is Scheme.FSENCR:
+                tally["fecb_minor_overflows"] += controller.stats.counters["fecb_minor_overflows"]
             if config is _TINY_FSENCR:
-                controller = machines[0].controller
                 tally["fecb_misses"] += (
                     controller.metadata_cache.stats.counters["fecb_misses"])
                 tally["ott_refills"] += controller.stats.counters["ott_refills"]

@@ -3,7 +3,7 @@
 Building each scheme column records every ``StatCounters``
 constructed, and each must *be* the registry's bundle of that name.
 Functional builds add the crash domain and, for Anubis columns, the
-shadow table; a crash/reboot cycle adds the recovery objects.  A
+shadow table; two crash/reboot cycles must leave no orphan either.  A
 component that fell back to a private bundle fails here.  The consumer
 side is strict: ``stat`` raises ``KeyError`` on a counter no component
 produced (below, and in ``test_faults_sweep.py``).  The service run's
@@ -48,8 +48,7 @@ def test_recovery_bundles_are_registered(scheme, orphan_bundles):
     machine.crash(FaultPlan(drain_fraction=0.5))
     machine.reboot()
     machine.crash(FaultPlan(drain_fraction=1.0))
-    machine.reboot()  # recovery bundles accumulate, never duplicate
-    assert "osiris_recovery" in machine.registry.names
+    machine.reboot()  # a second reboot registers no duplicate or orphan bundle
     assert orphan_bundles(machine) == []
 
 
