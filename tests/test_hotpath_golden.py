@@ -20,9 +20,9 @@ import json
 
 import pytest
 
-from repro.exec import resolve_workload
+from repro.exec import canonical_json, resolve_workload
 from repro.faults import FAULT_PROFILES
-from repro.faults.sweep import sweep_workload
+from repro.faults.sweep import sweep_matrix, sweep_workload
 from repro.sim.batch import BatchRunner
 from repro.sim.config import MachineConfig, Scheme
 from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
@@ -45,6 +45,11 @@ GOLDEN_SWEEP = ("1ac29b81d27a224507980e30f9cb56309edb5691b01e8e56791db021554b65f
 #: The metadata-flip path (Merkle-node and OTT-slot flips, the reboot's
 #: poison scan and OTT region scan) via one ``counter-flips`` cell.
 GOLDEN_SWEEP_FLIPS = ("a8a748146e58664e8c0d12c43a9c096c1fab73b84a63a228ad52db2196ef8c77", 62, 2)
+
+#: The whole crash matrix (every ``CRASH_MATRIX`` column x every fault
+#: profile) at the CI smoke's size: sha256 of ``canonical_json`` of the
+#: ``MatrixResult`` (which carries no runner timing), and its cell count.
+GOLDEN_CRASH_MATRIX = ("261e8710517de0ddb57957a65e4c636c42d07f0ae228270741277477956e73c3", 12)
 
 _FACTORIES = {
     "DAX-1": lambda: make_dax_micro("DAX-1", iterations=400, seed=7),
@@ -112,6 +117,11 @@ def _sweep_digest(flips: bool = False):
     return hashlib.sha256(blob.encode()).hexdigest(), sweep
 
 
+def _matrix_digest():
+    matrix = sweep_matrix("Fillseq-S", ops=12, max_points=2, seed=7)
+    return hashlib.sha256(canonical_json(matrix).encode()).hexdigest(), matrix
+
+
 @pytest.mark.parametrize("workload,scheme", sorted(GOLDEN))
 def test_timing_path_bit_identical(workload, scheme):
     digest, result = _run_digest(workload, Scheme(scheme))
@@ -154,6 +164,15 @@ def test_metadata_flip_sweep_bit_identical():
     _check_sweep(True, GOLDEN_SWEEP_FLIPS)
 
 
+def test_crash_matrix_bit_identical():
+    """Every scheme column and fault profile on the crash path, the
+    ``crashsweep`` CI smoke's matrix."""
+    digest, matrix = _matrix_digest()
+    want_digest, want_cells = GOLDEN_CRASH_MATRIX
+    assert len(matrix.cells) == want_cells
+    assert digest == want_digest, "crash-matrix record drifted"
+
+
 if __name__ == "__main__":  # regenerate the golden table
     import sys
 
@@ -170,3 +189,5 @@ if __name__ == "__main__":  # regenerate the golden table
         sys.stdout.write(
             f'{label} = ("{digest}", {sweep.boundaries_total}, {len(sweep.points)})\n'
         )
+    digest, matrix = _matrix_digest()
+    sys.stdout.write(f'GOLDEN_CRASH_MATRIX = ("{digest}", {len(matrix.cells)})\n')
