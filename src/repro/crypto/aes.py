@@ -12,15 +12,20 @@ Rijndael proposal): four 256-entry tables, built once from the S-box at
 import, fuse SubBytes and MixColumns into four lookups per column word;
 ShiftRows is which state word each lookup reads; round keys are held as
 four big-endian words per round, and the last round uses the S-box
-alone.  Counter mode only ever encrypts.  Decryption stays byte-wise
-(InvSubBytes / InvShiftRows / InvMixColumns over a flat state), because
-``crypto/keys.py`` unwraps file keys with it; it shares only the S-box
-and the key schedule with encryption, so the tests use it as an
-independent inverse.  The timing model never calls into this module
-(timing uses the paper's 40 ns AES latency constant), but functional
-mode does, and the crash sweep runs in functional mode: there this
-cipher is a leading host cost, so its raw speed bounds crashsweep
-throughput.
+alone.  Counter mode only ever encrypts, and a line's pad is a run of
+blocks whose inputs differ only in their last byte, so the one round
+loop is :meth:`AES128.encrypt_counter_blocks`: it encrypts ``base`` with
+``i`` XORed into its last byte for each ``i`` of a run, computing once
+the three round-1 columns that never read that byte.
+:meth:`AES128.encrypt_block` is its one-block case.  Decryption stays
+byte-wise (InvSubBytes / InvShiftRows / InvMixColumns over a flat
+state), because ``crypto/keys.py`` unwraps file keys with it; it shares
+only the S-box and the key schedule with encryption, so the tests use it
+as an independent inverse.  The timing model never calls into this
+module (timing uses the paper's 40 ns AES latency constant), but
+functional mode does, and the crash sweep runs in functional mode:
+there this cipher is a leading host cost, so its raw speed bounds
+crashsweep throughput.
 """
 
 from __future__ import annotations
@@ -173,35 +178,57 @@ class AES128:
         return self._key
 
     def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
+        return self.encrypt_counter_blocks(block, 1)
+
+    def encrypt_counter_blocks(self, base: bytes, count: int) -> bytes:
+        """``AES(base with i XORed into its last byte)`` for each ``i`` in
+        ``range(count)``, concatenated (``count`` at most 256).
+
+        Round 1's columns 1-3 never read the input's last byte, so they
+        and column 0's other three lookups are computed once per run.
+        """
+        if len(base) != 16:
+            raise ValueError(f"AES block must be 16 bytes, got {len(base)}")
+        if not 0 <= count <= 256:
+            raise ValueError(f"a counter run folds into one byte: 0-256 blocks, got {count}")
         te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
         rk = self._round_keys
         k0, k1, k2, k3 = rk[0]
-        s0 = int.from_bytes(block[0:4], "big") ^ k0
-        s1 = int.from_bytes(block[4:8], "big") ^ k1
-        s2 = int.from_bytes(block[8:12], "big") ^ k2
-        s3 = int.from_bytes(block[12:16], "big") ^ k3
-        for k0, k1, k2, k3 in rk[1:10]:
-            s0, s1, s2, s3 = (
-                te0[s0 >> 24] ^ te1[(s1 >> 16) & 255] ^ te2[(s2 >> 8) & 255] ^ te3[s3 & 255] ^ k0,
-                te0[s1 >> 24] ^ te1[(s2 >> 16) & 255] ^ te2[(s3 >> 8) & 255] ^ te3[s0 & 255] ^ k1,
-                te0[s2 >> 24] ^ te1[(s3 >> 16) & 255] ^ te2[(s0 >> 8) & 255] ^ te3[s1 & 255] ^ k2,
-                te0[s3 >> 24] ^ te1[(s0 >> 16) & 255] ^ te2[(s1 >> 8) & 255] ^ te3[s2 & 255] ^ k3,
-            )
-        # Last round: SubBytes and ShiftRows, no MixColumns, then AddRoundKey.
+        s0 = int.from_bytes(base[0:4], "big") ^ k0
+        s1 = int.from_bytes(base[4:8], "big") ^ k1
+        s2 = int.from_bytes(base[8:12], "big") ^ k2
+        s3 = int.from_bytes(base[12:16], "big") ^ k3
+        k0, k1, k2, k3 = rk[1]
+        head0 = te0[s0 >> 24] ^ te1[(s1 >> 16) & 255] ^ te2[(s2 >> 8) & 255] ^ k0
+        low = s3 & 255
+        col1 = te0[s1 >> 24] ^ te1[(s2 >> 16) & 255] ^ te2[(s3 >> 8) & 255] ^ te3[s0 & 255] ^ k1
+        col2 = te0[s2 >> 24] ^ te1[(s3 >> 16) & 255] ^ te2[(s0 >> 8) & 255] ^ te3[s1 & 255] ^ k2
+        col3 = te0[s3 >> 24] ^ te1[(s0 >> 16) & 255] ^ te2[(s1 >> 8) & 255] ^ te3[s2 & 255] ^ k3
+        middle = rk[2:10]
         sbox = _SBOX
-        last = bytes(
-            (
+        last: List[int] = []
+        for i in range(count):
+            s0, s1, s2, s3 = head0 ^ te3[low ^ i], col1, col2, col3
+            for k0, k1, k2, k3 in middle:
+                s0, s1, s2, s3 = (
+                    te0[s0 >> 24] ^ te1[(s1 >> 16) & 255] ^ te2[(s2 >> 8) & 255] ^ te3[s3 & 255] ^ k0,
+                    te0[s1 >> 24] ^ te1[(s2 >> 16) & 255] ^ te2[(s3 >> 8) & 255] ^ te3[s0 & 255] ^ k1,
+                    te0[s2 >> 24] ^ te1[(s3 >> 16) & 255] ^ te2[(s0 >> 8) & 255] ^ te3[s1 & 255] ^ k2,
+                    te0[s3 >> 24] ^ te1[(s0 >> 16) & 255] ^ te2[(s1 >> 8) & 255] ^ te3[s2 & 255] ^ k3,
+                )
+            # Last round: SubBytes and ShiftRows, no MixColumns.
+            last += (
                 sbox[s0 >> 24], sbox[(s1 >> 16) & 255], sbox[(s2 >> 8) & 255], sbox[s3 & 255],
                 sbox[s1 >> 24], sbox[(s2 >> 16) & 255], sbox[(s3 >> 8) & 255], sbox[s0 & 255],
                 sbox[s2 >> 24], sbox[(s3 >> 16) & 255], sbox[(s0 >> 8) & 255], sbox[s1 & 255],
                 sbox[s3 >> 24], sbox[(s0 >> 16) & 255], sbox[(s1 >> 8) & 255], sbox[s2 & 255],
             )
-        )
+        # The last AddRoundKey, for every block of the run at once.
         k0, k1, k2, k3 = rk[10]
-        last_key = k0 << 96 | k1 << 64 | k2 << 32 | k3
-        return (int.from_bytes(last, "big") ^ last_key).to_bytes(16, "big")
+        last_key = (k0 << 96 | k1 << 64 | k2 << 32 | k3).to_bytes(16, "big") * count
+        return (
+            int.from_bytes(bytes(last), "big") ^ int.from_bytes(last_key, "big")
+        ).to_bytes(16 * count, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:

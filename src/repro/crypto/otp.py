@@ -16,7 +16,7 @@ recovering the plaintext requires breaking *both* pads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from .aes import AES128
 from .iv import CounterIV
@@ -38,17 +38,22 @@ def generate_otp(cipher: AES128, iv: CounterIV, length: int = 64) -> bytes:
     """Generate a pad of ``length`` bytes by encrypting IV-derived blocks.
 
     A 64-byte cache line needs four AES blocks; each is the packed IV with
-    a distinct block index folded into the last byte (the IV layout leaves
-    at least 3 spare low bits, so the fold never collides with IV fields).
+    a distinct block index folded into the last byte, one
+    :meth:`~repro.crypto.aes.AES128.encrypt_counter_blocks` run.  The fold
+    is only collision-free while the index fits in the IV layout's spare
+    low bits (3 under the default 125-bit layout, so up to 8 blocks); a
+    longer pad would reuse another IV's blocks, so it is refused.
     """
     if length % 16 != 0:
         raise ValueError(f"pad length must be a multiple of 16, got {length}")
-    base = iv.pack()
-    blocks = []
-    for i in range(length // 16):
-        block_input = base[:-1] + bytes([base[-1] ^ i])
-        blocks.append(cipher.encrypt_block(block_input))
-    return b"".join(blocks)
+    blocks = length // 16
+    if blocks > 2 ** (128 - iv.layout.total_bits):
+        raise ValueError(
+            f"a {length}-byte pad needs {blocks} blocks, but a "
+            f"{iv.layout.total_bits}-bit IV leaves room for "
+            f"{2 ** (128 - iv.layout.total_bits)}"
+        )
+    return cipher.encrypt_counter_blocks(iv.pack(), blocks)
 
 
 def compose_pads(pads: Iterable[bytes]) -> bytes:
@@ -72,18 +77,39 @@ class OTPEngine:
     The engine caches its AES key schedule; callers supply the IV per
     request.  ``pad_for`` is the functional path; the timing path models
     the same engine with the configured AES latency and never calls here.
+
+    ``pad_for`` remembers each line's last pad, keyed on the IV's
+    (domain, page, line offset), and serves it again only to a request
+    with an equal IV under the very cipher object that made it; a
+    ``rekey`` to another key installs a new cipher, so a stored pad never
+    serves another key.  Reads re-pad a line at an unchanged counter, and
+    Osiris recovery re-tries the same candidates, so this saves host AES
+    work.  It is a host-side cache of a pure function, not a model of a
+    hardware pad buffer: simulated time never reads it, and recovery
+    trials and ``recovery_ns`` come from ``recover_line``'s candidate
+    count.  It holds one entry per line the engine has padded, and lives
+    and dies with the engine's machine.
     """
 
     def __init__(self, key: "SecretKey", line_size: int = 64) -> None:
         self._cipher = AES128(key)
         self._line_size = line_size
+        # (domain, page_id, page_offset) -> (cipher, iv, pad)
+        self._last_pads: Dict[Tuple[int, int, int], Tuple[AES128, CounterIV, bytes]] = {}
 
     @property
     def line_size(self) -> int:
         return self._line_size
 
     def pad_for(self, iv: CounterIV) -> bytes:
-        return generate_otp(self._cipher, iv, self._line_size)
+        line = (iv.domain, iv.page_id, iv.page_offset)
+        cipher = self._cipher
+        last = self._last_pads.get(line)
+        if last is not None and last[0] is cipher and last[1] == iv:
+            return last[2]
+        pad = generate_otp(cipher, iv, self._line_size)
+        self._last_pads[line] = (cipher, iv, pad)
+        return pad
 
     def encrypt(self, plaintext: bytes, iv: CounterIV) -> bytes:
         return apply_pad(plaintext, self.pad_for(iv))

@@ -138,6 +138,54 @@ class TestCipherProperties:
         assert cipher.encrypt_block(cipher.decrypt_block(block)) == block
 
 
+def _per_block(cipher: AES128, base: bytes, count: int) -> bytes:
+    """The counter run one block at a time: ``i`` folded into the last byte."""
+    return b"".join(
+        cipher.encrypt_block(base[:-1] + bytes([base[-1] ^ i])) for i in range(count)
+    )
+
+
+class TestCounterBlocks:
+    @pytest.mark.parametrize("key", [FIPS_KEY, APPB_KEY], ids=["fips-c1", "sp800-38a"])
+    @pytest.mark.parametrize(
+        "base",
+        [FIPS_PLAIN, APPB_PLAIN] + [bytes.fromhex(p) for p, _ in SP800_38A_ECB],
+        ids=bytes.hex,
+    )
+    @pytest.mark.parametrize("count", [1, 2, 4, 8])
+    def test_matches_per_block_encryption(self, key, base, count):
+        cipher = AES128(key)
+        run = cipher.encrypt_counter_blocks(base, count)
+        assert run == _per_block(cipher, base, count)
+        # The byte-wise inverse recovers each folded input.
+        for i in range(count):
+            block = run[16 * i : 16 * i + 16]
+            assert cipher.decrypt_block(block) == base[:-1] + bytes([base[-1] ^ i])
+
+    def test_one_block_run_is_the_known_answer(self):
+        assert AES128(FIPS_KEY).encrypt_counter_blocks(FIPS_PLAIN, 1) == FIPS_CIPHER
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        base=st.binary(min_size=16, max_size=16),
+        count=st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_block_property(self, key, base, count):
+        cipher = AES128(SecretKey(key))
+        assert cipher.encrypt_counter_blocks(base, count) == _per_block(cipher, base, count)
+
+    def test_run_bounds(self):
+        cipher = AES128(FIPS_KEY)
+        assert cipher.encrypt_counter_blocks(FIPS_PLAIN, 0) == b""
+        assert len(cipher.encrypt_counter_blocks(FIPS_PLAIN, 256)) == 16 * 256
+        for count in (-1, 257):
+            with pytest.raises(ValueError):
+                cipher.encrypt_counter_blocks(FIPS_PLAIN, count)
+        with pytest.raises(ValueError):
+            cipher.encrypt_counter_blocks(bytes(15), 4)
+
+
 def _keystream_digest() -> str:
     rng = random.Random(20220402)
     digest = hashlib.sha256()

@@ -9,6 +9,7 @@ from repro.crypto import (
     FILE_DOMAIN,
     MEMORY_DOMAIN,
     CounterIV,
+    IVLayout,
     OTPEngine,
     SecretKey,
     apply_pad,
@@ -81,6 +82,39 @@ class TestGenerateOtp:
         )
 
 
+    def test_default_layout_pad_sizes(self):
+        """125-bit IVs leave 3 spare bits: up to 8 blocks per pad."""
+        cipher = AES128(SecretKey(bytes(16)))
+        assert len(generate_otp(cipher, iv(), length=64)) == 64
+        pad = generate_otp(cipher, iv(), length=128)
+        assert len(set(pad[i : i + 16] for i in range(0, 128, 16))) == 8
+        with pytest.raises(ValueError):
+            generate_otp(cipher, iv(), length=144)
+
+    def test_tight_layout_refuses_reused_blocks(self):
+        """A 127-bit IV leaves one spare bit: a 64-byte pad would fold
+        block 2 of minor 0 onto block 0 of minor 1 (counter-mode pad
+        reuse), so only 2-block pads are made."""
+        tight = IVLayout(major_bits=66)
+        assert tight.total_bits == 127
+        cipher = AES128(SecretKey(bytes(16)))
+        minor0 = CounterIV(domain=MEMORY_DOMAIN, page_id=1, page_offset=0, major=0, minor=0, layout=tight)
+        minor1 = CounterIV(domain=MEMORY_DOMAIN, page_id=1, page_offset=0, major=0, minor=1, layout=tight)
+        assert generate_otp(cipher, minor0, length=32) != generate_otp(cipher, minor1, length=32)
+        for length in (48, 64):
+            with pytest.raises(ValueError):
+                generate_otp(cipher, minor0, length=length)
+
+    def test_full_layout_allows_one_block(self):
+        full = IVLayout(major_bits=67)
+        assert full.total_bits == 128
+        cipher = AES128(SecretKey(bytes(16)))
+        line = CounterIV(domain=MEMORY_DOMAIN, page_id=1, page_offset=0, major=0, minor=0, layout=full)
+        assert len(generate_otp(cipher, line, length=16)) == 16
+        with pytest.raises(ValueError):
+            generate_otp(cipher, line, length=32)
+
+
 class TestComposePads:
     def test_single(self):
         assert compose_pads([b"\x01\x02"]) == b"\x01\x02"
@@ -145,3 +179,60 @@ class TestOTPEngine:
         engine = OTPEngine(SecretKey(bytes(16)), line_size=32)
         assert len(engine.pad_for(iv())) == 32
         assert engine.line_size == 32
+
+
+KEY_A, KEY_B = SecretKey(bytes(range(16))), SecretKey(bytes([7] * 16))
+
+
+def fresh_pad(key, counter_iv):
+    """The pad a brand-new engine computes: no remembered state."""
+    return generate_otp(AES128(key), counter_iv)
+
+
+class TestLastPadMemo:
+    """``pad_for`` remembers each line's last pad; it must never serve
+    that pad for another IV or another key."""
+
+    def test_repeated_iv(self):
+        engine = OTPEngine(KEY_A)
+        first = engine.pad_for(iv(minor=3))
+        assert engine.pad_for(iv(minor=3)) == first == fresh_pad(KEY_A, iv(minor=3))
+
+    def test_bumped_minor(self):
+        engine = OTPEngine(KEY_A)
+        engine.pad_for(iv(minor=3))
+        assert engine.pad_for(iv(minor=4)) == fresh_pad(KEY_A, iv(minor=4))
+        assert engine.pad_for(iv(minor=3)) == fresh_pad(KEY_A, iv(minor=3))
+
+    def test_bumped_major_and_other_lines(self):
+        engine = OTPEngine(KEY_A)
+        for counter_iv in (iv(), iv(major=1), iv(page_offset=1), iv(page_id=2), iv(domain=FILE_DOMAIN)):
+            assert engine.pad_for(counter_iv) == fresh_pad(KEY_A, counter_iv)
+
+    def test_rekey_a_b_a_same_iv(self):
+        engine = OTPEngine(KEY_A)
+        assert engine.pad_for(iv()) == fresh_pad(KEY_A, iv())
+        engine.rekey(KEY_B)
+        assert engine.pad_for(iv()) == fresh_pad(KEY_B, iv())
+        engine.rekey(KEY_A)
+        assert engine.pad_for(iv()) == fresh_pad(KEY_A, iv())
+
+    def test_two_engines_on_one_key(self):
+        first, second = OTPEngine(KEY_A), OTPEngine(KEY_A)
+        first.pad_for(iv(minor=1))
+        second.pad_for(iv(minor=2))
+        assert first.pad_for(iv(minor=2)) == fresh_pad(KEY_A, iv(minor=2))
+        assert second.pad_for(iv(minor=1)) == fresh_pad(KEY_A, iv(minor=1))
+        assert first.decrypt(second.encrypt(b"z" * 64, iv()), iv()) == b"z" * 64
+
+    @given(steps=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=30
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_any_sequence_matches_fresh_engines(self, steps):
+        engine = OTPEngine(KEY_A)
+        for use_b, minor, offset in steps:
+            key = KEY_B if use_b else KEY_A
+            engine.rekey(key)
+            counter_iv = iv(page_offset=offset, minor=minor)
+            assert engine.pad_for(counter_iv) == fresh_pad(key, counter_iv)
