@@ -139,6 +139,11 @@ class MachineConfig:
             raise ValueError("OTT geometry must have at least one slot")
         if self.anubis_shadow_lines < 1:
             raise ValueError("anubis_shadow_lines must be >= 1")
+        if self.anubis_recovery and not self.scheme.has_secure_controller:
+            raise ValueError(
+                f"anubis_recovery needs a secure memory controller; "
+                f"scheme {self.scheme.value!r} has none"
+            )
         if self.stop_loss < 1:
             raise ValueError("stop_loss must be >= 1")
         if not self.aes_latency_ns >= 0.0:

@@ -181,7 +181,7 @@ class Machine:
         controller = self.controller
         if config.functional and config.scheme.has_secure_controller:
             controller.crash_domain = CrashDomain(depth=config.wpq.entries)
-        if config.anubis_recovery and config.scheme.has_secure_controller:
+        if config.anubis_recovery:
             # The Anubis shadow table mirrors the metadata cache's dirty
             # counter lines into its NVM region.  Its writes are posted
             # like Osiris write-throughs: they consume device bandwidth

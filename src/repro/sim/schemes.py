@@ -68,11 +68,11 @@ class SchemeSpec:
 
     def configure(self, base: Optional[MachineConfig] = None) -> MachineConfig:
         """Project this column onto ``base`` (default machine if None)."""
-        config = (base or MachineConfig()).with_scheme(self.scheme)
+        config = (base or MachineConfig())._replace(
+            scheme=self.scheme, anubis_recovery=self.anubis_recovery
+        )
         if self.model_wpq is not None and config.model_wpq != self.model_wpq:
             config = config.with_wpq(self.model_wpq)
-        if config.anubis_recovery != self.anubis_recovery:
-            config = config._replace(anubis_recovery=self.anubis_recovery)
         if self.partitioned_metadata_cache and not config.metadata_cache.partitioned:
             config = config._replace(
                 metadata_cache=replace(config.metadata_cache, partitioned=True)

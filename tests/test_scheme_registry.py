@@ -103,6 +103,8 @@ class TestRegistry:
         assert part.metadata_cache.partitioned
         # The plain column pins its identity *off* on variant bases.
         assert not get_scheme("fsencr").configure(anubis).anubis_recovery
+        # ... also onto a scheme that could not take it (no secure controller).
+        assert not get_scheme("ext4dax_plain").configure(anubis).anubis_recovery
 
     def test_spec_for_config_picks_most_specific_variant(self):
         assert spec_for_config(MachineConfig()).name == "fsencr"

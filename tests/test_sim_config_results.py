@@ -59,6 +59,9 @@ class TestMachineConfig:
         dict(aes_latency_ns=-5.0),
         dict(aes_latency_ns=float("nan")),
         dict(page_cache_pages=0),
+        dict(scheme=Scheme.CONVENTIONAL, anubis_recovery=True),
+        dict(scheme=Scheme.EXT4DAX_PLAIN, anubis_recovery=True),
+        dict(scheme=Scheme.SOFTWARE_ENCRYPTION, anubis_recovery=True),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
