@@ -81,7 +81,6 @@ class TestGenerateOtp:
             cipher, iv(domain=FILE_DOMAIN)
         )
 
-
     def test_default_layout_pad_sizes(self):
         """125-bit IVs leave 3 spare bits: up to 8 blocks per pad."""
         cipher = AES128(SecretKey(bytes(16)))
@@ -100,6 +99,8 @@ class TestGenerateOtp:
         cipher = AES128(SecretKey(bytes(16)))
         minor0 = CounterIV(domain=MEMORY_DOMAIN, page_id=1, page_offset=0, major=0, minor=0, layout=tight)
         minor1 = CounterIV(domain=MEMORY_DOMAIN, page_id=1, page_offset=0, major=0, minor=1, layout=tight)
+        folded = cipher.encrypt_counter_blocks(minor0.pack(), 4)
+        assert folded[32:48] == cipher.encrypt_counter_blocks(minor1.pack(), 1)
         assert generate_otp(cipher, minor0, length=32) != generate_otp(cipher, minor1, length=32)
         for length in (48, 64):
             with pytest.raises(ValueError):
