@@ -8,6 +8,7 @@ from repro.cli import BATCHCHECK_WORKLOADS
 from repro.core import FsEncrController, KeyUnavailableError, set_df
 from repro.crypto import SecretKey
 from repro.exec import resolve_workload
+from repro.faults import FaultPlan
 from repro.mem import MemoryRequest
 from repro.mem.address import LINE_SIZE
 from repro.secmem import IntegrityError, MetadataLayout, SecureControllerConfig
@@ -263,6 +264,31 @@ def test_fecb_overflow_reencrypts_reads_back_and_executors_agree():
         bytes([HOT_WRITES]) * LINE_SIZE + bytes([0xA5]) * LINE_SIZE
     )
 
+
+
+@pytest.mark.parametrize("scheme, trials, restored", [
+    ("fsencr", 14, 0),
+    ("fsencr+anubis", 2, 2),
+])
+def test_crash_after_both_counter_overflows_recovers_every_line(scheme, trials, restored):
+    """Crash right after the MECB and the FECB minors overflowed: the
+    overflow persist, the journal, the Anubis shadow and the reboot
+    install must hand back both lines under major 1 in both layers."""
+    config = replace(get_scheme(scheme).configure(MachineConfig()), functional=True)
+    machine, workload = Machine(config), _HotLine()
+    workload.setup(machine)
+    workload.run(machine)
+    machine.crash(FaultPlan(drain_fraction=1.0))
+    report = machine.reboot()
+    assert report.failed_lines == ()
+    assert (report.trials, report.anubis_lines_restored) == (trials, restored)
+    assert machine.load_bytes(workload.base, 2 * LINE_SIZE) == (
+        bytes([HOT_WRITES]) * LINE_SIZE + bytes([0xA5]) * LINE_SIZE
+    )
+    controller = machine.controller
+    [page] = [page for page, (gid, fid, *_) in controller.fecb.snapshot().items() if gid or fid]
+    assert controller.mecb.peek(page).major == 1
+    assert controller.fecb.peek(page).counters.major == 1
 
 @pytest.mark.parametrize("workload, stamps", [("DAX-1", 12), ("Fillseq-S", 51), ("Hashmap", 108)])
 def test_every_fecb_miss_on_the_pinned_grid_is_a_fault_time_stamp(workload, stamps):
