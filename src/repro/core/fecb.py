@@ -12,6 +12,10 @@ only need to survive the file's lifetime, so re-stamping for a new file
 resets them, and deletion invalidates them (the Silent-Shredder-style
 secure delete: old ciphertext becomes undecryptable even with the old
 key, because the pad depended on counters that are gone).
+
+A FECB's persisted image is ``(group_id, file_id, major, minors)``: the
+MECB image (``repro.secmem.counters``) with the identity in front, so
+the controller journals, shadows and restores both kinds of line alike.
 """
 
 from __future__ import annotations
@@ -61,6 +65,16 @@ class FECBlock:
         self.file_id = 0
         self.counters.reset()
 
+    def image(self) -> "tuple[int, int, int, tuple]":
+        """Persisted state, ``(group_id, file_id, major, minors)``."""
+        return (self.group_id, self.file_id) + self.counters.image()
+
+    def load(self, group_id: int, file_id: int, major: int, minors) -> None:
+        """Install an :meth:`image` back (snapshots / crash recovery)."""
+        self.group_id = group_id
+        self.file_id = file_id
+        self.counters.load(major, minors)
+
     def serialize(self) -> bytes:
         """Canonical bytes for Merkle hashing: IDs + counters.
 
@@ -97,14 +111,11 @@ class FECBStore:
         ]
 
     def snapshot(self) -> Dict[int, Tuple[int, int, int, Tuple[int, ...]]]:
-        return {
-            page: (blk.group_id, blk.file_id, blk.counters.major, tuple(blk.counters.minors))
-            for page, blk in self._blocks.items()
-        }
+        """{page: image}."""
+        return {page: blk.image() for page, blk in self._blocks.items()}
 
     def restore(self, snapshot: Dict[int, Tuple[int, int, int, Tuple[int, ...]]]) -> None:
         self._blocks.clear()
-        for page, (group_id, file_id, major, minors) in snapshot.items():
-            blk = FECBlock(group_id=group_id, file_id=file_id)
-            blk.counters.load(major, minors)
-            self._blocks[page] = blk
+        for page, image in snapshot.items():
+            blk = self._blocks[page] = FECBlock()
+            blk.load(*image)

@@ -26,7 +26,7 @@ sensitivity when it does not.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..crypto.iv import FILE_DOMAIN, CounterIV
 from ..crypto.keys import KeyHierarchy, SecretKey
@@ -79,10 +79,6 @@ class FsEncrController(BaselineSecureController):
         # Hardware would pipeline one AES datapath the same way.
         self._file_engine = OTPEngine(SecretKey(bytes(16))) if self.config.functional else None
         self._locked = False  # admin_login failure locks file decryption
-        # Persisted-FECB journal, the file-layer sibling of the MECB
-        # journal: {page: (group_id, file_id, major, minors)} as a
-        # post-crash reader of the FECB region would see it.
-        self._persisted_fecb: Dict[int, Tuple[int, int, int, Tuple[int, ...]]] = {}
         # Slots whose sealed record failed its tag during the last OTT
         # recovery scan — media faults detected, keys *not* trusted.
         self.ott_rejected_slots = 0
@@ -135,7 +131,7 @@ class FsEncrController(BaselineSecureController):
                 self.merkle.update_leaf(self.layout.fecb_addr(page))
             # Secure delete is only secure if it survives a crash: the
             # shredded FECB is durable immediately.
-            self._journal_protected_persist(self.layout.fecb_addr(page))
+            self._journal_counter_persist(self.layout.fecb_addr(page))
         self.stats.add("keys_revoked")
 
     def update_fecb(self, page: int, group_id: int, file_id: int) -> None:
@@ -157,7 +153,7 @@ class FsEncrController(BaselineSecureController):
         # identity binding (and a recycle's counter reset — the Silent-
         # Shredder property) is durable at fault return; only subsequent
         # counter bumps ride the Osiris stop-loss window.
-        self._journal_protected_persist(fecb_addr)
+        self._journal_counter_persist(fecb_addr)
         self.stats.add("fecb_stamps")
         if reset:
             self.stats.add("fecb_recycles")
@@ -201,20 +197,6 @@ class FsEncrController(BaselineSecureController):
         if self.config.functional:
             self.merkle.update_leaf(addr)
 
-    def _journal_protected_persist(self, addr: int) -> None:
-        """FECB-range persists land in the file-layer journal."""
-        if not self.layout.fecb_base <= addr < self.layout.ott_base:
-            return
-        page = (addr - self.layout.fecb_base) // LINE_SIZE
-        block = self.fecb.peek(page)
-        if block is not None:
-            self._persisted_fecb[page] = (
-                block.group_id,
-                block.file_id,
-                block.counters.major,
-                tuple(block.counters.minors),
-            )
-
     def _integrity_leaf_addrs(self):
         """Adds the file layer's leaves: FECBs and occupied OTT slots."""
         yield from super()._integrity_leaf_addrs()
@@ -224,19 +206,19 @@ class FsEncrController(BaselineSecureController):
             if self.ott_region.slot_bytes(slot) != bytes(LINE_SIZE):
                 yield self.layout.ott_slot_addr(slot)
 
-    def _protected_leaf_bytes(self, addr: int) -> bytes:
-        """Merkle leaf content for FECB lines and OTT-region slots."""
+    def _counter_block(self, addr: int):
+        """Adds the file layer's counter lines, the FECBs."""
         if self.layout.fecb_base <= addr < self.layout.ott_base:
-            page = (addr - self.layout.fecb_base) // LINE_SIZE
-            block = self.fecb.peek(page)
-            if block is None:
-                return bytes(LINE_SIZE)
-            raw = block.serialize()
-            return raw + bytes(LINE_SIZE - len(raw))
-        if self.layout.ott_base <= addr < self.layout.merkle_base:
-            slot = (addr - self.layout.ott_base) // LINE_SIZE
-            return self.ott_region.slot_bytes(slot)
-        return bytes(LINE_SIZE)
+            return self.fecb.peek((addr - self.layout.fecb_base) // LINE_SIZE)
+        return super()._counter_block(addr)
+
+    def _merkle_leaf_bytes(self, leaf_index: int) -> bytes:
+        """Adds the OTT-region slots to the counter-line leaves."""
+        addr = self.layout.mecb_base + leaf_index * LINE_SIZE
+        if addr >= self.layout.ott_base:
+            return self.ott_region.slot_bytes((addr - self.layout.ott_base) // LINE_SIZE)
+        block = self._counter_block(addr)
+        return block.serialize() if block is not None else bytes(LINE_SIZE)
 
     # ==================================================================
     # Key lookup on the access path
@@ -297,56 +279,16 @@ class FsEncrController(BaselineSecureController):
         if not dfbit.has_df(request.addr):
             return 0.0
         page = page_number(raw_addr)
-        line_index = page_offset_lines(raw_addr)
         block = self.fecb.block(page)
         if not block.stamped:
             # Page written through a non-file mapping of file memory —
             # treat as plain memory (kernel guarantees DF only on file
             # PTEs, so this is belt-and-braces).
             return 0.0
-        latency = 0.0
-        persisted = False
         fecb_addr = self.layout.fecb_addr(page)
-        if block.counters.bump(line_index):
-            self.stats.add("fecb_minor_overflows")
-            latency += self._reencrypt_page(page)
-            # Persist the FECB with the re-encrypted page, mirroring the
-            # MECB overflow rule: the new major must be recoverable.
-            self.device.write(fecb_addr)
-            self.stats.add("overflow_fecb_persists")
-            self.osiris.note_persisted(fecb_addr)
-            self.metadata_cache.clean_line(fecb_addr, MetadataKind.FECB)
-            self._journal_protected_persist(fecb_addr)
-            persisted = True
-        if self.osiris.note_update(fecb_addr):
-            # Posted write-through, like the MECB case: bandwidth, not
-            # write-path latency.
-            self.device.write(fecb_addr)
-            self.stats.add("osiris_fecb_persists")
-            self.metadata_cache.clean_line(fecb_addr, MetadataKind.FECB)
-            self._journal_protected_persist(fecb_addr)
-            persisted = True
-        self._anubis_note_update(fecb_addr, persisted)
+        latency = self._bump_line(block.counters, page, page_offset_lines(raw_addr), fecb_addr)
         self._update_merkle_path(fecb_addr)
         return latency
-
-    def _anubis_snapshot(self, addr: int):
-        """Adds the file layer: FECB lines shadow their full identity
-        (IDs + counters), everything else falls back to the MECB rule."""
-        if self.layout.fecb_base <= addr < self.layout.ott_base:
-            page = (addr - self.layout.fecb_base) // LINE_SIZE
-            block = self.fecb.peek(page)
-            if block is not None:
-                return (
-                    "fecb",
-                    page,
-                    block.group_id,
-                    block.file_id,
-                    block.counters.major,
-                    tuple(block.counters.minors),
-                )
-            return None
-        return super()._anubis_snapshot(addr)
 
     def _functional_pad(self, raw_addr: int) -> bytes:
         """OTP_mem, XORed with OTP_file when the page belongs to a file.

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..crypto.aes import AES128
+from ..crypto.iv import OTT_DOMAIN, CounterIV
 from ..crypto.keys import SecretKey
-from ..crypto.otp import xor_bytes
+from ..crypto.otp import generate_otp, xor_bytes
 from ..mem.address import LINE_SIZE
 from ..mem.controller import ServiceQueue
 from ..mem.stats import StatCounters
@@ -196,11 +197,8 @@ class EncryptedOTTRegion:
     # -- sealing ------------------------------------------------------------
 
     def _pad(self, slot: int) -> bytes:
-        blocks = []
-        for i in range(3):  # 48-byte record
-            block = slot.to_bytes(8, "big") + b"fsencr-ott" + bytes([i, 0, 0, 0, 0, 0])
-            blocks.append(self._cipher.encrypt_block(block[:16]))
-        return b"".join(blocks)
+        iv = CounterIV(domain=OTT_DOMAIN, page_id=slot, page_offset=0, major=0, minor=0)
+        return generate_otp(self._cipher, iv, self.RECORD_BYTES)
 
     def _tag(self, slot: int, payload: bytes) -> bytes:
         material = self._cipher.key.reveal() + slot.to_bytes(8, "big") + payload

@@ -79,11 +79,12 @@ class LineFate:
 class MetadataFlip:
     """One media fault landed in a security-metadata region.
 
-    ``region`` names where it hit — ``mecb``/``fecb`` (the persisted
-    counter journal for one page), ``ott`` (a sealed spill-region
-    record), or ``merkle`` (a stored tree node).  ``where`` is the
-    page, slot, or (level, index); ``field`` says which value within
-    the target the ``bit`` landed in.
+    ``region`` names where it hit — ``mecb``/``fecb`` (one page's
+    persisted counter line in the journal), ``ott`` (a sealed
+    spill-region record), ``merkle`` (a stored tree node) or ``anubis``
+    (a shadow entry).  ``where`` is the page, slot, (level, index) or
+    shadowed line address; ``field`` says which value within the target
+    the ``bit`` landed in.
     """
 
     region: str
@@ -179,17 +180,23 @@ def _drop_volatile_state(machine) -> None:
         controller.ott.reset()
 
 
+def _counter_line(layout, addr: int) -> Tuple[str, int]:
+    """``("mecb" | "fecb", page)`` of a journalled counter-line address."""
+    if addr < layout.fecb_base:
+        return "mecb", (addr - layout.mecb_base) // LINE_SIZE
+    return "fecb", (addr - layout.fecb_base) // LINE_SIZE
+
+
 def _metadata_flip_targets(machine) -> List[Tuple[str, object]]:
     """Every metadata location a ``counter_flips`` fault can land in.
 
-    Deterministically ordered: persisted MECB pages, persisted FECB
-    pages and occupied OTT spill slots (FsEncr only), stored Merkle
-    nodes, Anubis shadow entries.
+    Deterministically ordered: persisted counter lines by address (the
+    MECBs, then the FECBs), occupied OTT spill slots (FsEncr only),
+    stored Merkle nodes, Anubis shadow entries.
     """
     controller = machine.controller
-    targets: List[Tuple[str, object]] = [("mecb", page) for page in sorted(controller._persisted_mecb)]
+    targets: List[Tuple[str, object]] = [("line", addr) for addr in sorted(controller._persisted_lines)]
     if _is_fsencr(machine):
-        targets += [("fecb", page) for page in sorted(controller._persisted_fecb)]
         targets += [("ott", slot) for slot in controller.ott_region.occupied_slots()]
     targets += [("merkle", node) for node in controller.merkle.stored_nodes()]
     targets += [("anubis", addr) for addr in sorted(controller._anubis_counters)]
@@ -203,41 +210,35 @@ _OTT_RECORD_BITS = 48 * 8
 _MERKLE_DIGEST_BITS = 32 * 8
 
 
+# The leading image fields a journalled line's flip may hit, one eighth
+# of the draws each (low byte); the other draws hit a minor.
+_HEAD_FIELDS = {"mecb": ("major",), "fecb": ("group_id", "file_id")}
+
+
+def _flip_minor(image: tuple, rng) -> Tuple[tuple, str, int]:
+    """Flip one bit of one minor of a counter-line image."""
+    minors = list(image[-1])
+    line = rng.randrange(len(minors))
+    bit = rng.randrange(MINOR_BITS)
+    minors[line] ^= 1 << bit
+    return image[:-1] + (tuple(minors),), f"minor[{line}]", bit
+
+
 def _apply_metadata_flip(controller, region: str, where, rng) -> MetadataFlip:
     """Land one bit flip in the chosen metadata target."""
-    if region == "mecb":
-        major, minors = controller._persisted_mecb[where]
-        minors = list(minors)
-        if rng.random() < 0.125:
+    if region == "line":
+        kind, page = _counter_line(controller.layout, where)
+        image = controller._persisted_lines[where]
+        heads = _HEAD_FIELDS[kind]
+        head = int(rng.random() * 8)  # exact: < 1 iff the draw < 0.125
+        if head < len(heads):
             bit = rng.randrange(8)
-            major ^= 1 << bit
-            field = "major"
+            image = image[:head] + (image[head] ^ (1 << bit),) + image[head + 1:]
+            field = heads[head]
         else:
-            line = rng.randrange(len(minors))
-            bit = rng.randrange(MINOR_BITS)
-            minors[line] ^= 1 << bit
-            field = f"minor[{line}]"
-        controller._persisted_mecb[where] = (major, tuple(minors))
-        return MetadataFlip(region="mecb", where=where, field=field, bit=bit)
-    if region == "fecb":
-        gid, fid, major, minors = controller._persisted_fecb[where]
-        minors = list(minors)
-        roll = rng.random()
-        if roll < 0.125:
-            bit = rng.randrange(8)
-            gid ^= 1 << bit
-            field = "group_id"
-        elif roll < 0.25:
-            bit = rng.randrange(8)
-            fid ^= 1 << bit
-            field = "file_id"
-        else:
-            line = rng.randrange(len(minors))
-            bit = rng.randrange(MINOR_BITS)
-            minors[line] ^= 1 << bit
-            field = f"minor[{line}]"
-        controller._persisted_fecb[where] = (gid, fid, major, tuple(minors))
-        return MetadataFlip(region="fecb", where=where, field=field, bit=bit)
+            image, field, bit = _flip_minor(image, rng)
+        controller._persisted_lines[where] = image
+        return MetadataFlip(region=kind, where=page, field=field, bit=bit)
     if region == "ott":
         bit = rng.randrange(_OTT_RECORD_BITS)
         controller.ott_region.flip_bit(where, bit)
@@ -249,19 +250,12 @@ def _apply_metadata_flip(controller, region: str, where, rng) -> MetadataFlip:
         return MetadataFlip(region="merkle", where=where, field="node_digest", bit=bit)
     if region == "anubis":
         # The shadow region is plain NVM like any counter line; a flip
-        # lands in the journalled snapshot's minor array (its last
-        # element), and recovery must surface it as an explicit ECC
-        # failure — never silently trust the shadow.
-        snap = list(controller._anubis_counters[where])
-        minors = list(snap[-1])
-        line = rng.randrange(len(minors))
-        bit = rng.randrange(MINOR_BITS)
-        minors[line] ^= 1 << bit
-        snap[-1] = tuple(minors)
-        controller._anubis_counters[where] = tuple(snap)
-        return MetadataFlip(
-            region="anubis", where=where, field=f"minor[{line}]", bit=bit
-        )
+        # lands in the shadowed image's minors, and recovery must
+        # surface it as an explicit ECC failure — never silently trust
+        # the shadow.
+        image, field, bit = _flip_minor(controller._anubis_counters[where], rng)
+        controller._anubis_counters[where] = image
+        return MetadataFlip(region="anubis", where=where, field=field, bit=bit)
     raise ValueError(f"unknown metadata flip region {region!r}")
 
 
@@ -354,6 +348,12 @@ def crash_machine(machine, plan: FaultPlan) -> CrashReport:
 # ======================================================================
 
 
+def _working(image: tuple) -> list:
+    """A counter-line image as recovery's working copy: a list whose
+    last element, the minors, is a list too."""
+    return [*image[:-1], list(image[-1])]
+
+
 def _pad(engine, domain: int, page: int, line_index: int, major: int):
     """One counter layer's pad for a candidate minor of one line."""
     return lambda minor: engine.pad_for(CounterIV(
@@ -394,12 +394,10 @@ def reboot_machine(machine) -> RecoveryReport:
             recovery_ns += device.read_run(layout.ott_slot_addr(0), slots)
 
     # -- 2. counter recovery via ECC trial decryption -------------------
-    final_mecb: Dict[int, Tuple[int, List[int]]] = {
-        page: (major, list(minors)) for page, (major, minors) in controller._persisted_mecb.items()
-    }
-    final_fecb: Dict[int, Tuple[int, int, int, List[int]]] = {
-        page: (gid, fid, major, list(minors))
-        for page, (gid, fid, major, minors) in (controller._persisted_fecb if fsencr else {}).items()
+    # One working copy per counter line, keyed by its address: the
+    # journalled image as a list, its minors mutable.
+    lines: Dict[int, list] = {
+        addr: _working(image) for addr, image in controller._persisted_lines.items()
     }
     new_shadow: Dict[int, bytes] = {}
 
@@ -415,15 +413,9 @@ def reboot_machine(machine) -> RecoveryReport:
         tracked = sorted(anubis_table.tracked_lines())
         for addr in tracked:
             recovery_ns += device.read(anubis_table.slot_addr(addr))
-            snap = controller._anubis_counters.get(addr)
-            if snap is None:
-                continue
-            if snap[0] == "mecb":
-                _, page, major, minors = snap
-                final_mecb[page] = (major, list(minors))
-            else:
-                _, page, gid, fid, major, minors = snap
-                final_fecb[page] = (gid, fid, major, list(minors))
+            image = controller._anubis_counters.get(addr)
+            if image is not None:
+                lines[addr] = _working(image)
         anubis_restored = len(tracked)
 
     # -- 2b. every line with ECC: one Osiris search over its layers -----
@@ -434,8 +426,8 @@ def reboot_machine(machine) -> RecoveryReport:
     cconf = controller.config
     trial_cost_ns = cconf.aes_latency_ns + cconf.xor_latency_ns
     for page, addrs in sorted(by_page.items()):
-        mem_major, mem_minors = final_mecb.setdefault(page, (0, [0] * LINES_PER_PAGE))
-        fecb_entry = final_fecb.get(page)
+        mem_major, mem_minors = lines.setdefault(layout.mecb_addr(page), [0, [0] * LINES_PER_PAGE])
+        fecb_entry = lines.get(layout.fecb_addr(page))
         stamped = fecb_entry is not None and (fecb_entry[0] != 0 or fecb_entry[1] != 0)
         keyed = True
         if stamped:
@@ -474,18 +466,16 @@ def reboot_machine(machine) -> RecoveryReport:
             lines_recovered += 1
 
     # -- 3. install the recovered state ---------------------------------
-    mecb = {page: (major, tuple(minors)) for page, (major, minors) in final_mecb.items()}
-    controller.mecb.restore(mecb)
-    controller._persisted_mecb = mecb
-    pages_restored = len(mecb)
+    images = {addr: tuple(line[:-1]) + (tuple(line[-1]),) for addr, line in lines.items()}
+    by_kind: Dict[str, Dict[int, tuple]] = {"mecb": {}, "fecb": {}}
+    for addr, image in images.items():
+        kind, page = _counter_line(layout, addr)
+        by_kind[kind][page] = image
+    controller.mecb.restore(by_kind["mecb"])
     if fsencr:
-        fecb = {
-            page: (gid, fid, major, tuple(minors))
-            for page, (gid, fid, major, minors) in final_fecb.items()
-        }
-        controller.fecb.restore(fecb)
-        controller._persisted_fecb = fecb
-        pages_restored += len(fecb)
+        controller.fecb.restore(by_kind["fecb"])
+    controller._persisted_lines = images
+    pages_restored = len(images)
     controller._plaintext_shadow.update(new_shadow)
     controller.osiris.reset()
     if anubis_table is not None:

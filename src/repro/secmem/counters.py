@@ -11,7 +11,13 @@ FECB layout:  18-bit Group ID + 14-bit File ID +
               32-bit major + 64 x 7-bit minors            = 512 bits
 
 Both are modelled by :class:`CounterBlock` parameterised with field
-widths; FECB's extra ID fields live in ``repro.core.fecb``.
+widths; FECB's extra ID fields live in ``repro.core.fecb``.  Either
+line's persisted state is its *image*, a flat tuple ending in
+``(major, minors)`` — an MECB's is just that pair, an FECB's puts the
+Group and File IDs in front.  ``image()`` takes one and ``load(*image)``
+installs it back: store snapshots, the controller's persisted-line
+journal and the Anubis shadow all hold images, so one write rule (the
+controller's ``_bump_line``) and one crash reader serve both kinds.
 """
 
 from __future__ import annotations
@@ -103,6 +109,10 @@ class CounterBlock:
         self.major = major
         self.minors = minors
 
+    def image(self) -> "tuple[int, tuple]":
+        """Persisted state, ``(major, minors)``; ``load(*image)`` restores it."""
+        return self.major, tuple(self.minors)
+
     def serialize(self) -> bytes:
         """Canonical byte encoding (hashed by the Merkle tree)."""
         packed = self.major
@@ -136,14 +146,11 @@ class CounterStore:
         return self.blocks.get(page)
 
     def snapshot(self) -> Dict[int, "tuple[int, tuple]"]:
-        """Cheap copy for crash tests: {page: (major, minors)}."""
-        return {
-            page: (blk.major, tuple(blk.minors)) for page, blk in self.blocks.items()
-        }
+        """Cheap copy for crash tests: {page: image}."""
+        return {page: blk.image() for page, blk in self.blocks.items()}
 
     def restore(self, snapshot: Dict[int, "tuple[int, tuple]"]) -> None:
         self.blocks.clear()
-        for page, (major, minors) in snapshot.items():
-            blk = CounterBlock(major_bits=self.major_bits)
-            blk.load(major, minors)
-            self.blocks[page] = blk
+        for page, image in snapshot.items():
+            blk = self.blocks[page] = CounterBlock(major_bits=self.major_bits)
+            blk.load(*image)

@@ -31,7 +31,7 @@ the :class:`~repro.mem.nvm.NVMStore`, and the Merkle tree really hashes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..crypto.iv import MEMORY_DOMAIN, CounterIV
 from ..crypto.keys import KeyHierarchy
@@ -49,6 +49,13 @@ from .metadata_cache import MetadataCache, MetadataCacheConfig, MetadataKind
 from .osiris import OsirisTracker
 
 __all__ = ["SecureControllerConfig", "BaselineSecureController"]
+
+# Per-kind stat names of a counter line's write path: (minor overflow,
+# overflow persist, Osiris stop-loss persist).
+_LINE_STATS = {
+    MetadataKind.MECB: ("minor_overflows", "overflow_counter_persists", "osiris_counter_persists"),
+    MetadataKind.FECB: ("fecb_minor_overflows", "overflow_fecb_persists", "osiris_fecb_persists"),
+}
 
 
 @dataclass(frozen=True)
@@ -100,15 +107,17 @@ class BaselineSecureController(MemoryControllerBase):
         self.crash_domain = None
         # Anubis wiring (attached by Machine for "+anubis" scheme
         # columns): the shadow table mirrors counter lines whose latest
-        # update has not reached NVM, and _anubis_counters journals the
-        # exact values a recovery reading the shadow region would find.
+        # update has not reached NVM, and _anubis_counters holds the
+        # image a recovery reading the shadow region would find (on a
+        # machine that can crash).
         self.anubis_shadow = None
         self._anubis_counters: Dict[int, tuple] = {}
-        # Persisted-counter journal: the values a post-crash reader would
-        # find in the NVM counter lines.  Updated on every counter-line
-        # NVM write (stop-loss, eviction, drain, overflow); recovery
-        # starts its trial-decryption window from exactly these values.
-        self._persisted_mecb: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+        # Persisted-line journal, {counter-line address: image}: what a
+        # post-crash reader would find in NVM.  Updated on every
+        # counter-line NVM write (stop-loss, eviction, overflow, FECB
+        # stamp) of a machine that can crash; recovery starts its
+        # trial-decryption window from exactly these values.
+        self._persisted_lines: Dict[int, tuple] = {}
         # Counters read by benchmarks/analyses are declared up front:
         # strict stat accessors (RunResult.stat / StatCounters.stat)
         # raise on unknown keys, so a declared-but-zero counter is a
@@ -127,18 +136,17 @@ class BaselineSecureController(MemoryControllerBase):
     # Merkle leaf serialisation (functional integrity)
     # ------------------------------------------------------------------
 
+    def _counter_block(self, addr: int):
+        """The counter line stored at metadata address ``addr`` (None:
+        not populated, or not a counter line).  FsEncr adds FECBs."""
+        if self.layout.mecb_base <= addr < self.layout.fecb_base:
+            return self.mecb.peek((addr - self.layout.mecb_base) // LINE_SIZE)
+        return None
+
     def _merkle_leaf_bytes(self, leaf_index: int) -> bytes:
         """Canonical bytes of protected metadata line ``leaf_index``."""
-        addr = self.layout.mecb_base + leaf_index * LINE_SIZE
-        if addr < self.layout.fecb_base:
-            page = (addr - self.layout.mecb_base) // LINE_SIZE
-            block = self.mecb.peek(page)
-            return block.serialize() if block is not None else bytes(LINE_SIZE)
-        return self._protected_leaf_bytes(addr)
-
-    def _protected_leaf_bytes(self, addr: int) -> bytes:
-        """Hook: FECB/OTT leaf content (FsEncr overrides)."""
-        return bytes(LINE_SIZE)
+        block = self._counter_block(self.layout.mecb_base + leaf_index * LINE_SIZE)
+        return block.serialize() if block is not None else bytes(LINE_SIZE)
 
     # ------------------------------------------------------------------
     # Metadata path helpers (shared with FsEncr)
@@ -153,23 +161,23 @@ class BaselineSecureController(MemoryControllerBase):
             self._journal_counter_persist(eviction.addr)
             self._anubis_forget(eviction.addr)
 
+    def _crash_image(self, addr: int):
+        """The image of the counter line at ``addr`` for the journal or
+        the Anubis shadow.  Only ``crash()`` and ``reboot()`` read
+        either, so a machine without a crash domain records none (None);
+        a Merkle-node address holds no counter line (None: node digests
+        are recomputed at reboot, not recovered)."""
+        if self.crash_domain is None:
+            return None
+        block = self._counter_block(addr)
+        return block.image() if block is not None else None
+
     def _journal_counter_persist(self, addr: int) -> None:
-        """Record what a counter-line NVM write makes durable.
-
-        The journal stands in for reading the persisted line back after
-        a crash; Merkle-node addresses fall through both range checks
-        (node digests are recomputed at reboot, not recovered).
-        """
-        if self.layout.mecb_base <= addr < self.layout.fecb_base:
-            page = (addr - self.layout.mecb_base) // LINE_SIZE
-            block = self.mecb.peek(page)
-            if block is not None:
-                self._persisted_mecb[page] = (block.major, tuple(block.minors))
-        else:
-            self._journal_protected_persist(addr)
-
-    def _journal_protected_persist(self, addr: int) -> None:
-        """Hook: journal FECB-range persists (FsEncr overrides)."""
+        """Record what a counter-line NVM write makes durable: the
+        journal stands in for reading the line back after a crash."""
+        image = self._crash_image(addr)
+        if image is not None:
+            self._persisted_lines[addr] = image
 
     def _fetch_metadata_line(self, addr: int, kind: str, is_write: bool) -> float:
         """Bring one metadata line on-chip; returns latency of the fetch.
@@ -232,35 +240,38 @@ class BaselineSecureController(MemoryControllerBase):
     # Counter management
     # ------------------------------------------------------------------
 
-    def _bump_counter(self, page: int, line_index: int, counter_addr: int) -> float:
-        """Write-path counter increment, overflow, and Osiris persistence."""
-        block = self.mecb.block(page)
-        overflowed = block.bump(line_index)
+    def _bump_line(self, counters, page: int, line_index: int, addr: int) -> float:
+        """Write-path bump of one counter line — a page's MECB or its
+        FECB's counters, stored at ``addr``: minor increment, overflow
+        re-encryption, and Osiris persistence."""
         latency = 0.0
         persisted = False
-        if overflowed:
-            self.stats.add("minor_overflows")
+        if counters.bump(line_index):
+            kind = self._kind_for(addr)
+            overflows, overflow_persists, _ = _LINE_STATS[kind]
+            self.stats.add(overflows)
             latency += self._reencrypt_page(page)
             # Osiris persists the counter line together with the
             # re-encrypted page: a crash between the major bump and the
             # next stop-loss write-through must not strand ciphertext
             # sealed under a counter outside the recovery window.
-            self.device.write(counter_addr)
-            self.stats.add("overflow_counter_persists")
-            self.osiris.note_persisted(counter_addr)
-            self.metadata_cache.clean_line(counter_addr, self._kind_for(counter_addr))
-            self._journal_counter_persist(counter_addr)
+            self.device.write(addr)
+            self.stats.add(overflow_persists)
+            self.osiris.note_persisted(addr)
+            self.metadata_cache.clean_line(addr, kind)
+            self._journal_counter_persist(addr)
             persisted = True
-        if self.osiris.note_update(counter_addr):
+        if self.osiris.note_update(addr):
             # Stop-loss write-through of the counter line.  Posted: it
             # consumes device bandwidth (and shows up in the write
             # counts) but does not stall the write that triggered it.
-            self.device.write(counter_addr)
-            self.stats.add("osiris_counter_persists")
-            self.metadata_cache.clean_line(counter_addr, self._kind_for(counter_addr))
-            self._journal_counter_persist(counter_addr)
+            kind = self._kind_for(addr)
+            self.device.write(addr)
+            self.stats.add(_LINE_STATS[kind][2])
+            self.metadata_cache.clean_line(addr, kind)
+            self._journal_counter_persist(addr)
             persisted = True
-        self._anubis_note_update(counter_addr, persisted)
+        self._anubis_note_update(addr, persisted)
         return latency
 
     # ------------------------------------------------------------------
@@ -281,11 +292,10 @@ class BaselineSecureController(MemoryControllerBase):
         if persisted:
             self._anubis_forget(counter_addr)
             return
-        snapshot = self._anubis_snapshot(counter_addr)
-        if snapshot is None:
-            return
         self.anubis_shadow.note_insert(counter_addr)
-        self._anubis_counters[counter_addr] = snapshot
+        image = self._crash_image(counter_addr)
+        if image is not None:
+            self._anubis_counters[counter_addr] = image
 
     def _anubis_forget(self, counter_addr: int) -> None:
         """The NVM home copy is current again: drop the shadow entry."""
@@ -293,16 +303,6 @@ class BaselineSecureController(MemoryControllerBase):
             return
         self.anubis_shadow.note_evict(counter_addr)
         self._anubis_counters.pop(counter_addr, None)
-
-    def _anubis_snapshot(self, addr: int):
-        """Shadow-entry payload for a counter line (None = not shadowed;
-        Merkle nodes are rebuilt at reboot, not shadow-restored)."""
-        if self.layout.mecb_base <= addr < self.layout.fecb_base:
-            page = (addr - self.layout.mecb_base) // LINE_SIZE
-            block = self.mecb.peek(page)
-            if block is not None:
-                return ("mecb", page, block.major, tuple(block.minors))
-        return None
 
     def _kind_for(self, counter_addr: int) -> str:
         return (
@@ -395,7 +395,7 @@ class BaselineSecureController(MemoryControllerBase):
         line_index = page_offset_lines(raw_addr)
         counter_addr = self.layout.mecb_addr(page)
         latency = self._pad_fetch_latency(request, raw_addr, is_write=True)
-        latency += self._bump_counter(page, line_index, counter_addr)
+        latency += self._bump_line(self.mecb.block(page), page, line_index, counter_addr)
         latency += self._extra_write_path(request, raw_addr)
         if self.config.functional:
             # Seal with the *post-bump* counter, the value a later read

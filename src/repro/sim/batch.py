@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.fsencr import FsEncrController
-from ..mem.controller import MemoryRequest, PlainMemoryController
+from ..mem.controller import PlainMemoryController
 from ..mem.dfbit import DF_MASK
 from ..secmem.counters import MINOR_BITS
 from ..secmem.metadata_cache import MetadataKind
@@ -668,14 +668,11 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
         stop_loss = controller.osiris.stop_loss
         mecb_blocks = controller.mecb.blocks
         mecb_block = controller.mecb.block
-        real_bump = controller._bump_counter
-        persisted_mecb = controller._persisted_mecb
+        bump_line = controller._bump_line
         if is_fsencr:
             lookup_key = controller._lookup_key
             fecb_block = controller.fecb.block
             fecb_blocks = controller.fecb._blocks
-            real_extra = controller._extra_write_path
-            persisted_fecb = controller._persisted_fecb
 
         def merkle_touch(addr: int) -> None:
             """_update_merkle_path: first-node hit inline, miss delegates."""
@@ -734,9 +731,10 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
             return latency if latency >= fpad else fpad
 
         def osiris_update(line_addr: int) -> None:
-            """OsirisTracker.note_update on an MECB or FECB line, with the
-            caller's persist branch: a posted write-through, clean_line
-            and the journal entry."""
+            """OsirisTracker.note_update on an MECB or FECB line, with
+            _bump_line's persist branch: a posted write-through and
+            clean_line.  (No machine in the envelope can crash, so none
+            keeps the persisted-line journal.)"""
             distance = osiris_distance.get(line_addr, 0) + 1
             pend_osiris[0] += 1
             if distance < stop_loss:
@@ -746,21 +744,12 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
             pend_osiris[1] += 1
             dev_write(line_addr)
             line = line_addr >> 6
-            # _kind_for, then _journal_counter_persist's entry
-            if line_addr < fecb_base:
+            if line_addr < fecb_base:  # _kind_for
                 pend_ctrl[_C_OSIRIS_CP] += 1
                 entries = mecb_sets[line % mecb_nsets]
-                page = (line_addr - mecb_base) >> 6
-                block = mecb_blocks[page]
-                persisted_mecb[page] = (block.major, tuple(block.minors))
             else:
                 pend_ctrl[_C_OSIRIS_FP] += 1
                 entries = fecb_sets[line % fecb_nsets]
-                page = (line_addr - fecb_base) >> 6
-                block = fecb_blocks[page]
-                counters = block.counters
-                persisted_fecb[page] = (block.group_id, block.file_id,
-                                        counters.major, tuple(counters.minors))
             if entries.get(line):
                 entries[line] = False
 
@@ -791,7 +780,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
             minors = block.minors
             new_minor = minors[line_index] + 1
             if new_minor >= _MINOR_LIMIT:
-                latency += real_bump(page, line_index, counter_addr)
+                latency += bump_line(block, page, line_index, counter_addr)
             else:
                 minors[line_index] = new_minor
                 osiris_update(counter_addr)
@@ -801,14 +790,13 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                 if fblock.file_id or fblock.group_id:
                     fminors = fblock.counters.minors
                     new_minor = fminors[line_index] + 1
+                    fecb_addr = fecb_base + (page << 6)
                     if new_minor >= _MINOR_LIMIT:
-                        latency += real_extra(
-                            MemoryRequest(addr=addr, is_write=True), raw)
+                        latency += bump_line(fblock.counters, page, line_index, fecb_addr)
                     else:
                         fminors[line_index] = new_minor
-                        fecb_addr = fecb_base + (page << 6)
                         osiris_update(fecb_addr)
-                        merkle_touch(fecb_addr)
+                    merkle_touch(fecb_addr)
             merkle_touch(counter_addr)
             latency += AES_XOR
             return latency + dev_write(raw, persist)

@@ -167,6 +167,31 @@ def test_counter_fields_change_only_through_counter_block():
     assert hits == []
 
 
+#: The persisted-line journal stands in for reading a crashed machine's
+#: NVM counter lines back: the controller declares it and writes it on
+#: each counter-line persist; faults/lifecycle.py, the crash model, lands
+#: metadata flips in it and reboot installs the recovered lines.
+JOURNAL_WRITERS = {("secmem/secure_controller.py", "__init__"),
+                   ("secmem/secure_controller.py", "_journal_counter_persist")}
+
+
+def test_persisted_line_journal_has_one_writer():
+    # A second writer (an executor mirroring the journal, say) could
+    # record a value no persist made durable, and recovery would start
+    # its Osiris window from it.  Any mention counts: an alias is how
+    # such a mirror would write.
+    hits = []
+    for rel, tree in _modules().items():
+        if rel == "faults/lifecycle.py":
+            continue
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and (rel, func.name) in JOURNAL_WRITERS
+                   for node in ast.walk(func)}
+        hits += [f"{rel}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "_persisted_lines"
+                 and id(node) not in allowed]
+    assert hits == []
+
 # -- persist through the WPQ (§II, §VI): raw NVM lines stay in its path --
 
 PERSIST_PATH = {"mem/controller.py", "mem/nvm.py", "secmem/secure_controller.py",

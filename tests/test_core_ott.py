@@ -102,6 +102,20 @@ class TestEncryptedOTTRegion:
         assert bytes([0xAB]) * 16 not in raw
         assert raw != bytes(64)
 
+    def test_sealed_record_does_not_give_back_its_key(self):
+        """Each 16-byte block of a record's pad is distinct: with one
+        block reused three times, the 12 zero padding bytes and the
+        known (group, file) identity would rebuild the pad and so the
+        whole file key, without the OTT key."""
+        region = self.region()
+        key = SecretKey(bytes(range(16)))
+        slot = region.store(OTTEntry(group_id=3, file_id=7, key=key))
+        sealed = region.slot_bytes(slot)[: EncryptedOTTRegion.RECORD_BYTES]
+        ident = ((3 << FILE_ID_BITS) | 7).to_bytes(4, "big")
+        block = bytes(a ^ b for a, b in zip(sealed[:4], ident)) + sealed[36:48]
+        guess = bytes(a ^ b for a, b in zip(sealed[4:20], block[4:] + block[:4]))
+        assert SecretKey(guess) != key
+
     def test_wrong_ott_key_cannot_unseal(self):
         a = self.region(key=SecretKey(b"A" * 16))
         slot = a.store(entry(3, 7))
