@@ -146,7 +146,8 @@ class FsEncrController(BaselineSecureController):
         _, evictions = self.metadata_cache.access(
             fecb_addr, MetadataKind.FECB, is_write=True
         )
-        self._handle_metadata_evictions(evictions)
+        if evictions:
+            self._handle_metadata_evictions(evictions)
         if self.config.functional:
             self.merkle.update_leaf(fecb_addr)
         # The stamp rides the kernel's synchronous DAX-fault path, so the
@@ -259,9 +260,10 @@ class FsEncrController(BaselineSecureController):
         mecb_latency = self._fetch_metadata_line(
             self.layout.mecb_addr(page), MetadataKind.MECB, is_write
         )
-        if not dfbit.has_df(request.addr):
+        # ``access`` already range-checked the address (``dfbit.strip``).
+        if not request.addr & dfbit.DF_MASK:
             return mecb_latency
-        self.stats.add("dax_requests")
+        self.stats.counters["dax_requests"] += 1
         fecb_addr = self.layout.fecb_addr(page)
         fecb_was_cached = self.metadata_cache.lookup_only(fecb_addr, MetadataKind.FECB)
         fecb_latency = self._fetch_metadata_line(fecb_addr, MetadataKind.FECB, is_write)
@@ -276,7 +278,7 @@ class FsEncrController(BaselineSecureController):
 
     def _extra_write_path(self, request: MemoryRequest, raw_addr: int) -> float:
         """DAX write: bump the FECB minor counter and dirty its BMT path."""
-        if not dfbit.has_df(request.addr):
+        if not request.addr & dfbit.DF_MASK:
             return 0.0
         page = page_number(raw_addr)
         block = self.fecb.block(page)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..mem import dfbit
 from ..mem.address import PAGE_MASK, PAGE_SHIFT
 from ..mem.stats import StatCounters
-from .page_table import PageFault, PageTable, PageTableEntry
+from .page_table import PageFault, PageTable
 from .tlb import TLB
 
 __all__ = ["TranslationResult", "MMU"]
@@ -85,10 +86,14 @@ class MMU:
         pte.accessed = True
         if is_write:
             pte.dirty = True
-        self.stats.add("translations")
-        return TranslationResult(
-            paddr=pte.physical_address(offset), latency_ns=latency, faulted=faulted
-        )
+        self.stats.counters["translations"] += 1
+        # The frame's address plus the offset, DF-tagged for a DAX page.
+        paddr = (pte.pfn << PAGE_SHIFT) | offset
+        if pte.df:
+            if paddr >> dfbit.PHYSICAL_ADDRESS_BITS:
+                dfbit.set_df(paddr)  # raises its out-of-range ValueError
+            paddr |= dfbit.DF_MASK
+        return TranslationResult(paddr, latency, faulted)
 
     def _handle_fault(self, vpn: int, is_write: bool) -> float:
         if self._fault_handler is None:

@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..mem import dfbit
-from ..mem.address import PAGE_SHIFT, PAGE_SIZE
-
 __all__ = ["PageTableEntry", "PageTable", "PageFault"]
 
 
@@ -32,26 +29,29 @@ class PageFault(Exception):
         self.is_write = is_write
 
 
-@dataclass(slots=True)
 class PageTableEntry:
     """One PTE.  ``pfn`` is the physical frame number; ``df`` mirrors the
     paper's DAX-File bit and is folded into the physical address the MMU
-    emits.  ``slots=True``: the MMU touches a PTE on every translation,
-    and big mappings hold one of these per page."""
+    emits.  A ``__slots__`` class: the MMU touches a PTE on every
+    translation, and big mappings hold one of these per page."""
 
-    pfn: int
-    present: bool = True
-    writable: bool = True
-    df: bool = False
-    dirty: bool = False
-    accessed: bool = False
+    __slots__ = ("pfn", "present", "writable", "df", "dirty", "accessed")
 
-    def physical_address(self, offset: int) -> int:
-        """Physical address for a byte offset, with the DF tag applied."""
-        if offset < 0 or offset >= PAGE_SIZE:
-            raise ValueError(f"offset {offset} outside page")
-        addr = (self.pfn << PAGE_SHIFT) | offset
-        return dfbit.set_df(addr) if self.df else addr
+    def __init__(
+        self,
+        pfn: int,
+        present: bool = True,
+        writable: bool = True,
+        df: bool = False,
+        dirty: bool = False,
+        accessed: bool = False,
+    ) -> None:
+        self.pfn = pfn
+        self.present = present
+        self.writable = writable
+        self.df = df
+        self.dirty = dirty
+        self.accessed = accessed
 
 
 @dataclass

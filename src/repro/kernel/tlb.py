@@ -38,9 +38,9 @@ class TLB:
         pte = self._entries.get(vpn)
         if pte is not None:
             self._entries.move_to_end(vpn)
-            self.stats.add("hits")
+            self.stats.counters["hits"] += 1
         else:
-            self.stats.add("misses")
+            self.stats.counters["misses"] += 1
         return pte
 
     def fill(self, vpn: int, pte: PageTableEntry) -> None:

@@ -94,14 +94,6 @@ class SetAssociativeCache:
             OrderedDict() for _ in range(config.num_sets)
         ]
 
-    # -- address helpers ---------------------------------------------------
-
-    def _line(self, addr: int) -> int:
-        return addr // self._line_size
-
-    def _set_index(self, line: int) -> int:
-        return line % self._num_sets
-
     # -- core operations ----------------------------------------------------
 
     def lookup(self, addr: int) -> bool:
@@ -117,21 +109,22 @@ class SetAssociativeCache:
         """Probe + allocate-on-miss.  Returns ``(hit, eviction_or_None)``."""
         line = addr // self._line_size
         entries = self._sets[line % self._num_sets]
+        counters = self.stats.counters
         eviction: Optional[Eviction] = None
         hit = line in entries
         if hit:
-            self.stats.add("hits")
+            counters["hits"] += 1
             entries.move_to_end(line)
             if is_write:
                 entries[line] = True
         else:
-            self.stats.add("misses")
+            counters["misses"] += 1
             if len(entries) >= self._ways:
                 victim_line, victim_dirty = entries.popitem(last=False)
                 eviction = Eviction(victim_line * self._line_size, victim_dirty)
-                self.stats.add("evictions")
+                counters["evictions"] += 1
                 if victim_dirty:
-                    self.stats.add("dirty_evictions")
+                    counters["dirty_evictions"] += 1
             entries[line] = is_write
         return hit, eviction
 
@@ -148,9 +141,10 @@ class SetAssociativeCache:
         if len(entries) >= self._ways:
             victim_line, victim_dirty = entries.popitem(last=False)
             eviction = Eviction(victim_line * self._line_size, victim_dirty)
-            self.stats.add("evictions")
+            counters = self.stats.counters
+            counters["evictions"] += 1
             if victim_dirty:
-                self.stats.add("dirty_evictions")
+                counters["dirty_evictions"] += 1
         entries[line] = dirty
         return eviction
 
@@ -160,7 +154,7 @@ class SetAssociativeCache:
         entries = self._sets[line % self._num_sets]
         if entries.get(line):
             entries[line] = False
-            self.stats.add("writebacks")
+            self.stats.counters["writebacks"] += 1
             return True
         return False
 

@@ -87,31 +87,40 @@ class CacheHierarchy:
         self._levels = [self.l1, self.l2, self.l3]
         # id() -> position, so the walk never does a list.index() scan.
         self._level_index = {id(cache): i for i, cache in enumerate(self._levels)}
+        # Per level: the cache, its sets and geometry, so the per-access
+        # probe walks the tag store without a method call per level.
+        self._walk = tuple(
+            (cache, cache._sets, cache._line_size, cache._num_sets, cache.config.hit_latency)
+            for cache in self._levels
+        )
 
     def access(self, addr: int, is_write: bool) -> AccessOutcome:
         """Walk the hierarchy for one line access.
 
         Returns where the line hit (if anywhere), the accumulated lookup
-        latency, and the memory traffic implied by allocations.
+        latency, and the memory traffic implied by allocations.  Each
+        level is probed without allocating: a hit refreshes LRU (and
+        dirties the line on a write), a miss falls through.
         """
         latency = 0.0
-        writebacks: List[int] = []
-        for index, cache in enumerate(self._levels):
-            latency += cache.config.hit_latency
-            hit, _ = self._probe(cache, addr, is_write)
-            if hit:
+        for index, (cache, sets, line_size, num_sets, hit_latency) in enumerate(self._walk):
+            latency += hit_latency
+            line = addr // line_size
+            entries = sets[line % num_sets]
+            if line in entries:
+                cache.stats.counters["hits"] += 1
+                entries.move_to_end(line)
+                if is_write:
+                    entries[line] = True
                 # Allocate in the upper levels the line just bypassed.
                 for upper in self._levels[:index]:
                     eviction = upper.fill(addr, dirty=False)
                     if eviction is not None and eviction.dirty:
                         self._push_down(upper, eviction.addr)
-                return AccessOutcome(
-                    latency_ns=latency,
-                    hit_level=cache.config.name,
-                    miss_addr=None,
-                    writeback_addrs=tuple(writebacks),
-                )
+                return AccessOutcome(latency, cache.config.name, None)
+            cache.stats.counters["misses"] += 1
         # Full miss: allocate everywhere, collecting L3 dirty victims.
+        writebacks: List[int] = []
         for cache in self._levels:
             eviction = cache.fill(addr, dirty=is_write and cache is self.l1)
             if eviction is not None and eviction.dirty:
@@ -125,17 +134,6 @@ class CacheHierarchy:
             miss_addr=addr,
             writeback_addrs=tuple(writebacks),
         )
-
-    def _probe(self, cache: SetAssociativeCache, addr: int, is_write: bool):
-        """Probe one level without allocating on miss."""
-        line_present = cache.lookup(addr)
-        if line_present:
-            cache.stats.add("hits")
-            if is_write:
-                cache.fill(addr, dirty=True)
-        else:
-            cache.stats.add("misses")
-        return line_present, None
 
     def _push_down(self, cache: SetAssociativeCache, addr: int) -> None:
         """Install a dirty victim in the next level down (write-back)."""
@@ -156,14 +154,20 @@ class CacheHierarchy:
         controller must issue a persist write to the NVM.
         """
         was_dirty = False
-        for cache in self._levels:
-            if invalidate:
+        if invalidate:
+            for cache in self._levels:
                 eviction = cache.invalidate_line(addr)
                 if eviction is not None and eviction.dirty:
                     was_dirty = True
-            else:
-                if cache.writeback_line(addr):
-                    was_dirty = True
+            return was_dirty
+        # clwb cleans each level's copy in place, straight over its sets.
+        for cache, sets, line_size, num_sets, _ in self._walk:
+            line = addr // line_size
+            entries = sets[line % num_sets]
+            if entries.get(line):
+                entries[line] = False
+                cache.stats.counters["writebacks"] += 1
+                was_dirty = True
         return was_dirty
 
     def drain_dirty(self) -> List[int]:

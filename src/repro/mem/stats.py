@@ -18,7 +18,11 @@ __all__ = ["StatCounters", "StatsRegistry"]
 
 @dataclass
 class StatCounters:
-    """A named bag of monotonically increasing counters."""
+    """A named bag of monotonically increasing counters.
+
+    Per-access paths bump ``counters[key] += 1`` directly, sparing a
+    method call per event; ``add`` is the call form for the rest.
+    """
 
     name: str
     counters: Counter = field(default_factory=Counter)
@@ -95,8 +99,8 @@ class StatsRegistry:
         """Every counter, flat.  Raises ``TypeError`` on a value that is
         not an ``int``: the figures normalise exact event counts, and a
         float counter compounds rounding error.  Checked here, once per
-        result, rather than on every ``add`` (the interpreter also
-        flushes into ``counters`` directly)."""
+        result, rather than on every ``add`` (hot paths and the
+        interpreter bump ``counters`` directly)."""
         merged: Dict[str, int] = {}
         for bundle in self._bundles.values():
             merged.update(bundle.as_dict())

@@ -69,14 +69,14 @@ class WritePendingQueue:
 
     def accept(self, now_ns: float) -> float:
         """Enqueue one persist write at ``now_ns``; returns its latency."""
-        self.stats.add("accepts")
+        self.stats.counters["accepts"] += 1
         drain = self.config.drain_ns_per_entry
         backlog_ns = max(0.0, self._backlog_clear_ns - now_ns)
         occupancy = self.occupancy_at(now_ns)
         if occupancy >= self.config.entries:
             # Full: the flush waits for one drain slot to open.
             wait_ns = backlog_ns - (self.config.entries - 1) * drain
-            self.stats.add("stalls")
+            self.stats.counters["stalls"] += 1
             latency = wait_ns + self.config.accept_ns
             self._backlog_clear_ns = now_ns + backlog_ns + drain
             return latency

@@ -28,7 +28,7 @@ slot is caught exactly where a full recompute of the children catches it.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..mem.address import LINE_SIZE
 from ..mem.stats import StatCounters
@@ -75,24 +75,30 @@ class BonsaiMerkleTree:
         #: concatenated; written only through :meth:`_store`.
         self._preimages: Dict["tuple[int, int]", bytearray] = {}
         self._touched: set = set(touched)
+        #: metadata address -> :meth:`path_to_root`, filled on first use.
+        self._paths: Dict[int, Tuple[int, ...]] = {}
         self._default_digests = self._compute_default_digests()
         self._root = self._default_digests[-1]
 
     # -- geometry -----------------------------------------------------------
 
-    def path_to_root(self, metadata_addr: int) -> List[int]:
+    def path_to_root(self, metadata_addr: int) -> Tuple[int, ...]:
         """Memory addresses of the internal nodes covering a leaf.
 
         Ordered leaf-side first.  The last level's single node is the
-        root's only child; the root itself has no address.
+        root's only child; the root itself has no address.  A pure
+        function of the layout, so each leaf's path is built once.
         """
-        index = self.layout.merkle_leaf_index(metadata_addr)
-        arity = self.arity
-        addrs: List[int] = []
-        for base in self.layout.merkle_level_bases:
-            index //= arity
-            addrs.append(base + index * LINE_SIZE)
-        return addrs
+        path = self._paths.get(metadata_addr)
+        if path is None:
+            index = self.layout.merkle_leaf_index(metadata_addr)
+            arity = self.arity
+            addrs: List[int] = []
+            for base in self.layout.merkle_level_bases:
+                index //= arity
+                addrs.append(base + index * LINE_SIZE)
+            path = self._paths[metadata_addr] = tuple(addrs)
+        return path
 
     # -- functional hashing ----------------------------------------------------
 

@@ -95,6 +95,11 @@ class MetadataCache:
                 )
             )
             self._caches = {kind: shared for kind in MetadataKind.ALL}
+        # Per kind: its (hit, miss, write) stat keys, built once.
+        self._stat_keys = {
+            kind: (f"{kind}_hits", f"{kind}_misses", f"{kind}_writes")
+            for kind in MetadataKind.ALL
+        }
 
     def access(self, addr: int, kind: str, is_write: bool) -> Tuple[bool, List[Eviction]]:
         """Probe/allocate a metadata line.  Returns (hit, dirty_evictions).
@@ -102,17 +107,18 @@ class MetadataCache:
         Clean evictions are dropped silently (the in-memory copy is
         current); dirty ones must be written back by the controller.
         """
-        if kind not in self._caches:
+        keys = self._stat_keys.get(kind)
+        if keys is None:
             raise ValueError(f"unknown metadata kind {kind!r}")
         hit, eviction = self._caches[kind].access(addr, is_write)
-        self.stats.add(f"{kind}_{'hits' if hit else 'misses'}")
+        counters = self.stats.counters
+        counters[keys[0] if hit else keys[1]] += 1
         if is_write:
-            self.stats.add(f"{kind}_writes")
-        dirty_evictions: List[Eviction] = []
+            counters[keys[2]] += 1
         if eviction is not None and eviction.dirty:
-            self.stats.add("dirty_evictions")
-            dirty_evictions.append(eviction)
-        return hit, dirty_evictions
+            counters["dirty_evictions"] += 1
+            return hit, [eviction]
+        return hit, []
 
     def lookup_only(self, addr: int, kind: str) -> bool:
         """Presence probe with no allocation and no hit/miss accounting.

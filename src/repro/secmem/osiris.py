@@ -61,10 +61,11 @@ class OsirisTracker:
     def note_update(self, line_addr: int) -> bool:
         """Record one counter update; True => persist the counter line."""
         distance = self._distance.get(line_addr, 0) + 1
-        self.stats.add("updates")
+        counters = self.stats.counters
+        counters["updates"] += 1
         if distance >= self.stop_loss:
             self._distance[line_addr] = 0
-            self.stats.add("forced_persists")
+            counters["forced_persists"] += 1
             return True
         self._distance[line_addr] = distance
         return False

@@ -188,7 +188,8 @@ class BaselineSecureController(MemoryControllerBase):
         just the cache's SRAM access.
         """
         hit, evictions = self.metadata_cache.access(addr, kind, is_write)
-        self._handle_metadata_evictions(evictions)
+        if evictions:
+            self._handle_metadata_evictions(evictions)
         if hit:
             return self.metadata_cache.hit_latency
         latency = self.device.read(addr)
@@ -208,7 +209,8 @@ class BaselineSecureController(MemoryControllerBase):
             hit, evictions = self.metadata_cache.access(
                 node_addr, MetadataKind.MERKLE, is_write=False
             )
-            self._handle_metadata_evictions(evictions)
+            if evictions:
+                self._handle_metadata_evictions(evictions)
             if hit:
                 latency += self.metadata_cache.hit_latency
                 break
@@ -228,7 +230,8 @@ class BaselineSecureController(MemoryControllerBase):
             hit, evictions = self.metadata_cache.access(
                 node_addr, MetadataKind.MERKLE, is_write=True
             )
-            self._handle_metadata_evictions(evictions)
+            if evictions:
+                self._handle_metadata_evictions(evictions)
             if hit:
                 break
             self.device.read(node_addr)
@@ -381,7 +384,7 @@ class BaselineSecureController(MemoryControllerBase):
         return self._read(request, raw_addr)
 
     def _read(self, request: MemoryRequest, raw_addr: int) -> float:
-        self.stats.add("read_requests")
+        self.stats.counters["read_requests"] += 1
         data_latency = self.device.read(raw_addr)
         pad_latency = self._pad_fetch_latency(request, raw_addr, is_write=False)
         # Pad generation overlaps the data fetch (Figure 2); only the XOR
@@ -390,7 +393,7 @@ class BaselineSecureController(MemoryControllerBase):
         return total + self.config.xor_latency_ns
 
     def _write(self, request: MemoryRequest, raw_addr: int) -> float:
-        self.stats.add("write_requests")
+        self.stats.counters["write_requests"] += 1
         page = page_number(raw_addr)
         line_index = page_offset_lines(raw_addr)
         counter_addr = self.layout.mecb_addr(page)

@@ -68,6 +68,31 @@ def test_no_contract_in_an_assert():
     assert asserts == []
 
 
+# -- the Python floor: pyproject.toml's requires-python ------------------
+
+FLOOR = (3, 9)
+#: ``dataclass``/``field`` keywords that raise ``TypeError`` before 3.10.
+POST_FLOOR_KEYWORDS = {"slots", "kw_only"}
+
+
+def test_src_parses_and_builds_dataclasses_on_the_floor():
+    # Syntax newer than the floor fails to parse there; the dataclass
+    # keywords parse fine but raise at import time on 3.9.
+    unparsable, late_keywords = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"), rel, feature_version=FLOOR)
+        except SyntaxError as error:
+            unparsable.append(f"{rel}:{error.lineno}")
+            continue
+        late_keywords += [f"{rel}:{node.lineno}" for node in ast.walk(tree)
+                          if _callee(node) in ("dataclass", "field")
+                          and {kw.arg for kw in node.keywords} & POST_FLOOR_KEYWORDS]
+    assert unparsable == []
+    assert late_keywords == []
+
+
 # -- key hygiene (§III-E): raw key bytes stay in the key modules ---------
 
 #: The AES key schedule and key wrapping, the OTT spill region's sealing,

@@ -8,22 +8,12 @@ from repro.mem.dfbit import has_df
 
 
 class TestPageTableEntry:
-    def test_physical_address_plain(self):
+    def test_defaults_and_slots(self):
         pte = PageTableEntry(pfn=5)
-        assert pte.physical_address(0x123) == 5 * PAGE_SIZE + 0x123
-
-    def test_physical_address_with_df(self):
-        pte = PageTableEntry(pfn=5, df=True)
-        addr = pte.physical_address(0)
-        assert has_df(addr)
-        assert addr & (PAGE_SIZE - 1) == 0
-
-    def test_offset_bounds(self):
-        pte = PageTableEntry(pfn=5)
-        with pytest.raises(ValueError):
-            pte.physical_address(PAGE_SIZE)
-        with pytest.raises(ValueError):
-            pte.physical_address(-1)
+        assert (pte.pfn, pte.present, pte.writable, pte.df, pte.dirty, pte.accessed) == (
+            5, True, True, False, False, False)
+        with pytest.raises(AttributeError):
+            pte.extra = 1  # __slots__: no per-entry __dict__
 
 
 class TestPageTable:
@@ -113,6 +103,12 @@ class TestMMU:
         plain = mmu.translate(4 * PAGE_SIZE, False)
         assert has_df(tagged.paddr)
         assert not has_df(plain.paddr)
+
+    def test_df_frame_outside_physical_space_rejected(self):
+        mmu = MMU()
+        mmu.page_table.map(3, pfn=1 << 40, df=True)  # tagged address needs bit 52
+        with pytest.raises(ValueError, match="52-bit physical space"):
+            mmu.translate(3 * PAGE_SIZE, False)
 
     def test_write_sets_dirty(self):
         mmu, _ = self.make_mmu()

@@ -26,7 +26,7 @@ def small_setup():
 class TestGeometry:
     def test_path_is_leaf_side_first(self, small_setup):
         layout, _, tree = small_setup
-        path = tree.path_to_root(layout.mecb_base)
+        path = list(tree.path_to_root(layout.mecb_base))
         assert path == sorted(path) or len(path) == len(set(path))
         assert len(path) == tree.num_levels
 

@@ -31,6 +31,7 @@ from repro.sim import (
 )
 from repro.sim.batch import _supports_fast_path
 from repro.sim.config import MachineConfig, Scheme
+from repro.sim.service import ClosedLoop, run_service
 from repro.sim.trace import TraceOp
 from repro.workloads import (
     ManyFilesWorkload,
@@ -387,9 +388,29 @@ def _generated_trace(config, files, ops) -> Trace:
     return trace
 
 
+class _Replayed(Workload):
+    """A generated trace as a workload: the test's user, then the ops."""
+
+    name = "generated"
+
+    def __init__(self, trace: Trace):
+        super().__init__()
+        self.trace = trace
+
+    def setup(self, machine):
+        machine.add_user(uid=1000, gid=100, passphrase="pw")
+
+    def run(self, machine):
+        replay(self.trace, machine)
+
+
 _TINY_FSENCR = replace(
     get_scheme("fsencr").configure(MachineConfig()).with_metadata_cache(512),
     ott_banks=1, ott_entries_per_bank=1)
+#: Data caches one or two lines deep: the reference cache walk's dirty
+#: L1/L2 victims and L3 misses (allocations with victims) on every run.
+_TINY_CACHES_FSENCR = replace(
+    get_scheme("fsencr").configure(MachineConfig()), hierarchy=_TINY_HIERARCHY)
 
 
 def test_compiled_equals_replay_on_generated_traces():
@@ -398,12 +419,17 @@ def test_compiled_equals_replay_on_generated_traces():
     or two files, repeated, non-integral compute delays, and hammered
     lines whose MECB and FECB minors overflow (page re-encryption).
     FsEncr with a 512 B metadata cache and a one-slot OTT forces the
-    delegated arms: FECB misses, OTT refills and spills must all occur."""
+    delegated arms: FECB misses, OTT refills and spills must all occur.
+    FsEncr with tiny data caches drives dirty L1/L2 victims and L3
+    misses through the reference cache walk.  A 1-stream closed-loop
+    service run of the same ops equals the classic run."""
     configs = [get_scheme(name).configure(MachineConfig())
                for name in ("ext4dax_plain", "baseline_secure", "fsencr")]
-    configs.append(_TINY_FSENCR)
+    service_configs = configs[1:]
+    configs += [_TINY_FSENCR, _TINY_CACHES_FSENCR]
     tally = {"fecb_misses": 0, "ott_refills": 0, "ott_spills": 0,
-             "minor_overflows": 0, "fecb_minor_overflows": 0}
+             "minor_overflows": 0, "fecb_minor_overflows": 0,
+             "l1_dirty_evictions": 0, "l2_dirty_evictions": 0, "l3_misses": 0}
 
     @seed(20221)
     @settings(max_examples=25, deadline=None)
@@ -421,6 +447,9 @@ def test_compiled_equals_replay_on_generated_traces():
                 machines.append(machine)
             compiled, reference = (m.result("generated").to_dict() for m in machines)
             assert compiled == reference, config.scheme.value
+            if config in service_configs:
+                service = run_service(config, [_Replayed(trace)], ClosedLoop())
+                assert service.streams[0].run.to_dict() == reference, config.scheme.value
             controller = machines[0].controller
             if config.scheme.has_secure_controller:
                 tally["minor_overflows"] += controller.stats.counters["minor_overflows"]
@@ -431,6 +460,11 @@ def test_compiled_equals_replay_on_generated_traces():
                     controller.metadata_cache.stats.counters["fecb_misses"])
                 tally["ott_refills"] += controller.stats.counters["ott_refills"]
                 tally["ott_spills"] += controller.stats.counters["ott_spills"]
+            if config is _TINY_CACHES_FSENCR:
+                hierarchy = machines[1].hierarchy  # the reference walk's
+                tally["l1_dirty_evictions"] += hierarchy.l1.stats.counters["dirty_evictions"]
+                tally["l2_dirty_evictions"] += hierarchy.l2.stats.counters["dirty_evictions"]
+                tally["l3_misses"] += hierarchy.l3.stats.counters["misses"]
 
     check()
     assert all(tally.values()), tally
