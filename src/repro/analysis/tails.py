@@ -128,6 +128,9 @@ def percentile_summary(
 # Load-vs-percentile curves
 # ----------------------------------------------------------------------
 
+#: The open-loop arrival seed of every load point (recorded in the curve).
+ARRIVAL_SEED = 0xA221
+
 
 def load_curve(
     config: MachineConfig,
@@ -135,7 +138,6 @@ def load_curve(
     loads: Sequence[float] = (0.25, 0.5, 1.0),
     *,
     window: int = 1,
-    arrival_seed: int = 0xA221,
     ops: int = 0,
     percentiles: Sequence[float] = (50.0, 99.0, 99.9),
 ) -> Dict:
@@ -181,7 +183,7 @@ def load_curve(
         result = run_service(
             config,
             [factory() for factory in factories],
-            OpenLoop(interarrival_ns=interarrival, seed=arrival_seed),
+            OpenLoop(interarrival_ns=interarrival, seed=ARRIVAL_SEED),
         )
         point = {
             "load": load,
@@ -200,7 +202,7 @@ def load_curve(
         "scheme": config.scheme.value,
         "streams": streams,
         "window": window,
-        "arrival_seed": arrival_seed,
+        "arrival_seed": ARRIVAL_SEED,
         "calibration": {
             "measured_ops": calibration.measured_ops,
             "makespan_ns": calibration.makespan_ns,

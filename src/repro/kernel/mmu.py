@@ -26,12 +26,11 @@ __all__ = ["TranslationResult", "MMU"]
 class TranslationResult:
     """Physical address (DF-tagged when applicable) plus latency."""
 
-    __slots__ = ("paddr", "latency_ns", "faulted")
+    __slots__ = ("paddr", "latency_ns")
 
-    def __init__(self, paddr: int, latency_ns: float, faulted: bool) -> None:
+    def __init__(self, paddr: int, latency_ns: float) -> None:
         self.paddr = paddr
         self.latency_ns = latency_ns
-        self.faulted = faulted
 
 
 class MMU:
@@ -64,14 +63,12 @@ class MMU:
         vpn = vaddr >> PAGE_SHIFT
         offset = vaddr & PAGE_MASK
         latency = 0.0
-        faulted = False
 
         pte = self.tlb.lookup(vpn)
         if pte is None:
             latency += self.tlb.walk_latency_ns
             pte = self.page_table.lookup(vpn)
             if pte is None:
-                faulted = True
                 self.stats.add("faults")
                 latency += self._handle_fault(vpn, is_write)
                 pte = self.page_table.lookup(vpn)
@@ -83,9 +80,6 @@ class MMU:
             self.stats.add("protection_faults")
             raise PageFault(vpn, is_write)
 
-        pte.accessed = True
-        if is_write:
-            pte.dirty = True
         self.stats.counters["translations"] += 1
         # The frame's address plus the offset, DF-tagged for a DAX page.
         paddr = (pte.pfn << PAGE_SHIFT) | offset
@@ -93,7 +87,7 @@ class MMU:
             if paddr >> dfbit.PHYSICAL_ADDRESS_BITS:
                 dfbit.set_df(paddr)  # raises its out-of-range ValueError
             paddr |= dfbit.DF_MASK
-        return TranslationResult(paddr, latency, faulted)
+        return TranslationResult(paddr, latency)
 
     def _handle_fault(self, vpn: int, is_write: bool) -> float:
         if self._fault_handler is None:

@@ -2,9 +2,8 @@
 
 The paper's kernel change is tiny and lives exactly here: when
 ``dax_insert_mapping`` creates the PTE for a DAX-file page, it ORs
-``1 << 51`` into the physical frame address (§III-C).  Everything else —
-present/writable/dirty bookkeeping — is the ordinary x86-ish machinery
-the rest of the simulated kernel expects.
+``1 << 51`` into the physical frame address (§III-C).  The only other
+bit is ``writable``, which the MMU checks every store against.
 """
 
 from __future__ import annotations
@@ -32,26 +31,16 @@ class PageFault(Exception):
 class PageTableEntry:
     """One PTE.  ``pfn`` is the physical frame number; ``df`` mirrors the
     paper's DAX-File bit and is folded into the physical address the MMU
-    emits.  A ``__slots__`` class: the MMU touches a PTE on every
-    translation, and big mappings hold one of these per page."""
+    emits; a store through an entry that is not ``writable`` faults.  A
+    ``__slots__`` class: the MMU reads a PTE on every translation, and
+    big mappings hold one of these per page."""
 
-    __slots__ = ("pfn", "present", "writable", "df", "dirty", "accessed")
+    __slots__ = ("pfn", "writable", "df")
 
-    def __init__(
-        self,
-        pfn: int,
-        present: bool = True,
-        writable: bool = True,
-        df: bool = False,
-        dirty: bool = False,
-        accessed: bool = False,
-    ) -> None:
+    def __init__(self, pfn: int, writable: bool = True, df: bool = False) -> None:
         self.pfn = pfn
-        self.present = present
         self.writable = writable
         self.df = df
-        self.dirty = dirty
-        self.accessed = accessed
 
 
 @dataclass
@@ -61,10 +50,7 @@ class PageTable:
     entries: Dict[int, PageTableEntry] = field(default_factory=dict)
 
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
-        pte = self.entries.get(vpn)
-        if pte is None or not pte.present:
-            return None
-        return pte
+        return self.entries.get(vpn)
 
     def map(self, vpn: int, pfn: int, *, writable: bool = True, df: bool = False) -> PageTableEntry:
         """Install a mapping (the tail end of a fault handler)."""

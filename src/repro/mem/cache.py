@@ -5,6 +5,8 @@ and the on-chip Metadata Cache holding MECB/FECB/Merkle-tree lines
 (Table III: all are 64 B-block, 8- or 64-way, LRU-ish structures).  The
 cache is a *tag store only* — data contents live in the functional layer
 — because the timing model needs hit/miss/eviction behaviour, not bytes.
+It counts nothing either: the hierarchy counts on its registered
+``l1``–``l3`` bundles, the metadata cache per kind on its own.
 
 Evictions are reported to the caller (the next level or the memory
 controller) so dirty metadata write-backs turn into the extra NVM writes
@@ -15,9 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from .stats import StatCounters
+from typing import List, Optional
 
 __all__ = ["CacheConfig", "Eviction", "SetAssociativeCache"]
 
@@ -76,13 +76,13 @@ class SetAssociativeCache:
     * :meth:`lookup` — probe without allocating.
     * :meth:`access` — probe and allocate on miss, returning the hit flag
       and any eviction the allocation caused.
-    * :meth:`writeback_line` / :meth:`invalidate_line` — the clwb / clflush
-      persist primitives PMDK-style workloads issue.
+    * :meth:`fill` — allocate, returning any eviction.
+    * :meth:`writeback_line` — the clwb persist primitive PMDK-style
+      workloads issue.
     """
 
-    def __init__(self, config: CacheConfig, stats: Optional[StatCounters] = None) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.stats = stats or StatCounters(config.name)
         # Hoisted geometry: the per-access path must not chase
         # ``self.config.<field>`` attribute chains on every probe.
         self._line_size = config.line_size
@@ -109,22 +109,16 @@ class SetAssociativeCache:
         """Probe + allocate-on-miss.  Returns ``(hit, eviction_or_None)``."""
         line = addr // self._line_size
         entries = self._sets[line % self._num_sets]
-        counters = self.stats.counters
         eviction: Optional[Eviction] = None
         hit = line in entries
         if hit:
-            counters["hits"] += 1
             entries.move_to_end(line)
             if is_write:
                 entries[line] = True
         else:
-            counters["misses"] += 1
             if len(entries) >= self._ways:
                 victim_line, victim_dirty = entries.popitem(last=False)
                 eviction = Eviction(victim_line * self._line_size, victim_dirty)
-                counters["evictions"] += 1
-                if victim_dirty:
-                    counters["dirty_evictions"] += 1
             entries[line] = is_write
         return hit, eviction
 
@@ -141,10 +135,6 @@ class SetAssociativeCache:
         if len(entries) >= self._ways:
             victim_line, victim_dirty = entries.popitem(last=False)
             eviction = Eviction(victim_line * self._line_size, victim_dirty)
-            counters = self.stats.counters
-            counters["evictions"] += 1
-            if victim_dirty:
-                counters["dirty_evictions"] += 1
         entries[line] = dirty
         return eviction
 
@@ -154,19 +144,8 @@ class SetAssociativeCache:
         entries = self._sets[line % self._num_sets]
         if entries.get(line):
             entries[line] = False
-            self.stats.counters["writebacks"] += 1
             return True
         return False
-
-    def invalidate_line(self, addr: int) -> Optional[Eviction]:
-        """clflush: evict the line.  Returns the eviction if present."""
-        line = addr // self._line_size
-        entries = self._sets[line % self._num_sets]
-        if line not in entries:
-            return None
-        dirty = entries.pop(line)
-        self.stats.add("invalidations")
-        return Eviction(line * self._line_size, dirty)
 
     def drain(self) -> List[Eviction]:
         """Flush everything (crash / shutdown).  Returns dirty victims."""

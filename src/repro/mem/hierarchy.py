@@ -6,8 +6,9 @@ Geometry and latencies follow Table III: private 32 KB 8-way L1
 cycle is exactly one nanosecond — the code accounts in ns throughout.
 
 The hierarchy is inclusive-enough for a trace model: a miss allocates in
-every level on the way back, a dirty eviction propagates downward, and a
-``clwb``/``clflush`` walks all three levels.  Coherence between cores is
+every level on the way back, a dirty eviction propagates downward (a
+dirty line pushed out of L3 is written back to memory), and a ``clwb``
+walks all three levels.  Coherence between cores is
 not modelled (the paper's overheads are memory-side, not coherence-side);
 multi-threaded workloads interleave their traces onto one shared
 hierarchy, which is how sharing pressure shows up.
@@ -49,30 +50,34 @@ class AccessOutcome:
     """Result of pushing one CPU access through the hierarchy.
 
     ``miss_addr`` is set when the access fell through to memory, and
-    ``writeback_addrs`` lists dirty L3 victims the controller must write
-    back (each one a memory write the paper's figures count).
+    ``writeback_addrs`` lists the dirty lines that fell out of L3, which
+    the controller must write back (each one a memory write the paper's
+    figures count).
 
     One outcome is minted per line access, so this is a ``__slots__``
     class rather than a dataclass.
     """
 
-    __slots__ = ("latency_ns", "hit_level", "miss_addr", "writeback_addrs")
+    __slots__ = ("latency_ns", "miss_addr", "writeback_addrs")
 
     def __init__(
         self,
         latency_ns: float,
-        hit_level: Optional[str],
         miss_addr: Optional[int],
-        writeback_addrs: "tuple[int, ...]" = (),
+        writeback_addrs: "tuple[int, ...]",
     ) -> None:
         self.latency_ns = latency_ns
-        self.hit_level = hit_level
         self.miss_addr = miss_addr
         self.writeback_addrs = writeback_addrs
 
 
 class CacheHierarchy:
-    """L1 -> L2 -> L3 with allocate-on-miss and downward dirty propagation."""
+    """L1 -> L2 -> L3 with allocate-on-miss and downward dirty propagation.
+
+    The levels are bare tag stores; the hierarchy counts each level's
+    hits, misses, evictions, dirty evictions and clwb write-backs on
+    that level's registered bundle.
+    """
 
     def __init__(
         self,
@@ -81,92 +86,84 @@ class CacheHierarchy:
     ) -> None:
         self.config = config or HierarchyConfig()
         registry = registry or StatsRegistry()
-        self.l1 = SetAssociativeCache(self.config.l1, registry.create("l1"))
-        self.l2 = SetAssociativeCache(self.config.l2, registry.create("l2"))
-        self.l3 = SetAssociativeCache(self.config.l3, registry.create("l3"))
-        self._levels = [self.l1, self.l2, self.l3]
-        # id() -> position, so the walk never does a list.index() scan.
-        self._level_index = {id(cache): i for i, cache in enumerate(self._levels)}
-        # Per level: the cache, its sets and geometry, so the per-access
+        self.l1 = SetAssociativeCache(self.config.l1)
+        self.l2 = SetAssociativeCache(self.config.l2)
+        self.l3 = SetAssociativeCache(self.config.l3)
+        self._levels = (self.l1, self.l2, self.l3)
+        # Per level, top down: its tag store and registered counters.
+        self._fills = tuple(
+            (cache, registry.create(name).counters)
+            for cache, name in zip(self._levels, ("l1", "l2", "l3"))
+        )
+        # Per level: its counters, sets and geometry, so the per-access
         # probe walks the tag store without a method call per level.
         self._walk = tuple(
-            (cache, cache._sets, cache._line_size, cache._num_sets, cache.config.hit_latency)
-            for cache in self._levels
+            (counters, cache._sets, cache._line_size, cache._num_sets, cache.config.hit_latency)
+            for cache, counters in self._fills
         )
 
     def access(self, addr: int, is_write: bool) -> AccessOutcome:
         """Walk the hierarchy for one line access.
 
-        Returns where the line hit (if anywhere), the accumulated lookup
-        latency, and the memory traffic implied by allocations.  Each
-        level is probed without allocating: a hit refreshes LRU (and
-        dirties the line on a write), a miss falls through.
+        Returns the accumulated lookup latency and the memory traffic
+        implied by allocations.  Each level is probed without
+        allocating: a hit refreshes LRU (and dirties the line on a
+        write), a miss falls through.  The levels above the hit, or all
+        three on a full miss, then allocate the line top down; a full
+        miss installs it dirty in L1 on a write.
         """
         latency = 0.0
-        for index, (cache, sets, line_size, num_sets, hit_latency) in enumerate(self._walk):
+        for level, (counters, sets, line_size, num_sets, hit_latency) in enumerate(self._walk):
             latency += hit_latency
             line = addr // line_size
             entries = sets[line % num_sets]
             if line in entries:
-                cache.stats.counters["hits"] += 1
+                counters["hits"] += 1
                 entries.move_to_end(line)
                 if is_write:
                     entries[line] = True
-                # Allocate in the upper levels the line just bypassed.
-                for upper in self._levels[:index]:
-                    eviction = upper.fill(addr, dirty=False)
-                    if eviction is not None and eviction.dirty:
-                        self._push_down(upper, eviction.addr)
-                return AccessOutcome(latency, cache.config.name, None)
-            cache.stats.counters["misses"] += 1
-        # Full miss: allocate everywhere, collecting L3 dirty victims.
-        writebacks: List[int] = []
-        for cache in self._levels:
-            eviction = cache.fill(addr, dirty=is_write and cache is self.l1)
-            if eviction is not None and eviction.dirty:
-                if cache is self.l3:
-                    writebacks.append(eviction.addr)
-                else:
-                    self._push_down(cache, eviction.addr)
-        return AccessOutcome(
-            latency_ns=latency,
-            hit_level=None,
-            miss_addr=addr,
-            writeback_addrs=tuple(writebacks),
-        )
+                writebacks: "tuple[int, ...]" = ()
+                for upper in range(level):
+                    writebacks += self._fill(upper, addr, False)
+                return AccessOutcome(latency, None, writebacks)
+            counters["misses"] += 1
+        writebacks = self._fill(0, addr, is_write)
+        writebacks += self._fill(1, addr, False)
+        writebacks += self._fill(2, addr, False)
+        return AccessOutcome(latency, addr, writebacks)
 
-    def _push_down(self, cache: SetAssociativeCache, addr: int) -> None:
-        """Install a dirty victim in the next level down (write-back)."""
-        next_index = self._level_index[id(cache)] + 1
-        for lower in self._levels[next_index:]:
-            eviction = lower.fill(addr, dirty=True)
-            if eviction is None or not eviction.dirty:
-                return
+    def _fill(self, level: int, addr: int, dirty: bool) -> "tuple[int, ...]":
+        """Install a line at ``level`` (0 is L1), counting its victim.
+
+        A dirty victim is written back into the next level down, and so
+        on; returns the dirty line that fell out of L3, if any, which
+        the caller must write back to memory.
+        """
+        for cache, counters in self._fills[level:]:
+            eviction = cache.fill(addr, dirty)
+            if eviction is None:
+                return ()
+            counters["evictions"] += 1
+            if not eviction.dirty:
+                return ()
+            counters["dirty_evictions"] += 1
             addr = eviction.addr
-        # Fell out of L3 — the caller's next access() call will not see
-        # this; the machine model drains L3 victims via access outcomes,
-        # and victims generated here are rare enough to fold into them.
+            dirty = True
+        return (addr,)
 
-    def flush_line(self, addr: int, invalidate: bool) -> bool:
-        """clwb (invalidate=False) or clflush (True) across all levels.
+    def flush_line(self, addr: int) -> bool:
+        """clwb across all levels: clean each level's copy in place.
 
         Returns True if any level held the line dirty — meaning the
         controller must issue a persist write to the NVM.
         """
         was_dirty = False
-        if invalidate:
-            for cache in self._levels:
-                eviction = cache.invalidate_line(addr)
-                if eviction is not None and eviction.dirty:
-                    was_dirty = True
-            return was_dirty
-        # clwb cleans each level's copy in place, straight over its sets.
-        for cache, sets, line_size, num_sets, _ in self._walk:
+        for counters, sets, line_size, num_sets, _ in self._walk:
             line = addr // line_size
             entries = sets[line % num_sets]
             if entries.get(line):
                 entries[line] = False
-                cache.stats.counters["writebacks"] += 1
+                counters["writebacks"] += 1
                 was_dirty = True
         return was_dirty
 

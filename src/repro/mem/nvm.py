@@ -207,7 +207,7 @@ class NVMDevice:
     def write(self, addr: int, persist: bool = False) -> float:
         """Write one line; ``persist`` forces the PCM array write now.
 
-        Persist-path writes (clwb/clflush + fence) cannot linger in the
+        Persist-path writes (clwb + fence) cannot linger in the
         row buffer: durability requires the cell write, which is why
         write-intensive persistent workloads hurt most in the paper.
         """

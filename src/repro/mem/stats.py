@@ -49,15 +49,9 @@ class StatCounters:
             )
         return self.counters[key]
 
-    def merge(self, other: "StatCounters") -> None:
-        self.counters.update(other.counters)
-
-    def reset(self) -> None:
-        self.counters.clear()
-
-    def as_dict(self, prefix: str = "") -> Dict[str, int]:
-        base = prefix or self.name
-        return {f"{base}.{key}": value for key, value in sorted(self.counters.items())}
+    def as_dict(self) -> Dict[str, int]:
+        name = self.name
+        return {f"{name}.{key}": value for key, value in sorted(self.counters.items())}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
@@ -90,10 +84,6 @@ class StatsRegistry:
     @property
     def names(self) -> Iterable[str]:
         return self._bundles.keys()
-
-    def reset(self) -> None:
-        for bundle in self._bundles.values():
-            bundle.reset()
 
     def snapshot(self) -> Dict[str, int]:
         """Every counter, flat.  Raises ``TypeError`` on a value that is

@@ -69,8 +69,8 @@ class MetadataCache:
         self.stats = stats or StatCounters("metadata_cache")
         if self.config.partitioned:
             slice_bytes = self.config.size_bytes // len(MetadataKind.ALL)
-            # Internal structural caches: hits/misses/evictions are
-            # accounted per-kind on this MetadataCache's own bundle.
+            # Bare tag stores: hits, misses, writes and dirty evictions
+            # are counted per kind on this MetadataCache's own bundle.
             self._caches: Dict[str, SetAssociativeCache] = {
                 kind: SetAssociativeCache(
                     CacheConfig(
@@ -84,7 +84,7 @@ class MetadataCache:
                 for kind in MetadataKind.ALL
             }
         else:
-            # Internal structural cache — same accounting as above.
+            # One bare tag store, counted per kind as above.
             shared = SetAssociativeCache(
                 CacheConfig(
                     name="metadata_shared",

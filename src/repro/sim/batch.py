@@ -24,9 +24,10 @@ boundaries and allocates request/outcome objects.  This module keeps the
    MECB/FECB/Merkle-first-node hits, and the NVM row buffer.
    Stats are accumulated in flat pend arrays and flushed per chunk.
    Every miss and rare path calls the *real* component method: TLB
-   miss and page fault, L1/L2 dirty victims
-   (``CacheHierarchy._push_down``), MECB/FECB misses with their Merkle
-   verification (``_fetch_metadata_line``) and OTT key lookup
+   miss and page fault, L1/L2 dirty victims (``CacheHierarchy._fill``,
+   which returns any line they push out of L3 for write-back),
+   MECB/FECB misses with their Merkle verification
+   (``_fetch_metadata_line``) and OTT key lookup
    (``_lookup_key``), Merkle first-node misses
    (``_update_merkle_path``), counter overflow, and page-cache faults.
    Each miss rule therefore exists once, and every golden digest is
@@ -45,13 +46,11 @@ boundaries and allocates request/outcome objects.  This module keeps the
 Bit-identity is the hard pin: the inline probes replicate the reference
 path's exact float-addition order (latencies accumulate into the clock
 in the same association), its exact LRU mutations (``move_to_end`` /
-``popitem`` sequences), and its exact stat increments on every
-*registered* bundle.  Delegated methods add straight to those bundles
-while the pend arrays flush into them later; every counter is a sum, so
-the interleaving does not change a result.  The only tolerated
-divergence is the counters of unregistered structural bundles (the
-metadata cache's internal tag store), which are invisible to results
-and digests.
+``popitem`` sequences), and its exact stat increments on every bundle
+(every bundle is registered; the tag stores count nothing).  Delegated
+methods add straight to those bundles while the pend arrays flush into
+them later; every counter is a sum, so the interleaving does not change
+a result.
 """
 
 from __future__ import annotations
@@ -533,13 +532,14 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
     tlb = mmu_obj.tlb
     hierarchy = machine.hierarchy
     l1, l2, l3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
+    bundle = machine.registry.bundle
 
     flush_specs = [
         (pend_tlb, ("hits",), tlb.stats.counters),
         (pend_mmu, ("translations",), mmu_obj.stats.counters),
-        (pend_l1, _CACHE_KEYS, l1.stats.counters),
-        (pend_l2, _CACHE_KEYS, l2.stats.counters),
-        (pend_l3, _CACHE_KEYS, l3.stats.counters),
+        (pend_l1, _CACHE_KEYS, bundle("l1").counters),
+        (pend_l2, _CACHE_KEYS, bundle("l2").counters),
+        (pend_l3, _CACHE_KEYS, bundle("l3").counters),
         (pend_nvm, _NVM_KEYS, device.stats.counters),
         (pend_ctrl, _CTRL_KEYS, controller.stats.counters),
     ]
@@ -627,7 +627,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
     LAT1 = l1.config.hit_latency
     LAT12 = LAT1 + l2.config.hit_latency
     LAT123 = LAT12 + l3.config.hit_latency
-    push_down = hierarchy._push_down  # dirty L1/L2 victims
+    fill_down = hierarchy._fill  # dirty L1/L2 victims
 
     # -- controller closures -------------------------------------------
     if is_plain:
@@ -863,9 +863,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                         # TLB-hit path (latency 0).
                         tlb_move(vpn)
                         pend_tlb[0] += 1
-                        pte.accessed = True
-                        if is_write:
-                            pte.dirty = True
                         pend_mmu[0] += 1
                         paddr = (pte.pfn << 12) | (addr & 4095)
                         if pte.df:
@@ -928,8 +925,6 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
 
                     # ---- CacheHierarchy.access -------------------------
                     line = paddr >> 6
-                    wb_line = -1
-                    miss = False
                     entries = s1[line % n1]
                     if line in entries:
                         pend_l1[_HITS] += 1
@@ -940,9 +935,11 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                     else:
                         # The fills below skip fill()'s presence check:
                         # the level just missed on this line and the only
-                        # interleaved inserts (push_down victims) are for
+                        # interleaved inserts (pushed-down victims) are for
                         # other lines, so the line is still absent.
                         pend_l1[_MISSES] += 1
+                        miss = False
+                        wbs = ()  # dirty lines out of L3, in write-back order
                         entries2 = s2[line % n2]
                         l2_hit = line in entries2
                         if l2_hit:
@@ -972,7 +969,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                             pend_l1[_EVICTIONS] += 1
                             if victim_dirty:
                                 pend_l1[_DIRTY_EVICTIONS] += 1
-                                push_down(l1, victim_line << 6)
+                                wbs = fill_down(1, victim_line << 6, True)
                         entries[line] = miss and is_write
                         if not l2_hit:
                             if len(entries2) >= w2:
@@ -981,7 +978,7 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                                 pend_l2[_EVICTIONS] += 1
                                 if victim_dirty:
                                     pend_l2[_DIRTY_EVICTIONS] += 1
-                                    push_down(l2, victim_line << 6)
+                                    wbs += fill_down(2, victim_line << 6, True)
                             entries2[line] = False
                         if miss:  # L3's dirty victim is written back
                             if len(entries3) >= w3:
@@ -990,18 +987,17 @@ def _interpret(compiled: CompiledTrace, machine: Machine,
                                 pend_l3[_EVICTIONS] += 1
                                 if victim_dirty:
                                     pend_l3[_DIRTY_EVICTIONS] += 1
-                                    wb_line = victim_line
+                                    wbs += (victim_line << 6,)
                             entries3[line] = False
-                    if miss:
-                        if queues is None:
-                            clock += ctrl_read(paddr)
-                            if wb_line >= 0:
-                                clock += ctrl_write(wb_line << 6, False) * wcf
-                        else:
-                            clock = queued(clock, paddr, False, False, 1.0)
-                            if wb_line >= 0:
-                                clock = queued(clock, wb_line << 6, True,
-                                               False, wcf)
+                            if queues is None:
+                                clock += ctrl_read(paddr)
+                            else:
+                                clock = queued(clock, paddr, False, False, 1.0)
+                        for wb_addr in wbs:
+                            if queues is None:
+                                clock += ctrl_write(wb_addr, False) * wcf
+                            else:
+                                clock = queued(clock, wb_addr, True, False, wcf)
 
                 elif kind == _FENCE:
                     clock += _FENCE_NS

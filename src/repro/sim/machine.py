@@ -157,7 +157,6 @@ class Machine:
         # side access charges queueing delay through them.  None (the
         # default) is the exact seed single-stream path.
         self.service_queues = None
-        self.stream_id = 0
 
         # Persist-path model: fixed ADR constant or an explicit WPQ.
         self.wpq = (
@@ -308,11 +307,11 @@ class Machine:
             # Make sure the file page exists on the device too.
             if region.handle.inode.extents.get(file_page) is None:
                 dev_pfn, _, _ = self.fs.fault_in(region.handle, file_page)
-            self.mmu.page_table.map(vpn, pfn, df=False)
+            self.mmu.page_table.map(vpn, pfn, writable=region.handle.writable)
             return self.costs.minor_fault_ns
 
         pfn, df, latency = self.fs.fault_in(region.handle, file_page)
-        self.mmu.page_table.map(vpn, pfn, df=df)
+        self.mmu.page_table.map(vpn, pfn, writable=region.handle.writable, df=df)
         return latency
 
     # ------------------------------------------------------------------
@@ -375,7 +374,7 @@ class Machine:
         self.latency_histogram = LatencyHistogram(name=name)
         return self.latency_histogram
 
-    def attach_service_queues(self, queues, stream_id: int = 0) -> None:
+    def attach_service_queues(self, queues) -> None:
         """Join this machine to a shared-contention service model.
 
         ``queues`` carries the memory-controller queue and the OTT-port
@@ -387,7 +386,6 @@ class Machine:
         service runs remain bit-identical to the seed path.
         """
         self.service_queues = queues
-        self.stream_id = stream_id
 
     def _ott_lookup_count(self) -> int:
         """Cumulative OTT lookups (hits + misses) the controller made."""
@@ -458,7 +456,7 @@ class Machine:
         """
         translation = self.mmu.translate(line_vaddr, is_write=False)
         self.clock_ns += translation.latency_ns
-        if self.hierarchy.flush_line(translation.paddr, invalidate=False):
+        if self.hierarchy.flush_line(translation.paddr):
             if self.wpq is not None:
                 self.clock_ns += self.wpq.accept(self.clock_ns)
             else:

@@ -161,8 +161,8 @@ class ServiceQueues:
     reach the run's ``service_stats`` like any machine component's.
     """
 
-    def __init__(self, registry: Optional[StatsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else StatsRegistry()
+    def __init__(self) -> None:
+        self.registry = StatsRegistry()
         self.mc = MemoryControllerQueue(stats=self.registry.create("mc_queue"))
         self.ott = OTTPortQueue(stats=self.registry.create("ott_queue"))
 
@@ -333,8 +333,6 @@ def run_service(
     config: MachineConfig,
     workloads: Sequence,
     policy: ArrivalPolicy,
-    *,
-    registry: Optional[StatsRegistry] = None,
 ) -> ServiceResult:
     """Run N workload streams concurrently through shared queues.
 
@@ -352,11 +350,11 @@ def run_service(
     """
     from .batch import OP_NAMES, step_workload
 
-    queues = ServiceQueues(registry=registry)
+    queues = ServiceQueues()
     streams: List[_Stream] = []
     for sid, workload in enumerate(workloads):
         machine = Machine(config)
-        machine.attach_service_queues(queues, stream_id=sid)
+        machine.attach_service_queues(queues)
         workload.setup(machine)
         stepped = step_workload(machine, workload)
         if stepped is None:

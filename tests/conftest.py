@@ -15,7 +15,6 @@ from hypothesis import settings
 from repro.core import FsEncrController
 from repro.mem.stats import StatCounters
 from repro.secmem import BaselineSecureController, MetadataLayout, SecureControllerConfig
-from repro.secmem.metadata_cache import MetadataKind
 from repro.sim import Machine, MachineConfig, Scheme
 
 
@@ -71,14 +70,6 @@ def functional_machine() -> Machine:
     return make_machine(Scheme.FSENCR, functional=True)
 
 
-#: Bundles deliberately left out of the registry: the metadata cache's
-#: internal structural caches, whose hits and misses the MetadataCache
-#: accounts per kind on its own registered bundle (secmem/metadata_cache.py).
-PRIVATE_BUNDLES = frozenset(
-    {"metadata_shared"} | {f"metadata_{kind}" for kind in MetadataKind.ALL}
-)
-
-
 @pytest.fixture
 def orphan_bundles(monkeypatch):
     """Record every StatCounters constructed from here on.
@@ -86,7 +77,7 @@ def orphan_bundles(monkeypatch):
     Returns ``orphans(owner)``: the names of the recorded bundles that
     are not ``owner.registry``'s bundle of that name (a machine's, or a
     service run's ``ServiceQueues``), i.e. counters no result will ever
-    show (:data:`PRIVATE_BUNDLES` excepted).
+    show.
     """
     built = []
     real_init = StatCounters.__init__
@@ -103,7 +94,7 @@ def orphan_bundles(monkeypatch):
         return [
             bundle.name
             for bundle in built
-            if registered.get(bundle.name) is not bundle and bundle.name not in PRIVATE_BUNDLES
+            if registered.get(bundle.name) is not bundle
         ]
 
     return orphans

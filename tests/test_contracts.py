@@ -278,3 +278,50 @@ def test_components_are_wired_only_by_the_machine():
     found = Counter((rel, _callee(node)) for rel, node in _walk()
                     if rel not in BUILDERS and _callee(node) in WIRED_COMPONENTS)
     assert found == WIRING_EXCEPTIONS
+
+
+# -- per-access records carry no field that nothing reads ---------------
+
+#: The records minted per access, translation or mapping, by module.
+PER_ACCESS_RECORDS = {
+    "mem/hierarchy.py": "AccessOutcome",
+    "kernel/mmu.py": "TranslationResult",
+    "kernel/page_table.py": "PageTableEntry",
+    "mem/controller.py": "MemoryRequest",
+    "mem/cache.py": "Eviction",
+}
+
+
+def _slots(tree: ast.Module, name: str) -> Tuple[str, ...]:
+    """The names in class ``name``'s ``__slots__`` tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and [_dotted(t) for t in stmt.targets] == ["__slots__"]):
+                    return tuple(ast.literal_eval(stmt.value))
+    raise AssertionError(f"{name} has no __slots__ tuple")
+
+
+def test_per_access_fields_are_read_outside_their_module():
+    """A field written on every access that no other module reads is
+    per-access work nothing uses.
+
+    The match is by attribute name, whatever the object: a field counts
+    as read when any other ``src/`` module loads an attribute of that
+    name.  So one record's field can mask another's:
+    ``PageTableEntry.dirty`` would pass on the loads of
+    ``Eviction.dirty``.
+    """
+    readers: Dict[str, set] = {}
+    for rel, node in _walk(skip=("benchmarks/",)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            readers.setdefault(node.attr, set()).add(rel)
+    modules = _modules()
+    unread = [
+        f"{name}.{slot}"
+        for rel, name in PER_ACCESS_RECORDS.items()
+        for slot in _slots(modules[rel], name)
+        if not readers.get(slot, set()) - {rel}
+    ]
+    assert unread == []

@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.exec.spec import resolve_workload
+from repro.kernel import PageFault
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
 from repro.secmem.metadata_cache import MetadataCacheConfig
@@ -40,6 +41,8 @@ from repro.workloads import (
     make_whisper_workload,
 )
 from repro.workloads.base import Workload, compare_schemes, run_workload
+
+from .test_mem_hierarchy import PUSH_DOWN_HIERARCHY, PUSH_DOWN_STREAM
 
 _FACTORIES = {
     "DAX-1": lambda: make_dax_micro("DAX-1", iterations=120, seed=7),
@@ -209,6 +212,58 @@ def test_capture_fallback_for_untraceable_workload():
     direct = run_workload(config, _RedoTransfers())
     batched = BatchRunner().run(config, _RedoTransfers())
     assert batched.to_dict() == direct.to_dict()
+
+
+class _ReadOnlyPersist(Workload):
+    """Creates a file, reopens it read-only, maps it and persists one
+    line through that mapping: a store the page table must refuse."""
+
+    name = "ReadOnlyPersist"
+
+    def run(self, machine):
+        machine.create_file("/pmem/ro", uid=self.uid)
+        handle = machine.open_file("/pmem/ro", uid=self.uid, write=False)
+        base = machine.mmap(handle, pages=1)
+        machine.load(base, 8)  # reading through the mapping is allowed
+        machine.mark_measurement_start()
+        machine.persist(base, 8)
+
+
+#: DAX (fsencr) and page-cache (software_encryption) fault arms.
+@pytest.mark.parametrize("scheme_name", ["fsencr", "software_encryption"])
+@pytest.mark.parametrize("executor", ["per-access", "batched"])
+def test_store_through_read_only_mapping_faults(scheme_name, executor):
+    config = get_scheme(scheme_name).configure(MachineConfig())
+    run = run_workload if executor == "per-access" else BatchRunner().run
+    with pytest.raises(PageFault):
+        run(config, _ReadOnlyPersist())
+
+
+class _PushDownStream(Workload):
+    """``PUSH_DOWN_STREAM`` through one page: with ``PUSH_DOWN_HIERARCHY``
+    its last store pushes line 0x180 out of L3 dirty."""
+
+    name = "PushDown"
+
+    def run(self, machine):
+        handle = machine.create_file("/pmem/pd", uid=self.uid)
+        base = machine.mmap(handle, pages=1)
+        machine.mark_measurement_start()
+        for offset, is_write in PUSH_DOWN_STREAM:
+            (machine.store if is_write else machine.load)(base + offset, 8)
+
+
+@pytest.mark.parametrize("scheme_name", ["ext4dax_plain", "fsencr"])
+def test_dirty_line_pushed_out_of_l3_is_written_back(scheme_name):
+    config = replace(get_scheme(scheme_name).configure(MachineConfig()),
+                     hierarchy=PUSH_DOWN_HIERARCHY)
+    assert _supports_fast_path(Machine(config))
+    direct = run_workload(config, _PushDownStream())
+    batched = BatchRunner().run(config, _PushDownStream())
+    assert batched.to_dict() == direct.to_dict()
+    # Nothing is persisted: the one memory write is line 0x180's.
+    assert direct.stats["l3.dirty_evictions"] == 1
+    assert direct.stats["controller.write_requests"] == 1
 
 
 class TestBatchRunner:
@@ -450,21 +505,20 @@ def test_compiled_equals_replay_on_generated_traces():
             if config in service_configs:
                 service = run_service(config, [_Replayed(trace)], ClosedLoop())
                 assert service.streams[0].run.to_dict() == reference, config.scheme.value
-            controller = machines[0].controller
+            stats = machines[0].registry.snapshot()
             if config.scheme.has_secure_controller:
-                tally["minor_overflows"] += controller.stats.counters["minor_overflows"]
+                tally["minor_overflows"] += stats.get("controller.minor_overflows", 0)
             if config.scheme is Scheme.FSENCR:
-                tally["fecb_minor_overflows"] += controller.stats.counters["fecb_minor_overflows"]
+                tally["fecb_minor_overflows"] += stats.get("controller.fecb_minor_overflows", 0)
             if config is _TINY_FSENCR:
-                tally["fecb_misses"] += (
-                    controller.metadata_cache.stats.counters["fecb_misses"])
-                tally["ott_refills"] += controller.stats.counters["ott_refills"]
-                tally["ott_spills"] += controller.stats.counters["ott_spills"]
+                tally["fecb_misses"] += stats.get("metadata_cache.fecb_misses", 0)
+                tally["ott_refills"] += stats.get("controller.ott_refills", 0)
+                tally["ott_spills"] += stats.get("controller.ott_spills", 0)
             if config is _TINY_CACHES_FSENCR:
-                hierarchy = machines[1].hierarchy  # the reference walk's
-                tally["l1_dirty_evictions"] += hierarchy.l1.stats.counters["dirty_evictions"]
-                tally["l2_dirty_evictions"] += hierarchy.l2.stats.counters["dirty_evictions"]
-                tally["l3_misses"] += hierarchy.l3.stats.counters["misses"]
+                stats = machines[1].registry.snapshot()  # the reference walk's
+                tally["l1_dirty_evictions"] += stats.get("l1.dirty_evictions", 0)
+                tally["l2_dirty_evictions"] += stats.get("l2.dirty_evictions", 0)
+                tally["l3_misses"] += stats.get("l3.misses", 0)
 
     check()
     assert all(tally.values()), tally

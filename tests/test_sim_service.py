@@ -295,8 +295,7 @@ def test_service_machine_inside_batch_fast_path():
     config = get_scheme("fsencr").configure(MachineConfig())
     machine = Machine(config)
     assert _supports_fast_path(machine)
-    machine.attach_service_queues(ServiceQueues(), stream_id=3)
-    assert machine.stream_id == 3
+    machine.attach_service_queues(ServiceQueues())
     assert _supports_fast_path(machine)
 
 

@@ -93,12 +93,18 @@ def test_stat_lookup_of_an_unproduced_counter_raises(monkeypatch):
         result.stat("ghost.count")
 
 
-def test_metadata_structural_caches_are_the_private_exception(orphan_bundles):
-    # The metadata cache accounts its structural caches' hits and misses
-    # per kind on its own registered bundle, so their bundles stay
-    # private: a partitioned build constructs them, and the recorder
-    # exempts them (PRIVATE_BUNDLES).
+def test_metadata_tag_stores_count_on_the_registered_bundle(orphan_bundles):
+    # A partitioned metadata cache builds one bare tag store per kind;
+    # their hits and misses land per kind on the registered
+    # ``metadata_cache`` bundle, and no other bundle is built for them.
     machine = Machine(get_scheme("fsencr+partitioned").configure(MachineConfig()))
-    private = {cache.stats.name for cache in machine.controller.metadata_cache._caches.values()}
-    assert len(private) > 1 and not private & set(machine.registry.names)
+    metadata_cache = machine.controller.metadata_cache
+    stores = {id(store): store for store in metadata_cache._caches.values()}
+    assert len(stores) > 1
+    assert not any(hasattr(store, "stats") for store in stores.values())
+    assert metadata_cache.stats is machine.registry.bundle("metadata_cache")
+    address = machine.controller.layout.mecb_addr(0)
+    metadata_cache.access(address, "mecb", is_write=False)
+    metadata_cache.access(address, "mecb", is_write=False)
+    assert machine.result("tag").stats["metadata_cache.mecb_hits"] == 1
     assert orphan_bundles(machine) == []
